@@ -14,7 +14,7 @@ from .errors import (
     IntegrationBlowup,
     UnsupportedOracle,
 )
-from .problems import CompositeProblem, IterateState, make_state
+from .problems import CompositeProblem, IterateState, SmoothModel, make_state
 from .prox import ProxKind, group_shrink, project_box, prox_apply, prox_value, soft_threshold
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 from .solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
@@ -55,6 +55,7 @@ __all__ = [
     "RateEstimate",
     "ReferenceSolution",
     "RunConfig",
+    "SmoothModel",
     "SplitMix64",
     "Trace",
     "UnsupportedOracle",

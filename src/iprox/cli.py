@@ -48,7 +48,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import diagnostics, library, reference, solvers, traceio
-from .errors import ConfigError, ContractViolation, DivergenceError
+from .errors import ConfigError, ContractViolation, DivergenceError, RunFailure
 from .ode import ode_audit, simulate_heavy_ball
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 
@@ -281,8 +281,12 @@ def _fit_from_trace(ks, values, rate_cfg, f_star) -> dict:
                                     rate_cfg["floor_scale"])
     ks_w, vals_w = diagnostics.select_window(ks, values, rate_cfg["k_lo"],
                                              rate_cfg["k_hi"], floor)
-    est = diagnostics.fit_rate(ks_w, vals_w, rate_cfg["model"],
-                               burn_in_frac=rate_cfg["burn_in"])
+    try:
+        est = diagnostics.fit_rate(ks_w, vals_w, rate_cfg["model"],
+                                   burn_in_frac=rate_cfg["burn_in"])
+    except ContractViolation as exc:
+        # the config was valid; the trace it produced cannot be fitted
+        raise RunFailure(f"rate fit on column {rate_cfg['column']!r}: {exc}")
     return {"model": est.model, "value": est.exponent_or_ratio,
             "fit_residual": est.fit_residual,
             "window": [est.window[0], est.window[1]],
@@ -329,9 +333,9 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0,
             fname = f"trace_seed{s + seed_offset}.csv"
             traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
             summary["trace_files"].append(fname)
-        traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"), traces)
+        mean_cols = traceio.write_mean_trace_csv(
+            os.path.join(out_dir, "trace_mean.csv"), traces)
         summary["trace_files"].append("trace_mean.csv")
-        mean_cols = traceio.read_csv(os.path.join(out_dir, "trace_mean.csv"))
         if "descent" in audits:
             summary["audits"]["descent"] = {
                 "min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
@@ -381,8 +385,20 @@ def _sweep_worker(cfg_text: str, out_dir: str, seed_offset: int):
     try:
         run_experiment(cfg, out_dir, seed_offset=seed_offset, subcommand="run")
         return out_dir, "ok"
-    except (ConfigError, ContractViolation, DivergenceError) as exc:
+    except (ConfigError, ContractViolation, DivergenceError, RunFailure) as exc:
         return out_dir, f"error: {exc}"
+
+
+def _grid_label(v) -> str:
+    # the short %g form when it reads back as v, else the round-trip repr,
+    # so distinct grid values never share an output directory
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
+def _pool_size(workers: int, jobs: int) -> int:
+    """Worker processes for a sweep: never more than jobs or CPUs."""
+    return min(workers, jobs, os.cpu_count() or 1)
 
 
 def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
@@ -403,6 +419,13 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
         inertia_key, inertia_vals = None, [None]
     if not isinstance(inertia_vals, list) or not inertia_vals:
         raise ConfigError(f"sweep.{inertia_key}", "expected a nonempty list")
+    for key, vals in (("c", cs), (inertia_key, inertia_vals)):
+        if key is None:
+            continue
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
+            raise ConfigError(f"sweep.{key}", "expected a list of numbers")
+        if len(set(vals)) != len(vals):
+            raise ConfigError(f"sweep.{key}", "duplicate grid value")
 
     jobs = []
     for c_val, b_val in itertools.product(cs, inertia_vals):
@@ -410,16 +433,17 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
         sub.pop("sweep")
         sched = dict(sub.get("schedule", {}))
         sched["c"] = c_val
-        name = f"c{c_val:g}"
+        name = f"c{_grid_label(c_val)}"
         if inertia_key is not None:
             sched.pop("beta", None)
             sched.pop("theta", None)
             sched[inertia_key] = b_val
-            name += f"_{inertia_key}{b_val:g}"
+            name += f"_{inertia_key}{_grid_label(b_val)}"
         sub["schedule"] = sched
         jobs.append((name, json.dumps(sub), os.path.join(out_dir, name)))
 
     results = {}
+    workers = _pool_size(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [(name, pool.submit(_sweep_worker, text, d, seed_offset))
@@ -550,6 +574,9 @@ def main(argv=None) -> int:
         return 2
     except DivergenceError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
+        return 3
+    except RunFailure as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
         return 3
 
 

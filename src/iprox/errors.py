@@ -14,6 +14,10 @@ class DivergenceError(RuntimeError):
         self.value = value
 
 
+class RunFailure(RuntimeError):
+    """A run completed, but a step on its results (such as a rate fit) failed."""
+
+
 class UnsupportedOracle(RuntimeError):
     """The problem lacks an optional oracle required by this operation."""
 

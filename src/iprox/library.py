@@ -33,7 +33,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem
+from .problems import CompositeProblem, SmoothModel
 from .prox import ProxKind, prox_apply, prox_value
 
 KINDS = ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadratic")
@@ -172,28 +172,14 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(Q, blocks, L)
         nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
-
-        def smooth_value(x, Q=Q, z=z):
-            d = x - z
-            return 0.5 * float(d @ (Q @ d))
-
-        def smooth_grad(x, Q=Q, z=z):
-            return Q @ (x - z)
+        model = SmoothModel("quadratic", Q, center=z)
 
         if spec.kind == "quadratic":
-            return CompositeProblem(
-                dim=n, blocks=blocks, smooth_value=smooth_value,
-                smooth_grad=smooth_grad, lipschitz_L=L, block_lipschitz=L_blocks,
-                nonsmooth_value=nonsmooth_value, prox=prox,
-                f_star=0.0, nu=lam_min / 2.0,
-                solution_projection=lambda x, z=z: z.copy(),
-            )
-        return CompositeProblem(
-            dim=n, blocks=blocks, smooth_value=smooth_value,
-            smooth_grad=smooth_grad, lipschitz_L=L, block_lipschitz=L_blocks,
-            nonsmooth_value=nonsmooth_value, prox=prox,
-            f_star=None, nu=lam_min / 2.0, solution_projection=None,
-        )
+            return _problem(model, blocks, L, L_blocks, nonsmooth_value, prox,
+                            f_star=0.0, nu=lam_min / 2.0,
+                            solution_projection=lambda x, z=z: z.copy())
+        return _problem(model, blocks, L, L_blocks, nonsmooth_value, prox,
+                        nu=lam_min / 2.0)
 
     if spec.kind == "noncoercive_quadratic":
         r = spec.rows
@@ -208,24 +194,15 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(H, blocks, L)
         nonsmooth_value, prox = _l1_oracles(0.0, blocks)
-
-        def smooth_value(x, P=P):
-            w = P @ x
-            return 0.5 * float(w @ w)
-
-        def smooth_grad(x, H=H):
-            return H @ x
+        # the image is P x; the full gradient keeps the Gram product H x
+        model = SmoothModel("squares", P, gram=H)
 
         def project(x, Ur=Ur):
             # argmin F = null(P); remove the component in range(Ur)
             return x - Ur @ (Ur.T @ x)
 
-        return CompositeProblem(
-            dim=n, blocks=blocks, smooth_value=smooth_value,
-            smooth_grad=smooth_grad, lipschitz_L=L, block_lipschitz=L_blocks,
-            nonsmooth_value=nonsmooth_value, prox=prox,
-            f_star=0.0, nu=lam_min / 2.0, solution_projection=project,
-        )
+        return _problem(model, blocks, L, L_blocks, nonsmooth_value, prox,
+                        f_star=0.0, nu=lam_min / 2.0, solution_projection=project)
 
     if spec.kind == "lasso":
         p = spec.rows
@@ -245,19 +222,8 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
                 for blk in blocks
             )
         nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
-
-        def smooth_value(x, A=A, b=b):
-            r_ = A @ x - b
-            return 0.5 * float(r_ @ r_)
-
-        def smooth_grad(x, A=A, b=b):
-            return A.T @ (A @ x - b)
-
-        return CompositeProblem(
-            dim=n, blocks=blocks, smooth_value=smooth_value,
-            smooth_grad=smooth_grad, lipschitz_L=L, block_lipschitz=L_blocks,
-            nonsmooth_value=nonsmooth_value, prox=prox,
-        )
+        return _problem(SmoothModel("squares", A, offset=b), blocks, L, L_blocks,
+                        nonsmooth_value, prox)
 
     # logistic_l1
     p = spec.rows
@@ -277,29 +243,15 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
             for blk in blocks
         )
     nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
+    return _problem(SmoothModel("logistic", A, labels=y), blocks, L, L_blocks,
+                    nonsmooth_value, prox)
 
-    def smooth_value(x, A=A, b_=y, p=p):
-        t = b_ * (A @ x)
-        return float(np.mean(np.logaddexp(0.0, -t)))
 
-    def smooth_grad(x, A=A, b_=y, p=p):
-        t = b_ * (A @ x)
-        return -(A.T @ (b_ * _sigmoid(-t))) / p
-
+def _problem(model, blocks, L, L_blocks, nonsmooth_value, prox, **extra):
     return CompositeProblem(
-        dim=n, blocks=blocks, smooth_value=smooth_value,
-        smooth_grad=smooth_grad, lipschitz_L=L, block_lipschitz=L_blocks,
-        nonsmooth_value=nonsmooth_value, prox=prox,
-    )
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+        dim=model.dim, blocks=blocks, smooth_value=model.value,
+        smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=L_blocks,
+        nonsmooth_value=nonsmooth_value, prox=prox, smooth_model=model, **extra)
 
 
 def is_coercive(spec: InstanceSpec) -> bool:

@@ -5,6 +5,10 @@ Lipschitz constant for the gradient (global L and per-block L_i).  The
 nonsmooth part g is block separable, g(x) = sum_i g_i(x_i), and is accessed
 through per-block prox oracles.  All oracles are pure functions; a problem
 value may be shared freely across threads.
+
+When f depends on x only through an image u = A x (a :class:`SmoothModel`),
+the solvers keep u between steps in an oracle state (:func:`oracle_state`),
+so a block step costs a block of columns of A and not full products.
 """
 
 from __future__ import annotations
@@ -17,6 +21,95 @@ import numpy as np
 from .errors import ContractViolation, UnsupportedOracle
 
 Vector = np.ndarray
+LOSSES = ("squares", "logistic", "quadratic")
+
+
+@dataclass(frozen=True, eq=False)
+class SmoothModel:
+    """Structured smooth part: f reads x only through an image u of A.
+
+    loss "squares"    u = A x - offset, f = ||u||^2/2, grad f = A'u; with
+                      gram = A'A given, gradients are read from x as
+                      gram @ x, or its block rows, and u serves the value.
+    loss "logistic"   u = A x, f = mean(log(1 + exp(-y*u))) over the rows,
+                      grad f = -A'(y*sigmoid(-y*u))/rows, y = labels.
+    loss "quadratic"  A symmetric, u = A(x - center), f = (x - center)'u/2,
+                      and u is grad f itself.
+
+    Column j of A is how coordinate j moves the image, so a change d_i of
+    block i moves u by A[:, block i] @ d_i.  ``value`` and ``grad`` are the
+    plain oracles a problem built on the model uses as smooth_value and
+    smooth_grad.
+    """
+
+    loss: str
+    A: np.ndarray
+    offset: Optional[Vector] = None
+    labels: Optional[Vector] = None
+    center: Optional[Vector] = None
+    gram: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.loss not in LOSSES:
+            raise ContractViolation(f"loss must be one of {LOSSES}")
+        if np.ndim(self.A) != 2:
+            raise ContractViolation("A must be a matrix")
+        rows, n = self.A.shape
+        if self.loss == "quadratic" and rows != n:
+            raise ContractViolation("a quadratic model needs a square A")
+        if (self.labels is not None) != (self.loss == "logistic"):
+            raise ContractViolation("labels are given exactly for the logistic loss")
+        if self.loss != "squares" and (self.offset is not None or self.gram is not None):
+            raise ContractViolation("offset and gram belong to the squares loss")
+        if self.center is not None and self.loss != "quadratic":
+            raise ContractViolation("center belongs to the quadratic loss")
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
+
+    def image(self, x: Vector) -> Vector:
+        if self.center is not None:
+            return self.A @ (x - self.center)
+        u = self.A @ x
+        return u if self.offset is None else u - self.offset
+
+    def value_at(self, x: Vector, u: Vector) -> float:
+        """f(x) from the image u of x."""
+        if self.loss == "squares":
+            return 0.5 * float(u @ u)
+        if self.loss == "logistic":
+            return float(np.mean(np.logaddexp(0.0, -(self.labels * u))))
+        d = x if self.center is None else x - self.center
+        return 0.5 * float(d @ u)
+
+    def grad_at(self, x: Vector, u: Vector, cols=None) -> Vector:
+        """grad f(x) from the image u of x; cols selects one block of it."""
+        if self.loss == "quadratic":
+            return u.copy() if cols is None else u[cols].copy()
+        if self.gram is not None:
+            return self.gram @ x if cols is None else self.gram[cols] @ x
+        At = self.A if cols is None else self.A[:, cols]
+        if self.loss == "squares":
+            return At.T @ u
+        y = self.labels
+        return -(At.T @ (y * _sigmoid(-(y * u)))) / len(y)
+
+    def value(self, x: Vector) -> float:
+        return self.value_at(x, self.image(x))
+
+    def grad(self, x: Vector) -> Vector:
+        return self.grad_at(x, None if self.gram is not None else self.image(x))
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-t)) without overflow for either sign of t."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +143,9 @@ class CompositeProblem:
         with xbar the projection of x onto argmin F.
     solution_projection : callable x -> ndarray, optional
         Euclidean projection onto argmin F.
+    smooth_model : SmoothModel, optional
+        The same f as smooth_value/smooth_grad, described by its image
+        operator; the solvers then update the image block by block.
     """
 
     dim: int
@@ -63,6 +159,7 @@ class CompositeProblem:
     f_star: Optional[float] = None
     nu: Optional[float] = None
     solution_projection: Optional[Callable[[Vector], Vector]] = None
+    smooth_model: Optional[SmoothModel] = None
     block_index_arrays: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -86,6 +183,8 @@ class CompositeProblem:
             raise ContractViolation("block Lipschitz constants must be > 0")
         if self.nu is not None and self.nu <= 0:
             raise ContractViolation("nu must be > 0 when given")
+        if self.smooth_model is not None and self.smooth_model.dim != self.dim:
+            raise ContractViolation("smooth_model acts on vectors of another length")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(
             self,
@@ -179,6 +278,132 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     for i, ix in enumerate(problem.block_index_arrays):
         out[ix] = problem.prox(i, v[ix], gamma)
     return out
+
+
+def oracle_state(problem: CompositeProblem):
+    """Fresh per-run oracle state: an ImageOracle when the problem has a
+    smooth_model, else a ClosureOracle over smooth_value/smooth_grad.
+
+    Both take the same calls.  refresh(x) starts a new image at x; value(x)
+    and value_grad(x) read f (and grad f) of that x; block_grad(i, x) is
+    block i of grad f(x); move(i, d) tells the state that block i of x
+    moved by d.  The caller passes the x the state currently describes.
+    ``matvec_equiv`` counts the work done so far.
+    """
+    if problem.smooth_model is not None:
+        return ImageOracle(problem)
+    return ClosureOracle(problem)
+
+
+class ImageOracle:
+    """Keeps the image u of the current iterate under a SmoothModel.
+
+    A block gradient or a move reads only the block's columns of A, as
+    views when the block is a contiguous range.  A move is applied when
+    the image is next read, so one followed by a refresh costs nothing.
+    Work is counted in matvec-equivalents: a product with all of A
+    counts 1, one with a block's columns |block|/n; a value from the
+    image is free.  A full gradient computed at the current image serves
+    the block gradients until the next move.
+    """
+
+    def __init__(self, problem: CompositeProblem):
+        self.problem = problem
+        self.model = problem.smooth_model
+        self.dim = problem.dim
+        self.index = problem.block_index_arrays
+        self.cols = tuple(_columns(ix) for ix in self.index)
+        self.grad_is_image = self.model.loss == "quadratic"
+        self.u = None
+        self.grad = None
+        self.pending = None  # (block, step) of a move not yet applied to u
+        self.columns = 0  # columns of A touched; matvec_equiv = columns / n
+
+    @property
+    def matvec_equiv(self) -> float:
+        return self.columns / self.dim
+
+    def refresh(self, x: Vector) -> None:
+        self.u = self.model.image(_check_dim(self.problem, x))
+        self.grad = None
+        self.pending = None
+        self.columns += self.dim
+
+    def _image(self) -> Vector:
+        if self.pending is not None:
+            i, d = self.pending
+            self.pending = None
+            self.u += self.model.A[:, self.cols[i]] @ d
+            self.columns += len(self.index[i])
+        return self.u
+
+    def value(self, x: Vector) -> float:
+        return self.model.value_at(x, self._image())
+
+    def value_grad(self, x: Vector):
+        u = self._image()
+        self.grad = self.model.grad_at(x, u)
+        if not self.grad_is_image:
+            self.columns += self.dim
+        return self.model.value_at(x, u), self.grad
+
+    def block_grad(self, i: int, x: Vector) -> Vector:
+        if self.grad is not None:
+            return self.grad[self.index[i]]
+        if not self.grad_is_image:
+            self.columns += len(self.index[i])
+        return self.model.grad_at(x, self._image(), self.cols[i])
+
+    def move(self, i: int, d: Vector) -> None:
+        self._image()
+        self.pending = (i, d)
+        self.grad = None
+
+
+class ClosureOracle:
+    """The oracle-state calls over smooth_value/smooth_grad, for problems
+    without a smooth_model.  Each closure call counts one matvec-equivalent.
+    """
+
+    def __init__(self, problem: CompositeProblem):
+        self.problem = problem
+        self.grad = None
+        self.calls = 0
+
+    @property
+    def matvec_equiv(self) -> float:
+        return float(self.calls)
+
+    def refresh(self, x: Vector) -> None:
+        _check_dim(self.problem, x)
+        self.grad = None
+
+    def value(self, x: Vector) -> float:
+        self.calls += 1
+        return float(self.problem.smooth_value(x))
+
+    def value_grad(self, x: Vector):
+        f = self.value(x)
+        self.calls += 1
+        self.grad = grad_f(self.problem, x)
+        return f, self.grad
+
+    def block_grad(self, i: int, x: Vector) -> Vector:
+        if self.grad is None:
+            self.calls += 1
+            self.grad = grad_f(self.problem, x)
+        return self.grad[self.problem.block_index_arrays[i]]
+
+    def move(self, i: int, d: Vector) -> None:
+        self.grad = None
+
+
+def _columns(ix: np.ndarray):
+    # a contiguous ascending block selects a view of A; any other an index copy
+    lo = int(ix[0])
+    if np.array_equal(ix, np.arange(lo, lo + len(ix))):
+        return slice(lo, lo + len(ix))
+    return ix
 
 
 def solution_project(problem: CompositeProblem, x: Vector) -> Vector:

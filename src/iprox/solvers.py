@@ -11,6 +11,13 @@ used at each recorded iteration.  The optimality residual S uses the fixed
 audit stepsize 1/L throughout: S_gamma(x) vanishes exactly at minimizers of
 F for any gamma > 0, so the choice only rescales the stopping rule.
 
+The smooth part is read through a per-run oracle state
+(:func:`iprox.problems.oracle_state`).  It is refreshed from x at every
+recorded entry and at the start of every epoch (each cyclic epoch, every m
+stochastic steps), which bounds the rounding drift of an image kept up to
+date by block moves; with m = 1 every step refreshes.  meta["matvec_equiv"]
+holds the work the run's oracle state counted.
+
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
 """
@@ -28,7 +35,7 @@ from .problems import (
     CompositeProblem,
     IterateState,
     grad_f,
-    objective,
+    oracle_state,
     prox_full,
 )
 from .rng import SplitMix64
@@ -161,25 +168,31 @@ def _forward(x, grad, x_prev, gamma, beta):
     return v
 
 
+def _check_grad(grad, k: int):
+    if not np.isfinite(grad).all():
+        raise DivergenceError("non-finite gradient", k=k)
+
+
 def inertial_step(problem: CompositeProblem, state: IterateState,
                   gamma: float, beta: float) -> np.ndarray:
     """One full-vector step: prox_{gamma*g}(x - gamma*grad f(x) + beta*(x - x_prev))."""
     if not (0.0 <= beta < 1.0):
         raise ContractViolation("inertial_step needs beta in [0, 1)")
     grad = grad_f(problem, state.x_curr)
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient", k=state.k)
+    _check_grad(grad, state.k)
     return prox_full(problem, _forward(state.x_curr, grad, state.x_prev, gamma, beta), gamma)
 
 
 def cyclic_epoch(problem: CompositeProblem, state: IterateState,
-                 gammas, betas) -> np.ndarray:
+                 gammas, betas, oracle=None) -> np.ndarray:
     """One epoch of block updates in fixed order with fresh gradients.
 
     Block i's gradient is evaluated after blocks 0..i-1 have already been
     updated within the epoch (Gauss-Seidel order); a Jacobi variant is
     deliberately not provided because the descent analysis relies on the
-    fresh evaluation.
+    fresh evaluation.  ``oracle`` is an oracle state describing
+    state.x_curr; each block move is applied to it.  Without one, a fresh
+    state is refreshed at state.x_curr.
     """
     m = problem.n_blocks
     gammas = np.asarray(gammas, dtype=float)
@@ -189,33 +202,42 @@ def cyclic_epoch(problem: CompositeProblem, state: IterateState,
     if np.any(gammas <= 0) or np.any((betas < 0) | (betas >= 1)):
         raise ContractViolation("cyclic_epoch needs gammas > 0 and betas in [0, 1)")
     x = state.x_curr.copy()
+    if oracle is None:
+        oracle = oracle_state(problem)
+        oracle.refresh(x)
     for i, ix in enumerate(problem.block_index_arrays):
-        grad = grad_f(problem, x)
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError("non-finite gradient", k=state.k)
-        v = _forward(x[ix], grad[ix], state.x_prev[ix], gammas[i], betas[i])
-        x[ix] = problem.prox(i, v, gammas[i])
+        grad = oracle.block_grad(i, x)
+        _check_grad(grad, state.k)
+        v = _forward(x[ix], grad, state.x_prev[ix], gammas[i], betas[i])
+        x_i = problem.prox(i, v, gammas[i])
+        oracle.move(i, x_i - x[ix])
+        x[ix] = x_i
     return x
 
 
 def stochastic_step(problem: CompositeProblem, state: IterateState,
-                    gamma: float, beta: float, rng: SplitMix64):
+                    gamma: float, beta: float, rng: SplitMix64, oracle=None):
     """One uniformly chosen block update; returns (x_next, block index).
 
     The block gradient is evaluated at the pre-step point x^k, and
-    non-selected coordinates are carried over exactly.
+    non-selected coordinates are carried over exactly.  ``oracle`` is as
+    in :func:`cyclic_epoch`; the block move is applied to it.
     """
     m = problem.n_blocks
     if not (0.0 <= beta < math.sqrt(m)):
         raise ContractViolation("stochastic_step needs beta in [0, sqrt(m))")
     i = rng.randint_below(m)
     ix = problem.block_index_arrays[i]
-    grad = grad_f(problem, state.x_curr)
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError("non-finite gradient", k=state.k)
     x = state.x_curr.copy()
-    v = _forward(x[ix], grad[ix], state.x_prev[ix], gamma, beta)
-    x[ix] = problem.prox(i, v, gamma)
+    if oracle is None:
+        oracle = oracle_state(problem)
+        oracle.refresh(x)
+    grad = oracle.block_grad(i, x)
+    _check_grad(grad, state.k)
+    v = _forward(x[ix], grad, state.x_prev[ix], gamma, beta)
+    x_i = problem.prox(i, v, gamma)
+    oracle.move(i, x_i - x[ix])
+    x[ix] = x_i
     return x, i
 
 
@@ -225,6 +247,15 @@ def _guard(F_val: float, F0: float, k: int):
             f"objective blew up at iteration {k}: F={F_val!r} from F0={F0!r}",
             k=k, value=F_val,
         )
+
+
+def _values(problem, oracle, x, need_grad):
+    # F(x) from the oracle's current image, with grad f(x) when asked for
+    if need_grad:
+        f_val, grad = oracle.value_grad(x)
+    else:
+        f_val, grad = oracle.value(x), None
+    return f_val + float(problem.nonsmooth_value(x)), grad
 
 
 def _residual_sq(problem, x, grad, gamma_audit) -> float:
@@ -250,6 +281,7 @@ def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,
     f_star = _f_star_shift(problem)
     b = _Builder(cfg.keep_iterates)
 
+    oracle = oracle_state(problem)
     x_prev = x0.copy()
     x = x0.copy()
     s = 0.0
@@ -257,12 +289,11 @@ def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,
     F0 = None
     k = 0
     while True:
-        grad = grad_f(problem, x)
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError("non-finite gradient", k=k)
+        oracle.refresh(x)
+        F_val, grad = _values(problem, oracle, x, True)
+        _check_grad(grad, k)
         beta = beta_at(schedule, k)
         gamma = gamma_full(beta, c, L)
-        F_val = objective(problem, x)
         if F0 is None:
             F0 = F_val
         _guard(F_val, F0, k)
@@ -295,7 +326,7 @@ def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,
         "variant": "full", "L": L, "c": c, "m": 1,
         "block_lipschitz": tuple(problem.block_lipschitz),
         "f_star": problem.f_star, "record_every": cfg.record_every,
-        "stop_tol": cfg.stop_tol,
+        "stop_tol": cfg.stop_tol, "matvec_equiv": oracle.matvec_equiv,
     }
     return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
 
@@ -321,6 +352,7 @@ def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
     ix_all = problem.block_index_arrays
     b = _Builder(cfg.keep_iterates)
 
+    oracle = oracle_state(problem)
     x_prev = x0.copy()
     x = x0.copy()
     sb = np.zeros(m)  # per-block ||x_i^k - x_i^{k-1}||^2
@@ -330,17 +362,17 @@ def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
     while True:
         beta = beta_at(schedule, k)
         gammas = 2.0 * (1.0 - beta) * c / L_blocks
-        F_val = objective(problem, x)
+        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
+        need_grad = want_entry or cfg.stop_tol > 0.0
+        oracle.refresh(x)  # every epoch starts from a fresh image
+        F_val, grad = _values(problem, oracle, x, need_grad)
         if F0 is None:
             F0 = F_val
         _guard(F_val, F0, k)
 
-        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
         rsq = None
-        if want_entry or cfg.stop_tol > 0.0:
-            grad = grad_f(problem, x)
-            if not np.all(np.isfinite(grad)):
-                raise DivergenceError("non-finite gradient", k=k)
+        if need_grad:
+            _check_grad(grad, k)
             rsq = _residual_sq(problem, x, grad, g_audit)
         stopping = cfg.stop_tol > 0.0 and rsq <= cfg.stop_tol ** 2
         if want_entry or stopping:
@@ -359,7 +391,7 @@ def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
             break
 
         state = IterateState(x, x_prev, k)
-        x_next = cyclic_epoch(problem, state, gammas, np.full(m, beta))
+        x_next = cyclic_epoch(problem, state, gammas, np.full(m, beta), oracle)
         # d @ d, not sum(d**2): keeps the m = 1 trace bit-identical to the
         # full variant, which uses the dot-product form
         sb_next = np.array([float((x_next[ix] - x[ix]) @ (x_next[ix] - x[ix]))
@@ -372,7 +404,7 @@ def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
         "variant": "cyclic", "L": L, "c": c, "m": m,
         "block_lipschitz": tuple(problem.block_lipschitz),
         "f_star": problem.f_star, "record_every": cfg.record_every,
-        "stop_tol": cfg.stop_tol,
+        "stop_tol": cfg.stop_tol, "matvec_equiv": oracle.matvec_equiv,
     }
     return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
 
@@ -402,7 +434,6 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
     root_m = math.sqrt(m)
     g_audit = 1.0 / L
     f_star = _f_star_shift(problem)
-    ix_all = problem.block_index_arrays
     rng = SplitMix64(cfg.seed)
     b = _Builder(cfg.keep_iterates)
 
@@ -413,6 +444,7 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
             raise ContractViolation("fixed_gamma regime needs problem.nu")
         beta_fixed = linear_stochastic_beta(fixed, problem.nu, m)
 
+    oracle = oracle_state(problem)
     x_prev = x0.copy()
     x = x0.copy()
     s = 0.0
@@ -427,18 +459,18 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
         else:
             beta = beta_at(schedule, k)
             gamma = gamma_stochastic(beta, c, L, m)
-        F_val = objective(problem, x)
+        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
+        need_grad = want_entry or cfg.stop_tol > 0.0
+        if need_grad or k % m == 0:  # m steps make one epoch
+            oracle.refresh(x)
+        F_val, grad = _values(problem, oracle, x, need_grad)
         if F0 is None:
             F0 = F_val
         _guard(F_val, F0, k)
 
-        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
         rsq = None
-        grad = None
-        if want_entry or cfg.stop_tol > 0.0:
-            grad = grad_f(problem, x)
-            if not np.all(np.isfinite(grad)):
-                raise DivergenceError("non-finite gradient", k=k)
+        if need_grad:
+            _check_grad(grad, k)
             rsq = _residual_sq(problem, x, grad, g_audit)
         stopping = cfg.stop_tol > 0.0 and rsq <= cfg.stop_tol ** 2
         if want_entry or stopping:
@@ -454,15 +486,8 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
         if stopping or k == cfg.max_iters:
             break
 
-        if grad is None:
-            grad = grad_f(problem, x)
-            if not np.all(np.isfinite(grad)):
-                raise DivergenceError("non-finite gradient", k=k)
-        i = rng.randint_below(m)
-        ix = ix_all[i]
-        x_next = x.copy()
-        v = _forward(x_next[ix], grad[ix], x_prev[ix], gamma, beta)
-        x_next[ix] = problem.prox(i, v, gamma)
+        x_next, i = stochastic_step(problem, IterateState(x, x_prev, k),
+                                    gamma, beta, rng, oracle)
         d = x_next - x
         s_next = float(d @ d)
         run_min = min(run_min, s_next)
@@ -476,6 +501,6 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
         "block_lipschitz": tuple(problem.block_lipschitz),
         "f_star": problem.f_star, "record_every": cfg.record_every,
         "stop_tol": cfg.stop_tol, "seed": cfg.seed,
-        "fixed_gamma": fixed,
+        "fixed_gamma": fixed, "matvec_equiv": oracle.matvec_equiv,
     }
     return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)

@@ -39,11 +39,12 @@ def write_trace_csv(path, trace) -> None:
     _write_rows(path, TRACE_HEADER, cols, allow_inf_cols=())
 
 
-def write_mean_trace_csv(path, traces) -> None:
+def write_mean_trace_csv(path, traces) -> dict:
     """Seed-averaged trace: elementwise mean of each column at matching k.
 
     Traces are truncated to the shortest common length; iteration grids
-    must agree on that prefix.
+    must agree on that prefix.  Returns the written columns as
+    {column_name: ndarray}, equal to what read_csv would parse back.
     """
     if len(traces) == 0:
         raise ContractViolation("need at least one trace to average")
@@ -52,11 +53,12 @@ def write_mean_trace_csv(path, traces) -> None:
     for t in traces:
         if not np.array_equal(np.asarray(t.ks[:n]), ks):
             raise ContractViolation("traces disagree on recorded iteration grid")
-    cols = [ks]
+    cols = {"k": ks}
     for name in ("F", "lyapunov", "step_sq", "residual_sq", "descent_slack"):
         stack = np.stack([np.asarray(getattr(t, name)[:n], dtype=float) for t in traces])
-        cols.append(stack.mean(axis=0))
-    _write_rows(path, TRACE_HEADER, cols, allow_inf_cols=())
+        cols[name] = stack.mean(axis=0)
+    _write_rows(path, TRACE_HEADER, list(cols.values()), allow_inf_cols=())
+    return cols
 
 
 def write_ode_csv(path, ode_trace) -> None:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import iprox
 from iprox.cli import main
 
 HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
@@ -228,8 +230,87 @@ def test_rates_refit_from_csv(tmp_path):
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, lasso_cfg())
     out = tmp_path / "out"
+    # the child imports the same iprox this test did, however pytest found it
+    src = os.path.dirname(os.path.dirname(iprox.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "iprox", "run", "--config", cfg,
-         "--out", str(out)], capture_output=True, text=True)
+         "--out", str(out)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "trace.csv").exists()
+
+
+def test_readme_example_fit_failure_is_exit_3(tmp_path, capsys):
+    # the README's example run: the lyapunov column falls below the 1e-14
+    # floor early, so the k_lo=100 window holds too few points to fit
+    doc = {
+        "version": 1,
+        "instance": {"kind": "lasso", "n": 50, "rows": 200,
+                     "reg_lambda": 0.1, "m": 1, "seed": 7},
+        "algorithm": "inertial",
+        "schedule": {"c": 0.9, "beta": 0.5},
+        "run": {"max_iters": 10000, "record_every": 1, "stop_tol": 0.0},
+        "audits": ["descent", "lyapunov", "rates"],
+        "rate": {"model": "sublinear_power", "k_lo": 100, "k_hi": 10000},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "rate fit" in capsys.readouterr().err
+
+
+def test_stochastic_run_keeps_mean_in_memory(tmp_path, monkeypatch):
+    from iprox import traceio
+
+    def no_reads(path):
+        raise AssertionError(f"run read back {path}")
+
+    cfg = write_cfg(tmp_path, quad_stochastic_cfg(
+        audits=["descent", "lyapunov", "rates"], rate={"k_lo": 10}))
+    monkeypatch.setattr(traceio, "read_csv", no_reads)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["rates"][0]["points"] > 0
+    monkeypatch.undo()
+    mean = traceio.read_csv(str(tmp_path / "out" / "trace_mean.csv"))
+    xi = mean["lyapunov"]
+    assert summary["audits"]["lyapunov"]["max_increase_of_mean"] == \
+        float(max(0.0, max(xi[1:] - xi[:-1])))
+
+
+def test_sweep_near_equal_values_get_distinct_dirs(tmp_path):
+    doc = lasso_cfg()
+    doc["run"]["max_iters"] = 50
+    doc["audits"] = []
+    del doc["schedule"]["beta"]
+    doc["sweep"] = {"c": [0.9, 0.9000001], "beta": [0.5]}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert sorted(summary["runs"]) == ["c0.9000001_beta0.5", "c0.9_beta0.5"]
+    for name in summary["runs"]:
+        run = json.loads((out / name / "summary.json").read_text())
+        assert run["config"]["schedule"]["c"] == float(name[1:].split("_")[0])
+
+
+@pytest.mark.parametrize("grid", [{"c": [0.9, 0.9]}, {"beta": [0.5, 0.2, 0.5]},
+                                  {"c": [0.5, "0.9"]}])
+def test_sweep_rejects_duplicate_or_non_numeric_values(tmp_path, grid):
+    doc = lasso_cfg(sweep=grid)
+    if "beta" in grid:
+        del doc["schedule"]["beta"]
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_pool_never_exceeds_jobs_or_cpus(monkeypatch):
+    from iprox import cli
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(1, 4) == 1
+    assert cli._pool_size(64, 4) == 2
+    assert cli._pool_size(100_000, 1) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(8, 8) == 1

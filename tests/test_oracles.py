@@ -1,0 +1,200 @@
+"""Oracle states: the image kept by block moves against the closure fallback."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import iprox
+from iprox.errors import ContractViolation
+from iprox.library import InstanceSpec, make_instance, start_point
+from iprox.problems import (
+    ClosureOracle,
+    CompositeProblem,
+    ImageOracle,
+    SmoothModel,
+    oracle_state,
+)
+from iprox.solvers import RunConfig, run_cyclic, run_inertial, run_stochastic
+
+KIND_SPECS = {
+    "quadratic": dict(kind="quadratic", n=12, conditioning=20.0),
+    "quadratic_l1": dict(kind="quadratic_l1", n=12, conditioning=20.0, reg_lambda=0.1),
+    "noncoercive_quadratic": dict(kind="noncoercive_quadratic", n=12, rows=7,
+                                  conditioning=20.0),
+    "lasso": dict(kind="lasso", n=12, rows=30, reg_lambda=0.1),
+    "logistic_l1": dict(kind="logistic_l1", n=12, rows=30, reg_lambda=0.05),
+}
+RUNNERS = {"full": run_inertial, "cyclic": run_cyclic, "stochastic": run_stochastic}
+COLUMNS = ("F", "lyapunov", "step_sq", "residual_sq", "descent_slack")
+
+
+def instance(kind, m, seed=3):
+    spec = InstanceSpec(m=m, seed=seed, **KIND_SPECS[kind])
+    return make_instance(spec), start_point(spec, "gaussian", 1.0)
+
+
+def run(problem, x0, variant, iters, record_every=1, seed=2):
+    m = problem.n_blocks if variant == "stochastic" else 1
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
+                                variant=variant, m=m)
+    cfg = RunConfig(max_iters=iters, record_every=record_every, seed=seed)
+    return RUNNERS[variant](problem, sched, x0, cfg)
+
+
+def closures_only(problem):
+    return dataclasses.replace(problem, smooth_model=None)
+
+
+def test_library_problems_carry_a_model():
+    for kind in KIND_SPECS:
+        p, _ = instance(kind, 3)
+        assert isinstance(oracle_state(p), ImageOracle)
+        assert isinstance(oracle_state(closures_only(p)), ClosureOracle)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+def test_full_run_is_bit_identical_to_closures(kind):
+    p, x0 = instance(kind, 1)
+    a = run(p, x0, "full", 60)
+    b = run(closures_only(p), x0, "full", 60)
+    for col in COLUMNS:
+        assert np.array_equal(getattr(a, col), getattr(b, col)), col
+    assert np.array_equal(a.final_state.x_curr, b.final_state.x_curr)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+@pytest.mark.parametrize("variant", ["cyclic", "stochastic"])
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_block_runs_agree_with_closures(kind, variant, record_every):
+    p, x0 = instance(kind, 4)
+    a = run(p, x0, variant, 120, record_every)
+    b = run(closures_only(p), x0, variant, 120, record_every)
+    assert np.array_equal(a.ks, b.ks)
+    scale = max(1.0, float(np.max(np.abs(b.F))))
+    for col in COLUMNS:
+        assert np.max(np.abs(getattr(a, col) - getattr(b, col))) <= 1e-12 * scale, col
+    x_scale = max(1.0, float(np.max(np.abs(b.final_state.x_curr))))
+    assert np.max(np.abs(a.final_state.x_curr - b.final_state.x_curr)) <= 1e-12 * x_scale
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+def test_single_block_runs_match_full_on_every_kind(kind):
+    # m = 1 refreshes the image before every step, whatever the record rate
+    p, x0 = instance(kind, 1)
+    for record_every in (1, 4):
+        full = run(p, x0, "full", 40, record_every)
+        for variant in ("cyclic", "stochastic"):
+            other = run(p, x0, variant, 40, record_every)
+            assert np.array_equal(full.F, other.F)
+            assert np.array_equal(full.final_state.x_curr, other.final_state.x_curr)
+
+
+def columns_touched(variant, n, m, iters, record_every, grad_is_image):
+    """Exact matvec-equivalent count of a structured run, in columns of A.
+
+    A refresh or a full gradient reads all n columns, a block gradient or a
+    move |block| = n/m of them; a full gradient at the current image serves
+    the next block gradient, a move followed by a refresh is dropped, and
+    the quadratic loss reads gradients off the image for free.
+    """
+    blk = n // m
+    grad, bgrad = (0, 0) if grad_is_image else (n, blk)
+    entries = [k for k in range(iters + 1) if k % record_every == 0 or k == iters]
+    entry = n + grad  # refresh, value and full gradient
+    if variant == "full":
+        return (iters + 1) * entry
+    stepped = [k for k in entries if k < iters]
+    if variant == "cyclic":
+        # every epoch and the final entry refresh; an epoch takes m block
+        # gradients (the first free after an entry) and m - 1 moves (the
+        # last is dropped by the next refresh)
+        epochs = iters * (m * bgrad + (m - 1) * blk)
+        return (iters + 1) * n + epochs + len(entries) * grad - len(stepped) * bgrad
+    refreshes = {k for k in range(iters + 1) if k in entries or k % m == 0}
+    moves = sum(1 for k in range(iters) if k + 1 not in refreshes)
+    return (len(refreshes) * n + len(entries) * grad
+            + (iters - len(stepped)) * bgrad + moves * blk)
+
+
+@pytest.mark.parametrize("kind", ["lasso", "quadratic"])
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+@pytest.mark.parametrize("m,record_every", [(1, 1), (4, 1), (4, 3), (6, 4)])
+def test_matvec_equiv_matches_its_formula(kind, variant, m, record_every):
+    p, x0 = instance(kind, m)
+    iters = 25
+    tr = run(p, x0, variant, iters, record_every)
+    want = columns_touched(variant, p.dim, m, iters, record_every,
+                           grad_is_image=kind == "quadratic")
+    assert tr.meta["matvec_equiv"] == want / p.dim
+
+
+def test_full_run_costs_two_matvecs_per_iteration():
+    p, x0 = instance("lasso", 1)
+    assert run(p, x0, "full", 30).meta["matvec_equiv"] == 2 * 31
+    # closures count one per call: a value and a gradient per iterate
+    assert run(closures_only(p), x0, "full", 30).meta["matvec_equiv"] == 2 * 31
+
+
+def test_large_variants_block_costs():
+    # the benchmark's n=1000, 2000-row, m=50 lasso shape; counts depend on
+    # the shape and the schedule of refreshes, not on the data
+    n, rows, m = 1000, 2000, 50
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((rows, n))
+    b = rng.standard_normal(rows)
+    model = SmoothModel("squares", A, offset=b)
+    L = float(np.sum(A * A))  # Frobenius bound: >= sigma_max^2
+    p = CompositeProblem(
+        dim=n, blocks=tuple(tuple(range(i * 20, (i + 1) * 20)) for i in range(m)),
+        smooth_value=model.value, smooth_grad=model.grad, lipschitz_L=L,
+        block_lipschitz=(L,) * m, nonsmooth_value=lambda x: 0.0,
+        prox=lambda i, v, g: v, smooth_model=model)
+    x0 = np.zeros(n)
+    assert run(p, x0, "cyclic", 8).meta["matvec_equiv"] / 8 <= 4.25
+    sto = run(p, x0, "stochastic", 150, record_every=m)
+    assert sto.meta["matvec_equiv"] / 150 <= 0.1
+
+
+def test_non_contiguous_blocks_use_index_columns():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((9, 6))
+    b = rng.standard_normal(9)
+    model = SmoothModel("squares", A, offset=b)
+    L = float(np.linalg.norm(A, 2) ** 2) * (1 + 1e-9)
+    p = CompositeProblem(
+        dim=6, blocks=((0, 2, 4), (5, 1, 3)), smooth_value=model.value,
+        smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=(L, L),
+        nonsmooth_value=lambda x: 0.0, prox=lambda i, v, g: v, smooth_model=model)
+    oracle = oracle_state(p)
+    x = rng.standard_normal(6)
+    oracle.refresh(x)
+    ix = p.block_index_arrays[1]
+    assert np.allclose(oracle.block_grad(1, x), model.grad(x)[ix], rtol=1e-13)
+    d = rng.standard_normal(3)
+    oracle.move(1, d)
+    x[ix] += d
+    assert oracle.value(x) == pytest.approx(model.value(x), rel=1e-13)
+    assert np.allclose(oracle.block_grad(0, x), model.grad(x)[p.block_index_arrays[0]],
+                       rtol=1e-12)
+    x0 = rng.standard_normal(6)
+    a = run(p, x0, "cyclic", 30)
+    c = run(closures_only(p), x0, "cyclic", 30)
+    assert np.allclose(a.F, c.F, rtol=1e-12)
+
+
+def test_model_validation():
+    A = np.ones((3, 2))
+    with pytest.raises(ContractViolation):
+        SmoothModel("hinge", A)
+    with pytest.raises(ContractViolation):
+        SmoothModel("quadratic", A)
+    with pytest.raises(ContractViolation):
+        SmoothModel("logistic", A)
+    with pytest.raises(ContractViolation):
+        SmoothModel("squares", A, labels=np.ones(3))
+    p, _ = instance("lasso", 1)
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(p, smooth_model=SmoothModel("squares", A))
+    with pytest.raises(ContractViolation):
+        oracle_state(p).refresh(np.zeros(5))
