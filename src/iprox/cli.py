@@ -28,7 +28,7 @@ Example run config:
       "schedule": {"c": 0.9, "beta": 0.5},
       "run": {"max_iters": 10000, "record_every": 1, "stop_tol": 0.0},
       "audits": ["descent", "lyapunov", "rates"],
-      "rate": {"model": "sublinear_power", "k_lo": 100, "k_hi": 10000}
+      "rate": {"model": "geometric", "k_lo": 5, "k_hi": 50}
     }
 
 Trace CSVs use the fixed header "k,F,lyapunov,step_sq,residual_sq,descent_slack";
@@ -43,6 +43,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -55,6 +56,8 @@ from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 ALGORITHMS = ("inertial", "cyclic", "stochastic", "prox_grad")
 AUDITS = ("descent", "squared_lyapunov", "lyapunov", "rates")
 RATE_COLUMNS = ("lyapunov", "F", "step_sq", "residual_sq")
+# audits whose result depends on min F (or the minimizer) from the reference
+_F_STAR_AUDITS = ("squared_lyapunov", "rates")
 
 
 # ---------------------------------------------------------------- validation
@@ -266,13 +269,15 @@ def _prepare(cfg: dict, out_dir: str):
 
 
 def _reference_solution(problem, spec, ref_cfg):
+    """Load or solve the reference; only converged solutions are cached."""
     key = reference.spec_cache_key(library.spec_to_dict(spec), ref_cfg["tol"])
     cache_dir = ref_cfg["cache_dir"]
-    ref = reference.load_cached(cache_dir, key)
-    if ref is None:
+    ref = reference.load_cached(cache_dir, key, dim=spec.n)
+    if ref is None or not ref.converged:
         ref = reference.solve_reference(problem, tol=ref_cfg["tol"],
                                         max_iters=ref_cfg["max_iters"])
-        reference.store_cached(cache_dir, key, ref)
+        if ref.converged:
+            reference.store_cached(cache_dir, key, ref)
     return key, ref
 
 
@@ -307,6 +312,12 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0,
     if problem.f_star is None or (
             "squared_lyapunov" in audits and problem.solution_projection is None):
         ref_key, ref = _reference_solution(problem, spec, ref_cfg)
+        needs = [a for a in audits if a in _F_STAR_AUDITS]
+        if not ref.converged and needs:
+            raise RunFailure(
+                f"reference solve did not converge (residual {ref.residual:.3g} "
+                f"after {ref.iterations_used} iterations); audits {needs} need "
+                "min F: raise reference.max_iters or tol")
         problem = reference.with_reference(
             problem, ref, unique_minimizer=spec.kind != "logistic_l1")
 
@@ -386,7 +397,10 @@ def _sweep_worker(cfg_text: str, out_dir: str, seed_offset: int):
         run_experiment(cfg, out_dir, seed_offset=seed_offset, subcommand="run")
         return out_dir, "ok"
     except (ConfigError, ContractViolation, DivergenceError, RunFailure) as exc:
-        return out_dir, f"error: {exc}"
+        return out_dir, f"error: {type(exc).__name__}: {exc}"
+    except Exception as exc:  # unforeseen: log it, but finish the other points
+        traceback.print_exc()
+        return out_dir, f"error: {type(exc).__name__}: {exc}"
 
 
 def _grid_label(v) -> str:

@@ -20,14 +20,21 @@ Five kinds cover the hypotheses the diagnostics exercise:
 
 Constructed quadratics use exact eigenvalue placement: lam_max = L = 1 and
 lam_min = 2/conditioning, so conditioning equals L/nu exactly.  Data
-matrices get L from power iteration (inflated by 1e-8 so the stored
-constant is an upper bound); per-block constants are clamped to L.
+matrices get L = sigma_max(A)^2 (over 4*rows for logistic) and each
+per-block L_i = sigma_max(A_i)^2 from Lanczos on the Gram operator
+v -> A'(Av): no stored basis, the top Ritz value of the tridiagonal found
+by Sturm-count bisection, stopping when it stalls to 1e-14 relative.  It
+matches a dense SVD to a few 1e-15 relative, in O(sqrt(1/gap)) products
+where power iteration needs O(1/gap).  Each constant is inflated by 1e-8
+so the stored value is an upper bound, and per-block constants are
+clamped to L.
 Identical specs produce byte-identical data (numpy PCG64 stream).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -40,6 +47,8 @@ KINDS = ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadr
 _QUAD_KINDS = ("quadratic", "quadratic_l1", "noncoercive_quadratic")
 _DATA_KINDS = ("lasso", "logistic_l1")
 _L_INFLATE = 1.0 + 1e-8
+_LANCZOS_TOL = 1e-14   # stop when the top Ritz value moves less than this, relative
+_LANCZOS_CAP = 1000    # steps before falling back to a dense SVD
 
 
 @dataclass(frozen=True)
@@ -108,24 +117,93 @@ def _blocks(n: int, m: int):
     return tuple(tuple(range(i * size, (i + 1) * size)) for i in range(m))
 
 
-def _power_sqnorm(A: np.ndarray, rng, rel_tol: float = 1e-12,
-                  max_iter: int = 100_000) -> float:
-    """Largest eigenvalue of A'A by power iteration on the Gram operator."""
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        lam_new = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    # stalled (near-degenerate top eigenvalues): fall back to a dense SVD
-    return float(np.linalg.svd(A, compute_uv=False)[0] ** 2)
+def _gram_top_eig(A: np.ndarray, rng) -> tuple:
+    """Largest eigenvalue of A'A and the Lanczos steps it took.
+
+    Three-term Lanczos on v -> A'(Av) from one random start, keeping only
+    the current and previous basis vectors.  The top eigenvalue of the
+    k x k tridiagonal T_k (the top Ritz value) is found by Sturm-count
+    bisection at steps 8, 12, 18, ...; it only rises with k, and the run
+    stops once it moves by at most _LANCZOS_TOL relative or the next
+    off-diagonal vanishes.  Hitting _LANCZOS_CAP falls back to a dense SVD.
+    """
+    rows, n = A.shape
+    v = rng.standard_normal(n)
+    v /= math.sqrt(float(v @ v))
+    v_prev = np.zeros(n)
+    w = np.empty(n)
+    u = np.empty(rows)
+    alphas, beta_sq = [], [0.0]
+    theta, beta, scale, check = 0.0, 0.0, 0.0, 8
+    for k in range(1, _LANCZOS_CAP + 1):
+        np.matmul(A, v, out=u)
+        np.matmul(A.T, u, out=w)
+        alpha = float(v @ w)
+        w -= alpha * v
+        w -= beta * v_prev
+        alphas.append(alpha)
+        scale = max(scale, alpha)
+        beta = math.sqrt(float(w @ w))
+        collapsed = beta <= _LANCZOS_TOL * scale
+        if collapsed or k == check:
+            top = _tridiag_top(alphas, beta_sq, theta)
+            if collapsed or top - theta <= _LANCZOS_TOL * top:
+                return top, k
+            theta, check = top, check + check // 2
+        beta_sq.append(beta * beta)
+        # rotate buffers: v_{k+1} = w / beta, and v_k becomes v_prev
+        v_prev, v, w = v, w, v_prev
+        v /= beta
+    return float(np.linalg.svd(A, compute_uv=False)[0] ** 2), _LANCZOS_CAP
+
+
+def _tridiag_top(alphas, beta_sq, lo: float) -> float:
+    """Top eigenvalue of the symmetric tridiagonal (alphas, sqrt(beta_sq[1:])).
+
+    Bisection on the Sturm sequence, from a known lower bound lo up to the
+    Gershgorin bound, until the bracket is two adjacent floats; returns its
+    upper end.
+    """
+    # offd[i] couples rows i and i+1; the trailing 0.0 also serves as offd[-1]
+    offd = [math.sqrt(b) for b in beta_sq[1:]] + [0.0]
+    hi = max(a + offd[i - 1] + offd[i] for i, a in enumerate(alphas))
+
+    def all_below(x):
+        # every eigenvalue lies below x iff every LDL' pivot of T - xI is
+        # negative (Sylvester); a zero pivot counts as negative
+        d = 1.0
+        for a, b2 in zip(alphas, beta_sq):
+            d = a - x - b2 / d
+            if d > 0.0:
+                return False
+            if d == 0.0:
+                d = -sys.float_info.min
+        return True
+
+    if all_below(lo):
+        return lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if all_below(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _gram_constants(A: np.ndarray, blocks, rng, denom: float) -> tuple:
+    """L = sigma_max(A)^2/denom and per-block L_i = sigma_max(A_i)^2/denom.
+
+    Each is inflated by _L_INFLATE so it bounds the true value, and each
+    L_i is clamped to L.  Blocks are contiguous column ranges, read as views.
+    """
+    L = _gram_top_eig(A, rng)[0] / denom * _L_INFLATE
+    if len(blocks) == 1:
+        return L, (L,)
+    return L, tuple(
+        min(_gram_top_eig(A[:, blk[0]:blk[-1] + 1], rng)[0] / denom * _L_INFLATE, L)
+        for blk in blocks)
 
 
 def _spread_eigs(count: int, lam_min: float) -> np.ndarray:
@@ -212,15 +290,7 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         support = rng.choice(n, size=nnz, replace=False)
         x_true[support] = rng.standard_normal(nnz)
         b = A @ x_true + 0.1 * rng.standard_normal(p)
-        L = _power_sqnorm(A, rng) * _L_INFLATE
-        if spec.m == 1:
-            L_blocks = (L,)
-        else:
-            L_blocks = tuple(
-                min(_power_sqnorm(A[:, np.asarray(blk, dtype=np.intp)], rng)
-                    * _L_INFLATE, L)
-                for blk in blocks
-            )
+        L, L_blocks = _gram_constants(A, blocks, rng, 1.0)
         nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
         return _problem(SmoothModel("squares", A, offset=b), blocks, L, L_blocks,
                         nonsmooth_value, prox)
@@ -233,15 +303,7 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
     support = rng.choice(n, size=nnz, replace=False)
     x_true[support] = rng.standard_normal(nnz)
     y = np.where(A @ x_true + 0.5 * rng.standard_normal(p) >= 0, 1.0, -1.0)
-    L = _power_sqnorm(A, rng) / (4.0 * p) * _L_INFLATE
-    if spec.m == 1:
-        L_blocks = (L,)
-    else:
-        L_blocks = tuple(
-            min(_power_sqnorm(A[:, np.asarray(blk, dtype=np.intp)], rng)
-                / (4.0 * p) * _L_INFLATE, L)
-            for blk in blocks
-        )
+    L, L_blocks = _gram_constants(A, blocks, rng, 4.0 * p)
     nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
     return _problem(SmoothModel("logistic", A, labels=y), blocks, L, L_blocks,
                     nonsmooth_value, prox)

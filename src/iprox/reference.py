@@ -98,22 +98,34 @@ def with_reference(problem: CompositeProblem, ref: ReferenceSolution,
     return dataclasses.replace(problem, **updates)
 
 
+# Bump when the instance data or the cached solution format changes, so
+# entries written by older code are never reused.
+CACHE_FORMAT = 2
+
+
 def spec_cache_key(spec_dict: dict, tol: float) -> str:
     """Content hash identifying one (instance spec, tolerance) pair."""
-    payload = json.dumps({"spec": spec_dict, "tol": tol}, sort_keys=True)
+    payload = json.dumps({"format": CACHE_FORMAT, "spec": spec_dict, "tol": tol},
+                         sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_cached(cache_dir, key: str):
-    """Return the cached ReferenceSolution or None (missing/corrupt)."""
+def load_cached(cache_dir, key: str, dim=None):
+    """Return the cached ReferenceSolution or None (missing/corrupt).
+
+    With dim given, an entry whose x_star has another length is corrupt.
+    """
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
         if doc.get("problem_key") != key:
             return None
+        x_star = np.asarray(doc["x_star"], dtype=float)
+        if x_star.ndim != 1 or (dim is not None and x_star.shape[0] != dim):
+            return None
         return ReferenceSolution(
-            x_star=np.asarray(doc["x_star"], dtype=float),
+            x_star=x_star,
             f_star=float(doc["f_star"]),
             residual=float(doc["residual"]),
             iterations_used=int(doc["iterations_used"]),

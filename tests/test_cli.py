@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import iprox
+from iprox import cli, reference
 from iprox.cli import main
 
 HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
@@ -314,3 +316,82 @@ def test_sweep_pool_never_exceeds_jobs_or_cpus(monkeypatch):
     assert cli._pool_size(100_000, 1) == 1
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._pool_size(8, 8) == 1
+
+
+def _example_config(text):
+    # the JSON object that follows "Example run config:" in a document
+    start = text.index("{", text.index("Example run config:"))
+    return json.JSONDecoder().raw_decode(text[start:])[0]
+
+
+def test_readme_example_runs_and_fits(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        doc = _example_config(fh.read())
+    assert doc == _example_config(cli.__doc__)
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rates"][0]["points"] >= 10
+
+
+def test_unconverged_reference_fails_audits_and_is_never_cached(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    starved = lasso_cfg(audits=["descent", "lyapunov", "rates"],
+                        rate={"model": "geometric", "k_lo": 5, "k_hi": 40},
+                        reference={"max_iters": 3, "cache_dir": str(cache)})
+    cfg = write_cfg(tmp_path, starved)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not cache.exists() or not list(cache.glob("*.json"))
+    # audits that do not read min F still run, and say the reference failed
+    plain = dict(starved, audits=["descent", "lyapunov"])
+    assert main(["run", "--config", write_cfg(tmp_path, plain, "p.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert not summary["reference"]["converged"]
+    assert not cache.exists() or not list(cache.glob("*.json"))
+    # a full budget afterwards solves afresh and caches the converged answer
+    full = dict(starved, reference={"cache_dir": str(cache)})
+    assert main(["run", "--config", write_cfg(tmp_path, full, "f.json"),
+                 "--out", str(tmp_path / "c")]) == 0
+    summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert summary["reference"]["converged"]
+    assert summary["reference"]["residual"] <= 1e-12
+    assert len(list(cache.glob("*.json"))) == 1
+
+
+def test_cached_reference_of_wrong_length_is_resolved(tmp_path):
+    doc = lasso_cfg(audits=["squared_lyapunov"],
+                    reference={"cache_dir": str(tmp_path / "cache")})
+    spec = iprox.InstanceSpec(**doc["instance"])
+    key = reference.spec_cache_key(iprox.library.spec_to_dict(spec), 1e-12)
+    bogus = reference.ReferenceSolution(x_star=np.zeros(spec.n + 1), f_star=-1.0,
+                                        residual=0.0, iterations_used=1,
+                                        converged=True)
+    reference.store_cached(str(tmp_path / "cache"), key, bogus)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reference"]["f_star"] > 0.0
+    assert summary["reference"]["iterations_used"] > 1
+
+
+def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):
+    real = cli.run_experiment
+
+    def flaky(cfg, out_dir, **kwargs):
+        if cfg["schedule"]["beta"] == 0.6:
+            raise OSError("disk full")
+        return real(cfg, out_dir, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", flaky)
+    doc = lasso_cfg(audits=[], sweep={"beta": [0.3, 0.6]})
+    del doc["schedule"]["beta"]
+    doc["run"]["max_iters"] = 50
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    runs = json.loads((out / "sweep_summary.json").read_text())["runs"]
+    assert runs["c0.9_beta0.3"]["status"] == "ok"
+    assert runs["c0.9_beta0.6"]["status"] == "error: OSError: disk full"

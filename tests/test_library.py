@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iprox import library
 from iprox.errors import ContractViolation
@@ -147,6 +150,78 @@ def test_block_lipschitz_shapes():
     assert all(0.0 < li <= p.lipschitz_L for li in p.block_lipschitz)
     assert len(p.blocks) == 4
     assert sorted(i for blk in p.blocks for i in blk) == list(range(16))
+
+
+def _sq_norm(M):
+    return float(np.linalg.svd(M, compute_uv=False)[0]) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["lasso", "logistic_l1"]), m=st.sampled_from([1, 2, 5]),
+       width=st.integers(1, 12), rows=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_data_lipschitz_constants_are_tight_upper_bounds(kind, m, width, rows, seed):
+    spec = InstanceSpec(kind=kind, n=m * width, rows=rows, reg_lambda=0.1, m=m,
+                        seed=seed)
+    p = make_instance(spec)
+    # A is the first draw of the instance stream
+    A = np.random.Generator(np.random.PCG64(seed)).standard_normal((rows, spec.n))
+    denom = 1.0 if kind == "lasso" else 4.0 * rows
+    true_L = _sq_norm(A) / denom
+    assert true_L <= p.lipschitz_L <= true_L * (1.0 + 2e-8)
+    for blk, L_i in zip(p.blocks, p.block_lipschitz):
+        true_i = _sq_norm(A[:, list(blk)]) / denom
+        assert true_i <= L_i <= true_i * (1.0 + 2e-8)
+
+
+def _near_degenerate_matrix():
+    # sigma_1/sigma_2 = 1 + 1e-4: power iteration needs ~1e5 products here
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((300, 200)))
+    V, _ = np.linalg.qr(rng.standard_normal((200, 200)))
+    s = np.concatenate([[1.0 + 1e-4, 1.0], np.linspace(0.99, 0.01, 198)])
+    return (U * s) @ V.T
+
+
+def test_lanczos_resolves_a_near_degenerate_top_pair():
+    A = _near_degenerate_matrix()
+    lam, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(5)))
+    assert lam == pytest.approx(_sq_norm(A), rel=1e-12)
+    assert steps <= 200
+
+
+def test_lanczos_step_cap_falls_back_to_dense_svd(monkeypatch):
+    monkeypatch.setattr(library, "_LANCZOS_CAP", 8)
+    A = _near_degenerate_matrix()
+    lam, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(5)))
+    assert steps == 8
+    assert lam == _sq_norm(A)
+
+
+def test_data_instances_make_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call while building a data instance")
+
+    for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals", "qr", "solve", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for kind in ("lasso", "logistic_l1"):
+        p = make_instance(InstanceSpec(kind=kind, n=40, rows=60, reg_lambda=0.1,
+                                       m=4, seed=8))
+        assert p.lipschitz_L > 0
+
+
+def test_lanczos_keeps_no_krylov_basis():
+    # rank 50: the top Ritz value takes ~50+ steps, whose basis alone
+    # would hold 50 * 2000 doubles (800 kB)
+    A = np.random.default_rng(3).standard_normal((50, 2000))
+    tracemalloc.start()
+    try:
+        _, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert steps >= 40
+    assert peak < 8 * 8 * (50 + 2000)
 
 
 def test_coercivity_flags():

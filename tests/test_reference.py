@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -120,6 +122,23 @@ def test_cache_rejects_corrupt_and_mismatched_entries(tmp_path):
     # file stored under a different name than its embedded key
     (tmp_path / (other + ".json")).write_text(path.read_text())
     assert reference.load_cached(tmp_path, other) is None
+
+
+def test_cache_rejects_x_star_of_wrong_length(tmp_path):
+    p, _, _ = quadratic_with_linear_term()
+    ref = reference.solve_reference(p, tol=1e-12)
+    key = reference.spec_cache_key({"kind": "adhoc"}, 1e-12)
+    reference.store_cached(tmp_path, key, ref)
+    assert reference.load_cached(tmp_path, key, dim=10) is not None
+    assert reference.load_cached(tmp_path, key, dim=11) is None
+
+
+def test_cache_key_carries_a_format_version():
+    # entries keyed by spec and tol alone came from older, unversioned code
+    spec = {"kind": "lasso", "n": 8}
+    unversioned = hashlib.sha256(json.dumps(
+        {"spec": spec, "tol": 1e-12}, sort_keys=True).encode("utf-8")).hexdigest()
+    assert reference.spec_cache_key(spec, 1e-12) != unversioned
 
 
 def test_cache_key_sensitivity():
