@@ -23,9 +23,11 @@ lam_min = 2/conditioning, so conditioning equals L/nu exactly.  Data
 matrices get L = sigma_max(A)^2 (over 4*rows for logistic) and each
 per-block L_i = sigma_max(A_i)^2 from Lanczos on the Gram operator
 v -> A'(Av): no stored basis, the top Ritz value of the tridiagonal found
-by Sturm-count bisection, stopping when it stalls to 1e-14 relative.  It
-matches a dense SVD to a few 1e-15 relative, in O(sqrt(1/gap)) products
-where power iteration needs O(1/gap).  Each constant is inflated by 1e-8
+by Sturm-count bisection.  It stops when that value stalls to 1e-14
+relative, or when the Krylov space is complete: the next off-diagonal
+vanishes, or the step count reaches the column count.  It matches a dense
+SVD to a few 1e-15 relative, in O(sqrt(1/gap)) products where power
+iteration needs O(1/gap).  Each constant is inflated by 1e-8
 so the stored value is an upper bound, and per-block constants are
 clamped to L.
 Identical specs produce byte-identical data (numpy PCG64 stream).
@@ -124,8 +126,11 @@ def _gram_top_eig(A: np.ndarray, rng) -> tuple:
     the current and previous basis vectors.  The top eigenvalue of the
     k x k tridiagonal T_k (the top Ritz value) is found by Sturm-count
     bisection at steps 8, 12, 18, ...; it only rises with k, and the run
-    stops once it moves by at most _LANCZOS_TOL relative or the next
-    off-diagonal vanishes.  Hitting _LANCZOS_CAP falls back to a dense SVD.
+    stops once it moves by at most _LANCZOS_TOL relative.  It also stops,
+    taking the top Ritz value as it stands, when the Krylov space is
+    complete: the next off-diagonal vanishes, or k reaches the column
+    count n, the order of A'A.  Hitting _LANCZOS_CAP falls back to a
+    dense SVD.
     """
     rows, n = A.shape
     v = rng.standard_normal(n)
@@ -144,10 +149,10 @@ def _gram_top_eig(A: np.ndarray, rng) -> tuple:
         alphas.append(alpha)
         scale = max(scale, alpha)
         beta = math.sqrt(float(w @ w))
-        collapsed = beta <= _LANCZOS_TOL * scale
-        if collapsed or k == check:
+        complete = beta <= _LANCZOS_TOL * scale or k == n
+        if complete or k == check:
             top = _tridiag_top(alphas, beta_sq, theta)
-            if collapsed or top - theta <= _LANCZOS_TOL * top:
+            if complete or top - theta <= _LANCZOS_TOL * top:
                 return top, k
             theta, check = top, check + check // 2
         beta_sq.append(beta * beta)
@@ -211,7 +216,9 @@ def _spread_eigs(count: int, lam_min: float) -> np.ndarray:
     return np.exp(np.linspace(0.0, math.log(lam_min), count))
 
 
-def _l1_oracles(lam: float, blocks):
+def _l1_oracles(lam: float) -> dict:
+    """g = lam*||x||_1 (zero for lam = 0) as a ProxKind, with the
+    nonsmooth_value and prox oracles read from that kind."""
     kind = ProxKind.l1(lam) if lam > 0 else ProxKind.zero()
 
     def nonsmooth_value(x):
@@ -220,7 +227,7 @@ def _l1_oracles(lam: float, blocks):
     def prox(i, v, gamma):
         return prox_apply(kind, v, gamma)
 
-    return nonsmooth_value, prox
+    return dict(prox_kind=kind, nonsmooth_value=nonsmooth_value, prox=prox)
 
 
 def _block_operator_norms(H: np.ndarray, blocks, L: float) -> tuple:
@@ -249,14 +256,13 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         z = rng.standard_normal(n)
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(Q, blocks, L)
-        nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
         model = SmoothModel("quadratic", Q, center=z)
 
         if spec.kind == "quadratic":
-            return _problem(model, blocks, L, L_blocks, nonsmooth_value, prox,
+            return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
                             f_star=0.0, nu=lam_min / 2.0,
                             solution_projection=lambda x, z=z: z.copy())
-        return _problem(model, blocks, L, L_blocks, nonsmooth_value, prox,
+        return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
                         nu=lam_min / 2.0)
 
     if spec.kind == "noncoercive_quadratic":
@@ -271,7 +277,6 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         H = 0.5 * (H + H.T)
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(H, blocks, L)
-        nonsmooth_value, prox = _l1_oracles(0.0, blocks)
         # the image is P x; the full gradient keeps the Gram product H x
         model = SmoothModel("squares", P, gram=H)
 
@@ -279,7 +284,7 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
             # argmin F = null(P); remove the component in range(Ur)
             return x - Ur @ (Ur.T @ x)
 
-        return _problem(model, blocks, L, L_blocks, nonsmooth_value, prox,
+        return _problem(model, blocks, L, L_blocks, 0.0,
                         f_star=0.0, nu=lam_min / 2.0, solution_projection=project)
 
     if spec.kind == "lasso":
@@ -291,9 +296,8 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         x_true[support] = rng.standard_normal(nnz)
         b = A @ x_true + 0.1 * rng.standard_normal(p)
         L, L_blocks = _gram_constants(A, blocks, rng, 1.0)
-        nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
         return _problem(SmoothModel("squares", A, offset=b), blocks, L, L_blocks,
-                        nonsmooth_value, prox)
+                        spec.reg_lambda)
 
     # logistic_l1
     p = spec.rows
@@ -304,16 +308,15 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
     x_true[support] = rng.standard_normal(nnz)
     y = np.where(A @ x_true + 0.5 * rng.standard_normal(p) >= 0, 1.0, -1.0)
     L, L_blocks = _gram_constants(A, blocks, rng, 4.0 * p)
-    nonsmooth_value, prox = _l1_oracles(spec.reg_lambda, blocks)
     return _problem(SmoothModel("logistic", A, labels=y), blocks, L, L_blocks,
-                    nonsmooth_value, prox)
+                    spec.reg_lambda)
 
 
-def _problem(model, blocks, L, L_blocks, nonsmooth_value, prox, **extra):
+def _problem(model, blocks, L, L_blocks, reg_lambda, **extra):
     return CompositeProblem(
         dim=model.dim, blocks=blocks, smooth_value=model.value,
         smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=L_blocks,
-        nonsmooth_value=nonsmooth_value, prox=prox, smooth_model=model, **extra)
+        smooth_model=model, **_l1_oracles(reg_lambda), **extra)
 
 
 def is_coercive(spec: InstanceSpec) -> bool:

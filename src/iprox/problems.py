@@ -3,8 +3,10 @@
 The smooth part f is accessed through value/gradient oracles with a known
 Lipschitz constant for the gradient (global L and per-block L_i).  The
 nonsmooth part g is block separable, g(x) = sum_i g_i(x_i), and is accessed
-through per-block prox oracles.  All oracles are pure functions; a problem
-value may be shared freely across threads.
+through per-block prox oracles, or as data by a :class:`ProxKind` shared by
+every block, in which case a coordinate-separable kind is applied to a whole
+vector in one call.  All oracles are pure functions; a problem value may be
+shared freely across threads.
 
 When f depends on x only through an image u = A x (a :class:`SmoothModel`),
 the solvers keep u between steps in an oracle state (:func:`oracle_state`),
@@ -19,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedOracle
+from .prox import ProxKind, prox_apply
 
 Vector = np.ndarray
 LOSSES = ("squares", "logistic", "quadratic")
@@ -146,6 +149,10 @@ class CompositeProblem:
     smooth_model : SmoothModel, optional
         The same f as smooth_value/smooth_grad, described by its image
         operator; the solvers then update the image block by block.
+    prox_kind : ProxKind, optional
+        The same g as nonsmooth_value/prox, described as data: every g_i
+        is this kind.  prox_full then applies a coordinate-separable kind
+        to the whole vector in one call.
     """
 
     dim: int
@@ -160,6 +167,7 @@ class CompositeProblem:
     nu: Optional[float] = None
     solution_projection: Optional[Callable[[Vector], Vector]] = None
     smooth_model: Optional[SmoothModel] = None
+    prox_kind: Optional[ProxKind] = None
     block_index_arrays: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -185,6 +193,8 @@ class CompositeProblem:
             raise ContractViolation("nu must be > 0 when given")
         if self.smooth_model is not None and self.smooth_model.dim != self.dim:
             raise ContractViolation("smooth_model acts on vectors of another length")
+        if self.prox_kind is not None and not isinstance(self.prox_kind, ProxKind):
+            raise ContractViolation("prox_kind must be a ProxKind")
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(
             self,
@@ -270,10 +280,18 @@ def prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Ve
 
 
 def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
-    """Blockwise prox of the separable g with one shared stepsize."""
+    """Blockwise prox of the separable g with one shared stepsize.
+
+    A coordinate-separable prox_kind acts on the whole vector in one call,
+    which equals the blockwise calls bit for bit; any other g calls each
+    block's prox in turn.
+    """
     v = _check_dim(problem, v)
     if gamma <= 0:
         raise ContractViolation("prox stepsize must be > 0")
+    kind = problem.prox_kind
+    if kind is not None and kind.separable:
+        return prox_apply(kind, v, gamma)
     out = np.empty_like(v)
     for i, ix in enumerate(problem.block_index_arrays):
         out[ix] = problem.prox(i, v[ix], gamma)

@@ -53,6 +53,12 @@ class ProxKind:
     lo: np.ndarray | None = field(default=None)
     hi: np.ndarray | None = field(default=None)
 
+    @property
+    def separable(self) -> bool:
+        """Whether the prox acts on each coordinate alone, with no per-block
+        data, so one call on a whole vector equals the calls per block."""
+        return self.tag in ("zero", "l1")
+
     @classmethod
     def zero(cls) -> "ProxKind":
         return cls(tag="zero")

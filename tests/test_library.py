@@ -190,6 +190,17 @@ def test_lanczos_resolves_a_near_degenerate_top_pair():
     assert steps <= 200
 
 
+def test_lanczos_stops_at_the_column_count_of_a_narrow_block():
+    # a 2000 x 20 block: after 20 steps the Krylov space holds every
+    # column, yet beta stays well above rounding, so only the step count
+    # can end the run there
+    A = np.random.default_rng(4).standard_normal((2000, 20))
+    for seed in range(3):
+        lam, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)))
+        assert steps == 20
+        assert lam == pytest.approx(_sq_norm(A), rel=1e-14)
+
+
 def test_lanczos_step_cap_falls_back_to_dense_svd(monkeypatch):
     monkeypatch.setattr(library, "_LANCZOS_CAP", 8)
     A = _near_degenerate_matrix()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,72 @@ def test_prox_full_blockwise():
     for i, ix in enumerate(p.block_index_arrays):
         stitched[ix] = prox_block(p, i, v[ix], 0.5)
     assert np.array_equal(full, stitched)
+
+
+PROX_KIND_SPECS = {
+    "quadratic": dict(kind="quadratic", n=24, conditioning=20.0),
+    "quadratic_l1": dict(kind="quadratic_l1", n=24, conditioning=20.0, reg_lambda=0.3),
+    "noncoercive_quadratic": dict(kind="noncoercive_quadratic", n=24, rows=10,
+                                  conditioning=20.0),
+    "lasso": dict(kind="lasso", n=24, rows=40, reg_lambda=0.3),
+    "logistic_l1": dict(kind="logistic_l1", n=24, rows=40, reg_lambda=0.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROX_KIND_SPECS))
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
+    p = make_instance(InstanceSpec(m=m, seed=2, **PROX_KIND_SPECS[kind]))
+    assert p.prox_kind is not None and p.prox_kind.separable
+    per_block = dataclasses.replace(p, prox_kind=None)
+    gamma = 0.5
+    rng = np.random.Generator(np.random.PCG64(m))
+    v = rng.standard_normal(24) * 2.0
+    # coordinates at the threshold, at zero and at minus zero
+    v[:4] = [gamma * 0.3, -gamma * 0.3, 0.0, -0.0]
+    want = np.empty(24)
+    for i, ix in enumerate(p.block_index_arrays):
+        want[ix] = prox_block(p, i, v[ix], gamma)
+    for got in (prox_full(p, v, gamma), prox_full(per_block, v, gamma)):
+        assert got.tobytes() == want.tobytes()
+    assert prox_full(p, v, gamma) is not v
+
+
+def test_group_l2_prox_full_shrinks_each_block_by_its_own_norm():
+    kind = ProxKind.group_l2(1.0)
+    p = CompositeProblem(
+        dim=4, blocks=((0, 1), (2, 3)),
+        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
+        nonsmooth_value=lambda x: prox_value(kind, x),
+        prox=lambda i, v, gamma: prox_apply(kind, v, gamma), prox_kind=kind)
+    out = prox_full(p, np.array([3.0, 4.0, 0.6, 0.8]), 2.0)
+    # block norms 5 and 1: the first keeps 1 - 2/5 of itself, the second is 0
+    assert np.allclose(out, [1.8, 2.4, 0.0, 0.0], rtol=0, atol=1e-15)
+
+
+def test_closure_problem_prox_full_calls_each_block_prox_once():
+    calls = []
+    kind = ProxKind.l1(1.0)
+
+    def prox(i, v, gamma):
+        calls.append(i)
+        return prox_apply(kind, v, gamma)
+
+    p = CompositeProblem(
+        dim=6, blocks=((0, 1), (2, 3), (4, 5)),
+        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
+        lipschitz_L=1.0, block_lipschitz=(1.0,) * 3,
+        nonsmooth_value=lambda x: prox_value(kind, x), prox=prox)
+    out = prox_full(p, np.array([2.0, -0.5, 1.5, 0.0, -3.0, 1.0]), 1.0)
+    assert calls == [0, 1, 2]
+    assert np.array_equal(out, [1.0, 0.0, 0.5, 0.0, -2.0, 0.0])
+
+
+def test_prox_kind_must_be_a_prox_kind():
+    p = l1_quadratic()
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(p, prox_kind="l1")
 
 
 def test_fd_check_quadratic_tight():

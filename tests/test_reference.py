@@ -158,3 +158,122 @@ def test_reference_objective_is_global_floor():
     for _ in range(25):
         x = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
         assert objective(p, x) >= ref.f_star - 1e-10
+
+
+KIND_SPECS = {
+    "quadratic": dict(kind="quadratic", n=12, conditioning=20.0),
+    "quadratic_l1": dict(kind="quadratic_l1", n=12, conditioning=20.0, reg_lambda=0.1),
+    "noncoercive_quadratic": dict(kind="noncoercive_quadratic", n=12, rows=7,
+                                  conditioning=20.0),
+    "lasso": dict(kind="lasso", n=12, rows=30, reg_lambda=0.1),
+    "logistic_l1": dict(kind="logistic_l1", n=12, rows=30, reg_lambda=0.05),
+}
+
+
+def library_problem(kind, m=3, seed=4):
+    spec = iprox.InstanceSpec(m=m, seed=seed, **KIND_SPECS[kind])
+    # a Gaussian start: the origin already minimizes the noncoercive kind
+    return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
+
+
+def closures_only(problem):
+    return dataclasses.replace(problem, smooth_model=None, prox_kind=None)
+
+
+def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
+    """The loop with both gradients from closures: grad f at y for the
+    step and at x for the stopping residual, every g_i prox per block."""
+    gam = 1.0 / problem.lipschitz_L
+
+    def prox(v):
+        out = np.empty_like(v)
+        for i, ix in enumerate(problem.block_index_arrays):
+            out[ix] = problem.prox(i, v[ix], gam)
+        return out
+
+    def res(x):
+        return float(np.linalg.norm(x - prox(x - gam * problem.smooth_grad(x))))
+
+    x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+    y, t = x.copy(), 1.0
+    best_x, best_r = x.copy(), res(x)
+    for it in range(1, max_iters + 1):
+        x_new = prox(y - gam * problem.smooth_grad(y))
+        if float((y - x_new) @ (x_new - x)) > 0.0:
+            t, y = 1.0, x_new.copy()
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            t = t_new
+        x = x_new
+        r = res(x)
+        if r < best_r:
+            best_r, best_x = r, x.copy()
+        if r <= tol:
+            return x.copy(), objective(problem, x), r, it, True
+    return best_x, objective(problem, best_x), best_r, it, False
+
+
+def fields(ref):
+    return ref.x_star, ref.f_star, ref.residual, ref.iterations_used, ref.converged
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+@pytest.mark.parametrize("budget", [None, 4])
+def test_closure_problems_keep_the_two_gradient_loop_bit_for_bit(kind, budget):
+    p, x0 = library_problem(kind)
+    p = closures_only(p)
+    tol, iters = (1e-12, 10 ** 6) if budget is None else (1e-14, budget)
+    got = reference.solve_reference(p, tol=tol, max_iters=iters, x0=x0)
+    want = two_gradient_reference(p, tol, iters, x0)
+    assert np.array_equal(got.x_star, want[0])
+    assert fields(got)[1:] == want[1:]
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+@pytest.mark.parametrize("m", [1, 3])
+def test_model_problems_agree_with_the_two_gradient_loop(kind, m):
+    p, x0 = library_problem(kind, m)
+    got = reference.solve_reference(p, tol=1e-12, x0=x0)
+    x_star, f_star, _, iters, converged = two_gradient_reference(p, 1e-12, x0=x0)
+    assert got.converged and converged
+    assert got.residual <= 1e-12
+    assert got.iterations_used == iters
+    assert got.f_star == pytest.approx(f_star, rel=1e-12, abs=1e-15)
+    assert np.max(np.abs(got.x_star - x_star)) <= 1e-10
+
+
+def test_matvec_equiv_of_each_kind_follows_its_formula():
+    # one fresh gradient per iteration: image and transposed product for
+    # the lasso, the image alone for the quadratic loss, the Gram product
+    # for the noncoercive kind (whose F* then needs its image once); the
+    # step's gradient at y is extrapolated, except for logistic, which pays
+    # one transposed product per iteration with momentum
+    per_iteration = {"lasso": 2, "quadratic": 1, "quadratic_l1": 1,
+                     "noncoercive_quadratic": 1}
+    start = {"lasso": 2, "quadratic": 1, "quadratic_l1": 1,
+             "noncoercive_quadratic": 2}
+    for kind in KIND_SPECS:
+        p, x0 = library_problem(kind)
+        ref = reference.solve_reference(p, tol=1e-12, x0=x0)
+        k = ref.iterations_used
+        assert ref.converged and k > 5
+        if kind == "logistic_l1":
+            assert 2 + 2 * k < ref.matvec_equiv <= 2 + 3 * k
+        else:
+            assert ref.matvec_equiv == start[kind] + per_iteration[kind] * k
+        # closures: a gradient at x0, two per iteration, and f at x*
+        assert reference.solve_reference(
+            closures_only(p), tol=1e-12, x0=x0).matvec_equiv == 2 + 2 * k
+
+
+def test_matvec_equiv_of_an_unconverged_solve_and_a_cache_hit(tmp_path):
+    p, x0 = library_problem("lasso")
+    ref = reference.solve_reference(p, tol=1e-14, max_iters=6, x0=x0)
+    assert not ref.converged
+    # F at the best iterate takes a fresh image
+    assert ref.matvec_equiv == 2 + 2 * 6 + 1
+    key = reference.spec_cache_key({"kind": "adhoc"}, 1e-14)
+    reference.store_cached(tmp_path, key, ref)
+    assert "matvec_equiv" not in json.loads((tmp_path / (key + ".json")).read_text())
+    assert reference.load_cached(tmp_path, key).matvec_equiv == 0.0
