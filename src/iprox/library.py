@@ -24,9 +24,9 @@ matrices get L = sigma_max(A)^2 (over 4*rows for logistic) and each
 per-block L_i = sigma_max(A_i)^2 from Lanczos on the Gram operator
 v -> A'(Av): no stored basis, the top Ritz value of the tridiagonal found
 by Sturm-count bisection.  It stops when that value stalls to 1e-14
-relative, or when the Krylov space is complete: the next off-diagonal
-vanishes, or the step count reaches the column count.  It matches a dense
-SVD to a few 1e-15 relative, in O(sqrt(1/gap)) products where power
+relative between two evaluations, one of them at the step count equal to
+the column count, or when the next off-diagonal vanishes.  It matches a
+dense SVD to a few 1e-15 relative, in O(sqrt(1/gap)) products where power
 iteration needs O(1/gap).  Each constant is inflated by 1e-8
 so the stored value is an upper bound, and per-block constants are
 clamped to L.
@@ -42,8 +42,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, SmoothModel
-from .prox import ProxKind, prox_apply, prox_value
+from .problems import CompositeProblem, SmoothModel, kind_oracles
+from .prox import ProxKind
 
 KINDS = ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadratic")
 _QUAD_KINDS = ("quadratic", "quadratic_l1", "noncoercive_quadratic")
@@ -125,12 +125,14 @@ def _gram_top_eig(A: np.ndarray, rng) -> tuple:
     Three-term Lanczos on v -> A'(Av) from one random start, keeping only
     the current and previous basis vectors.  The top eigenvalue of the
     k x k tridiagonal T_k (the top Ritz value) is found by Sturm-count
-    bisection at steps 8, 12, 18, ...; it only rises with k, and the run
-    stops once it moves by at most _LANCZOS_TOL relative.  It also stops,
-    taking the top Ritz value as it stands, when the Krylov space is
-    complete: the next off-diagonal vanishes, or k reaches the column
-    count n, the order of A'A.  Hitting _LANCZOS_CAP falls back to a
-    dense SVD.
+    bisection at steps 8, 12, 18, ... and at k = n, the column count and
+    order of A'A; it only rises with k, and the run stops once it moves by
+    at most _LANCZOS_TOL relative from the previous evaluation, or when
+    the next off-diagonal vanishes.  Without reorthogonalization the basis
+    loses orthogonality once the top Ritz value has converged, so at k = n
+    T_n need not hold the whole spectrum of A'A; the step-n value is
+    therefore accepted only when it has stalled like any other.  Hitting
+    _LANCZOS_CAP falls back to a dense SVD.
     """
     rows, n = A.shape
     v = rng.standard_normal(n)
@@ -149,12 +151,14 @@ def _gram_top_eig(A: np.ndarray, rng) -> tuple:
         alphas.append(alpha)
         scale = max(scale, alpha)
         beta = math.sqrt(float(w @ w))
-        complete = beta <= _LANCZOS_TOL * scale or k == n
-        if complete or k == check:
+        collapsed = beta <= _LANCZOS_TOL * scale
+        if collapsed or k == check or k == n:
             top = _tridiag_top(alphas, beta_sq, theta)
-            if complete or top - theta <= _LANCZOS_TOL * top:
+            if collapsed or top - theta <= _LANCZOS_TOL * top:
                 return top, k
-            theta, check = top, check + check // 2
+            theta = top
+            if k == check:
+                check += check // 2
         beta_sq.append(beta * beta)
         # rotate buffers: v_{k+1} = w / beta, and v_k becomes v_prev
         v_prev, v, w = v, w, v_prev
@@ -214,20 +218,6 @@ def _gram_constants(A: np.ndarray, blocks, rng, denom: float) -> tuple:
 def _spread_eigs(count: int, lam_min: float) -> np.ndarray:
     # log-spaced from 1 down to lam_min; exact endpoints
     return np.exp(np.linspace(0.0, math.log(lam_min), count))
-
-
-def _l1_oracles(lam: float) -> dict:
-    """g = lam*||x||_1 (zero for lam = 0) as a ProxKind, with the
-    nonsmooth_value and prox oracles read from that kind."""
-    kind = ProxKind.l1(lam) if lam > 0 else ProxKind.zero()
-
-    def nonsmooth_value(x):
-        return prox_value(kind, x)
-
-    def prox(i, v, gamma):
-        return prox_apply(kind, v, gamma)
-
-    return dict(prox_kind=kind, nonsmooth_value=nonsmooth_value, prox=prox)
 
 
 def _block_operator_norms(H: np.ndarray, blocks, L: float) -> tuple:
@@ -313,10 +303,12 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
 
 
 def _problem(model, blocks, L, L_blocks, reg_lambda, **extra):
+    # g = reg_lambda*||x||_1, the zero kind for reg_lambda = 0
+    g = ProxKind.l1(reg_lambda) if reg_lambda > 0 else ProxKind.zero()
     return CompositeProblem(
         dim=model.dim, blocks=blocks, smooth_value=model.value,
         smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=L_blocks,
-        smooth_model=model, **_l1_oracles(reg_lambda), **extra)
+        smooth_model=model, **kind_oracles(g), **extra)
 
 
 def is_coercive(spec: InstanceSpec) -> bool:

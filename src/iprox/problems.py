@@ -15,13 +15,15 @@ so a block step costs a block of columns of A and not full products.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedOracle
-from .prox import ProxKind, prox_apply
+from .prox import ProxKind, prox_apply, prox_value
 
 Vector = np.ndarray
 LOSSES = ("squares", "logistic", "quadratic")
@@ -152,7 +154,11 @@ class CompositeProblem:
     prox_kind : ProxKind, optional
         The same g as nonsmooth_value/prox, described as data: every g_i
         is this kind.  prox_full then applies a coordinate-separable kind
-        to the whole vector in one call.
+        to the whole vector in one call.  It is kept only while
+        nonsmooth_value and prox are the oracles :func:`kind_oracles` built
+        from it, or wrappers naming them as __wrapped__ (functools.wraps);
+        with any other oracle (say after dataclasses.replace(problem,
+        prox=...)) it is set to None, so g has one description.
     """
 
     dim: int
@@ -193,8 +199,12 @@ class CompositeProblem:
             raise ContractViolation("nu must be > 0 when given")
         if self.smooth_model is not None and self.smooth_model.dim != self.dim:
             raise ContractViolation("smooth_model acts on vectors of another length")
-        if self.prox_kind is not None and not isinstance(self.prox_kind, ProxKind):
-            raise ContractViolation("prox_kind must be a ProxKind")
+        if self.prox_kind is not None:
+            if not isinstance(self.prox_kind, ProxKind):
+                raise ContractViolation("prox_kind must be a ProxKind")
+            if not (_reads_kind(self.nonsmooth_value, prox_value, self.prox_kind)
+                    and _reads_kind(self.prox, _kind_prox, self.prox_kind)):
+                object.__setattr__(self, "prox_kind", None)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(
             self,
@@ -241,6 +251,24 @@ def _check_dim(problem: CompositeProblem, x: Vector) -> Vector:
             f"expected vector of length {problem.dim}, got shape {x.shape}"
         )
     return x
+
+
+def kind_oracles(kind: ProxKind) -> dict:
+    """CompositeProblem arguments describing g by one kind for every block:
+    prox_kind, and the nonsmooth_value and prox oracles read from it."""
+    return dict(prox_kind=kind, nonsmooth_value=partial(prox_value, kind),
+                prox=partial(_kind_prox, kind))
+
+
+def _kind_prox(kind: ProxKind, i: int, v: Vector, gamma: float) -> Vector:
+    return prox_apply(kind, v, gamma)
+
+
+def _reads_kind(oracle, fn, kind: ProxKind) -> bool:
+    # whether oracle is the one kind_oracles(kind) built around fn, or a
+    # wrapper that names it as __wrapped__ (functools.wraps)
+    oracle = inspect.unwrap(oracle)
+    return isinstance(oracle, partial) and oracle.func is fn and oracle.args[0] is kind
 
 
 def objective(problem: CompositeProblem, x: Vector) -> float:
@@ -302,11 +330,12 @@ def oracle_state(problem: CompositeProblem):
     """Fresh per-run oracle state: an ImageOracle when the problem has a
     smooth_model, else a ClosureOracle over smooth_value/smooth_grad.
 
-    Both take the same calls.  refresh(x) starts a new image at x; value(x)
-    and value_grad(x) read f (and grad f) of that x; block_grad(i, x) is
-    block i of grad f(x); move(i, d) tells the state that block i of x
-    moved by d.  The caller passes the x the state currently describes.
-    ``matvec_equiv`` counts the work done so far.
+    Both take the same calls.  refresh(x) starts a new image at x;
+    value(x), full_grad(x) and value_grad(x) read f, grad f or both of
+    that x; block_grad(i, x) is block i of grad f(x); move(i, d) tells
+    the state that block i of x moved by d.  The caller passes the x the
+    state currently describes.  ``matvec_equiv`` counts the work done so
+    far.
     """
     if problem.smooth_model is not None:
         return ImageOracle(problem)
@@ -358,12 +387,16 @@ class ImageOracle:
     def value(self, x: Vector) -> float:
         return self.model.value_at(x, self._image())
 
-    def value_grad(self, x: Vector):
+    def full_grad(self, x: Vector) -> Vector:
         u = self._image()
         self.grad = self.model.grad_at(x, u)
         if not self.grad_is_image:
             self.columns += self.dim
-        return self.model.value_at(x, u), self.grad
+        return self.grad
+
+    def value_grad(self, x: Vector):
+        grad = self.full_grad(x)
+        return self.model.value_at(x, self.u), grad
 
     def block_grad(self, i: int, x: Vector) -> Vector:
         if self.grad is not None:
@@ -400,16 +433,18 @@ class ClosureOracle:
         self.calls += 1
         return float(self.problem.smooth_value(x))
 
-    def value_grad(self, x: Vector):
-        f = self.value(x)
+    def full_grad(self, x: Vector) -> Vector:
         self.calls += 1
         self.grad = grad_f(self.problem, x)
-        return f, self.grad
+        return self.grad
+
+    def value_grad(self, x: Vector):
+        f = self.value(x)
+        return f, self.full_grad(x)
 
     def block_grad(self, i: int, x: Vector) -> Vector:
         if self.grad is None:
-            self.calls += 1
-            self.grad = grad_f(self.problem, x)
+            self.full_grad(x)
         return self.grad[self.problem.block_index_arrays[i]]
 
     def move(self, i: int, d: Vector) -> None:

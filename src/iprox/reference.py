@@ -7,17 +7,17 @@ adaptive restart) at stepsize 1/L, stopping on the prox-gradient residual
 hash of the instance spec and tolerance, with atomic replacement so
 concurrent sweep workers can share one cache directory.
 
-Each iteration takes one fresh gradient, at the new iterate; it serves
-the stopping residual and the next step, whose gradient at the
-extrapolated point y = x + c (x - x_prev) is not recomputed when f has a
-SmoothModel: it is g + c (g - g_prev) for the affine gradients of the
-squares and quadratic losses, one transposed product at the image
-u + c (u - u_prev) for logistic, and g itself when c = 0.  That is 2
-products with A per lasso iteration, 1 for the quadratic kinds and at
-most 3 for logistic.  Closure-built problems call smooth_grad at both
-points.  The prox of g is one vector call when the problem's prox_kind is
-coordinate-separable.  ``ReferenceSolution.matvec_equiv`` counts the work as
-:func:`iprox.problems.oracle_state` does.
+Each iteration refreshes the oracle state (:func:`iprox.problems.oracle_state`)
+at the new iterate and takes grad f there; it serves the stopping residual
+and the next step.  The step's gradient at the extrapolated point
+y = x + c (x - x_prev) is that gradient when c = 0, and g + c (g - g_prev)
+when f has a SmoothModel with an affine gradient (the squares and
+quadratic losses): 2 products with A per lasso iteration, 1 for the
+quadratic kinds, 2 for the noncoercive kind (image and Gram product).
+Logistic and closure-built problems take a second gradient at y when
+c > 0.  The prox of g is one vector call when the problem's prox_kind is
+coordinate-separable.  ``ReferenceSolution.matvec_equiv`` is the oracle
+state's count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, grad_f, objective, prox_full
+from .problems import CompositeProblem, oracle_state, prox_full
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,42 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     if max_iters < 1:
         raise ContractViolation("max_iters must be >= 1")
     gam = 1.0 / problem.lipschitz_L
-    grads = (_ModelGradients(problem) if problem.smooth_model is not None
-             else _ClosureGradients(problem))
+    state = oracle_state(problem)
+    model = problem.smooth_model
+    affine = model is not None and model.loss != "logistic"
+
+    def grad(x):
+        state.refresh(x)
+        return state.full_grad(x)
 
     def residual(x, g):
         return float(np.linalg.norm(x - prox_full(problem, x - gam * g, gam)))
 
+    def solution(x, r, it, converged):
+        # F at x from the state, which describes x
+        f_star = state.value(x) + float(problem.nonsmooth_value(x))
+        return ReferenceSolution(
+            x_star=x.copy(), f_star=f_star, residual=r, iterations_used=it,
+            converged=converged, matvec_equiv=state.matvec_equiv)
+
     x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    at_x = grads.at(x)
-    at_prev = None
+    g = grad(x)
+    g_prev = None
     y = x.copy()
     c = 0.0  # y = x + c (x - x_prev)
     t = 1.0
     best_x = x.copy()
-    best_r = residual(x, at_x[0])
+    best_r = residual(x, g)
     it = 0
     for it in range(1, max_iters + 1):
-        x_new = prox_full(problem, y - gam * grads.at_y(y, c, at_x, at_prev), gam)
-        at_new = grads.at(x_new)
+        if c == 0.0:
+            g_y = g
+        elif affine:
+            g_y = g + c * (g - g_prev)
+        else:
+            g_y = grad(y)
+        x_new = prox_full(problem, y - gam * g_y, gam)
+        g_new = grad(x_new)
         # restart when the momentum direction opposes the latest progress
         if float((y - x_new) @ (x_new - x)) > 0.0:
             t, c = 1.0, 0.0
@@ -90,80 +108,15 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
             c = (t - 1.0) / t_new
             y = x_new + c * (x_new - x)
             t = t_new
-        x, at_prev, at_x = x_new, at_x, at_new
-        r = residual(x, at_x[0])
+        x, g_prev, g = x_new, g, g_new
+        r = residual(x, g)
         if r < best_r:
             best_r = r
             best_x = x.copy()
         if r <= tol:
-            f_star = grads.objective(x, at_x[1])
-            return ReferenceSolution(
-                x_star=x.copy(), f_star=f_star, residual=r, iterations_used=it,
-                converged=True, matvec_equiv=grads.work)
-    f_star = grads.objective(best_x)
-    return ReferenceSolution(
-        x_star=best_x, f_star=f_star, residual=best_r, iterations_used=it,
-        converged=False, matvec_equiv=grads.work)
-
-
-class _ModelGradients:
-    """grad f at the reference iterates, read through the SmoothModel.
-
-    at(x) gives (grad f(x), image of x or None); at_y gives grad f at
-    y = x + c (x - x_prev) from at(x) and at(x_prev).  ``work`` counts
-    products with the model's matrix.
-    """
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.model = problem.smooth_model
-        self.work = 0.0
-
-    def at(self, x):
-        m = self.model
-        if m.gram is not None:
-            self.work += 1.0
-            return m.grad_at(x, None), None
-        u = m.image(x)
-        self.work += 1.0 if m.loss == "quadratic" else 2.0
-        return m.grad_at(x, u), u
-
-    def at_y(self, y, c, at_x, at_prev):
-        if c == 0.0:
-            return at_x[0]
-        if self.model.loss == "logistic":
-            self.work += 1.0
-            u, u_prev = at_x[1], at_prev[1]
-            return self.model.grad_at(y, u + c * (u - u_prev))
-        g, g_prev = at_x[0], at_prev[0]
-        return g + c * (g - g_prev)
-
-    def objective(self, x, u=None) -> float:
-        """F(x), from the image u of x when it is given."""
-        if u is None:
-            self.work += 1.0
-            u = self.model.image(x)
-        return self.model.value_at(x, u) + float(self.problem.nonsmooth_value(x))
-
-
-class _ClosureGradients:
-    """The _ModelGradients calls over smooth_value/smooth_grad: every
-    gradient is a closure call, each counting one matvec-equivalent."""
-
-    def __init__(self, problem):
-        self.problem = problem
-        self.work = 0.0
-
-    def at(self, x):
-        self.work += 1.0
-        return grad_f(self.problem, x), None
-
-    def at_y(self, y, c, at_x, at_prev):
-        return self.at(y)[0]
-
-    def objective(self, x, u=None) -> float:
-        self.work += 1.0
-        return objective(self.problem, x)
+            return solution(x, r, it, True)
+    state.refresh(best_x)
+    return solution(best_x, best_r, it, False)
 
 
 def with_reference(problem: CompositeProblem, ref: ReferenceSolution,

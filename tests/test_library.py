@@ -190,15 +190,54 @@ def test_lanczos_resolves_a_near_degenerate_top_pair():
     assert steps <= 200
 
 
-def test_lanczos_stops_at_the_column_count_of_a_narrow_block():
-    # a 2000 x 20 block: after 20 steps the Krylov space holds every
-    # column, yet beta stays well above rounding, so only the step count
-    # can end the run there
-    A = np.random.default_rng(4).standard_normal((2000, 20))
-    for seed in range(3):
-        lam, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)))
-        assert steps == 20
+def test_lanczos_checks_a_stall_at_the_column_count_of_a_narrow_block():
+    # 2000 x 20 blocks: beta stays well above rounding after 20 steps, and
+    # 20 is no check step (8, 12, 18, 27), so a run ends at 20 only through
+    # the evaluation at the column count, and only once the value has
+    # stalled since step 18; otherwise it goes on to 27
+    steps = []
+    for seed in range(10):
+        A = np.random.default_rng(seed).standard_normal((2000, 20))
+        lam, k = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)))
         assert lam == pytest.approx(_sq_norm(A), rel=1e-14)
+        steps.append(k)
+    assert set(steps) <= {20, 27} and steps.count(20) >= 8
+
+
+class _FixedStart:
+    def __init__(self, v):
+        self.v = v
+
+    def standard_normal(self, n):
+        return self.v.copy()
+
+
+def test_lanczos_runs_past_the_column_count_until_the_value_stalls():
+    # a start almost orthogonal to the top eigenvector: the top Ritz value
+    # still moves between steps 18 and 20, so step 20 does not end the run
+    U, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((200, 20)))
+    s = np.linspace(1.0, 0.05, 20)
+    start = np.ones(20)
+    start[0] = 1e-8
+    lam, steps = library._gram_top_eig(U * s, _FixedStart(start))
+    assert steps > 20
+    assert lam == pytest.approx(1.0, rel=1e-14)
+
+
+def test_lanczos_bounds_a_narrow_block_with_a_close_top_pair():
+    # sigma_1/sigma_2 = 1 + 1e-4 over a spread-out lower spectrum: the
+    # inflated value must still bound sigma_1^2 when the Krylov space
+    # completes at 20 steps
+    for seed in range(5):
+        rng = np.random.default_rng(100 + seed)
+        U, _ = np.linalg.qr(rng.standard_normal((2000, 20)))
+        V, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        s = np.concatenate([[1.0 + 1e-4, 1.0], np.geomspace(0.9, 1e-3, 18)])
+        A = (U * s) @ V.T
+        lam, k = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)))
+        assert k <= 20
+        assert lam == pytest.approx(_sq_norm(A), rel=1e-14)
+        assert lam * library._L_INFLATE >= _sq_norm(A)
 
 
 def test_lanczos_step_cap_falls_back_to_dense_svd(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from iprox.problems import (
     block_grad_f,
     check_gradient_fd,
     grad_f,
+    kind_oracles,
     make_state,
     objective,
     prox_block,
@@ -183,9 +185,8 @@ def test_group_l2_prox_full_shrinks_each_block_by_its_own_norm():
     p = CompositeProblem(
         dim=4, blocks=((0, 1), (2, 3)),
         smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
-        nonsmooth_value=lambda x: prox_value(kind, x),
-        prox=lambda i, v, gamma: prox_apply(kind, v, gamma), prox_kind=kind)
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), **kind_oracles(kind))
+    assert p.prox_kind is kind
     out = prox_full(p, np.array([3.0, 4.0, 0.6, 0.8]), 2.0)
     # block norms 5 and 1: the first keeps 1 - 2/5 of itself, the second is 0
     assert np.allclose(out, [1.8, 2.4, 0.0, 0.0], rtol=0, atol=1e-15)
@@ -207,6 +208,31 @@ def test_closure_problem_prox_full_calls_each_block_prox_once():
     out = prox_full(p, np.array([2.0, -0.5, 1.5, 0.0, -3.0, 1.0]), 1.0)
     assert calls == [0, 1, 2]
     assert np.array_equal(out, [1.0, 0.0, 0.5, 0.0, -2.0, 0.0])
+
+
+def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
+    p = make_instance(InstanceSpec(kind="lasso", n=6, rows=10, reg_lambda=1.0,
+                                   m=3, seed=1))
+    assert p.prox_kind.tag == "l1"
+    assert dataclasses.replace(p, f_star=0.0).prox_kind is p.prox_kind
+    calls = []
+
+    def prox(i, v, gamma):
+        calls.append(i)
+        return np.zeros_like(v) + i
+
+    # a replaced prox, or a kind given with other oracles, describes g alone
+    for q in (dataclasses.replace(p, prox=prox),
+              dataclasses.replace(p, prox_kind=ProxKind.zero())):
+        assert q.prox_kind is None
+    out = prox_full(dataclasses.replace(p, prox=prox), np.ones(6), 1.0)
+    assert calls == [0, 1, 2]
+    assert np.array_equal(out, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+    q = dataclasses.replace(p, nonsmooth_value=lambda x: 0.0)
+    assert q.prox_kind is None and q.prox is p.prox
+    # a wrapper that names its oracle, as a tracer's does, keeps the kind
+    q = dataclasses.replace(p, prox=functools.wraps(p.prox)(lambda *a: p.prox(*a)))
+    assert q.prox_kind is p.prox_kind
 
 
 def test_prox_kind_must_be_a_prox_kind():

@@ -182,7 +182,8 @@ def closures_only(problem):
 
 def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
     """The loop with both gradients from closures: grad f at y for the
-    step and at x for the stopping residual, every g_i prox per block."""
+    step and at x for the stopping residual, every g_i prox per block.
+    Also returns how many steps were taken at a y other than x."""
     gam = 1.0 / problem.lipschitz_L
 
     def prox(v):
@@ -195,23 +196,25 @@ def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
         return float(np.linalg.norm(x - prox(x - gam * problem.smooth_grad(x))))
 
     x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y, t = x.copy(), 1.0
+    y, t, c, momentum = x.copy(), 1.0, 0.0, 0
     best_x, best_r = x.copy(), res(x)
     for it in range(1, max_iters + 1):
+        momentum += c != 0.0
         x_new = prox(y - gam * problem.smooth_grad(y))
         if float((y - x_new) @ (x_new - x)) > 0.0:
-            t, y = 1.0, x_new.copy()
+            t, c, y = 1.0, 0.0, x_new.copy()
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            c = (t - 1.0) / t_new
+            y = x_new + c * (x_new - x)
             t = t_new
         x = x_new
         r = res(x)
         if r < best_r:
             best_r, best_x = r, x.copy()
         if r <= tol:
-            return x.copy(), objective(problem, x), r, it, True
-    return best_x, objective(problem, best_x), best_r, it, False
+            return x.copy(), objective(problem, x), r, it, True, momentum
+    return best_x, objective(problem, best_x), best_r, it, False, momentum
 
 
 def fields(ref):
@@ -227,7 +230,7 @@ def test_closure_problems_keep_the_two_gradient_loop_bit_for_bit(kind, budget):
     got = reference.solve_reference(p, tol=tol, max_iters=iters, x0=x0)
     want = two_gradient_reference(p, tol, iters, x0)
     assert np.array_equal(got.x_star, want[0])
-    assert fields(got)[1:] == want[1:]
+    assert fields(got)[1:] == want[1:5]
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
@@ -235,7 +238,7 @@ def test_closure_problems_keep_the_two_gradient_loop_bit_for_bit(kind, budget):
 def test_model_problems_agree_with_the_two_gradient_loop(kind, m):
     p, x0 = library_problem(kind, m)
     got = reference.solve_reference(p, tol=1e-12, x0=x0)
-    x_star, f_star, _, iters, converged = two_gradient_reference(p, 1e-12, x0=x0)
+    x_star, f_star, _, iters, converged, _ = two_gradient_reference(p, 1e-12, x0=x0)
     assert got.converged and converged
     assert got.residual <= 1e-12
     assert got.iterations_used == iters
@@ -244,27 +247,30 @@ def test_model_problems_agree_with_the_two_gradient_loop(kind, m):
 
 
 def test_matvec_equiv_of_each_kind_follows_its_formula():
-    # one fresh gradient per iteration: image and transposed product for
-    # the lasso, the image alone for the quadratic loss, the Gram product
-    # for the noncoercive kind (whose F* then needs its image once); the
-    # step's gradient at y is extrapolated, except for logistic, which pays
-    # one transposed product per iteration with momentum
+    # the oracle state's count: each iteration refreshes the image at the
+    # new iterate and takes grad f there, which is the image and a
+    # transposed product for the lasso and logistic, the image alone for
+    # the quadratic loss, and the image and the Gram product for the
+    # noncoercive kind; F* is read from the image.  The step's gradient at
+    # y is extrapolated, except for logistic, which takes a second
+    # gradient at y on the `momentum` steps with y != x
     per_iteration = {"lasso": 2, "quadratic": 1, "quadratic_l1": 1,
-                     "noncoercive_quadratic": 1}
-    start = {"lasso": 2, "quadratic": 1, "quadratic_l1": 1,
-             "noncoercive_quadratic": 2}
+                     "noncoercive_quadratic": 2, "logistic_l1": 2}
+    per_momentum = {"logistic_l1": 2}
     for kind in KIND_SPECS:
         p, x0 = library_problem(kind)
         ref = reference.solve_reference(p, tol=1e-12, x0=x0)
         k = ref.iterations_used
-        assert ref.converged and k > 5
-        if kind == "logistic_l1":
-            assert 2 + 2 * k < ref.matvec_equiv <= 2 + 3 * k
-        else:
-            assert ref.matvec_equiv == start[kind] + per_iteration[kind] * k
-        # closures: a gradient at x0, two per iteration, and f at x*
-        assert reference.solve_reference(
-            closures_only(p), tol=1e-12, x0=x0).matvec_equiv == 2 + 2 * k
+        momentum = two_gradient_reference(p, 1e-12, x0=x0)[5]
+        assert ref.converged and k > 5 and 0 < momentum < k
+        assert ref.matvec_equiv == (per_iteration[kind] * (1 + k)
+                                    + per_momentum.get(kind, 0) * momentum)
+        # closures: a gradient at x0 and at each iterate, one at each y
+        # with momentum, and f at x*
+        closure = closures_only(p)
+        ref = reference.solve_reference(closure, tol=1e-12, x0=x0)
+        momentum = two_gradient_reference(closure, 1e-12, x0=x0)[5]
+        assert ref.matvec_equiv == 2 + ref.iterations_used + momentum
 
 
 def test_matvec_equiv_of_an_unconverged_solve_and_a_cache_hit(tmp_path):
