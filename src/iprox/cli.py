@@ -86,10 +86,15 @@ def _get(d: dict, key: str, path: str, types, default=KeyError, pred=None,
     return val
 
 
+def _non_finite(name: str):
+    # Python's json parses NaN and +-Infinity, which JSON does not allow
+    raise ConfigError("config", f"{name} is not a JSON number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_non_finite)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -267,8 +267,7 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         H = 0.5 * (H + H.T)
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(H, blocks, L)
-        # the image is P x; the full gradient keeps the Gram product H x
-        model = SmoothModel("squares", P, gram=H)
+        model = SmoothModel("squares", P)
 
         def project(x, Ur=Ur):
             # argmin F = null(P); remove the component in range(Ur)

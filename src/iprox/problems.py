@@ -33,9 +33,7 @@ LOSSES = ("squares", "logistic", "quadratic")
 class SmoothModel:
     """Structured smooth part: f reads x only through an image u of A.
 
-    loss "squares"    u = A x - offset, f = ||u||^2/2, grad f = A'u; with
-                      gram = A'A given, gradients are read from x as
-                      gram @ x, or its block rows, and u serves the value.
+    loss "squares"    u = A x - offset, f = ||u||^2/2, grad f = A'u.
     loss "logistic"   u = A x, f = mean(log(1 + exp(-y*u))) over the rows,
                       grad f = -A'(y*sigmoid(-y*u))/rows, y = labels.
     loss "quadratic"  A symmetric, u = A(x - center), f = (x - center)'u/2,
@@ -52,7 +50,6 @@ class SmoothModel:
     offset: Optional[Vector] = None
     labels: Optional[Vector] = None
     center: Optional[Vector] = None
-    gram: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -64,8 +61,8 @@ class SmoothModel:
             raise ContractViolation("a quadratic model needs a square A")
         if (self.labels is not None) != (self.loss == "logistic"):
             raise ContractViolation("labels are given exactly for the logistic loss")
-        if self.loss != "squares" and (self.offset is not None or self.gram is not None):
-            raise ContractViolation("offset and gram belong to the squares loss")
+        if self.offset is not None and self.loss != "squares":
+            raise ContractViolation("offset belongs to the squares loss")
         if self.center is not None and self.loss != "quadratic":
             raise ContractViolation("center belongs to the quadratic loss")
 
@@ -92,8 +89,6 @@ class SmoothModel:
         """grad f(x) from the image u of x; cols selects one block of it."""
         if self.loss == "quadratic":
             return u.copy() if cols is None else u[cols].copy()
-        if self.gram is not None:
-            return self.gram @ x if cols is None else self.gram[cols] @ x
         At = self.A if cols is None else self.A[:, cols]
         if self.loss == "squares":
             return At.T @ u
@@ -104,7 +99,7 @@ class SmoothModel:
         return self.value_at(x, self.image(x))
 
     def grad(self, x: Vector) -> Vector:
-        return self.grad_at(x, None if self.gram is not None else self.image(x))
+        return self.grad_at(x, self.image(x))
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -285,15 +280,9 @@ def grad_f(problem: CompositeProblem, x: Vector) -> Vector:
     return g
 
 
-def block_grad_f(problem: CompositeProblem, x: Vector, i: int) -> Vector:
-    """Block-i sub-vector of grad f(x) (slice of the full gradient)."""
-    if not (0 <= i < problem.n_blocks):
-        raise ContractViolation(f"block index {i} out of range")
-    return grad_f(problem, x)[problem.block_index_arrays[i]]
-
-
 def prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Vector:
-    """prox_{gamma*g_i}(v) on block i."""
+    """prox_{gamma*g_i}(v) on block i: the problem's prox_kind when it has
+    one, else its prox oracle, whose result must have the block's shape."""
     if not (0 <= i < problem.n_blocks):
         raise ContractViolation(f"block index {i} out of range")
     if gamma <= 0:
@@ -301,6 +290,8 @@ def prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Ve
     v = np.asarray(v, dtype=float)
     if v.shape != (len(problem.blocks[i]),):
         raise ContractViolation("prox input has wrong block dimension")
+    if problem.prox_kind is not None:
+        return prox_apply(problem.prox_kind, v, gamma)
     out = np.asarray(problem.prox(i, v, gamma), dtype=float)
     if out.shape != v.shape:
         raise ContractViolation("prox oracle returned a wrong-shaped vector")
@@ -311,8 +302,8 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     """Blockwise prox of the separable g with one shared stepsize.
 
     A coordinate-separable prox_kind acts on the whole vector in one call,
-    which equals the blockwise calls bit for bit; any other g calls each
-    block's prox in turn.
+    which equals the blockwise calls bit for bit; any other g goes through
+    :func:`prox_block` block by block.
     """
     v = _check_dim(problem, v)
     if gamma <= 0:
@@ -322,7 +313,7 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
         return prox_apply(kind, v, gamma)
     out = np.empty_like(v)
     for i, ix in enumerate(problem.block_index_arrays):
-        out[ix] = problem.prox(i, v[ix], gamma)
+        out[ix] = prox_block(problem, i, v[ix], gamma)
     return out
 
 
@@ -332,10 +323,10 @@ def oracle_state(problem: CompositeProblem):
 
     Both take the same calls.  refresh(x) starts a new image at x;
     value(x), full_grad(x) and value_grad(x) read f, grad f or both of
-    that x; block_grad(i, x) is block i of grad f(x); move(i, d) tells
-    the state that block i of x moved by d.  The caller passes the x the
-    state currently describes.  ``matvec_equiv`` counts the work done so
-    far.
+    that x, the gradient computed once until x moves; block_grad(i, x) is
+    block i of grad f(x); move(i, d) tells the state that block i of x
+    moved by d.  The caller passes the x the state currently describes.
+    ``matvec_equiv`` counts the work done so far.
     """
     if problem.smooth_model is not None:
         return ImageOracle(problem)
@@ -350,8 +341,8 @@ class ImageOracle:
     the image is next read, so one followed by a refresh costs nothing.
     Work is counted in matvec-equivalents: a product with all of A
     counts 1, one with a block's columns |block|/n; a value from the
-    image is free.  A full gradient computed at the current image serves
-    the block gradients until the next move.
+    image is free.  A full gradient is computed once per image: it serves
+    every full and block gradient until the next move or refresh.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -388,10 +379,10 @@ class ImageOracle:
         return self.model.value_at(x, self._image())
 
     def full_grad(self, x: Vector) -> Vector:
-        u = self._image()
-        self.grad = self.model.grad_at(x, u)
-        if not self.grad_is_image:
-            self.columns += self.dim
+        if self.grad is None:
+            self.grad = self.model.grad_at(x, self._image())
+            if not self.grad_is_image:
+                self.columns += self.dim
         return self.grad
 
     def value_grad(self, x: Vector):
@@ -434,8 +425,9 @@ class ClosureOracle:
         return float(self.problem.smooth_value(x))
 
     def full_grad(self, x: Vector) -> Vector:
-        self.calls += 1
-        self.grad = grad_f(self.problem, x)
+        if self.grad is None:
+            self.calls += 1
+            self.grad = grad_f(self.problem, x)
         return self.grad
 
     def value_grad(self, x: Vector):
@@ -443,9 +435,7 @@ class ClosureOracle:
         return f, self.full_grad(x)
 
     def block_grad(self, i: int, x: Vector) -> Vector:
-        if self.grad is None:
-            self.full_grad(x)
-        return self.grad[self.problem.block_index_arrays[i]]
+        return self.full_grad(x)[self.problem.block_index_arrays[i]]
 
     def move(self, i: int, d: Vector) -> None:
         self.grad = None

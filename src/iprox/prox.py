@@ -106,7 +106,7 @@ def prox_value(kind: ProxKind, v: np.ndarray) -> float:
     if kind.tag == "zero":
         return 0.0
     if kind.tag == "l1":
-        return kind.lam * float(np.sum(np.abs(v)))
+        return kind.lam * float(np.abs(v).sum())
     if kind.tag == "box":
         if np.any(v < kind.lo) or np.any(v > kind.hi):
             return math.inf

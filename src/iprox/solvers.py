@@ -1,5 +1,14 @@
 """The three iterative schemes: full, cyclic, and stochastic inertial prox-gradient.
 
+The three runners share one run loop.  Iteration k reads F(x^k), guards
+against divergence, records an entry when asked to, and then moves to
+x^{k+1} through the order's public step function: :func:`inertial_step`,
+:func:`cyclic_epoch` or :func:`stochastic_step`.  A small per-order
+policy supplies what differs: the step, the stepsize (scalar, one per
+block, or fixed with beta from nu), the weights in the slack and
+Lyapunov formulas (the full order is the stochastic formula at m = 1),
+how often the oracle state is refreshed, and the extra Trace fields.
+
 Each run produces a Trace whose per-entry columns are enough to replay the
 convergence audits in :mod:`iprox.diagnostics` without re-running:
 
@@ -13,10 +22,11 @@ F for any gamma > 0, so the choice only rescales the stopping rule.
 
 The smooth part is read through a per-run oracle state
 (:func:`iprox.problems.oracle_state`).  It is refreshed from x at every
-recorded entry and at the start of every epoch (each cyclic epoch, every m
-stochastic steps), which bounds the rounding drift of an image kept up to
-date by block moves; with m = 1 every step refreshes.  meta["matvec_equiv"]
-holds the work the run's oracle state counted.
+recorded entry and at the start of every epoch (every full step, each
+cyclic epoch, every m stochastic steps), which bounds the rounding drift
+of an image kept up to date by block moves; with m = 1 every step
+refreshes.  meta["matvec_equiv"] holds the work the run's oracle state
+counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -36,6 +46,7 @@ from .problems import (
     IterateState,
     grad_f,
     oracle_state,
+    prox_block,
     prox_full,
 )
 from .rng import SplitMix64
@@ -104,58 +115,29 @@ class Trace:
     iterates: Optional[list] = field(default=None, repr=False)
 
 
+_COLUMNS = ("ks", "F", "residual_sq", "betas", "gammas", "lyapunov", "step_sq",
+            "descent_slack")
+_INT_COLUMNS = {"ks": np.int64, "chosen_blocks": np.int64}
+
+
 class _Builder:
-    def __init__(self, keep_iterates: bool):
-        self.rows = {
-            "ks": [], "F": [], "lyapunov": [], "step_sq": [],
-            "residual_sq": [], "descent_slack": [], "betas": [], "gammas": [],
-        }
-        self.block_step_sq = []
-        self.chosen_blocks = []
-        self.running_min = []
+    def __init__(self, keep_iterates: bool, extra: tuple):
+        # the common columns, then the order's extra Trace fields
+        self.columns = {name: [] for name in _COLUMNS + extra}
+        self.lists = tuple(self.columns.values())
         self.iterates = [] if keep_iterates else None
 
-    def add(self, k, F_val, xi, s, rsq, slack, beta, gamma, x=None,
-            block_s=None, chosen=None, run_min=None):
-        r = self.rows
-        r["ks"].append(k)
-        r["F"].append(F_val)
-        r["lyapunov"].append(xi)
-        r["step_sq"].append(s)
-        r["residual_sq"].append(rsq)
-        r["descent_slack"].append(slack)
-        r["betas"].append(beta)
-        r["gammas"].append(gamma)
-        if block_s is not None:
-            self.block_step_sq.append(block_s)
-        if chosen is not None:
-            self.chosen_blocks.append(chosen)
-        if run_min is not None:
-            self.running_min.append(run_min)
+    def add(self, x, *values):
+        for col, v in zip(self.lists, values):
+            col.append(v)
         if self.iterates is not None:
             self.iterates.append(x.copy())
 
     def build(self, final_state, meta) -> Trace:
-        r = self.rows
-        return Trace(
-            ks=np.asarray(r["ks"], dtype=np.int64),
-            F=np.asarray(r["F"], dtype=float),
-            lyapunov=np.asarray(r["lyapunov"], dtype=float),
-            step_sq=np.asarray(r["step_sq"], dtype=float),
-            residual_sq=np.asarray(r["residual_sq"], dtype=float),
-            descent_slack=np.asarray(r["descent_slack"], dtype=float),
-            betas=np.asarray(r["betas"], dtype=float),
-            gammas=np.asarray(r["gammas"], dtype=float),
-            final_state=final_state,
-            meta=meta,
-            block_step_sq=(np.asarray(self.block_step_sq, dtype=float)
-                           if self.block_step_sq else None),
-            chosen_blocks=(np.asarray(self.chosen_blocks, dtype=np.int64)
-                           if self.chosen_blocks else None),
-            step_sq_running_min=(np.asarray(self.running_min, dtype=float)
-                                 if self.running_min else None),
-            iterates=self.iterates,
-        )
+        arrays = {name: np.asarray(vals, dtype=_INT_COLUMNS.get(name, float))
+                  for name, vals in self.columns.items()}
+        return Trace(**arrays, final_state=final_state, meta=meta,
+                     iterates=self.iterates)
 
 
 def _forward(x, grad, x_prev, gamma, beta):
@@ -164,23 +146,29 @@ def _forward(x, grad, x_prev, gamma, beta):
     # bit-identical to a plain forward-backward step.
     v = x - gamma * grad
     if beta != 0.0:
-        v = v + beta * (x - x_prev)
+        v += beta * (x - x_prev)
     return v
 
 
 def _check_grad(grad, k: int):
-    if not np.isfinite(grad).all():
+    # count_nonzero takes half the time of ndarray.all() on short vectors
+    if np.count_nonzero(np.isfinite(grad)) != grad.size:
         raise DivergenceError("non-finite gradient", k=k)
 
 
 def inertial_step(problem: CompositeProblem, state: IterateState,
-                  gamma: float, beta: float) -> np.ndarray:
-    """One full-vector step: prox_{gamma*g}(x - gamma*grad f(x) + beta*(x - x_prev))."""
+                  gamma: float, beta: float, oracle=None) -> np.ndarray:
+    """One full-vector step: prox_{gamma*g}(x - gamma*grad f(x) + beta*(x - x_prev)).
+
+    ``oracle`` is an oracle state describing state.x_curr, which gives
+    grad f(x); without one, the problem's gradient oracle gives it.
+    """
     if not (0.0 <= beta < 1.0):
         raise ContractViolation("inertial_step needs beta in [0, 1)")
-    grad = grad_f(problem, state.x_curr)
+    x = state.x_curr
+    grad = grad_f(problem, x) if oracle is None else oracle.full_grad(x)
     _check_grad(grad, state.k)
-    return prox_full(problem, _forward(state.x_curr, grad, state.x_prev, gamma, beta), gamma)
+    return prox_full(problem, _forward(x, grad, state.x_prev, gamma, beta), gamma)
 
 
 def cyclic_epoch(problem: CompositeProblem, state: IterateState,
@@ -209,7 +197,7 @@ def cyclic_epoch(problem: CompositeProblem, state: IterateState,
         grad = oracle.block_grad(i, x)
         _check_grad(grad, state.k)
         v = _forward(x[ix], grad, state.x_prev[ix], gammas[i], betas[i])
-        x_i = problem.prox(i, v, gammas[i])
+        x_i = prox_block(problem, i, v, gammas[i])
         oracle.move(i, x_i - x[ix])
         x[ix] = x_i
     return x
@@ -235,27 +223,141 @@ def stochastic_step(problem: CompositeProblem, state: IterateState,
     grad = oracle.block_grad(i, x)
     _check_grad(grad, state.k)
     v = _forward(x[ix], grad, state.x_prev[ix], gamma, beta)
-    x_i = problem.prox(i, v, gamma)
+    x_i = prox_block(problem, i, v, gamma)
     oracle.move(i, x_i - x[ix])
     x[ix] = x_i
     return x, i
 
 
-def _guard(F_val: float, F0: float, k: int):
-    if not math.isfinite(F_val) or F_val > DIVERGENCE_FACTOR * max(1.0, abs(F0)):
-        raise DivergenceError(
-            f"objective blew up at iteration {k}: F={F_val!r} from F0={F0!r}",
-            k=k, value=F_val,
-        )
+class _FullOrder:
+    """The policy of the full order, gamma_k = 2(1-beta_k)c/L.
+
+    A policy gives the run loop what differs between orders.  params(k)
+    gives (beta_k, gamma_k).  step takes the pair (x^k, x^{k-1}) to
+    x^{k+1} through the order's public step function and returns it with
+    its measure s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic
+    order.  entry gives a recorded entry's lyapunov (xi_k - min F),
+    step_sq and descent_slack values, then its values of the Trace fields
+    named in ``extra``.  The oracle state is refreshed at least every
+    ``epoch`` steps; the full step moves every block, so here that is
+    every step.  The full formulas are the stochastic ones at m = 1.
+    """
+
+    variant = "full"
+    extra = ()
+    epoch = 1
+    step_sq0 = 0.0
+
+    def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
+        self.problem = problem
+        self.schedule = schedule
+        self.c = schedule.c
+        self.L = problem.lipschitz_L
+        # lyapunov values are reported relative to min F when it is known;
+        # otherwise the column is left unshifted and meta records that
+        self.f_star = problem.f_star if problem.f_star is not None else 0.0
+        self.m = 1
+        self.root_m = 1.0
+        self.meta = {}
+
+    def params(self, k: int):
+        beta = beta_at(self.schedule, k)
+        return beta, gamma_full(beta, self.c, self.L)
+
+    def step(self, state, beta, gamma, oracle):
+        x_next = inertial_step(self.problem, state, gamma, beta, oracle)
+        d = x_next - state.x_curr
+        return x_next, float(d @ d)
+
+    def entry(self, prev, F_val, s, beta, gamma):
+        xi = F_val + delta_coeff(gamma, self.L) * s - self.f_star
+        if prev is None:
+            return xi, s, 0.0
+        Fp, sp, bp, gp = prev
+        r = self.root_m
+        return xi, s, ((Fp + bp / (2.0 * r * gp) * sp)
+                       - (F_val + beta / (2.0 * r * gamma) * s)
+                       - ((1.0 - bp / r) / gp - self.L / 2.0) * s)
 
 
-def _values(problem, oracle, x, need_grad):
-    # F(x) from the oracle's current image, with grad f(x) when asked for
-    if need_grad:
-        f_val, grad = oracle.value_grad(x)
-    else:
-        f_val, grad = oracle.value(x), None
-    return f_val + float(problem.nonsmooth_value(x)), grad
+class _CyclicOrder(_FullOrder):
+    """Epoch k moves every block in turn with gamma_{k,i} = 2(1-beta_k)c/L_i.
+
+    A move is measured per block, and the lyapunov and slack formulas
+    weight each block by its own stepsize.
+    """
+
+    variant = "cyclic"
+    extra = ("block_step_sq",)
+
+    def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
+        super().__init__(problem, schedule)
+        self.m = problem.n_blocks
+        self.L_blocks = np.asarray(problem.block_lipschitz, dtype=float)
+        self.L_min = float(self.L_blocks.min())
+        self.step_sq0 = np.zeros(self.m)
+
+    def params(self, k: int):
+        beta = beta_at(self.schedule, k)
+        return beta, 2.0 * (1.0 - beta) * self.c / self.L_blocks
+
+    def step(self, state, beta, gammas, oracle):
+        x = state.x_curr
+        x_next = cyclic_epoch(self.problem, state, gammas, np.full(self.m, beta), oracle)
+        # d @ d, not sum(d**2): keeps the m = 1 trace bit-identical to the
+        # full order, which uses the dot-product form
+        return x_next, np.array([float((x_next[ix] - x[ix]) @ (x_next[ix] - x[ix]))
+                                 for ix in self.problem.block_index_arrays])
+
+    def entry(self, prev, F_val, sb, beta, gammas):
+        deltas = 0.5 * (1.0 / gammas - self.L_blocks / 2.0)
+        xi = F_val + float((deltas * sb).sum()) - self.f_star
+        s = float(sb.sum())
+        if prev is None:
+            return xi, s, 0.0, sb
+        Fp, sbp, bp, gp = prev
+        return xi, s, ((Fp + float((bp / (2.0 * gp) * sbp).sum()))
+                       - (F_val + float((beta / (2.0 * gammas) * sb).sum()))
+                       - (1.0 - self.c) * self.L_min / (2.0 * self.c) * s), sb
+
+
+class _StochasticOrder(_FullOrder):
+    """Step k moves one uniformly drawn block with
+    gamma_k = 2(1-beta_k/sqrt(m))c/L, or in the fixed-gamma regime with
+    (beta_fixed, fixed_gamma); m steps make one epoch."""
+
+    variant = "stochastic"
+    extra = ("chosen_blocks", "step_sq_running_min")
+
+    def __init__(self, problem: CompositeProblem, schedule: ParamSchedule,
+                 seed: int, beta_fixed):
+        super().__init__(problem, schedule)
+        self.m = self.epoch = problem.n_blocks
+        self.root_m = math.sqrt(self.m)
+        self.fixed = schedule.fixed_gamma
+        self.beta_fixed = beta_fixed
+        self.rng = SplitMix64(seed)
+        self.chosen = -1  # the block whose move led to the current iterate
+        self.run_min = math.inf
+        self.meta = {"seed": seed, "fixed_gamma": self.fixed}
+
+    def params(self, k: int):
+        if self.fixed is not None:
+            return self.beta_fixed, self.fixed
+        beta = beta_at(self.schedule, k)
+        return beta, gamma_stochastic(beta, self.c, self.L, self.m)
+
+    def step(self, state, beta, gamma, oracle):
+        x_next, self.chosen = stochastic_step(self.problem, state, gamma, beta,
+                                              self.rng, oracle)
+        d = x_next - state.x_curr
+        s = float(d @ d)
+        self.run_min = min(self.run_min, s)
+        return x_next, s
+
+    def entry(self, prev, F_val, s, beta, gamma):
+        return (_FullOrder.entry(self, prev, F_val, s, beta, gamma)
+                + (self.chosen, self.run_min))
 
 
 def _residual_sq(problem, x, grad, gamma_audit) -> float:
@@ -263,10 +365,63 @@ def _residual_sq(problem, x, grad, gamma_audit) -> float:
     return float(s @ s)
 
 
-def _f_star_shift(problem) -> float:
-    # Lyapunov values are reported relative to min F when it is known;
-    # otherwise the column is left unshifted and meta records that.
-    return problem.f_star if problem.f_star is not None else 0.0
+def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
+    # The one run loop: F, the divergence guard, the residual and the entry
+    # at x^k, then the order's step into x^{k+1}.
+    x0 = np.asarray(x0, dtype=float)
+    g_audit = 1.0 / problem.lipschitz_L
+    b = _Builder(cfg.keep_iterates, order.extra)
+
+    oracle = oracle_state(problem)
+    stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
+    x_prev = x0.copy()
+    x = x0.copy()
+    s = order.step_sq0
+    prev = None  # (F, s, beta, gamma) of the previous iterate
+    F0 = None
+    k = 0
+    while True:
+        beta, gamma = order.params(k)
+        want_entry = (k % record_every == 0) or (k == max_iters)
+        need_grad = want_entry or stop_tol > 0.0
+        if need_grad or k % order.epoch == 0:
+            oracle.refresh(x)
+        if need_grad:
+            F_val, grad = oracle.value_grad(x)
+        else:
+            F_val = oracle.value(x)
+        F_val += float(problem.nonsmooth_value(x))
+        if F0 is None:
+            F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
+        if not math.isfinite(F_val) or F_val > F_cap:
+            raise DivergenceError(
+                f"objective blew up at iteration {k}: F={F_val!r} from F0={F0!r}",
+                k=k, value=F_val)
+
+        rsq = None
+        if need_grad:
+            _check_grad(grad, k)
+            rsq = _residual_sq(problem, x, grad, g_audit)
+        stopping = stop_tol > 0.0 and rsq <= stop_tol ** 2
+        if want_entry or stopping:
+            b.add(x, k, F_val, rsq, beta, gamma,
+                  *order.entry(prev, F_val, s, beta, gamma))
+        if stopping or k == max_iters:
+            break
+
+        prev = (F_val, s, beta, gamma)
+        x_next, s = order.step(IterateState(x, x_prev, k), beta, gamma, oracle)
+        x_prev, x = x, x_next
+        k += 1
+
+    meta = {
+        "variant": order.variant, "L": problem.lipschitz_L, "c": order.c,
+        "m": order.m, "block_lipschitz": tuple(problem.block_lipschitz),
+        "f_star": problem.f_star, "record_every": cfg.record_every,
+        "stop_tol": cfg.stop_tol, **order.meta,
+        "matvec_equiv": oracle.matvec_equiv,
+    }
+    return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
 
 
 def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,
@@ -274,61 +429,7 @@ def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,
     """Full-vector inertial prox-gradient run with gamma_k = 2(1-beta_k)c/L."""
     if schedule.variant != "full":
         raise ContractViolation("run_inertial needs schedule.variant == 'full'")
-    x0 = np.asarray(x0, dtype=float)
-    L = problem.lipschitz_L
-    c = schedule.c
-    g_audit = 1.0 / L
-    f_star = _f_star_shift(problem)
-    b = _Builder(cfg.keep_iterates)
-
-    oracle = oracle_state(problem)
-    x_prev = x0.copy()
-    x = x0.copy()
-    s = 0.0
-    prev = None  # (F, s, beta, gamma) of the previous iterate
-    F0 = None
-    k = 0
-    while True:
-        oracle.refresh(x)
-        F_val, grad = _values(problem, oracle, x, True)
-        _check_grad(grad, k)
-        beta = beta_at(schedule, k)
-        gamma = gamma_full(beta, c, L)
-        if F0 is None:
-            F0 = F_val
-        _guard(F_val, F0, k)
-
-        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
-        rsq = None
-        if want_entry or cfg.stop_tol > 0.0:
-            rsq = _residual_sq(problem, x, grad, g_audit)
-        stopping = cfg.stop_tol > 0.0 and rsq <= cfg.stop_tol ** 2
-        if want_entry or stopping:
-            slack = 0.0
-            if prev is not None:
-                Fp, sp, bp, gp = prev
-                slack = ((Fp + bp / (2.0 * gp) * sp)
-                         - (F_val + beta / (2.0 * gamma) * s)
-                         - ((1.0 - bp) / gp - L / 2.0) * s)
-            xi = F_val + delta_coeff(gamma, L) * s - f_star
-            b.add(k, F_val, xi, s, rsq, slack, beta, gamma, x=x)
-        if stopping or k == cfg.max_iters:
-            break
-
-        x_next = prox_full(problem, _forward(x, grad, x_prev, gamma, beta), gamma)
-        d = x_next - x
-        s_next = float(d @ d)
-        prev = (F_val, s, beta, gamma)
-        x_prev, x, s = x, x_next, s_next
-        k += 1
-
-    meta = {
-        "variant": "full", "L": L, "c": c, "m": 1,
-        "block_lipschitz": tuple(problem.block_lipschitz),
-        "f_star": problem.f_star, "record_every": cfg.record_every,
-        "stop_tol": cfg.stop_tol, "matvec_equiv": oracle.matvec_equiv,
-    }
-    return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
+    return _run(problem, x0, cfg, _FullOrder(problem, schedule))
 
 
 def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
@@ -341,72 +442,7 @@ def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
     """
     if schedule.variant != "cyclic":
         raise ContractViolation("run_cyclic needs schedule.variant == 'cyclic'")
-    x0 = np.asarray(x0, dtype=float)
-    m = problem.n_blocks
-    L = problem.lipschitz_L
-    L_blocks = np.asarray(problem.block_lipschitz, dtype=float)
-    L_min = float(L_blocks.min())
-    c = schedule.c
-    g_audit = 1.0 / L
-    f_star = _f_star_shift(problem)
-    ix_all = problem.block_index_arrays
-    b = _Builder(cfg.keep_iterates)
-
-    oracle = oracle_state(problem)
-    x_prev = x0.copy()
-    x = x0.copy()
-    sb = np.zeros(m)  # per-block ||x_i^k - x_i^{k-1}||^2
-    prev = None  # (F, sb, beta, gammas) of the previous iterate
-    F0 = None
-    k = 0
-    while True:
-        beta = beta_at(schedule, k)
-        gammas = 2.0 * (1.0 - beta) * c / L_blocks
-        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
-        need_grad = want_entry or cfg.stop_tol > 0.0
-        oracle.refresh(x)  # every epoch starts from a fresh image
-        F_val, grad = _values(problem, oracle, x, need_grad)
-        if F0 is None:
-            F0 = F_val
-        _guard(F_val, F0, k)
-
-        rsq = None
-        if need_grad:
-            _check_grad(grad, k)
-            rsq = _residual_sq(problem, x, grad, g_audit)
-        stopping = cfg.stop_tol > 0.0 and rsq <= cfg.stop_tol ** 2
-        if want_entry or stopping:
-            slack = 0.0
-            if prev is not None:
-                Fp, sbp, bp, gp = prev
-                s_tot = float(sb.sum())
-                slack = ((Fp + float(np.sum(bp / (2.0 * gp) * sbp)))
-                         - (F_val + float(np.sum(beta / (2.0 * gammas) * sb)))
-                         - (1.0 - c) * L_min / (2.0 * c) * s_tot)
-            deltas = 0.5 * (1.0 / gammas - L_blocks / 2.0)
-            xi = F_val + float(np.sum(deltas * sb)) - f_star
-            b.add(k, F_val, xi, float(sb.sum()), rsq, slack, beta, gammas.copy(),
-                  x=x, block_s=sb.copy())
-        if stopping or k == cfg.max_iters:
-            break
-
-        state = IterateState(x, x_prev, k)
-        x_next = cyclic_epoch(problem, state, gammas, np.full(m, beta), oracle)
-        # d @ d, not sum(d**2): keeps the m = 1 trace bit-identical to the
-        # full variant, which uses the dot-product form
-        sb_next = np.array([float((x_next[ix] - x[ix]) @ (x_next[ix] - x[ix]))
-                            for ix in ix_all])
-        prev = (F_val, sb, beta, gammas)
-        x_prev, x, sb = x, x_next, sb_next
-        k += 1
-
-    meta = {
-        "variant": "cyclic", "L": L, "c": c, "m": m,
-        "block_lipschitz": tuple(problem.block_lipschitz),
-        "f_star": problem.f_star, "record_every": cfg.record_every,
-        "stop_tol": cfg.stop_tol, "matvec_equiv": oracle.matvec_equiv,
-    }
-    return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
+    return _run(problem, x0, cfg, _CyclicOrder(problem, schedule))
 
 
 def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
@@ -424,83 +460,14 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
     """
     if schedule.variant != "stochastic":
         raise ContractViolation("run_stochastic needs schedule.variant == 'stochastic'")
-    x0 = np.asarray(x0, dtype=float)
     m = problem.n_blocks
     if schedule.m != m:
         raise ContractViolation(
             f"schedule.m={schedule.m} disagrees with problem blocks m={m}")
-    L = problem.lipschitz_L
-    c = schedule.c
-    root_m = math.sqrt(m)
-    g_audit = 1.0 / L
-    f_star = _f_star_shift(problem)
-    rng = SplitMix64(cfg.seed)
-    b = _Builder(cfg.keep_iterates)
-
-    fixed = schedule.fixed_gamma
     beta_fixed = None
-    if fixed is not None:
+    if schedule.fixed_gamma is not None:
         if problem.nu is None:
             raise ContractViolation("fixed_gamma regime needs problem.nu")
-        beta_fixed = linear_stochastic_beta(fixed, problem.nu, m)
-
-    oracle = oracle_state(problem)
-    x_prev = x0.copy()
-    x = x0.copy()
-    s = 0.0
-    run_min = math.inf
-    prev = None
-    chosen_in = -1
-    F0 = None
-    k = 0
-    while True:
-        if fixed is not None:
-            beta, gamma = beta_fixed, fixed
-        else:
-            beta = beta_at(schedule, k)
-            gamma = gamma_stochastic(beta, c, L, m)
-        want_entry = (k % cfg.record_every == 0) or (k == cfg.max_iters)
-        need_grad = want_entry or cfg.stop_tol > 0.0
-        if need_grad or k % m == 0:  # m steps make one epoch
-            oracle.refresh(x)
-        F_val, grad = _values(problem, oracle, x, need_grad)
-        if F0 is None:
-            F0 = F_val
-        _guard(F_val, F0, k)
-
-        rsq = None
-        if need_grad:
-            _check_grad(grad, k)
-            rsq = _residual_sq(problem, x, grad, g_audit)
-        stopping = cfg.stop_tol > 0.0 and rsq <= cfg.stop_tol ** 2
-        if want_entry or stopping:
-            slack = 0.0
-            if prev is not None:
-                Fp, sp, bp, gp = prev
-                slack = ((Fp + bp / (2.0 * root_m * gp) * sp)
-                         - (F_val + beta / (2.0 * root_m * gamma) * s)
-                         - ((1.0 - bp / root_m) / gp - L / 2.0) * s)
-            xi = F_val + delta_coeff(gamma, L) * s - f_star
-            b.add(k, F_val, xi, s, rsq, slack, beta, gamma, x=x,
-                  chosen=chosen_in, run_min=run_min)
-        if stopping or k == cfg.max_iters:
-            break
-
-        x_next, i = stochastic_step(problem, IterateState(x, x_prev, k),
-                                    gamma, beta, rng, oracle)
-        d = x_next - x
-        s_next = float(d @ d)
-        run_min = min(run_min, s_next)
-        prev = (F_val, s, beta, gamma)
-        chosen_in = i
-        x_prev, x, s = x, x_next, s_next
-        k += 1
-
-    meta = {
-        "variant": "stochastic", "L": L, "c": c, "m": m,
-        "block_lipschitz": tuple(problem.block_lipschitz),
-        "f_star": problem.f_star, "record_every": cfg.record_every,
-        "stop_tol": cfg.stop_tol, "seed": cfg.seed,
-        "fixed_gamma": fixed, "matvec_equiv": oracle.matvec_equiv,
-    }
-    return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
+        beta_fixed = linear_stochastic_beta(schedule.fixed_gamma, problem.nu, m)
+    return _run(problem, x0, cfg,
+                _StochasticOrder(problem, schedule, cfg.seed, beta_fixed))

@@ -12,18 +12,12 @@ byte-identical regardless of platform.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ContractViolation
 
 TRACE_HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
 ODE_HEADER = "t,xi_f,speed_sq,accel_ratio"
-
-
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def write_trace_csv(path, trace) -> None:
@@ -84,18 +78,14 @@ def _write_rows(path, header: str, cols, allow_inf_cols) -> None:
             bad &= ~np.isposinf(vals)
         if np.any(bad):
             raise ContractViolation(f"non-finite value in CSV column {j}")
-    lines = [header]
-    is_k = header.startswith("k,")
-    for r in range(n):
-        fields = []
-        for j, col in enumerate(cols):
-            if j == 0 and is_k:
-                fields.append(str(int(col[r])))
-            else:
-                fields.append(format_float(col[r]))
-        lines.append(",".join(fields))
+    # the k column of a solver trace as an integer, every other value with
+    # 17 significant digits
+    first = "%d" if header.startswith("k,") else "%.17g"
+    row = ",".join([first] + ["%.17g"] * (len(cols) - 1)) + "\n"
+    values = zip(*[np.asarray(col).tolist() for col in cols])
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(row % r for r in values)
 
 
 def read_csv(path) -> dict:

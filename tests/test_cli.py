@@ -132,6 +132,17 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", missing, "--out", out]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {**lasso_cfg(), "x0": {"mode": "gaussian", "scale": float("nan")}},
+    {**lasso_cfg(), "run": {"max_iters": 300, "stop_tol": float("inf")}},
+], ids=["nan-scale", "infinite-stop-tol"])
+def test_non_finite_config_number_is_exit_2(tmp_path, capsys, doc):
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "is not a JSON number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_grid(tmp_path):
     doc = lasso_cfg()
     doc["run"]["max_iters"] = 150

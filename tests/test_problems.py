@@ -8,12 +8,12 @@ from iprox.errors import ContractViolation, UnsupportedOracle
 from iprox.library import InstanceSpec, make_instance
 from iprox.problems import (
     CompositeProblem,
-    block_grad_f,
     check_gradient_fd,
     grad_f,
     kind_oracles,
     make_state,
     objective,
+    oracle_state,
     prox_block,
     prox_full,
     solution_project,
@@ -106,14 +106,18 @@ def test_block_grad_is_slice_of_full():
     rng = np.random.Generator(np.random.PCG64(7))
     x = rng.standard_normal(12)
     full = grad_f(p, x)
+    state = oracle_state(p)
+    state.refresh(x)
     for i, ix in enumerate(p.block_index_arrays):
-        assert np.array_equal(block_grad_f(p, x, i), full[ix])
+        assert np.array_equal(state.block_grad(i, x), full[ix])
 
 
 def test_block_grad_m1_degeneracy():
     p = l1_quadratic()
     x = np.array([0.5, -0.25])
-    assert np.array_equal(block_grad_f(p, x, 0), grad_f(p, x))
+    state = oracle_state(p)
+    state.refresh(x)
+    assert np.array_equal(state.block_grad(0, x), grad_f(p, x))
 
 
 def test_prox_block_zero_identity():
@@ -309,8 +313,6 @@ def test_dimension_mismatch_errors():
         prox_block(p, 0, np.zeros(5), 1.0)
     with pytest.raises(ContractViolation):
         prox_block(p, 0, np.zeros(2), 0.0)
-    with pytest.raises(ContractViolation):
-        block_grad_f(p, np.zeros(2), 1)
 
 
 def test_partition_validation():

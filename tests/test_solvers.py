@@ -4,9 +4,9 @@ import pytest
 import iprox
 from iprox import library
 from iprox.errors import ContractViolation, DivergenceError
-from iprox.problems import CompositeProblem, IterateState
+from iprox.problems import CompositeProblem, IterateState, objective, prox_full
 from iprox.rng import SplitMix64
-from iprox.schedules import beta_at, gamma_full
+from iprox.schedules import beta_at, gamma_full, gamma_stochastic
 from iprox.solvers import (
     RunConfig,
     cyclic_epoch,
@@ -76,18 +76,77 @@ def lasso_problem(seed=9, n=12, m=1):
     return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
 
 
-def test_run_matches_manual_fold():
-    p, x0 = lasso_problem()
-    sched = iprox.ParamSchedule(beta_rule=iprox.DiminishingBeta(1.5), c=0.85,
-                                variant="full")
-    tr = run_inertial(p, sched, x0, RunConfig(max_iters=60))
+def closure_lasso(seed=9, n=6):
+    # a two-block lasso given by closures only (no smooth_model, no
+    # prox_kind), whose gradients are exact at every refresh cadence
+    rng = np.random.default_rng(seed)
+    A, b, lam = rng.standard_normal((3 * n, n)), rng.standard_normal(3 * n), 0.2
+    blocks = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    return CompositeProblem(
+        dim=n, blocks=blocks,
+        smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
+        smooth_grad=lambda x: A.T @ (A @ x - b),
+        lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
+        block_lipschitz=tuple(float(np.linalg.norm(A[:, list(blk)], 2) ** 2)
+                              for blk in blocks),
+        nonsmooth_value=lambda x: lam * float(np.abs(x).sum()),
+        prox=lambda i, v, gamma: np.sign(v) * np.maximum(np.abs(v) - gamma * lam, 0.0),
+    ), rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_run_matches_manual_fold(variant):
+    p, x0 = closure_lasso()
+    c, seed = 0.85, 4
+    sched = iprox.ParamSchedule(beta_rule=iprox.DiminishingBeta(1.5), c=c,
+                                variant=variant, m=2)
+    runner = {"full": run_inertial, "cyclic": run_cyclic,
+              "stochastic": run_stochastic}[variant]
+    tr = runner(p, sched, x0, RunConfig(max_iters=60, seed=seed))
+    rng = SplitMix64(seed)
     x_prev, x = x0.copy(), x0.copy()
+    F = [objective(p, x)]
     for k in range(60):
         beta = beta_at(sched, k)
-        gamma = gamma_full(beta, 0.85, p.lipschitz_L)
-        x, x_prev = inertial_step(p, IterateState(x, x_prev, k), gamma, beta), x
+        state = IterateState(x, x_prev, k)
+        if variant == "full":
+            x_next = inertial_step(p, state, gamma_full(beta, c, p.lipschitz_L), beta)
+        elif variant == "cyclic":
+            gammas = 2.0 * (1.0 - beta) * c / np.asarray(p.block_lipschitz)
+            x_next = cyclic_epoch(p, state, gammas, np.full(2, beta))
+        else:
+            gamma = gamma_stochastic(beta, c, p.lipschitz_L, 2)
+            x_next, _ = stochastic_step(p, state, gamma, beta, rng)
+        x, x_prev = x_next, x
+        F.append(objective(p, x))
     assert np.array_equal(tr.final_state.x_curr, x)
     assert np.array_equal(tr.final_state.x_prev, x_prev)
+    assert np.array_equal(tr.F, F)
+
+
+def test_wrong_shaped_closure_prox_is_rejected():
+    # one value back for a two-coordinate block must not be broadcast
+    p = CompositeProblem(
+        dim=4, blocks=((0, 1), (2, 3)),
+        smooth_value=lambda x: 0.5 * float(x @ x),
+        smooth_grad=lambda x: x.copy(),
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
+        nonsmooth_value=lambda x: 0.0,
+        prox=lambda i, v, g: np.array([v.sum()]),
+    )
+    x0 = np.arange(4.0)
+    with pytest.raises(ContractViolation):
+        prox_full(p, x0, 1.0)
+    for runner, variant in ((run_cyclic, "cyclic"), (run_stochastic, "stochastic")):
+        sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.5,
+                                    variant=variant, m=2)
+        with pytest.raises(ContractViolation):
+            runner(p, sched, x0, RunConfig(max_iters=5))
+    state = IterateState(x0, x0, 0)
+    with pytest.raises(ContractViolation):
+        cyclic_epoch(p, state, np.ones(2), np.zeros(2))
+    with pytest.raises(ContractViolation):
+        stochastic_step(p, state, 1.0, 0.0, SplitMix64(0))
 
 
 def test_first_step_has_no_momentum():

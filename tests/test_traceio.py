@@ -45,8 +45,12 @@ def test_rewrite_is_byte_identical(tmp_path):
 
 @settings(max_examples=60)
 @given(x=st.floats(allow_nan=False, allow_infinity=False))
-def test_format_float_round_trips(x):
-    assert float(traceio.format_float(x)) == x or (x == 0.0)
+def test_written_floats_round_trip(x, tmp_path_factory):
+    tr = small_trace(max_iters=1)
+    tr.F[1] = x
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    traceio.write_trace_csv(path, tr)
+    assert traceio.read_csv(path)["F"][1] == x or (x == 0.0)
 
 
 def test_mean_trace(tmp_path):
