@@ -164,12 +164,11 @@ def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
     stop_tol = _get(section, "stop_tol", "run", float, default=0.0,
                     pred=lambda v: v >= 0, predmsg="stop_tol must be >= 0")
     keep = _get(section, "keep_iterates", "run", bool, default=False)
-    if "squared_lyapunov" in audits:
-        keep = True
     if audits and set(audits) != {"rates"} and record_every != 1:
         raise ConfigError("run.record_every", "inequality audits need record_every = 1")
     return solvers.RunConfig(max_iters=max_iters, record_every=record_every,
-                             stop_tol=stop_tol, keep_iterates=keep)
+                             stop_tol=stop_tol, keep_iterates=keep,
+                             record_dist_sq="squared_lyapunov" in audits)
 
 
 def _validate_audits(cfg: dict, algorithm: str, spec) -> list:

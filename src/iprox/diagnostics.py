@@ -1,11 +1,10 @@
 """Lyapunov evaluation, inequality audits, optimality residuals, rate fits.
 
 Every audit here recomputes its inequality from the recorded trace columns
-(and, where needed, retained iterates) rather than trusting the solver's
-own bookkeeping, so a run and its audit form two independent routes to the
-same quantity.  Audits require traces recorded at every iteration
-(record_every = 1): the per-step inequalities cannot be reconstructed from
-subsampled endpoints.
+rather than trusting the solver's own bookkeeping, so a run and its audit
+form two independent routes to the same quantity.  Audits require traces
+recorded at every iteration (record_every = 1): the per-step inequalities
+cannot be reconstructed from subsampled endpoints.
 
 Tolerance convention: the inequalities are exact in real arithmetic, so
 tests compare audit outputs against small negative thresholds scaled by
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedOracle
-from .problems import CompositeProblem, grad_f, prox_full, solution_project
+from .problems import CompositeProblem, grad_f, prox_full
 from .schedules import delta_coeff, epsilon_coeff
 
 
@@ -153,11 +152,14 @@ def squared_lyapunov_audit(trace, problem: CompositeProblem) -> float:
         xi_{k+1}^2 <= eps_k*(xi_k - xi_{k+1})
                       *(3*||x^{k+1} - xbar^{k+1}||^2 + ||x^k - x^{k-1}||^2)
 
-    Needs retained iterates and a solution_projection oracle.
+    Of the iterates the inequality reads only ||x^k - xbar^k||^2, the
+    trace's dist_sq column (RunConfig.record_dist_sq); the problem must
+    have a solution_projection oracle.
     """
     _require_contiguous(trace)
-    if trace.iterates is None or len(trace.iterates) != len(trace.ks):
-        raise ContractViolation("audit needs a trace with keep_iterates=True")
+    dist2 = trace.dist_sq
+    if dist2 is None or len(dist2) != len(trace.ks):
+        raise ContractViolation("audit needs a trace with record_dist_sq=True")
     if problem.solution_projection is None:
         raise UnsupportedOracle("squared-Lyapunov audit needs solution_projection")
     variant = trace.meta["variant"]
@@ -166,37 +168,41 @@ def squared_lyapunov_audit(trace, problem: CompositeProblem) -> float:
     xi = np.asarray(trace.lyapunov)
     s = np.asarray(trace.step_sq)
     g = np.asarray(trace.gammas)
-    dist2 = np.empty(len(trace.ks))
-    for j, x in enumerate(trace.iterates):
-        xbar = solution_project(problem, x)
-        d = x - xbar
-        dist2[j] = float(d @ d)
+    dist2 = np.asarray(dist2)
+    # np.float_power(xi, 2.0) calls pow() per value as xi**2 does on a
+    # numpy scalar; xi**2 on an array rounds xi*xi, which differs in the
+    # last bit for about one value in a thousand
+    xi_next_sq = np.float_power(xi[1:], 2.0)
+    drop = xi[:-1] - xi[1:]
 
-    worst = 0.0
-    n_steps = len(trace.ks) - 1
     if variant == "full":
-        for j in range(n_steps):
-            delta_next = delta_coeff(g[j + 1], L)
-            eps = epsilon_coeff(g[j], delta_next, c, L)
-            factor = 2.0 * dist2[j + 1] + s[j + 1]
-            slack = eps * (xi[j] - xi[j + 1]) * factor - xi[j + 1] ** 2
-            worst = min(worst, slack)
-        return float(worst)
-    if variant == "cyclic":
+        # the checks of delta_coeff and epsilon_coeff over every step
+        if np.any(g <= 0):
+            raise ContractViolation("delta_coeff needs gamma > 0")
+        if not (0.0 < c < 1.0):
+            raise ContractViolation("epsilon_coeff needs c in (0, 1)")
+        if L <= 0:
+            raise ContractViolation("epsilon_coeff needs L > 0")
+        delta_next = 0.5 * (1.0 / g[1:] - L / 2.0)
+        scale = 4.0 * c / ((1.0 - c) * L)
+        eps = scale * delta_next * delta_next + scale / (g[:-1] * g[:-1])
+        factor = 2.0 * dist2[1:] + s[1:]
+    elif variant == "cyclic":
         L_blocks = np.asarray(trace.meta["block_lipschitz"], dtype=float)
         L_min = float(L_blocks.min())
         scale = 4.0 * c / ((1.0 - c) * L_min)
-        for j in range(n_steps):
-            deltas_next = 0.5 * (1.0 / g[j + 1] - L_blocks / 2.0)
-            eps = scale * max(
-                float(np.sum(deltas_next ** 2 + L_blocks ** 2)),
-                float(np.sum(1.0 / g[j] ** 2)),
-            )
-            factor = 3.0 * dist2[j + 1] + s[j]
-            slack = eps * (xi[j] - xi[j + 1]) * factor - xi[j + 1] ** 2
-            worst = min(worst, slack)
-        return float(worst)
-    raise ContractViolation("squared-Lyapunov audit applies to full or cyclic runs")
+        deltas_next = 0.5 * (1.0 / g[1:] - L_blocks / 2.0)
+        a = np.sum(deltas_next ** 2 + L_blocks ** 2, axis=1)
+        b = np.sum(1.0 / g[:-1] ** 2, axis=1)
+        eps = scale * np.where(b > a, b, a)  # max(a, b) as Python takes it
+        factor = 3.0 * dist2[1:] + s[:-1]
+    else:
+        raise ContractViolation("squared-Lyapunov audit applies to full or cyclic runs")
+    slack = eps * drop * factor - xi_next_sq
+    # min(0.0, slack_0, slack_1, ...) as Python's min takes it: NaN slacks
+    # are passed over, and 0.0 is returned when no slack is below it
+    worst = float(np.fmin.reduce(slack, initial=0.0))
+    return worst if worst < 0.0 else 0.0
 
 
 def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e-14) -> dict:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedOracle
-from .prox import ProxKind, prox_apply, prox_value
+from .prox import ProxKind, _apply_kind, prox_apply, prox_value
 
 Vector = np.ndarray
 LOSSES = ("squares", "logistic", "quadratic")
@@ -290,8 +290,13 @@ def prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Ve
     v = np.asarray(v, dtype=float)
     if v.shape != (len(problem.blocks[i]),):
         raise ContractViolation("prox input has wrong block dimension")
+    return _prox_block(problem, i, v, gamma)
+
+
+def _prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Vector:
+    # prox_block once i, v and gamma are checked
     if problem.prox_kind is not None:
-        return prox_apply(problem.prox_kind, v, gamma)
+        return _apply_kind(problem.prox_kind, v, gamma)
     out = np.asarray(problem.prox(i, v, gamma), dtype=float)
     if out.shape != v.shape:
         raise ContractViolation("prox oracle returned a wrong-shaped vector")
@@ -302,18 +307,19 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     """Blockwise prox of the separable g with one shared stepsize.
 
     A coordinate-separable prox_kind acts on the whole vector in one call,
-    which equals the blockwise calls bit for bit; any other g goes through
-    :func:`prox_block` block by block.
+    which equals the blockwise calls bit for bit; any other g is applied
+    block by block as in :func:`prox_block`.  v and gamma are checked once
+    here, not again per block or by the kind.
     """
     v = _check_dim(problem, v)
     if gamma <= 0:
         raise ContractViolation("prox stepsize must be > 0")
     kind = problem.prox_kind
     if kind is not None and kind.separable:
-        return prox_apply(kind, v, gamma)
+        return _apply_kind(kind, v, gamma)
     out = np.empty_like(v)
     for i, ix in enumerate(problem.block_index_arrays):
-        out[ix] = prox_block(problem, i, v[ix], gamma)
+        out[ix] = _prox_block(problem, i, v[ix], gamma)
     return out
 
 

@@ -14,7 +14,10 @@ def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     """Prox of tau*||.||_1: per coordinate sign(v)*max(|v|-tau, 0)."""
     if tau < 0:
         raise ContractViolation("soft_threshold needs tau >= 0")
-    v = np.asarray(v, dtype=float)
+    return _soft_threshold(np.asarray(v, dtype=float), tau)
+
+
+def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
@@ -25,6 +28,10 @@ def project_box(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     hi = np.asarray(hi, dtype=float)
     if np.any(lo > hi):
         raise ContractViolation("project_box needs lo <= hi elementwise")
+    return _project_box(v, lo, hi)
+
+
+def _project_box(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(v, lo), hi)
 
 
@@ -32,7 +39,10 @@ def group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
     """Prox of tau*||.||_2 on one block: v*max(1 - tau/||v||, 0), 0 at v=0."""
     if tau < 0:
         raise ContractViolation("group_shrink needs tau >= 0")
-    v = np.asarray(v, dtype=float)
+    return _group_shrink(np.asarray(v, dtype=float), tau)
+
+
+def _group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         # removable singularity: the prox objective's unique minimizer is 0
@@ -88,15 +98,21 @@ def prox_apply(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
     """Evaluate prox_{gamma*g}(v) for the tagged g."""
     if gamma <= 0:
         raise ContractViolation("prox stepsize must be > 0")
-    v = np.asarray(v, dtype=float)
+    return _apply_kind(kind, np.asarray(v, dtype=float), gamma)
+
+
+def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
+    """prox_apply for a caller that has already checked its input: v a
+    float vector and gamma > 0.  The kind's parameters were checked by its
+    constructor, so nothing is validated again."""
     if kind.tag == "zero":
         return v.copy()
     if kind.tag == "l1":
-        return soft_threshold(v, gamma * kind.lam)
+        return _soft_threshold(v, gamma * kind.lam)
     if kind.tag == "box":
-        return project_box(v, kind.lo, kind.hi)
+        return _project_box(v, kind.lo, kind.hi)
     if kind.tag == "group_l2":
-        return group_shrink(v, gamma * kind.lam)
+        return _group_shrink(v, gamma * kind.lam)
     raise ContractViolation(f"unknown prox tag {kind.tag!r}")
 
 

@@ -35,6 +35,7 @@ inputs are immutable and per-run state is private.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,8 +69,11 @@ class RunConfig:
 
     stop_tol is an absolute threshold on ||S_{1/L}(x^k)||; 0 disables early
     stopping.  seed drives block selection in the stochastic variant only.
-    keep_iterates retains a copy of x^k per recorded entry (dense-record
-    mode needed by the squared-Lyapunov audit).
+    record_dist_sq records dist(x^k, argmin F)^2 per entry in Trace.dist_sq,
+    the one quantity of the iterates the squared-Lyapunov audit reads; it
+    needs a problem with a solution_projection.  keep_iterates retains a
+    copy of x^k per recorded entry, which costs n floats per entry; on a
+    problem with a solution_projection it implies record_dist_sq.
     """
 
     max_iters: int
@@ -77,6 +81,7 @@ class RunConfig:
     stop_tol: float = 0.0
     seed: int = 0
     keep_iterates: bool = False
+    record_dist_sq: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -96,7 +101,10 @@ class Trace:
     step_sq_running_min are stochastic-only (block/-1 and running minimum
     over all steps taken so far; +inf in the k=0 slot where no step
     exists).  descent_slack[j] is the slack of the descent inequality for
-    the transition into iterate ks[j] (0.0 at k=0).
+    the transition into iterate ks[j] (0.0 at k=0).  dist_sq holds
+    dist(x^k, argmin F)^2 per entry when the run recorded it (see
+    RunConfig.record_dist_sq), else None; like block_step_sq it is not
+    written to the trace CSVs.
     """
 
     ks: np.ndarray
@@ -112,30 +120,55 @@ class Trace:
     block_step_sq: Optional[np.ndarray] = None
     chosen_blocks: Optional[np.ndarray] = None
     step_sq_running_min: Optional[np.ndarray] = None
+    dist_sq: Optional[np.ndarray] = None
     iterates: Optional[list] = field(default=None, repr=False)
 
 
 _COLUMNS = ("ks", "F", "residual_sq", "betas", "gammas", "lyapunov", "step_sq",
             "descent_slack")
-_INT_COLUMNS = {"ks": np.int64, "chosen_blocks": np.int64}
+_INT_COLUMNS = ("ks", "chosen_blocks")
+_PACK_ROWS = 256
 
 
 class _Builder:
-    def __init__(self, keep_iterates: bool, extra: tuple):
-        # the common columns, then the order's extra Trace fields
-        self.columns = {name: [] for name in _COLUMNS + extra}
-        self.lists = tuple(self.columns.values())
+    """Collects a run's entries into array('q') (ks, chosen_blocks) and
+    array('d') buffers, 8 bytes a value.  Entries are packed every
+    _PACK_ROWS, so only the ones since the last packing are held as Python
+    objects.  A column whose first value is a vector (the cyclic gammas and
+    block_step_sq) takes vectors of that length and builds an (entries, m)
+    array."""
+
+    def __init__(self, names: tuple, keep_iterates: bool):
+        self.names = names
+        self.buffers = tuple(array("q" if name in _INT_COLUMNS else "d")
+                             for name in names)
+        self.widths = None  # per column: 0 for scalars, else the vector length
+        self.rows = []
         self.iterates = [] if keep_iterates else None
 
-    def add(self, x, *values):
-        for col, v in zip(self.lists, values):
-            col.append(v)
+    def add(self, values: tuple, x):
+        self.rows.append(values)
+        if len(self.rows) == _PACK_ROWS:
+            self._pack()
         if self.iterates is not None:
             self.iterates.append(x.copy())
 
+    def _pack(self):
+        if self.widths is None:
+            self.widths = tuple(np.size(v) if np.ndim(v) else 0 for v in self.rows[0])
+        for buf, w, col in zip(self.buffers, self.widths, zip(*self.rows)):
+            if w:
+                buf.frombytes(np.array(col, dtype=float).tobytes())
+            else:
+                buf.extend(col)
+        self.rows = []
+
     def build(self, final_state, meta) -> Trace:
-        arrays = {name: np.asarray(vals, dtype=_INT_COLUMNS.get(name, float))
-                  for name, vals in self.columns.items()}
+        self._pack()
+        arrays = {}
+        for name, buf, w in zip(self.names, self.buffers, self.widths):
+            col = np.frombuffer(buf, dtype=np.int64 if buf.typecode == "q" else float)
+            arrays[name] = col.reshape(-1, w) if w else col
         return Trace(**arrays, final_state=final_state, meta=meta,
                      iterates=self.iterates)
 
@@ -267,7 +300,7 @@ class _FullOrder:
     def step(self, state, beta, gamma, oracle):
         x_next = inertial_step(self.problem, state, gamma, beta, oracle)
         d = x_next - state.x_curr
-        return x_next, float(d @ d)
+        return x_next, float(d.dot(d))
 
     def entry(self, prev, F_val, s, beta, gamma):
         xi = F_val + delta_coeff(gamma, self.L) * s - self.f_star
@@ -351,7 +384,7 @@ class _StochasticOrder(_FullOrder):
         x_next, self.chosen = stochastic_step(self.problem, state, gamma, beta,
                                               self.rng, oracle)
         d = x_next - state.x_curr
-        s = float(d @ d)
+        s = float(d.dot(d))
         self.run_min = min(self.run_min, s)
         return x_next, s
 
@@ -361,8 +394,10 @@ class _StochasticOrder(_FullOrder):
 
 
 def _residual_sq(problem, x, grad, gamma_audit) -> float:
+    # s.dot(s) is the product s @ s computes, bit for bit, with less call
+    # overhead; the loop takes its squared norms this way
     s = x - prox_full(problem, x - gamma_audit * grad, gamma_audit)
-    return float(s @ s)
+    return float(s.dot(s))
 
 
 def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
@@ -370,7 +405,12 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     # at x^k, then the order's step into x^{k+1}.
     x0 = np.asarray(x0, dtype=float)
     g_audit = 1.0 / problem.lipschitz_L
-    b = _Builder(cfg.keep_iterates, order.extra)
+    project = problem.solution_projection
+    if cfg.record_dist_sq and project is None:
+        raise ContractViolation("record_dist_sq needs a problem with solution_projection")
+    record_dist = project is not None and (cfg.record_dist_sq or cfg.keep_iterates)
+    b = _Builder(_COLUMNS + order.extra + (("dist_sq",) if record_dist else ()),
+                 cfg.keep_iterates)
 
     oracle = oracle_state(problem)
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
@@ -404,8 +444,11 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
             rsq = _residual_sq(problem, x, grad, g_audit)
         stopping = stop_tol > 0.0 and rsq <= stop_tol ** 2
         if want_entry or stopping:
-            b.add(x, k, F_val, rsq, beta, gamma,
-                  *order.entry(prev, F_val, s, beta, gamma))
+            values = (k, F_val, rsq, beta, gamma, *order.entry(prev, F_val, s, beta, gamma))
+            if record_dist:
+                d = x - np.asarray(project(x), dtype=float)
+                values += (float(d.dot(d)),)
+            b.add(values, x)
         if stopping or k == max_iters:
             break
 

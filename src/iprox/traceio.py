@@ -18,6 +18,7 @@ from .errors import ContractViolation
 
 TRACE_HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
 ODE_HEADER = "t,xi_f,speed_sq,accel_ratio"
+_CHUNK_ROWS = 512
 
 
 def write_trace_csv(path, trace) -> None:
@@ -82,10 +83,14 @@ def _write_rows(path, header: str, cols, allow_inf_cols) -> None:
     # 17 significant digits
     first = "%d" if header.startswith("k,") else "%.17g"
     row = ",".join([first] + ["%.17g"] * (len(cols) - 1)) + "\n"
-    values = zip(*[np.asarray(col).tolist() for col in cols])
+    cols = [np.asarray(col) for col in cols]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % r for r in values)
+        # a chunk of rows at a time, so the Python values and the formatted
+        # lines held at once do not grow with the trace
+        for lo in range(0, n, _CHUNK_ROWS):
+            values = zip(*[col[lo:lo + _CHUNK_ROWS].tolist() for col in cols])
+            fh.writelines(row % r for r in values)
 
 
 def read_csv(path) -> dict:

@@ -406,3 +406,36 @@ def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):
     runs = json.loads((out / "sweep_summary.json").read_text())["runs"]
     assert runs["c0.9_beta0.3"]["status"] == "ok"
     assert runs["c0.9_beta0.6"]["status"] == "error: OSError: disk full"
+
+
+def test_squared_lyapunov_run_keeps_no_iterates(tmp_path, monkeypatch):
+    # the audit reads a recorded dist^2 column, so a CLI run with it peaks
+    # near a run without it; retained iterates would add 2,001 x 200 floats
+    import tracemalloc
+
+    seen = []
+    real = iprox.solvers.run_inertial
+
+    def runner(problem, schedule, x0, cfg):
+        seen.append(cfg)
+        return real(problem, schedule, x0, cfg)
+
+    monkeypatch.setattr(iprox.solvers, "run_inertial", runner)
+    peaks = {}
+    for audits in (["descent", "lyapunov"], ["descent", "lyapunov", "squared_lyapunov"]):
+        doc = lasso_cfg(instance={"kind": "lasso", "n": 200, "rows": 400,
+                                  "reg_lambda": 0.2, "m": 1, "seed": 3},
+                        run={"max_iters": 2000}, audits=audits)
+        out = tmp_path / str(len(audits))
+        cfg_path = write_cfg(tmp_path, doc, f"{len(audits)}.json")
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+            peaks[len(audits)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[3] <= 1.10 * peaks[2], peaks
+    assert [c.keep_iterates for c in seen] == [False, False]
+    assert [c.record_dist_sq for c in seen] == [False, True]
+    summary = json.loads((tmp_path / "3" / "summary.json").read_text())
+    assert summary["audits"]["squared_lyapunov"]["max_violation"] <= 0.0

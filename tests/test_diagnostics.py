@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import iprox
 from iprox import diagnostics, library, reference
 from iprox.errors import ContractViolation, UnsupportedOracle
-from iprox.problems import IterateState
+from iprox.problems import IterateState, solution_project
+from iprox.schedules import delta_coeff, epsilon_coeff
 from iprox.solvers import Trace
 
 
@@ -129,6 +132,98 @@ def test_squared_lyapunov_rejects_stochastic():
                                 variant="stochastic", m=2)
     tr = iprox.run_stochastic(p, sched, x0,
                               iprox.RunConfig(max_iters=20, seed=0, keep_iterates=True))
+    with pytest.raises(ContractViolation):
+        diagnostics.squared_lyapunov_audit(tr, p)
+
+
+def squared_lyapunov_by_loop(trace, problem):
+    # the audit as a loop over retained iterates, each projected in turn;
+    # the column audit must give the same bits
+    xi, s, g = trace.lyapunov, trace.step_sq, trace.gammas
+    c, L = trace.meta["c"], trace.meta["L"]
+    dist2 = np.empty(len(trace.ks))
+    for j, x in enumerate(trace.iterates):
+        d = x - solution_project(problem, x)
+        dist2[j] = float(d @ d)
+    worst = 0.0
+    for j in range(len(trace.ks) - 1):
+        if trace.meta["variant"] == "full":
+            eps = epsilon_coeff(g[j], delta_coeff(g[j + 1], L), c, L)
+            factor = 2.0 * dist2[j + 1] + s[j + 1]
+        else:
+            L_blocks = np.asarray(trace.meta["block_lipschitz"], dtype=float)
+            deltas_next = 0.5 * (1.0 / g[j + 1] - L_blocks / 2.0)
+            eps = 4.0 * c / ((1.0 - c) * float(L_blocks.min())) * max(
+                float(np.sum(deltas_next ** 2 + L_blocks ** 2)),
+                float(np.sum(1.0 / g[j] ** 2)))
+            factor = 3.0 * dist2[j + 1] + s[j]
+        slack = eps * (xi[j] - xi[j + 1]) * factor - xi[j + 1] ** 2
+        worst = min(worst, slack)
+    return float(worst)
+
+
+def desk_lasso_run(**cfg):
+    # the benchmark's desk-lasso configuration, at 2,000 iterations
+    spec = iprox.InstanceSpec(kind="lasso", n=50, rows=200, reg_lambda=0.1, m=1, seed=1)
+    p = library.make_instance(spec)
+    p = reference.with_reference(p, reference.solve_reference(p, tol=1e-12))
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="full")
+    x0 = library.start_point(spec, "zeros")
+    return p, iprox.run_inertial(p, sched, x0, iprox.RunConfig(max_iters=2000, **cfg))
+
+
+def criterion_5_run(**cfg):
+    spec = iprox.InstanceSpec(kind="lasso", n=48, rows=150, reg_lambda=0.1, m=4, seed=0)
+    p = library.make_instance(spec)
+    p = reference.with_reference(p, reference.solve_reference(p, tol=1e-12))
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
+                                variant="cyclic", m=4)
+    x0 = library.start_point(spec, "zeros")
+    return p, iprox.run_cyclic(p, sched, x0, iprox.RunConfig(max_iters=2000, **cfg))
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("run", [desk_lasso_run, criterion_5_run])
+def test_squared_lyapunov_column_audit_equals_iterate_loop(run):
+    p, kept = run(keep_iterates=True)
+    p, lean = run(record_dist_sq=True)
+    assert lean.iterates is None
+    assert np.array_equal(lean.dist_sq, kept.dist_sq)
+    want = squared_lyapunov_by_loop(kept, p)
+    assert bits(diagnostics.squared_lyapunov_audit(kept, p)) == bits(want)
+    assert bits(diagnostics.squared_lyapunov_audit(lean, p)) == bits(want)
+    # step by step: with the lyapunov column reversed most steps violate,
+    # and a two-entry window's audit is then that step's slack
+    rising = dataclasses.replace(kept, lyapunov=kept.lyapunov[::-1].copy())
+    violated = 0
+    for j in range(len(kept.ks) - 1):
+        window = dataclasses.replace(
+            rising, **{name: getattr(rising, name)[j:j + 2]
+                       for name in ("ks", "lyapunov", "step_sq", "gammas",
+                                    "dist_sq", "iterates")})
+        want = squared_lyapunov_by_loop(window, p)
+        violated += want < 0.0
+        assert bits(diagnostics.squared_lyapunov_audit(window, p)) == bits(want), j
+    assert violated > 0.5 * len(kept.ks)
+
+
+def test_squared_lyapunov_audit_takes_python_min_semantics():
+    # NaN slacks are passed over and no violation reads as +0.0
+    tr = fake_full_trace([0, 1, 2, 3], [1.0] * 4, [0.0] * 4,
+                         lyap=[0.0, 0.0, np.nan, 0.0])
+    p = library.make_instance(iprox.InstanceSpec(kind="quadratic", n=2,
+                                                 conditioning=2.0, seed=0))
+    tr.dist_sq = np.zeros(4)  # every iterate at the minimizer
+    tr.iterates = [p.solution_projection(np.zeros(2))] * 4
+    assert bits(diagnostics.squared_lyapunov_audit(tr, p)) == bits(0.0)
+    tr.lyapunov = np.array([1.0, 2.0, np.nan, 3.0])
+    got = diagnostics.squared_lyapunov_audit(tr, p)
+    assert bits(got) == bits(squared_lyapunov_by_loop(tr, p))
+    assert got == -4.0  # the step 0 -> 1; the steps through NaN are passed over
+    tr.gammas[2] = 0.0
     with pytest.raises(ContractViolation):
         diagnostics.squared_lyapunov_audit(tr, p)
 

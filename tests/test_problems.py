@@ -344,3 +344,54 @@ def test_make_state_defaults_prev_to_start():
     st = make_state(p, np.array([1.0, 2.0]))
     assert np.array_equal(st.x_curr, st.x_prev)
     assert st.k == 0
+
+
+def two_block_problem(kind):
+    # g described by a kind (separable or not), or by a closure alone
+    oracles = kind_oracles(kind) if kind is not None else dict(
+        nonsmooth_value=lambda x: prox_value(ProxKind.l1(0.5), x),
+        prox=lambda i, v, gamma: prox_apply(ProxKind.l1(0.5), v, gamma))
+    return CompositeProblem(
+        dim=4, blocks=((0, 1), (2, 3)),
+        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), **oracles)
+
+
+@pytest.mark.parametrize("kind", [ProxKind.l1(0.5), ProxKind.zero(),
+                                  ProxKind.group_l2(0.5), ProxKind.box(-1.0, 1.0), None],
+                         ids=["l1", "zero", "group_l2", "box", "closure"])
+def test_every_prox_entry_point_rejects_bad_input(kind):
+    p = two_block_problem(kind)
+    v = np.array([2.0, -0.5, 0.3, 0.0])
+    for gamma in (0.0, -1.0):
+        with pytest.raises(ContractViolation):
+            prox_full(p, v, gamma)
+        with pytest.raises(ContractViolation):
+            prox_block(p, 1, v[2:], gamma)
+        if kind is not None:
+            with pytest.raises(ContractViolation):
+                prox_apply(kind, v, gamma)
+    with pytest.raises(ContractViolation):
+        prox_full(p, v[:3], 1.0)
+    with pytest.raises(ContractViolation):
+        prox_full(p, v.reshape(2, 2), 1.0)
+    with pytest.raises(ContractViolation):
+        prox_block(p, 0, v[:3], 1.0)
+    with pytest.raises(ContractViolation):
+        prox_block(p, 2, v[:2], 1.0)
+    # checked once, applied unchecked: the same bits as the checked kind
+    want = np.concatenate([prox_block(p, 0, v[:2], 0.7), prox_block(p, 1, v[2:], 0.7)])
+    assert np.array_equal(prox_full(p, v, 0.7), want)
+    if kind is not None:
+        for i, ix in enumerate(p.block_index_arrays):
+            assert np.array_equal(prox_block(p, i, v[ix], 0.7), prox_apply(kind, v[ix], 0.7))
+
+
+def test_public_prox_operators_keep_their_checks():
+    from iprox.prox import group_shrink, project_box, soft_threshold
+    with pytest.raises(ContractViolation):
+        soft_threshold(np.ones(2), -0.1)
+    with pytest.raises(ContractViolation):
+        group_shrink(np.ones(2), -0.1)
+    with pytest.raises(ContractViolation):
+        project_box(np.ones(2), 1.0, -1.0)

@@ -342,3 +342,71 @@ def test_run_config_validation():
         RunConfig(max_iters=10, record_every=0)
     with pytest.raises(ContractViolation):
         RunConfig(max_iters=10, stop_tol=-1.0)
+
+
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_dist_sq_column_records_distance_to_solution_set(variant):
+    spec = iprox.InstanceSpec(kind="quadratic", n=12, conditioning=8.0, m=3, seed=4)
+    p = library.make_instance(spec)
+    x0 = library.start_point(spec, "gaussian", 1.0)
+    runner = {"full": run_inertial, "cyclic": run_cyclic,
+              "stochastic": run_stochastic}[variant]
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8, variant=variant,
+                                m=3 if variant == "stochastic" else 1)
+    plain = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4))
+    assert plain.dist_sq is None
+    lean = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4,
+                                          record_dist_sq=True))
+    kept = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4,
+                                          keep_iterates=True))
+    assert lean.iterates is None
+    want = [float((x - p.solution_projection(x)) @ (x - p.solution_projection(x)))
+            for x in kept.iterates]
+    assert np.array_equal(lean.dist_sq, want)
+    assert np.array_equal(kept.dist_sq, want)
+    # recording it leaves every other column as it was
+    for name in ("ks", "F", "lyapunov", "step_sq", "residual_sq", "descent_slack",
+                 "betas", "gammas", "block_step_sq", "chosen_blocks",
+                 "step_sq_running_min"):
+        a, b = getattr(plain, name), getattr(lean, name)
+        assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+def test_record_dist_sq_needs_a_solution_projection():
+    p, x0 = lasso_problem()
+    assert p.solution_projection is None
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="full")
+    with pytest.raises(ContractViolation):
+        run_inertial(p, sched, x0, RunConfig(max_iters=5, record_dist_sq=True))
+    # retained iterates alone need no projection, and record no distances
+    tr = run_inertial(p, sched, x0, RunConfig(max_iters=5, keep_iterates=True))
+    assert tr.dist_sq is None and len(tr.iterates) == 6
+
+
+def test_packed_columns_have_the_trace_dtypes_and_shapes():
+    p, x0 = lasso_problem(m=3)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="cyclic")
+    tr = run_cyclic(p, sched, x0, RunConfig(max_iters=7))
+    assert tr.ks.dtype == np.int64 and tr.F.dtype == np.float64
+    assert tr.gammas.shape == (8, 3) and tr.block_step_sq.shape == (8, 3)
+    assert np.array_equal(tr.gammas[2], 2.0 * 0.5 * 0.9 / np.asarray(p.block_lipschitz))
+    assert np.array_equal(tr.step_sq, tr.block_step_sq.sum(axis=1))
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9,
+                                variant="stochastic", m=3)
+    tr = run_stochastic(p, sched, x0, RunConfig(max_iters=7, seed=2))
+    assert tr.chosen_blocks.dtype == np.int64 and tr.chosen_blocks[0] == -1
+    assert tr.gammas.shape == (8,)
+    tr.F[0] = 0.0  # the columns are writable arrays
+
+
+@pytest.mark.parametrize("entries", [2, 255, 256, 257, 513])
+def test_packing_boundaries_keep_every_entry(entries):
+    # a run ending just before, at or after a packing boundary records the
+    # same entries as the head of a longer run
+    from iprox.solvers import _PACK_ROWS
+    p, x0 = lasso_problem(m=3)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="cyclic")
+    long = run_cyclic(p, sched, x0, RunConfig(max_iters=2 * _PACK_ROWS + 9))
+    short = run_cyclic(p, sched, x0, RunConfig(max_iters=entries - 1))
+    for name in ("ks", "F", "gammas", "block_step_sq", "descent_slack"):
+        assert np.array_equal(getattr(short, name), getattr(long, name)[:entries]), name

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,3 +106,24 @@ def test_ode_csv_allows_inf_ratio_only(tmp_path):
 def test_read_csv_missing_file():
     with pytest.raises(OSError):
         traceio.read_csv("/nonexistent/path/trace.csv")
+
+
+def test_chunked_write_equals_one_shot_formatting(tmp_path):
+    # a trace of more than two chunks, with signed zeros, tiny, large and
+    # subnormal values, must give the bytes of formatting every row at once
+    n = 2 * traceio._CHUNK_ROWS + 123
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 1e-20, -1e-20, 1e4, -1e4, 5e-324, 1.0 / 3.0])
+    cols = [np.where(rng.random(n) < 0.3, rng.choice(special, n),
+                     rng.standard_normal(n) * 10.0 ** rng.integers(-20, 5, n))
+            for _ in range(5)]
+    tr = types.SimpleNamespace(ks=np.arange(n, dtype=np.int64), F=cols[0],
+                               lyapunov=cols[1], step_sq=cols[2],
+                               residual_sq=cols[3], descent_slack=cols[4])
+    path = tmp_path / "long.csv"
+    traceio.write_trace_csv(path, tr)
+    want = traceio.TRACE_HEADER + "\n" + "".join(
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (k, *vals)
+        for k, *vals in zip(tr.ks.tolist(), *[c.tolist() for c in cols]))
+    assert path.read_bytes() == want.encode()
+    assert b"-0," in path.read_bytes() and b"1e-20" in path.read_bytes()
