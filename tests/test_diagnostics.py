@@ -226,6 +226,41 @@ def test_squared_lyapunov_audit_takes_python_min_semantics():
     tr.gammas[2] = 0.0
     with pytest.raises(ContractViolation):
         diagnostics.squared_lyapunov_audit(tr, p)
+    # a single slack of -0.0 is no violation: +0.0, as min(0.0, -0.0) gives
+    one = fake_full_trace([0, 1], [1.0, 1.0], [0.0, -1.0], lyap=[0.0, 0.0])
+    one.dist_sq, one.iterates = np.zeros(2), tr.iterates[:2]
+    assert bits(squared_lyapunov_by_loop(one, p)) == bits(0.0)
+    assert bits(diagnostics.squared_lyapunov_audit(one, p)) == bits(0.0)
+
+
+def test_squared_lyapunov_audit_cyclic_takes_python_max():
+    # eps takes max(a, b) as Python does: a NaN b leaves a, so the step
+    # still counts, where np.maximum would make its slack NaN
+    p = library.make_instance(iprox.InstanceSpec(kind="quadratic", n=4, conditioning=2.0,
+                                                 m=2, seed=0))
+    tr = fake_full_trace([0, 1], [1.0, 1.0], [0.0, 0.5], lyap=[1.0, 2.0])
+    tr.meta.update(variant="cyclic", block_lipschitz=(1.0, 1.0))
+    tr.gammas = np.array([[np.nan, 1.0], [1.0, 1.0]])
+    tr.dist_sq = np.zeros(2)
+    tr.iterates = [p.solution_projection(np.zeros(4))] * 2
+    want = squared_lyapunov_by_loop(tr, p)
+    assert want < 0.0
+    assert bits(diagnostics.squared_lyapunov_audit(tr, p)) == bits(want)
+
+
+def test_squared_lyapunov_audit_squares_xi_as_the_loop_did():
+    # with xi_k = xi_{k+1} the slack is -xi_{k+1}**2 itself; the loop took
+    # it with pow() on a numpy scalar, which an array xi*xi does not match
+    # in the last bit for about one value in a thousand
+    p = library.make_instance(iprox.InstanceSpec(kind="quadratic", n=2, conditioning=2.0,
+                                                 seed=0))
+    xbar = p.solution_projection(np.zeros(2))
+    rng = np.random.default_rng(11)
+    for v in rng.standard_normal(8000) * 10.0 ** rng.integers(-100, 100, 8000):
+        tr = fake_full_trace([0, 1], [1.0, 1.0], [0.0, 0.0], lyap=[v, v])
+        tr.dist_sq, tr.iterates = np.zeros(2), [xbar, xbar]
+        assert bits(diagnostics.squared_lyapunov_audit(tr, p)) == bits(
+            squared_lyapunov_by_loop(tr, p)), v
 
 
 def test_linear_ratio_audit_on_quadratic():
