@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""One SHA-256 per solver run over a small fixed grid of runs.
+
+The grid covers the five library kinds x the three orders x m in {1, 4} x
+record_every in {1, 3} at n = 24, plus runs with early stopping, retained
+iterates, diminishing inertia, the stochastic fixed-gamma regime, a
+non-separable prox (group l2, applied block by block) and a closure-built
+problem whose blocks are not contiguous.  Each hash covers every Trace
+array, the final state, the retained iterates and repr(meta), so two
+checkouts produce the same output exactly when their traces are identical
+bit for bit.  Diff the output of two checkouts to compare them:
+
+    PYTHONPATH=src python3 scripts/trace_digest.py > after.txt
+    PYTHONPATH=../other/src python3 scripts/trace_digest.py > before.txt
+    diff before.txt after.txt
+
+It takes a few seconds.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+
+from iprox import (
+    CompositeProblem,
+    ConstantBeta,
+    DiminishingBeta,
+    InstanceSpec,
+    ParamSchedule,
+    ProxKind,
+    RunConfig,
+    make_instance,
+    run_cyclic,
+    run_inertial,
+    run_stochastic,
+    start_point,
+)
+from iprox.problems import kind_oracles
+
+N = 24
+ITERS = 40
+RUNNERS = {"full": run_inertial, "cyclic": run_cyclic, "stochastic": run_stochastic}
+SPECS = {
+    "quadratic": dict(conditioning=10.0),
+    "quadratic_l1": dict(conditioning=10.0, reg_lambda=0.1),
+    "lasso": dict(rows=36, reg_lambda=0.2),
+    "logistic_l1": dict(rows=48, reg_lambda=0.05),
+    "noncoercive_quadratic": dict(rows=8, conditioning=10.0),
+}
+
+
+def digest(trace) -> str:
+    h = hashlib.sha256()
+    for f in dataclasses.fields(trace):
+        val = getattr(trace, f.name)
+        h.update(f.name.encode())
+        if isinstance(val, np.ndarray):
+            h.update(f"{val.dtype}{val.shape}".encode())
+            h.update(np.ascontiguousarray(val).tobytes())
+        elif f.name == "final_state":
+            h.update(val.x_curr.tobytes() + val.x_prev.tobytes() + str(val.k).encode())
+        elif f.name == "iterates":
+            for x in val or ():
+                h.update(x.tobytes())
+        else:  # meta, and the optional fields a run left as None
+            h.update(repr(val).encode())
+    return h.hexdigest()
+
+
+def scattered_closure():
+    # a two-block lasso given by closures only, with interleaved blocks
+    rng = np.random.default_rng(5)
+    A, b, lam = rng.standard_normal((18, 6)), rng.standard_normal(18), 0.2
+    blocks = ((0, 2, 4), (5, 3, 1))
+    return CompositeProblem(
+        dim=6, blocks=blocks,
+        smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
+        smooth_grad=lambda x: A.T @ (A @ x - b),
+        lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
+        block_lipschitz=tuple(float(np.linalg.norm(A[:, list(blk)], 2) ** 2)
+                              for blk in blocks),
+        nonsmooth_value=lambda x: lam * float(np.abs(x).sum()),
+        prox=lambda i, v, gamma: np.sign(v) * np.maximum(np.abs(v) - gamma * lam, 0.0),
+    ), rng.standard_normal(6)
+
+
+def runs():
+    """Yield (name, problem, schedule, x0, RunConfig, order) for each run."""
+    for kind, extra in SPECS.items():
+        for m in (1, 4):
+            spec = InstanceSpec(kind=kind, n=N, m=m, seed=3, **extra)
+            p, x0 = make_instance(spec), start_point(spec, "gaussian", 1.0)
+            for order in RUNNERS:
+                sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
+                                      m=m if order == "stochastic" else 1)
+                for every in (1, 3):
+                    yield (f"{kind}-m{m}-{order}-every{every}", p, sched, x0,
+                           RunConfig(max_iters=ITERS, record_every=every, seed=7), order)
+                if m == 4:
+                    dim = ParamSchedule(beta_rule=DiminishingBeta(1.5), c=0.8,
+                                        variant=order, m=m if order == "stochastic" else 1)
+                    yield (f"{kind}-m{m}-{order}-diminishing", p, dim, x0,
+                           RunConfig(max_iters=ITERS, record_every=3, seed=7), order)
+                    yield (f"{kind}-m{m}-{order}-stop", p, sched, x0,
+                           RunConfig(max_iters=4 * ITERS, record_every=5, seed=7,
+                                     stop_tol=1e-3), order)
+                    yield (f"{kind}-m{m}-{order}-iterates", p, sched, x0,
+                           RunConfig(max_iters=ITERS, record_every=3, seed=7,
+                                     keep_iterates=True), order)
+            if m == 4 and p.nu is not None:
+                fixed = ParamSchedule(beta_rule=ConstantBeta(0.0), c=0.8, variant="stochastic",
+                                      m=m, fixed_gamma=0.5 / p.lipschitz_L)
+                yield (f"{kind}-m{m}-stochastic-fixed", p, fixed, x0,
+                       RunConfig(max_iters=ITERS, record_every=3, seed=7), "stochastic")
+    spec = InstanceSpec(kind="lasso", n=N, m=4, seed=3, **SPECS["lasso"])
+    group = dataclasses.replace(make_instance(spec), **kind_oracles(ProxKind.group_l2(0.2)))
+    closure, xc = scattered_closure()
+    for name, p, x0 in (("lasso-group-l2-m4", group, start_point(spec, "gaussian", 1.0)),
+                        ("closure-scattered-m2", closure, xc)):
+        for order in RUNNERS:
+            sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
+                                  m=p.n_blocks if order == "stochastic" else 1)
+            for every in (1, 3):
+                yield (f"{name}-{order}-every{every}", p, sched, x0,
+                       RunConfig(max_iters=ITERS, record_every=every, seed=7), order)
+
+
+def main():
+    for name, p, sched, x0, cfg, order in runs():
+        print(name, digest(RUNNERS[order](p, sched, x0, cfg)))
+
+
+if __name__ == "__main__":
+    main()

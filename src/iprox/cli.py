@@ -41,6 +41,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import traceback
@@ -58,6 +59,8 @@ AUDITS = ("descent", "squared_lyapunov", "lyapunov", "rates")
 RATE_COLUMNS = ("lyapunov", "F", "step_sq", "residual_sq")
 # audits whose result depends on min F (or the minimizer) from the reference
 _F_STAR_AUDITS = ("squared_lyapunov", "rates")
+# the largest integer a config float may be given as
+_MAX_FLOAT_INT = int(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------- validation
@@ -78,6 +81,8 @@ def _get(d: dict, key: str, path: str, types, default=KeyError, pred=None,
         return default
     val = d[key]
     if types is float and isinstance(val, int) and not isinstance(val, bool):
+        if abs(val) > _MAX_FLOAT_INT:
+            raise ConfigError(f"{path}.{key}", "integer too large for a double")
         val = float(val)
     if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
         raise ConfigError(f"{path}.{key}", f"expected {getattr(types, '__name__', types)}")
@@ -91,10 +96,18 @@ def _non_finite(name: str):
     raise ConfigError("config", f"{name} is not a JSON number")
 
 
+def _finite_float(text: str) -> float:
+    # a number too large for a double, such as 1e999, parses to inf
+    val = float(text)
+    if not math.isfinite(val):
+        raise ConfigError("config", f"{text} is not a JSON number a double can hold")
+    return val
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r") as fh:
-            cfg = json.load(fh, parse_constant=_non_finite)
+            cfg = json.load(fh, parse_constant=_non_finite, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

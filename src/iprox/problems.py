@@ -154,6 +154,12 @@ class CompositeProblem:
         from it, or wrappers naming them as __wrapped__ (functools.wraps);
         with any other oracle (say after dataclasses.replace(problem,
         prox=...)) it is set to None, so g has one description.
+
+    Two views of the blocks are derived, not given: block_index_arrays
+    holds each block as an index array, and block_selectors holds what
+    reads or writes block i of a vector, x[block_selectors[i]]: a slice
+    for a contiguous ascending block, so the read is a view and not a
+    copy, and the index array for any other block.
     """
 
     dim: int
@@ -170,6 +176,7 @@ class CompositeProblem:
     smooth_model: Optional[SmoothModel] = None
     prox_kind: Optional[ProxKind] = None
     block_index_arrays: tuple = field(init=False, repr=False)
+    block_selectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -206,15 +213,21 @@ class CompositeProblem:
             "block_lipschitz",
             tuple(float(L_i) for L_i in self.block_lipschitz),
         )
-        object.__setattr__(
-            self,
-            "block_index_arrays",
-            tuple(np.asarray(blk, dtype=np.intp) for blk in blocks),
-        )
+        index = tuple(np.asarray(blk, dtype=np.intp) for blk in blocks)
+        object.__setattr__(self, "block_index_arrays", index)
+        object.__setattr__(self, "block_selectors", tuple(_selector(ix) for ix in index))
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+
+def _selector(ix: np.ndarray):
+    # a contiguous ascending block selects a view; any other an index copy
+    lo = int(ix[0])
+    if np.array_equal(ix, np.arange(lo, lo + len(ix))):
+        return slice(lo, lo + len(ix))
+    return ix
 
 
 @dataclass
@@ -314,12 +327,17 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     v = _check_dim(problem, v)
     if gamma <= 0:
         raise ContractViolation("prox stepsize must be > 0")
+    return _prox_full(problem, v, gamma)
+
+
+def _prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
+    # prox_full once v and gamma are checked
     kind = problem.prox_kind
     if kind is not None and kind.separable:
         return _apply_kind(kind, v, gamma)
     out = np.empty_like(v)
-    for i, ix in enumerate(problem.block_index_arrays):
-        out[ix] = _prox_block(problem, i, v[ix], gamma)
+    for i, sel in enumerate(problem.block_selectors):
+        out[sel] = _prox_block(problem, i, v[sel], gamma)
     return out
 
 
@@ -330,9 +348,10 @@ def oracle_state(problem: CompositeProblem):
     Both take the same calls.  refresh(x) starts a new image at x;
     value(x), full_grad(x) and value_grad(x) read f, grad f or both of
     that x, the gradient computed once until x moves; block_grad(i, x) is
-    block i of grad f(x); move(i, d) tells the state that block i of x
-    moved by d.  The caller passes the x the state currently describes.
-    ``matvec_equiv`` counts the work done so far.
+    block i of grad f(x), possibly a view of the gradient the state keeps,
+    so callers read it and never write it; move(i, d) tells the state that
+    block i of x moved by d.  The caller passes the x the state currently
+    describes.  ``matvec_equiv`` counts the work done so far.
     """
     if problem.smooth_model is not None:
         return ImageOracle(problem)
@@ -342,9 +361,10 @@ def oracle_state(problem: CompositeProblem):
 class ImageOracle:
     """Keeps the image u of the current iterate under a SmoothModel.
 
-    A block gradient or a move reads only the block's columns of A, as
-    views when the block is a contiguous range.  A move is applied when
-    the image is next read, so one followed by a refresh costs nothing.
+    A block gradient or a move reads only the block's columns of A
+    through the problem's block selectors, so as views when the block is
+    a contiguous range.  A move is applied when the image is next read,
+    so one followed by a refresh costs nothing.
     Work is counted in matvec-equivalents: a product with all of A
     counts 1, one with a block's columns |block|/n; a value from the
     image is free.  A full gradient is computed once per image: it serves
@@ -356,7 +376,7 @@ class ImageOracle:
         self.model = problem.smooth_model
         self.dim = problem.dim
         self.index = problem.block_index_arrays
-        self.cols = tuple(_columns(ix) for ix in self.index)
+        self.cols = problem.block_selectors
         self.grad_is_image = self.model.loss == "quadratic"
         self.u = None
         self.grad = None
@@ -368,7 +388,11 @@ class ImageOracle:
         return self.columns / self.dim
 
     def refresh(self, x: Vector) -> None:
-        self.u = self.model.image(_check_dim(self.problem, x))
+        self._refresh(_check_dim(self.problem, x))
+
+    def _refresh(self, x: Vector) -> None:
+        # refresh at an x whose shape the caller has checked
+        self.u = self.model.image(x)
         self.grad = None
         self.pending = None
         self.columns += self.dim
@@ -397,7 +421,7 @@ class ImageOracle:
 
     def block_grad(self, i: int, x: Vector) -> Vector:
         if self.grad is not None:
-            return self.grad[self.index[i]]
+            return self.grad[self.cols[i]]
         if not self.grad_is_image:
             self.columns += len(self.index[i])
         return self.model.grad_at(x, self._image(), self.cols[i])
@@ -423,7 +447,9 @@ class ClosureOracle:
         return float(self.calls)
 
     def refresh(self, x: Vector) -> None:
-        _check_dim(self.problem, x)
+        self._refresh(_check_dim(self.problem, x))
+
+    def _refresh(self, x: Vector) -> None:
         self.grad = None
 
     def value(self, x: Vector) -> float:
@@ -441,18 +467,10 @@ class ClosureOracle:
         return f, self.full_grad(x)
 
     def block_grad(self, i: int, x: Vector) -> Vector:
-        return self.full_grad(x)[self.problem.block_index_arrays[i]]
+        return self.full_grad(x)[self.problem.block_selectors[i]]
 
     def move(self, i: int, d: Vector) -> None:
         self.grad = None
-
-
-def _columns(ix: np.ndarray):
-    # a contiguous ascending block selects a view of A; any other an index copy
-    lo = int(ix[0])
-    if np.array_equal(ix, np.arange(lo, lo + len(ix))):
-        return slice(lo, lo + len(ix))
-    return ix
 
 
 def solution_project(problem: CompositeProblem, x: Vector) -> Vector:

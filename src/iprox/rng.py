@@ -4,9 +4,17 @@ The generator is pinned in-repo rather than delegated to numpy so that
 stochastic solver traces replay bit-for-bit on any platform and stay
 stable across library upgrades.  SplitMix64: the state walks by a fixed
 odd constant and each output is a finalizer-mixed copy of the state.
+
+Since the j-th output depends only on seed + j*increment, a run of draws
+can be computed at once: :meth:`SplitMix64.randint_below_batch` gives
+exactly the values of successive :meth:`SplitMix64.randint_below` calls,
+in wrapping uint64 numpy arithmetic, and leaves the state where those
+calls would.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import ContractViolation
 
@@ -41,12 +49,39 @@ class SplitMix64:
         then reduced mod n.  For n far below 2^64 the expected number of
         redraws is negligible.
         """
-        if not isinstance(n, int) or n <= 0:
-            raise ContractViolation("n must be a positive integer")
-        if n > _MASK64:
-            raise ContractViolation("n must fit in 64 bits")
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+        limit = _limit(n)
         while True:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def randint_below_batch(self, n: int, count: int) -> list:
+        """The next ``count`` values of :meth:`randint_below` (n), as a list.
+
+        The outputs are mixed as uint64 arrays, whose arithmetic wraps
+        modulo 2^64 as the masks above do.  When a draw in the batch falls
+        in the rejected tail, the batch is drawn again by the scalar loop,
+        so the values and the final state always equal those of ``count``
+        randint_below calls.
+        """
+        limit = _limit(n)
+        if not isinstance(count, int) or count < 0:
+            raise ContractViolation("count must be a nonnegative integer")
+        z = (np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+             + np.uint64(self.state))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        if limit <= _MASK64 and np.any(z >= np.uint64(limit)):
+            return [self.randint_below(n) for _ in range(count)]
+        self.state = (self.state + count * _GAMMA) & _MASK64
+        return (z % np.uint64(n)).tolist()
+
+
+def _limit(n: int) -> int:
+    # draws at or above this bound are rejected: 2^64 - (2^64 mod n)
+    if not isinstance(n, int) or n <= 0:
+        raise ContractViolation("n must be a positive integer")
+    if n > _MASK64:
+        raise ContractViolation("n must fit in 64 bits")
+    return (_MASK64 + 1) - ((_MASK64 + 1) % n)

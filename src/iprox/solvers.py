@@ -2,12 +2,23 @@
 
 The three runners share one run loop.  Iteration k reads F(x^k), guards
 against divergence, records an entry when asked to, and then moves to
-x^{k+1} through the order's public step function: :func:`inertial_step`,
-:func:`cyclic_epoch` or :func:`stochastic_step`.  A small per-order
-policy supplies what differs: the step, the stepsize (scalar, one per
-block, or fixed with beta from nu), the weights in the slack and
-Lyapunov formulas (the full order is the stochastic formula at m = 1),
-how often the oracle state is refreshed, and the extra Trace fields.
+x^{k+1} through the kernel of the order's public step function:
+:func:`inertial_step`, :func:`cyclic_epoch` or :func:`stochastic_step`.
+Each public step function is its input checks followed by that kernel,
+so the steps the unit tests pin by hand are the code the runs execute.
+A small per-order policy supplies what differs: the step, the stepsize
+(scalar, one per block, or fixed with beta from nu), the weights in the
+slack and Lyapunov formulas (the full order is the stochastic formula at
+m = 1), how often the oracle state is refreshed, and the extra Trace
+fields.
+
+A run checks each thing once: x0, the problem and a constant (beta,
+gamma) before the loop, a diminishing (beta_k, gamma_k) at each k, and
+each gradient where it is read, by the loop at recorded entries and
+under stop_tol, else by the kernel that computed it.  Kernels reach a
+block through the problem's block selectors (a slice for a contiguous
+block), and the stochastic order draws its blocks _DRAWS at a time with
+:meth:`iprox.rng.SplitMix64.randint_below_batch`.
 
 Each run produces a Trace whose per-entry columns are enough to replay the
 convergence audits in :mod:`iprox.diagnostics` without re-running:
@@ -45,13 +56,15 @@ from .errors import ContractViolation, DivergenceError
 from .problems import (
     CompositeProblem,
     IterateState,
+    _check_dim,
+    _prox_block,
+    _prox_full,
     grad_f,
     oracle_state,
-    prox_block,
-    prox_full,
 )
 from .rng import SplitMix64
 from .schedules import (
+    ConstantBeta,
     ParamSchedule,
     beta_at,
     delta_coeff,
@@ -61,6 +74,7 @@ from .schedules import (
 )
 
 DIVERGENCE_FACTOR = 1e10
+_DRAWS = 256  # stochastic blocks drawn per batch
 
 
 @dataclass
@@ -189,6 +203,12 @@ def _check_grad(grad, k: int):
         raise DivergenceError("non-finite gradient", k=k)
 
 
+def _check_state(problem: CompositeProblem, state: IterateState):
+    # (x^k, x^{k-1}) as float vectors of the problem's length, which the
+    # kernels rely on
+    return _check_dim(problem, state.x_curr), _check_dim(problem, state.x_prev)
+
+
 def inertial_step(problem: CompositeProblem, state: IterateState,
                   gamma: float, beta: float, oracle=None) -> np.ndarray:
     """One full-vector step: prox_{gamma*g}(x - gamma*grad f(x) + beta*(x - x_prev)).
@@ -198,10 +218,25 @@ def inertial_step(problem: CompositeProblem, state: IterateState,
     """
     if not (0.0 <= beta < 1.0):
         raise ContractViolation("inertial_step needs beta in [0, 1)")
-    x = state.x_curr
-    grad = grad_f(problem, x) if oracle is None else oracle.full_grad(x)
-    _check_grad(grad, state.k)
-    return prox_full(problem, _forward(x, grad, state.x_prev, gamma, beta), gamma)
+    if gamma <= 0:
+        raise ContractViolation("prox stepsize must be > 0")
+    x, x_prev = _check_state(problem, state)
+    grad = None
+    if oracle is None:
+        grad = grad_f(problem, x)
+        _check_grad(grad, state.k)
+    return _inertial_step(problem, x, x_prev, gamma, beta, oracle, state.k, grad)
+
+
+def _inertial_step(problem, x, x_prev, gamma, beta, oracle, k, grad=None):
+    # The kernel of inertial_step, for checked inputs.  grad is the checked
+    # gradient at x when the caller holds one; else the oracle state gives
+    # it and it is checked here.  The block kernels below take grad the
+    # same way, for the first block they read at x.
+    if grad is None:
+        grad = oracle.full_grad(x)
+        _check_grad(grad, k)
+    return _prox_full(problem, _forward(x, grad, x_prev, gamma, beta), gamma)
 
 
 def cyclic_epoch(problem: CompositeProblem, state: IterateState,
@@ -222,17 +257,19 @@ def cyclic_epoch(problem: CompositeProblem, state: IterateState,
         raise ContractViolation("need one gamma and beta per block")
     if np.any(gammas <= 0) or np.any((betas < 0) | (betas >= 1)):
         raise ContractViolation("cyclic_epoch needs gammas > 0 and betas in [0, 1)")
-    x = state.x_curr.copy()
+    x, x_prev = _check_state(problem, state)
     if oracle is None:
         oracle = oracle_state(problem)
         oracle.refresh(x)
-    for i, ix in enumerate(problem.block_index_arrays):
-        grad = oracle.block_grad(i, x)
-        _check_grad(grad, state.k)
-        v = _forward(x[ix], grad, state.x_prev[ix], gammas[i], betas[i])
-        x_i = prox_block(problem, i, v, gammas[i])
-        oracle.move(i, x_i - x[ix])
-        x[ix] = x_i
+    return _cyclic_epoch(problem, x, x_prev, gammas, betas, oracle, state.k)
+
+
+def _cyclic_epoch(problem, x_curr, x_prev, gammas, betas, oracle, k, grad=None):
+    # the kernel of cyclic_epoch; grad, when given, serves block 0
+    x = x_curr.copy()
+    for i in range(problem.n_blocks):
+        _block_move(problem, x, x_prev, i, gammas[i], betas[i], oracle, k, grad)
+        grad = None  # x has moved
     return x
 
 
@@ -247,33 +284,53 @@ def stochastic_step(problem: CompositeProblem, state: IterateState,
     m = problem.n_blocks
     if not (0.0 <= beta < math.sqrt(m)):
         raise ContractViolation("stochastic_step needs beta in [0, sqrt(m))")
+    if gamma <= 0:
+        raise ContractViolation("prox stepsize must be > 0")
+    x, x_prev = _check_state(problem, state)
     i = rng.randint_below(m)
-    ix = problem.block_index_arrays[i]
-    x = state.x_curr.copy()
     if oracle is None:
         oracle = oracle_state(problem)
         oracle.refresh(x)
-    grad = oracle.block_grad(i, x)
-    _check_grad(grad, state.k)
-    v = _forward(x[ix], grad, state.x_prev[ix], gamma, beta)
-    x_i = prox_block(problem, i, v, gamma)
-    oracle.move(i, x_i - x[ix])
-    x[ix] = x_i
-    return x, i
+    return _stochastic_step(problem, x, x_prev, i, gamma, beta, oracle, state.k), i
+
+
+def _stochastic_step(problem, x_curr, x_prev, i, gamma, beta, oracle, k, grad=None):
+    # the kernel of stochastic_step, moving the drawn block i
+    x = x_curr.copy()
+    _block_move(problem, x, x_prev, i, gamma, beta, oracle, k, grad)
+    return x
+
+
+def _block_move(problem, x, x_prev, i, gamma, beta, oracle, k, grad):
+    # Moves block i of x in place, and tells the oracle state.  x is the
+    # kernel's own copy; the gradient and x_prev are only read.
+    sel = problem.block_selectors[i]
+    if grad is None:
+        grad_i = oracle.block_grad(i, x)
+        _check_grad(grad_i, k)
+    else:
+        grad_i = grad[sel]
+    x_i = _prox_block(problem, i, _forward(x[sel], grad_i, x_prev[sel], gamma, beta),
+                      gamma)
+    oracle.move(i, x_i - x[sel])
+    x[sel] = x_i
 
 
 class _FullOrder:
     """The policy of the full order, gamma_k = 2(1-beta_k)c/L.
 
     A policy gives the run loop what differs between orders.  params(k)
-    gives (beta_k, gamma_k).  step takes the pair (x^k, x^{k-1}) to
-    x^{k+1} through the order's public step function and returns it with
-    its measure s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic
-    order.  entry gives a recorded entry's lyapunov (xi_k - min F),
-    step_sq and descent_slack values, then its values of the Trace fields
-    named in ``extra``.  The oracle state is refreshed at least every
-    ``epoch`` steps; the full step moves every block, so here that is
-    every step.  The full formulas are the stochastic ones at m = 1.
+    gives (beta_k, gamma_k), checked; when ``constant`` holds they are the
+    same for every k and the loop takes them once.  step takes the pair
+    (x^k, x^{k-1}) to x^{k+1} through the kernel of the order's public
+    step function, handing it the loop's checked gradient at x^k when
+    there is one, and returns x^{k+1} with its measure
+    s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  entry
+    gives a recorded entry's lyapunov (xi_k - min F), step_sq and
+    descent_slack values, then its values of the Trace fields named in
+    ``extra``.  The oracle state is refreshed at least every ``epoch``
+    steps; the full step moves every block, so here that is every step.
+    The full formulas are the stochastic ones at m = 1.
     """
 
     variant = "full"
@@ -284,6 +341,7 @@ class _FullOrder:
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
         self.problem = problem
         self.schedule = schedule
+        self.constant = isinstance(schedule.beta_rule, ConstantBeta)
         self.c = schedule.c
         self.L = problem.lipschitz_L
         # lyapunov values are reported relative to min F when it is known;
@@ -297,9 +355,9 @@ class _FullOrder:
         beta = beta_at(self.schedule, k)
         return beta, gamma_full(beta, self.c, self.L)
 
-    def step(self, state, beta, gamma, oracle):
-        x_next = inertial_step(self.problem, state, gamma, beta, oracle)
-        d = x_next - state.x_curr
+    def step(self, x, x_prev, k, beta, gamma, oracle, grad):
+        x_next = _inertial_step(self.problem, x, x_prev, gamma, beta, oracle, k, grad)
+        d = x_next - x
         return x_next, float(d.dot(d))
 
     def entry(self, prev, F_val, s, beta, gamma):
@@ -334,13 +392,14 @@ class _CyclicOrder(_FullOrder):
         beta = beta_at(self.schedule, k)
         return beta, 2.0 * (1.0 - beta) * self.c / self.L_blocks
 
-    def step(self, state, beta, gammas, oracle):
-        x = state.x_curr
-        x_next = cyclic_epoch(self.problem, state, gammas, np.full(self.m, beta), oracle)
-        # d @ d, not sum(d**2): keeps the m = 1 trace bit-identical to the
-        # full order, which uses the dot-product form
-        return x_next, np.array([float((x_next[ix] - x[ix]) @ (x_next[ix] - x[ix]))
-                                 for ix in self.problem.block_index_arrays])
+    def step(self, x, x_prev, k, beta, gammas, oracle, grad):
+        x_next = _cyclic_epoch(self.problem, x, x_prev, gammas, (beta,) * self.m,
+                               oracle, k, grad)
+        d = x_next - x
+        # d.dot(d), not sum(d**2): keeps the m = 1 trace bit-identical to
+        # the full order, which uses the dot-product form
+        return x_next, np.array([float(d[sel].dot(d[sel]))
+                                 for sel in self.problem.block_selectors])
 
     def entry(self, prev, F_val, sb, beta, gammas):
         deltas = 0.5 * (1.0 / gammas - self.L_blocks / 2.0)
@@ -357,7 +416,8 @@ class _CyclicOrder(_FullOrder):
 class _StochasticOrder(_FullOrder):
     """Step k moves one uniformly drawn block with
     gamma_k = 2(1-beta_k/sqrt(m))c/L, or in the fixed-gamma regime with
-    (beta_fixed, fixed_gamma); m steps make one epoch."""
+    (beta_fixed, fixed_gamma); m steps make one epoch.  Blocks are drawn
+    _DRAWS at a time."""
 
     variant = "stochastic"
     extra = ("chosen_blocks", "step_sq_running_min")
@@ -369,7 +429,13 @@ class _StochasticOrder(_FullOrder):
         self.root_m = math.sqrt(self.m)
         self.fixed = schedule.fixed_gamma
         self.beta_fixed = beta_fixed
+        if self.fixed is not None:
+            if not (0.0 <= beta_fixed < self.root_m):
+                raise ContractViolation(
+                    "fixed_gamma regime needs beta = gamma*nu/(4m) below sqrt(m)")
+            self.constant = True
         self.rng = SplitMix64(seed)
+        self.draws = []  # drawn blocks not yet used, the next one last
         self.chosen = -1  # the block whose move led to the current iterate
         self.run_min = math.inf
         self.meta = {"seed": seed, "fixed_gamma": self.fixed}
@@ -380,10 +446,13 @@ class _StochasticOrder(_FullOrder):
         beta = beta_at(self.schedule, k)
         return beta, gamma_stochastic(beta, self.c, self.L, self.m)
 
-    def step(self, state, beta, gamma, oracle):
-        x_next, self.chosen = stochastic_step(self.problem, state, gamma, beta,
-                                              self.rng, oracle)
-        d = x_next - state.x_curr
+    def step(self, x, x_prev, k, beta, gamma, oracle, grad):
+        if not self.draws:
+            self.draws = self.rng.randint_below_batch(self.m, _DRAWS)[::-1]
+        self.chosen = self.draws.pop()
+        x_next = _stochastic_step(self.problem, x, x_prev, self.chosen, gamma, beta,
+                                  oracle, k, grad)
+        d = x_next - x
         s = float(d.dot(d))
         self.run_min = min(self.run_min, s)
         return x_next, s
@@ -396,14 +465,16 @@ class _StochasticOrder(_FullOrder):
 def _residual_sq(problem, x, grad, gamma_audit) -> float:
     # s.dot(s) is the product s @ s computes, bit for bit, with less call
     # overhead; the loop takes its squared norms this way
-    s = x - prox_full(problem, x - gamma_audit * grad, gamma_audit)
+    s = x - _prox_full(problem, x - gamma_audit * grad, gamma_audit)
     return float(s.dot(s))
 
 
 def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     # The one run loop: F, the divergence guard, the residual and the entry
-    # at x^k, then the order's step into x^{k+1}.
-    x0 = np.asarray(x0, dtype=float)
+    # at x^k, then the order's step into x^{k+1}.  x0 and the schedule are
+    # checked here and by the policy, once; the loop then calls the step
+    # kernels and refreshes the oracle state without checking again.
+    x0 = _check_dim(problem, x0)
     g_audit = 1.0 / problem.lipschitz_L
     project = problem.solution_projection
     if cfg.record_dist_sq and project is None:
@@ -419,17 +490,18 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     s = order.step_sq0
     prev = None  # (F, s, beta, gamma) of the previous iterate
     F0 = None
+    const = order.params(0) if order.constant else None
     k = 0
     while True:
-        beta, gamma = order.params(k)
+        beta, gamma = const or order.params(k)
         want_entry = (k % record_every == 0) or (k == max_iters)
         need_grad = want_entry or stop_tol > 0.0
         if need_grad or k % order.epoch == 0:
-            oracle.refresh(x)
+            oracle._refresh(x)
         if need_grad:
             F_val, grad = oracle.value_grad(x)
         else:
-            F_val = oracle.value(x)
+            F_val, grad = oracle.value(x), None
         F_val += float(problem.nonsmooth_value(x))
         if F0 is None:
             F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
@@ -453,7 +525,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
             break
 
         prev = (F_val, s, beta, gamma)
-        x_next, s = order.step(IterateState(x, x_prev, k), beta, gamma, oracle)
+        x_next, s = order.step(x, x_prev, k, beta, gamma, oracle, grad)
         x_prev, x = x, x_next
         k += 1
 

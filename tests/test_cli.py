@@ -132,14 +132,31 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", missing, "--out", out]) == 2
 
 
-@pytest.mark.parametrize("doc", [
-    {**lasso_cfg(), "x0": {"mode": "gaussian", "scale": float("nan")}},
-    {**lasso_cfg(), "run": {"max_iters": 300, "stop_tol": float("inf")}},
-], ids=["nan-scale", "infinite-stop-tol"])
-def test_non_finite_config_number_is_exit_2(tmp_path, capsys, doc):
+# a number too large for a double parses to inf unless the loader rejects it;
+# RAW marks where the raw text of such a number goes into the written config
+RAW = 0.123456789
+
+
+@pytest.mark.parametrize("doc, raw", [
+    ({**lasso_cfg(), "x0": {"mode": "gaussian", "scale": float("nan")}}, None),
+    ({**lasso_cfg(), "run": {"max_iters": 300, "stop_tol": float("inf")}}, None),
+    ({**lasso_cfg(), "reference": {"tol": RAW}}, "1e999"),
+    ({**lasso_cfg(), "run": {"max_iters": 300, "stop_tol": RAW}}, "1e999"),
+    ({**lasso_cfg(), "x0": {"mode": "gaussian", "scale": RAW}}, "-1e999"),
+    ({**lasso_cfg(), "run": {"max_iters": 300, "stop_tol": RAW}}, "1" + "0" * 400),
+], ids=["nan-scale", "infinite-stop-tol", "overflowing-reference-tol",
+        "overflowing-stop-tol", "overflowing-scale", "overflowing-integer-stop-tol"])
+def test_non_finite_config_number_is_exit_2(tmp_path, capsys, doc, raw):
     out = tmp_path / "o"
-    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert "is not a JSON number" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, doc)
+    if raw is not None:
+        text = (tmp_path / "cfg.json").read_text()
+        assert text.count(repr(RAW)) == 1
+        (tmp_path / "cfg.json").write_text(text.replace(repr(RAW), raw))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("is not a JSON number" in err if raw is None or "e" in raw
+            else "too large for a double" in err)
     assert not out.exists()
 
 

@@ -72,3 +72,55 @@ def test_small_n_hits_every_value():
     g = SplitMix64(3)
     seen = {g.randint_below(6) for _ in range(600)}
     assert seen == set(range(6))
+
+
+MASK = 2 ** 64 - 1
+
+
+def _unmix(z: int) -> int:
+    # the state whose SplitMix64 output is z: the finalizer run backwards
+    def unshift(y, s):  # inverse of y ^ (y >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x & MASK
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 2 ** 64)) & MASK
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64)) & MASK
+    return unshift(z, 30)
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       n=st.one_of(st.integers(min_value=1, max_value=64),
+                   st.integers(min_value=1, max_value=2 ** 63)),
+       counts=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=4))
+def test_batched_draws_equal_successive_draws(seed, n, counts):
+    # batches of any size, back to back, give the scalar stream and state
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    for count in counts:
+        assert b.randint_below_batch(n, count) == [a.randint_below(n) for _ in range(count)]
+        assert a.state == b.state
+
+
+@pytest.mark.parametrize("where", [0, 1, 255, 256])
+def test_batched_draws_fall_back_on_a_rejected_draw(where):
+    # n = 3 rejects exactly the draw 2^64 - 1; plant it at draw `where`
+    state = _unmix(MASK)
+    seed = (state - (where + 1) * 0x9E3779B97F4A7C15) & MASK
+    probe = SplitMix64(seed)
+    assert [probe.next_u64() for _ in range(where + 1)][-1] == MASK
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    want = [a.randint_below(3) for _ in range(300)]
+    got = b.randint_below_batch(3, 256) + b.randint_below_batch(3, 44)
+    assert got == want and a.state == b.state
+    # the rejected draw was skipped, so the stream ran one draw further
+    assert a.state == (seed + 301 * 0x9E3779B97F4A7C15) & MASK
+
+
+def test_batched_draws_validation():
+    g = SplitMix64(0)
+    for n, count in ((0, 4), (-3, 4), (2 ** 64, 4), (3, -1), (3, 2.0)):
+        with pytest.raises(ContractViolation):
+            g.randint_below_batch(n, count)
+    assert g.state == 0

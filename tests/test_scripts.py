@@ -24,3 +24,20 @@ def test_demo_script_runs(script, tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_trace_digest_prints_one_hash_per_run(tmp_path):
+    src = os.path.dirname(os.path.dirname(iprox.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "trace_digest.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    names = [name for name, _ in lines]
+    assert len(names) == len(set(names)) == 120
+    assert all(len(h) == 64 and int(h, 16) >= 0 for _, h in lines)
+    assert {f"{kind}-m{m}-{order}-every{every}"
+            for kind in iprox.library.KINDS for m in (1, 4)
+            for order in ("full", "cyclic", "stochastic") for every in (1, 3)} <= set(names)

@@ -1,10 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import iprox
 from iprox import library
 from iprox.errors import ContractViolation, DivergenceError
-from iprox.problems import CompositeProblem, IterateState, objective, prox_full
+from iprox.problems import (
+    CompositeProblem,
+    IterateState,
+    objective,
+    oracle_state,
+    prox_full,
+)
 from iprox.rng import SplitMix64
 from iprox.schedules import beta_at, gamma_full, gamma_stochastic
 from iprox.solvers import (
@@ -68,6 +76,16 @@ def test_step_validation():
         stochastic_step(p, STATE, 0.5, np.sqrt(2.0), SplitMix64(0))
     with pytest.raises(ContractViolation):
         cyclic_epoch(p, STATE, np.array([0.5]), np.array([0.2]))
+    # a one-value x_prev would broadcast, so its length is checked
+    short = IterateState(x_curr=np.array([1.0, 1.0]), x_prev=np.array([0.5]), k=1)
+    with pytest.raises(ContractViolation):
+        inertial_step(p, short, 0.5, 0.25)
+    with pytest.raises(ContractViolation):
+        cyclic_epoch(p, short, np.array([0.5, 0.5]), np.array([0.2, 0.2]))
+    with pytest.raises(ContractViolation):
+        stochastic_step(p, short, 0.5, 0.25, SplitMix64(0))
+    with pytest.raises(ContractViolation):
+        stochastic_step(p, STATE, 0.0, 0.25, SplitMix64(0))
 
 
 def lasso_problem(seed=9, n=12, m=1):
@@ -76,12 +94,13 @@ def lasso_problem(seed=9, n=12, m=1):
     return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
 
 
-def closure_lasso(seed=9, n=6):
+def closure_lasso(seed=9, n=6, blocks=None):
     # a two-block lasso given by closures only (no smooth_model, no
     # prox_kind), whose gradients are exact at every refresh cadence
     rng = np.random.default_rng(seed)
     A, b, lam = rng.standard_normal((3 * n, n)), rng.standard_normal(3 * n), 0.2
-    blocks = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    if blocks is None:
+        blocks = (tuple(range(n // 2)), tuple(range(n // 2, n)))
     return CompositeProblem(
         dim=n, blocks=blocks,
         smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
@@ -94,34 +113,131 @@ def closure_lasso(seed=9, n=6):
     ), rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
-def test_run_matches_manual_fold(variant):
-    p, x0 = closure_lasso()
-    c, seed = 0.85, 4
-    sched = iprox.ParamSchedule(beta_rule=iprox.DiminishingBeta(1.5), c=c,
-                                variant=variant, m=2)
+def fold_problem(name):
+    if name == "closure":
+        return closure_lasso()
+    if name == "closure-scattered":
+        # blocks that are neither contiguous nor ascending keep index arrays
+        return closure_lasso(blocks=((4, 0, 2), (1, 5, 3)))
+    return lasso_problem(n=12, m=4)  # the image oracle, with slice selectors
+
+
+def test_block_selectors_are_slices_for_contiguous_blocks():
+    p, _ = fold_problem("library")
+    assert all(isinstance(sel, slice) for sel in p.block_selectors)
+    p, _ = fold_problem("closure-scattered")
+    assert [sel.tolist() for sel in p.block_selectors] == [[4, 0, 2], [1, 5, 3]]
+
+
+FOLD_RULES = {"diminishing": iprox.DiminishingBeta(1.5), "constant": iprox.ConstantBeta(0.6)}
+FOLD_CASES = [(variant, problem, every, rule)
+              for variant in ("full", "cyclic", "stochastic")
+              for problem in ("closure", "closure-scattered", "library")
+              for every in (1, 3) for rule in FOLD_RULES]
+
+
+def fold_id(case):
+    # the plain closure case at record_every = 1 is named by its order alone
+    variant, problem, every, rule = case
+    if (problem, every, rule) == ("closure", 1, "diminishing"):
+        return variant
+    return f"{variant}-{problem}-every{every}-{rule}"
+
+
+@pytest.mark.parametrize("variant, problem, record_every, rule", FOLD_CASES,
+                         ids=[fold_id(case) for case in FOLD_CASES])
+def test_run_matches_manual_fold(variant, problem, record_every, rule):
+    # a run equals, bit for bit, a fold of the public checked step functions
+    # over one oracle state refreshed at the documented cadence: at every
+    # recorded entry, where the full gradient is read, and at every epoch
+    # start (every full or cyclic step, every m stochastic steps)
+    beta_rule = FOLD_RULES[rule]
+    p, x0 = fold_problem(problem)
+    m, c, seed, iters = p.n_blocks, 0.85, 4, 60
+    sched = iprox.ParamSchedule(beta_rule=beta_rule, c=c, variant=variant, m=m)
     runner = {"full": run_inertial, "cyclic": run_cyclic,
               "stochastic": run_stochastic}[variant]
-    tr = runner(p, sched, x0, RunConfig(max_iters=60, seed=seed))
+    tr = runner(p, sched, x0, RunConfig(max_iters=iters, seed=seed,
+                                        record_every=record_every))
+    epoch = m if variant == "stochastic" else 1
+    oracle = oracle_state(p)
     rng = SplitMix64(seed)
     x_prev, x = x0.copy(), x0.copy()
-    F = [objective(p, x)]
-    for k in range(60):
+    F, blocks = {0: objective(p, x)}, []
+    for k in range(iters):
+        if k % record_every == 0:
+            oracle.refresh(x)
+            oracle.full_grad(x)
+        elif k % epoch == 0:
+            oracle.refresh(x)
         beta = beta_at(sched, k)
         state = IterateState(x, x_prev, k)
         if variant == "full":
-            x_next = inertial_step(p, state, gamma_full(beta, c, p.lipschitz_L), beta)
+            x_next = inertial_step(p, state, gamma_full(beta, c, p.lipschitz_L), beta,
+                                   oracle)
         elif variant == "cyclic":
             gammas = 2.0 * (1.0 - beta) * c / np.asarray(p.block_lipschitz)
-            x_next = cyclic_epoch(p, state, gammas, np.full(2, beta))
+            x_next = cyclic_epoch(p, state, gammas, np.full(m, beta), oracle)
         else:
-            gamma = gamma_stochastic(beta, c, p.lipschitz_L, 2)
-            x_next, _ = stochastic_step(p, state, gamma, beta, rng)
+            gamma = gamma_stochastic(beta, c, p.lipschitz_L, m)
+            x_next, i = stochastic_step(p, state, gamma, beta, rng, oracle)
+            blocks.append(i)
         x, x_prev = x_next, x
-        F.append(objective(p, x))
+        F[k + 1] = objective(p, x)
     assert np.array_equal(tr.final_state.x_curr, x)
     assert np.array_equal(tr.final_state.x_prev, x_prev)
-    assert np.array_equal(tr.F, F)
+    assert np.array_equal(tr.F, [F[k] for k in tr.ks])
+    if variant == "stochastic":
+        assert np.array_equal(tr.chosen_blocks[1:], [blocks[k - 1] for k in tr.ks[1:]])
+
+
+class PoisonedModel(iprox.SmoothModel):
+    """A smooth model whose gradient reads ``poison`` at the point ``at``."""
+
+    def __init__(self, model, at, poison):
+        super().__init__(model.loss, model.A, model.offset, model.labels, model.center)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "poison", poison)
+
+    def grad_at(self, x, u, cols=None):
+        g = super().grad_at(x, u, cols)
+        return g + self.poison if np.array_equal(x, self.at) else g
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+@pytest.mark.parametrize("oracle_kind", ["image", "closure"])
+@pytest.mark.parametrize("stop_tol", [0.0, 1e-6])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_divergence_guard_catches_a_non_finite_gradient(variant, record_every, stop_tol,
+                                                        oracle_kind, poison):
+    # The gradient turns non-finite at the iterate x^5 only, and F stays
+    # finite there.  Every order reads a gradient at x^5 in iteration 5 (the
+    # entry's, the full step's, or its first block's), whether or not 5 is
+    # a recorded entry, so the run stops there with k = 5.
+    p, x0 = lasso_problem(seed=21, n=12, m=3)
+    model = p.smooth_model
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.8, variant=variant,
+                                m=3 if variant == "stochastic" else 1)
+    runner = {"full": run_inertial, "cyclic": run_cyclic,
+              "stochastic": run_stochastic}[variant]
+    if oracle_kind == "closure":
+        p = dataclasses.replace(p, smooth_model=None)
+    # x^j is the final iterate of the same run cut at j
+    xs = [x0] + [runner(p, sched, x0, RunConfig(
+        max_iters=j, seed=2, record_every=record_every, stop_tol=stop_tol)).final_state.x_curr
+        for j in range(1, 6)]
+    assert not any(np.array_equal(x, xs[5]) for x in xs[:5])
+    poisoned = PoisonedModel(model, xs[5], poison)
+    if oracle_kind == "image":
+        bad = dataclasses.replace(p, smooth_model=poisoned)
+    else:
+        bad = dataclasses.replace(p, smooth_grad=poisoned.grad)
+    with pytest.raises(DivergenceError) as exc:
+        runner(bad, sched, x0, RunConfig(max_iters=12, seed=2, record_every=record_every,
+                                         stop_tol=stop_tol))
+    assert exc.value.k == 5
+    assert "gradient" in str(exc.value)
 
 
 def test_wrong_shaped_closure_prox_is_rejected():
@@ -321,6 +437,18 @@ def test_fixed_gamma_regime_needs_nu():
                                 variant="stochastic", m=2, fixed_gamma=0.5)
     with pytest.raises(ContractViolation):
         run_stochastic(p, sched, x0, RunConfig(max_iters=5, seed=0))
+
+
+def test_fixed_gamma_regime_needs_beta_below_sqrt_m():
+    # beta = gamma*nu/(4m) is checked once, when the run is set up
+    spec = iprox.InstanceSpec(kind="quadratic", n=8, conditioning=5.0, seed=3, m=2)
+    p = library.make_instance(spec)
+    gamma = 4 * 2 * 2.0 / p.nu  # beta = 2 > sqrt(2)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.5,
+                                variant="stochastic", m=2, fixed_gamma=gamma)
+    with pytest.raises(ContractViolation):
+        run_stochastic(p, sched, library.start_point(spec, "gaussian", 1.0),
+                       RunConfig(max_iters=5, seed=0))
 
 
 def test_fixed_gamma_regime_constant_params():
