@@ -1,4 +1,5 @@
-"""Smoke test of the demo scripts under scripts/: each runs to exit 0."""
+"""The scripts under scripts/: each runs to exit 0, and trace_digest.py
+prints one hash per run of its grid."""
 
 import os
 import subprocess
@@ -12,9 +13,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "scripts")
 
 
-@pytest.mark.parametrize("script", ["run_lasso_demo.py", "compare_variants.py",
-                                    "ode_demo.py"])
-def test_demo_script_runs(script, tmp_path):
+def run_script(script, tmp_path):
     # the child imports the same iprox this test did; outputs land in tmp_path
     src = os.path.dirname(os.path.dirname(iprox.__file__))
     env = dict(os.environ)
@@ -23,18 +22,17 @@ def test_demo_script_runs(script, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", ["run_lasso_demo.py", "compare_variants.py",
+                                    "ode_demo.py"])
+def test_demo_script_runs(script, tmp_path):
+    assert run_script(script, tmp_path)
 
 
 def test_trace_digest_prints_one_hash_per_run(tmp_path):
-    src = os.path.dirname(os.path.dirname(iprox.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "trace_digest.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = [line.split() for line in proc.stdout.splitlines()]
+    lines = [line.split() for line in run_script("trace_digest.py", tmp_path).splitlines()]
     names = [name for name, _ in lines]
     assert len(names) == len(set(names)) == 120
     assert all(len(h) == 64 and int(h, 16) >= 0 for _, h in lines)
