@@ -327,6 +327,10 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     v = _check_dim(problem, v)
     if gamma <= 0:
         raise ContractViolation("prox stepsize must be > 0")
+    if problem.prox_kind is None:
+        # a closure prox reads its blocks from a copy, so one that writes its
+        # argument never writes the caller's v
+        v = v.copy()
     return _prox_full(problem, v, gamma)
 
 

@@ -214,6 +214,25 @@ def test_closure_problem_prox_full_calls_each_block_prox_once():
     assert np.array_equal(out, [1.0, 0.0, 0.5, 0.0, -2.0, 0.0])
 
 
+def test_in_place_closure_prox_leaves_the_callers_vector_alone():
+    # contiguous blocks are read through slices; a closure prox that writes
+    # its argument must still not write the vector handed to prox_full
+    def prox(i, v, gamma):
+        return np.clip(v, -gamma, gamma, out=v)
+
+    p = CompositeProblem(
+        dim=6, blocks=((0, 1, 2), (3, 4, 5)),
+        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
+        nonsmooth_value=lambda x: 0.0, prox=prox)
+    assert all(isinstance(sel, slice) for sel in p.block_selectors)
+    v = np.array([2.0, -0.5, 1.5, 0.0, -3.0, 1.0])
+    before = v.copy()
+    out = prox_full(p, v, 1.0)
+    assert np.array_equal(v, before)
+    assert np.array_equal(out, [1.0, -0.5, 1.0, 0.0, -1.0, 1.0])
+
+
 def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
     p = make_instance(InstanceSpec(kind="lasso", n=6, rows=10, reg_lambda=1.0,
                                    m=3, seed=1))

@@ -130,27 +130,32 @@ def test_block_selectors_are_slices_for_contiguous_blocks():
 
 
 FOLD_RULES = {"diminishing": iprox.DiminishingBeta(1.5), "constant": iprox.ConstantBeta(0.6)}
-FOLD_CASES = [(variant, problem, every, rule)
+# Every case folds over one oracle state; a closure problem's case also
+# folds without one, since its oracles give the same gradient at any cadence.
+FOLD_CASES = [(variant, problem, every, rule, with_oracle)
               for variant in ("full", "cyclic", "stochastic")
               for problem in ("closure", "closure-scattered", "library")
-              for every in (1, 3) for rule in FOLD_RULES]
+              for every in (1, 3) for rule in FOLD_RULES
+              for with_oracle in ((True,) if problem == "library" else (False, True))]
 
 
 def fold_id(case):
-    # the plain closure case at record_every = 1 is named by its order alone
-    variant, problem, every, rule = case
-    if (problem, every, rule) == ("closure", 1, "diminishing"):
+    # the plain closure case at record_every = 1, folded without an oracle
+    # state, is named by its order alone
+    variant, problem, every, rule, with_oracle = case
+    if (problem, every, rule, with_oracle) == ("closure", 1, "diminishing", False):
         return variant
-    return f"{variant}-{problem}-every{every}-{rule}"
+    return f"{variant}-{problem}-every{every}-{rule}" + ("-oracle" if with_oracle else "")
 
 
-@pytest.mark.parametrize("variant, problem, record_every, rule", FOLD_CASES,
+@pytest.mark.parametrize("variant, problem, record_every, rule, with_oracle", FOLD_CASES,
                          ids=[fold_id(case) for case in FOLD_CASES])
-def test_run_matches_manual_fold(variant, problem, record_every, rule):
-    # a run equals, bit for bit, a fold of the public checked step functions
-    # over one oracle state refreshed at the documented cadence: at every
-    # recorded entry, where the full gradient is read, and at every epoch
-    # start (every full or cyclic step, every m stochastic steps)
+def test_run_matches_manual_fold(variant, problem, record_every, rule, with_oracle):
+    # a run equals, bit for bit, a fold of the public checked step functions.
+    # Called without an oracle state they read the problem's oracles; with
+    # one, it is refreshed at the documented cadence: at every recorded
+    # entry, where the full gradient is read, and at every epoch start
+    # (every full or cyclic step, every m stochastic steps)
     beta_rule = FOLD_RULES[rule]
     p, x0 = fold_problem(problem)
     m, c, seed, iters = p.n_blocks, 0.85, 4, 60
@@ -160,27 +165,28 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule):
     tr = runner(p, sched, x0, RunConfig(max_iters=iters, seed=seed,
                                         record_every=record_every))
     epoch = m if variant == "stochastic" else 1
-    oracle = oracle_state(p)
+    oracle = oracle_state(p) if with_oracle else None
+    extra = (oracle,) if with_oracle else ()
     rng = SplitMix64(seed)
     x_prev, x = x0.copy(), x0.copy()
     F, blocks = {0: objective(p, x)}, []
     for k in range(iters):
-        if k % record_every == 0:
+        if with_oracle and k % record_every == 0:
             oracle.refresh(x)
             oracle.full_grad(x)
-        elif k % epoch == 0:
+        elif with_oracle and k % epoch == 0:
             oracle.refresh(x)
         beta = beta_at(sched, k)
         state = IterateState(x, x_prev, k)
         if variant == "full":
             x_next = inertial_step(p, state, gamma_full(beta, c, p.lipschitz_L), beta,
-                                   oracle)
+                                   *extra)
         elif variant == "cyclic":
             gammas = 2.0 * (1.0 - beta) * c / np.asarray(p.block_lipschitz)
-            x_next = cyclic_epoch(p, state, gammas, np.full(m, beta), oracle)
+            x_next = cyclic_epoch(p, state, gammas, np.full(m, beta), *extra)
         else:
             gamma = gamma_stochastic(beta, c, p.lipschitz_L, m)
-            x_next, i = stochastic_step(p, state, gamma, beta, rng, oracle)
+            x_next, i = stochastic_step(p, state, gamma, beta, rng, *extra)
             blocks.append(i)
         x, x_prev = x_next, x
         F[k + 1] = objective(p, x)
