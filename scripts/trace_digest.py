@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One SHA-256 per solver run over a small fixed grid of runs.
+"""One SHA-256 per solver run over a small fixed grid of runs, and one per
+output file of a fixed set of CLI invocations.
 
 The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
@@ -8,7 +9,15 @@ non-separable prox (group l2, applied block by block) and a closure-built
 problem whose blocks are not contiguous.  Each hash covers every Trace
 array, the final state, the retained iterates and repr(meta), so two
 checkouts produce the same output exactly when their traces are identical
-bit for bit.  Diff the output of two checkouts to compare them:
+bit for bit.
+
+The CLI part runs `inertial`, `prox_grad` and `cyclic` experiments with
+every audit that applies to them, a three-seed stochastic experiment, a
+two-point sweep, a `rates` refit and an `ode` simulation, each into its own
+directory under a temporary root.  Each output file gets one hash of its
+bytes with that root masked, so the paths in summary.json, rates.json and
+sweep_summary.json do not depend on where it ran.  Diff the output of two
+checkouts to compare them:
 
     PYTHONPATH=src python3 scripts/trace_digest.py > after.txt
     PYTHONPATH=../other/src python3 scripts/trace_digest.py > before.txt
@@ -19,6 +28,9 @@ It takes a few seconds.
 
 import dataclasses
 import hashlib
+import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -36,6 +48,7 @@ from iprox import (
     run_stochastic,
     start_point,
 )
+from iprox.cli import main as cli_main
 from iprox.problems import kind_oracles
 
 N = 24
@@ -126,9 +139,67 @@ def runs():
                        RunConfig(max_iters=ITERS, record_every=every, seed=7), order)
 
 
+def experiment(algorithm, instance, schedule, audits, rate, **extra):
+    return {"version": 1, "instance": instance, "algorithm": algorithm,
+            "schedule": schedule, "run": {"max_iters": 200}, "audits": audits,
+            "rate": rate, "x0": {"mode": "gaussian", "scale": 1.0}, **extra}
+
+
+def cli_invocations(root):
+    """Yield (name, subcommand, config, extra args); each writes root/name."""
+    lasso = {"kind": "lasso", "n": 16, "rows": 40, "reg_lambda": 0.2, "m": 1, "seed": 3}
+    every = ["descent", "lyapunov", "squared_lyapunov", "rates"]
+    yield "cli-inertial", "run", experiment(
+        "inertial", lasso, {"c": 0.9, "beta": 0.5}, every,
+        {"model": "sublinear_power", "k_lo": 5, "k_hi": 60}), []
+    yield "cli-prox_grad", "run", experiment(
+        "prox_grad", {"kind": "quadratic_l1", "n": 12, "conditioning": 8.0,
+                      "reg_lambda": 0.1, "m": 1, "seed": 4},
+        {"c": 0.8}, every, {"model": "geometric", "column": "F", "k_lo": 2, "k_hi": 40}), []
+    yield "cli-cyclic", "run", experiment(
+        "cyclic", dict(lasso, m=4), {"c": 0.7, "theta": 1.5}, every,
+        {"model": "sublinear_power", "column": "step_sq", "k_lo": 3}), []
+    yield "cli-stochastic", "run", experiment(
+        "stochastic", {"kind": "quadratic", "n": 12, "conditioning": 6.0, "m": 4, "seed": 2},
+        {"c": 0.8, "beta": 0.4}, ["descent", "lyapunov", "rates"],
+        {"model": "geometric", "k_lo": 10, "k_hi": 150}, seeds=[0, 1, 2]), ["--seed-offset", "2"]
+    yield "cli-sweep", "sweep", experiment(
+        "inertial", lasso, {"c": 0.9}, ["descent", "lyapunov"], {},
+        sweep={"beta": [0.3, 0.6]}), []
+    yield "cli-rates", "rates", {"version": 1, "fit": {
+        "csv": os.path.join(root, "cli-inertial", "trace.csv"), "column": "residual_sq",
+        "model": "sublinear_power", "k_lo": 1, "k_hi": 150, "floor": 1e-20}}, []
+    yield "cli-ode", "ode", {"version": 1, "ode": {
+        "n": 4, "conditioning": 4.0, "seed": 0, "alpha": 1.0, "theta": 2.0, "h": 0.01,
+        "t_end": 3.0, "x0_scale": 1.0, "v0_scale": 1.0}}, []
+
+
+def cli_digests():
+    """Yield (name/file, hash) for every file the CLI invocations write."""
+    with tempfile.TemporaryDirectory() as root:
+        for name, command, cfg, extra in cli_invocations(root):
+            cfg_path = os.path.join(root, name + ".json")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            out = os.path.join(root, name)
+            rc = cli_main([command, "--config", cfg_path, "--out", out] + extra)
+            if rc != 0:
+                raise SystemExit(f"{name}: iprox {command} exited {rc}")
+            files = sorted(os.path.relpath(os.path.join(d, f), out)
+                           for d, _, fs in os.walk(out) for f in fs)
+            for rel in files:
+                with open(os.path.join(out, rel), "rb") as fh:
+                    data = fh.read()
+                for path in {root, os.path.realpath(root)}:
+                    data = data.replace(path.encode(), b"<root>")
+                yield f"{name}/{rel}", hashlib.sha256(data).hexdigest()
+
+
 def main():
     for name, p, sched, x0, cfg, order in runs():
         print(name, digest(RUNNERS[order](p, sched, x0, cfg)))
+    for name, h in cli_digests():
+        print(name, h)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Batch experiment driver.
 
-Subcommands (all take --config <path> and --out <dir>):
+Subcommands (all take --config <path> and --out <dir>; run and sweep also
+take --seed-offset, and sweep takes --workers):
 
   run    one experiment: build the instance, solve the reference baseline
          if needed, run the configured algorithm, write trace CSV(s) and
@@ -169,19 +170,17 @@ def _validate_schedule(cfg: dict, algorithm: str, m: int) -> ParamSchedule:
 
 def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
     section = _get(cfg, "run", "config", dict)
-    _check_keys(section, ("max_iters", "record_every", "stop_tol", "keep_iterates"), "run")
+    _check_keys(section, ("max_iters", "record_every", "stop_tol"), "run")
     max_iters = _get(section, "max_iters", "run", int,
                      pred=lambda v: v >= 1, predmsg="max_iters must be >= 1")
     record_every = _get(section, "record_every", "run", int, default=1,
                         pred=lambda v: v >= 1, predmsg="record_every must be >= 1")
     stop_tol = _get(section, "stop_tol", "run", float, default=0.0,
                     pred=lambda v: v >= 0, predmsg="stop_tol must be >= 0")
-    keep = _get(section, "keep_iterates", "run", bool, default=False)
     if audits and set(audits) != {"rates"} and record_every != 1:
         raise ConfigError("run.record_every", "inequality audits need record_every = 1")
     return solvers.RunConfig(max_iters=max_iters, record_every=record_every,
-                             stop_tol=stop_tol, keep_iterates=keep,
-                             record_dist_sq="squared_lyapunov" in audits)
+                             stop_tol=stop_tol, record_dist_sq="squared_lyapunov" in audits)
 
 
 def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
@@ -198,27 +197,31 @@ def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
     return list(audits)
 
 
+def _validate_fit(section: dict, path: str, columns=None) -> dict:
+    """The model, column and k window of a rate fit (run's rate, rates' fit)."""
+    fit = {"model": _get(section, "model", path, str, default="sublinear_power",
+                         pred=lambda v: v in ("sublinear_power", "geometric"),
+                         predmsg="model must be sublinear_power or geometric")}
+    fit["column"] = _get(section, "column", path, str, default="lyapunov",
+                         pred=lambda v: columns is None or v in columns,
+                         predmsg=f"column must be one of {columns}")
+    for key in ("k_lo", "k_hi"):
+        fit[key] = _get(section, key, path, int, default=None, pred=lambda v: v >= 0,
+                        predmsg=f"{key} must be >= 0")
+    fit["burn_in"] = _get(section, "burn_in", path, float,
+                          default=0.0 if fit["k_lo"] is not None else 0.1,
+                          pred=lambda v: 0 <= v < 1, predmsg="burn_in must lie in [0, 1)")
+    return fit
+
+
 def _validate_rate(cfg: dict) -> dict:
     section = _get(cfg, "rate", "config", dict, default={})
     _check_keys(section, ("model", "column", "k_lo", "k_hi", "burn_in", "floor_scale"),
                 "rate")
-    model = _get(section, "model", "rate", str, default="sublinear_power",
-                 pred=lambda v: v in ("sublinear_power", "geometric"),
-                 predmsg="model must be sublinear_power or geometric")
-    column = _get(section, "column", "rate", str, default="lyapunov",
-                  pred=lambda v: v in RATE_COLUMNS,
-                  predmsg=f"column must be one of {RATE_COLUMNS}")
-    k_lo = _get(section, "k_lo", "rate", int, default=None, pred=lambda v: v >= 0,
-                predmsg="k_lo must be >= 0")
-    k_hi = _get(section, "k_hi", "rate", int, default=None, pred=lambda v: v >= 0,
-                predmsg="k_hi must be >= 0")
-    burn_in = _get(section, "burn_in", "rate", float,
-                   default=0.0 if k_lo is not None else 0.1,
-                   pred=lambda v: 0 <= v < 1, predmsg="burn_in must lie in [0, 1)")
-    floor_scale = _get(section, "floor_scale", "rate", float, default=1e-14,
-                       pred=lambda v: v >= 0, predmsg="floor_scale must be >= 0")
-    return {"model": model, "column": column, "k_lo": k_lo, "k_hi": k_hi,
-            "burn_in": burn_in, "floor_scale": floor_scale}
+    fit = _validate_fit(section, "rate", RATE_COLUMNS)
+    fit["floor_scale"] = _get(section, "floor_scale", "rate", float, default=1e-14,
+                              pred=lambda v: v >= 0, predmsg="floor_scale must be >= 0")
+    return fit
 
 
 def _validate_reference(cfg: dict, out_dir: str) -> dict:
@@ -246,44 +249,11 @@ def _validate_x0(cfg: dict) -> dict:
 
 _RUN_KEYS = ("version", "instance", "algorithm", "schedule", "run", "seeds",
              "audits", "rate", "reference", "x0", "output_dir", "sweep")
-
-
-def _validate_top(cfg: dict, subcommand: str):
-    _check_keys(cfg, _RUN_KEYS, "config")
-    if subcommand == "run" and "sweep" in cfg:
-        raise ConfigError("sweep", "grid section requires the sweep subcommand")
-    if subcommand == "sweep" and "sweep" not in cfg:
-        raise ConfigError("sweep", "sweep subcommand needs a sweep section")
+_RUNNERS = {"inertial": "run_inertial", "prox_grad": "run_inertial",
+            "cyclic": "run_cyclic", "stochastic": "run_stochastic"}
 
 
 # ---------------------------------------------------------------- experiment
-
-def _prepare(cfg: dict, out_dir: str):
-    spec = _validate_instance(cfg)
-    algorithm = _get(cfg, "algorithm", "config", str,
-                     pred=lambda v: v in ALGORITHMS,
-                     predmsg=f"must be one of {ALGORITHMS}")
-    audits = _validate_audits(cfg, algorithm, spec)
-    schedule = _validate_schedule(cfg, algorithm, spec.m)
-    run_cfg = _validate_run(cfg, audits)
-    rate_cfg = _validate_rate(cfg)
-    ref_cfg = _validate_reference(cfg, out_dir)
-    x0_cfg = _validate_x0(cfg)
-    seeds = _get(cfg, "seeds", "config", list, default=None)
-    if algorithm == "stochastic":
-        if not seeds:
-            raise ConfigError("seeds", "stochastic runs need a nonempty seeds list")
-        for i, s in enumerate(seeds):
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-                raise ConfigError(f"seeds[{i}]", "seeds must be nonnegative integers")
-    elif seeds is not None:
-        raise ConfigError("seeds", "only stochastic runs take seeds")
-    if schedule.fixed_gamma is not None and spec.kind not in (
-            "quadratic", "quadratic_l1", "noncoercive_quadratic"):
-        raise ConfigError("schedule.fixed_gamma",
-                          "the linear regime needs an instance with nu (quadratic family)")
-    return spec, algorithm, audits, schedule, run_cfg, rate_cfg, ref_cfg, x0_cfg, seeds
-
 
 def _reference_solution(problem, spec, ref_cfg):
     """Load or solve the reference; only converged solutions are cached."""
@@ -298,29 +268,47 @@ def _reference_solution(problem, spec, ref_cfg):
     return key, ref
 
 
-def _fit_from_trace(ks, values, rate_cfg, f_star) -> dict:
-    floor = diagnostics.value_floor(f_star if f_star is not None else 0.0,
-                                    rate_cfg["floor_scale"])
-    ks_w, vals_w = diagnostics.select_window(ks, values, rate_cfg["k_lo"],
-                                             rate_cfg["k_hi"], floor)
-    try:
-        est = diagnostics.fit_rate(ks_w, vals_w, rate_cfg["model"],
-                                   burn_in_frac=rate_cfg["burn_in"])
-    except ContractViolation as exc:
-        # the config was valid; the trace it produced cannot be fitted
-        raise RunFailure(f"rate fit on column {rate_cfg['column']!r}: {exc}")
+def _fit(ks, values, fit: dict, floor: float) -> dict:
+    """Fit fit["model"] over the window of (k, value) pairs above floor."""
+    ks_w, vals_w = diagnostics.select_window(ks, values, fit["k_lo"], fit["k_hi"], floor)
+    est = diagnostics.fit_rate(ks_w, vals_w, fit["model"], burn_in_frac=fit["burn_in"])
     return {"model": est.model, "value": est.exponent_or_ratio,
             "fit_residual": est.fit_residual,
-            "window": [est.window[0], est.window[1]],
-            "column": rate_cfg["column"], "points": int(len(ks_w))}
+            "window": [est.window[0], est.window[1]], "points": int(len(ks_w))}
 
 
-def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0,
-                   subcommand: str = "run") -> dict:
-    """Execute one validated run config; returns the summary dict."""
-    _validate_top(cfg, subcommand)
-    (spec, algorithm, audits, schedule, run_cfg, rate_cfg, ref_cfg,
-     x0_cfg, seeds) = _prepare(cfg, out_dir)
+def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
+    """Validate and execute one run config; returns the summary dict."""
+    _check_keys(cfg, _RUN_KEYS, "config")
+    if "sweep" in cfg:
+        raise ConfigError("sweep", "grid section requires the sweep subcommand")
+    spec = _validate_instance(cfg)
+    algorithm = _get(cfg, "algorithm", "config", str,
+                     pred=lambda v: v in ALGORITHMS,
+                     predmsg=f"must be one of {ALGORITHMS}")
+    audits = _validate_audits(cfg, algorithm, spec)
+    schedule = _validate_schedule(cfg, algorithm, spec.m)
+    run_cfg = _validate_run(cfg, audits)
+    rate_cfg = _validate_rate(cfg)
+    ref_cfg = _validate_reference(cfg, out_dir)
+    x0_cfg = _validate_x0(cfg)
+    seeds = _get(cfg, "seeds", "config", list, default=None)
+    stochastic = algorithm == "stochastic"
+    if stochastic:
+        if not seeds:
+            raise ConfigError("seeds", "stochastic runs need a nonempty seeds list")
+        for i, s in enumerate(seeds):
+            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+                raise ConfigError(f"seeds[{i}]", "seeds must be nonnegative integers")
+    elif seeds is not None:
+        raise ConfigError("seeds", "only stochastic runs take seeds")
+    if schedule.fixed_gamma is not None and spec.kind not in (
+            "quadratic", "quadratic_l1", "noncoercive_quadratic"):
+        raise ConfigError("schedule.fixed_gamma",
+                          "the linear regime needs an instance with nu (quadratic family)")
+    if stochastic and "descent" in audits and run_cfg.stop_tol > 0:
+        # the audit averages the seeds' slacks at each k, and seeds stop apart
+        raise ConfigError("run.stop_tol", "the stochastic descent audit needs stop_tol = 0")
     os.makedirs(out_dir, exist_ok=True)
 
     problem = library.make_instance(spec)
@@ -352,49 +340,47 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0,
         "trace_files": [],
     }
 
-    if algorithm == "stochastic":
-        traces = []
-        for s in seeds:
-            cfg_s = dataclasses.replace(run_cfg, seed=s + seed_offset)
-            trace = solvers.run_stochastic(problem, schedule, x0, cfg_s)
-            traces.append(trace)
-            fname = f"trace_seed{s + seed_offset}.csv"
-            traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
-            summary["trace_files"].append(fname)
-        mean_cols = traceio.write_mean_trace_csv(
-            os.path.join(out_dir, "trace_mean.csv"), traces)
-        summary["trace_files"].append("trace_mean.csv")
-        if "descent" in audits:
-            summary["audits"]["descent"] = {
-                "min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
-        if "lyapunov" in audits:
-            xi = mean_cols["lyapunov"]
-            inc = float(max(0.0, np.max(np.diff(xi)))) if len(xi) > 1 else 0.0
-            summary["audits"]["lyapunov"] = {"max_increase_of_mean": inc}
-        if "rates" in audits:
-            summary["rates"].append(_fit_from_trace(
-                mean_cols["k"], mean_cols[rate_cfg["column"]], rate_cfg,
-                problem.f_star))
+    # one trace.csv, or one trace_seed<S>.csv per seed and their mean
+    if stochastic:
+        runs = [(f"trace_seed{s + seed_offset}.csv",
+                 dataclasses.replace(run_cfg, seed=s + seed_offset)) for s in seeds]
     else:
-        runner = {"inertial": solvers.run_inertial,
-                  "prox_grad": solvers.run_inertial,
-                  "cyclic": solvers.run_cyclic}[algorithm]
-        trace = runner(problem, schedule, x0, run_cfg)
-        traceio.write_trace_csv(os.path.join(out_dir, "trace.csv"), trace)
-        summary["trace_files"].append("trace.csv")
-        if "descent" in audits:
-            summary["audits"]["descent"] = {
-                "max_violation": diagnostics.descent_audit(trace)}
-        if "lyapunov" in audits:
-            summary["audits"]["lyapunov"] = {
-                "max_increase": diagnostics.max_lyapunov_increase(trace)}
-        if "squared_lyapunov" in audits:
-            summary["audits"]["squared_lyapunov"] = {
-                "max_violation": diagnostics.squared_lyapunov_audit(trace, problem)}
-        if "rates" in audits:
-            summary["rates"].append(_fit_from_trace(
-                trace.ks, getattr(trace, rate_cfg["column"]), rate_cfg,
-                problem.f_star))
+        runs = [("trace.csv", run_cfg)]
+    runner = getattr(solvers, _RUNNERS[algorithm])
+    traces = []
+    for fname, cfg_s in runs:
+        trace = runner(problem, schedule, x0, cfg_s)
+        traces.append(trace)
+        cols = traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
+        summary["trace_files"].append(fname)
+    if stochastic:
+        cols = traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"),
+                                            traces)
+        summary["trace_files"].append("trace_mean.csv")
+
+    # the audits and the rate fit read one set of columns: the trace's or
+    # the seed means
+    found = summary["audits"]
+    if "descent" in audits:
+        found["descent"] = (
+            {"min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
+            if stochastic else {"max_violation": diagnostics.descent_audit(trace)})
+    if "lyapunov" in audits:
+        xi = cols["lyapunov"]
+        inc = float(max(0.0, np.max(np.diff(xi)))) if len(xi) > 1 else 0.0
+        found["lyapunov"] = {"max_increase_of_mean" if stochastic else "max_increase": inc}
+    if "squared_lyapunov" in audits:
+        found["squared_lyapunov"] = {
+            "max_violation": diagnostics.squared_lyapunov_audit(trace, problem)}
+    if "rates" in audits:
+        floor = diagnostics.value_floor(problem.f_star if problem.f_star is not None
+                                        else 0.0, rate_cfg["floor_scale"])
+        try:
+            fit = _fit(cols["k"], cols[rate_cfg["column"]], rate_cfg, floor)
+        except ContractViolation as exc:
+            # the config was valid; the trace it produced cannot be fitted
+            raise RunFailure(f"rate fit on column {rate_cfg['column']!r}: {exc}")
+        summary["rates"].append({**fit, "column": rate_cfg["column"]})
 
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -411,7 +397,7 @@ def _write_json(path: str, obj) -> None:
 def _sweep_worker(cfg_text: str, out_dir: str, seed_offset: int):
     cfg = json.loads(cfg_text)
     try:
-        run_experiment(cfg, out_dir, seed_offset=seed_offset, subcommand="run")
+        run_experiment(cfg, out_dir, seed_offset=seed_offset)
         return out_dir, "ok"
     except (ConfigError, ContractViolation, DivergenceError, RunFailure) as exc:
         return out_dir, f"error: {type(exc).__name__}: {exc}"
@@ -433,7 +419,9 @@ def _pool_size(workers: int, jobs: int) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
-    _validate_top(cfg, "sweep")
+    _check_keys(cfg, _RUN_KEYS, "config")
+    if "sweep" not in cfg:
+        raise ConfigError("sweep", "sweep subcommand needs a sweep section")
     section = cfg["sweep"]
     _check_keys(section, ("c", "beta", "theta"), "sweep")
     if "beta" in section and "theta" in section:
@@ -540,33 +528,18 @@ def cmd_rates(cfg: dict, out_dir: str) -> int:
     _check_keys(section, ("csv", "column", "model", "k_lo", "k_hi", "floor",
                           "burn_in"), "fit")
     csv_path = _get(section, "csv", "fit", str)
-    column = _get(section, "column", "fit", str, default="lyapunov")
-    model = _get(section, "model", "fit", str, default="sublinear_power",
-                 pred=lambda v: v in ("sublinear_power", "geometric"),
-                 predmsg="model must be sublinear_power or geometric")
-    k_lo = _get(section, "k_lo", "fit", int, default=None)
-    k_hi = _get(section, "k_hi", "fit", int, default=None)
+    fit = _validate_fit(section, "fit")
     floor = _get(section, "floor", "fit", float, default=0.0,
                  pred=lambda v: v >= 0, predmsg="floor must be >= 0")
-    burn_in = _get(section, "burn_in", "fit", float,
-                   default=0.0 if k_lo is not None else 0.1,
-                   pred=lambda v: 0 <= v < 1, predmsg="burn_in must lie in [0, 1)")
     try:
         cols = traceio.read_csv(csv_path)
     except (OSError, ContractViolation) as exc:
         raise ConfigError("fit.csv", str(exc))
-    if "k" not in cols or column not in cols:
-        raise ConfigError("fit.column", f"column {column!r} not in {csv_path}")
-    ks, vals = diagnostics.select_window(cols["k"], cols[column], k_lo, k_hi, floor)
-    est = diagnostics.fit_rate(ks, vals, model, burn_in_frac=burn_in)
+    if "k" not in cols or fit["column"] not in cols:
+        raise ConfigError("fit.column", f"column {fit['column']!r} not in {csv_path}")
+    result = _fit(cols["k"], cols[fit["column"]], fit, floor)
     os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "rates.json"), {
-        "config": cfg,
-        "fit": {"model": est.model, "value": est.exponent_or_ratio,
-                "fit_residual": est.fit_residual,
-                "window": [est.window[0], est.window[1]],
-                "points": int(len(ks))},
-    })
+    _write_json(os.path.join(out_dir, "rates.json"), {"config": cfg, "fit": result})
     return 0
 
 
@@ -580,15 +553,16 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed-offset", type=int, default=0)
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1)
+        if name in ("run", "sweep"):
+            p.add_argument("--seed-offset", type=int, default=0)
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         if args.command == "run":
-            run_experiment(cfg, args.out, seed_offset=args.seed_offset,
-                           subcommand="run")
+            run_experiment(cfg, args.out, seed_offset=args.seed_offset)
             return 0
         if args.command == "sweep":
             if args.workers < 1:

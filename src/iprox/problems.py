@@ -145,7 +145,11 @@ class CompositeProblem:
         Euclidean projection onto argmin F.
     smooth_model : SmoothModel, optional
         The same f as smooth_value/smooth_grad, described by its image
-        operator; the solvers then update the image block by block.
+        operator; the solvers then update the image block by block.  It
+        is kept only while smooth_value and smooth_grad are the model's
+        own value and grad, or wrappers naming them as __wrapped__
+        (functools.wraps); with any other oracle it is set to None, so f
+        has one description.
     prox_kind : ProxKind, optional
         The same g as nonsmooth_value/prox, described as data: every g_i
         is this kind.  prox_full then applies a coordinate-separable kind
@@ -155,11 +159,10 @@ class CompositeProblem:
         with any other oracle (say after dataclasses.replace(problem,
         prox=...)) it is set to None, so g has one description.
 
-    Two views of the blocks are derived, not given: block_index_arrays
-    holds each block as an index array, and block_selectors holds what
-    reads or writes block i of a vector, x[block_selectors[i]]: a slice
-    for a contiguous ascending block, so the read is a view and not a
-    copy, and the index array for any other block.
+    One view of the blocks is derived, not given: block_selectors holds
+    what reads or writes block i of a vector, x[block_selectors[i]]: a
+    slice for a contiguous ascending block, so the read is a view and not
+    a copy, and an index array for any other block.
     """
 
     dim: int
@@ -175,7 +178,6 @@ class CompositeProblem:
     solution_projection: Optional[Callable[[Vector], Vector]] = None
     smooth_model: Optional[SmoothModel] = None
     prox_kind: Optional[ProxKind] = None
-    block_index_arrays: tuple = field(init=False, repr=False)
     block_selectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -199,8 +201,13 @@ class CompositeProblem:
             raise ContractViolation("block Lipschitz constants must be > 0")
         if self.nu is not None and self.nu <= 0:
             raise ContractViolation("nu must be > 0 when given")
-        if self.smooth_model is not None and self.smooth_model.dim != self.dim:
-            raise ContractViolation("smooth_model acts on vectors of another length")
+        model = self.smooth_model
+        if model is not None:
+            if model.dim != self.dim:
+                raise ContractViolation("smooth_model acts on vectors of another length")
+            if not (_reads_method(self.smooth_value, model.value)
+                    and _reads_method(self.smooth_grad, model.grad)):
+                object.__setattr__(self, "smooth_model", None)
         if self.prox_kind is not None:
             if not isinstance(self.prox_kind, ProxKind):
                 raise ContractViolation("prox_kind must be a ProxKind")
@@ -213,9 +220,8 @@ class CompositeProblem:
             "block_lipschitz",
             tuple(float(L_i) for L_i in self.block_lipschitz),
         )
-        index = tuple(np.asarray(blk, dtype=np.intp) for blk in blocks)
-        object.__setattr__(self, "block_index_arrays", index)
-        object.__setattr__(self, "block_selectors", tuple(_selector(ix) for ix in index))
+        object.__setattr__(self, "block_selectors", tuple(
+            _selector(np.asarray(blk, dtype=np.intp)) for blk in blocks))
 
     @property
     def n_blocks(self) -> int:
@@ -270,6 +276,12 @@ def kind_oracles(kind: ProxKind) -> dict:
 
 def _kind_prox(kind: ProxKind, i: int, v: Vector, gamma: float) -> Vector:
     return prox_apply(kind, v, gamma)
+
+
+def _reads_method(oracle, method) -> bool:
+    # whether oracle is the bound method, or a wrapper that names it as
+    # __wrapped__ (functools.wraps)
+    return inspect.unwrap(oracle) == method
 
 
 def _reads_kind(oracle, fn, kind: ProxKind) -> bool:
@@ -379,7 +391,7 @@ class ImageOracle:
         self.problem = problem
         self.model = problem.smooth_model
         self.dim = problem.dim
-        self.index = problem.block_index_arrays
+        self.sizes = tuple(len(blk) for blk in problem.blocks)
         self.cols = problem.block_selectors
         self.grad_is_image = self.model.loss == "quadratic"
         self.u = None
@@ -406,7 +418,7 @@ class ImageOracle:
             i, d = self.pending
             self.pending = None
             self.u += self.model.A[:, self.cols[i]] @ d
-            self.columns += len(self.index[i])
+            self.columns += self.sizes[i]
         return self.u
 
     def value(self, x: Vector) -> float:
@@ -427,7 +439,7 @@ class ImageOracle:
         if self.grad is not None:
             return self.grad[self.cols[i]]
         if not self.grad_is_image:
-            self.columns += len(self.index[i])
+            self.columns += self.sizes[i]
         return self.model.grad_at(x, self._image(), self.cols[i])
 
     def move(self, i: int, d: Vector) -> None:

@@ -18,20 +18,22 @@ from .errors import ContractViolation
 
 TRACE_HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
 ODE_HEADER = "t,xi_f,speed_sq,accel_ratio"
+# the Trace fields behind the solver-trace columns after k
+_VALUE_COLUMNS = TRACE_HEADER.split(",")[1:]
 _CHUNK_ROWS = 512
 
 
-def write_trace_csv(path, trace) -> None:
-    """Write one solver trace; every value must be finite."""
-    cols = [
-        np.asarray(trace.ks),
-        np.asarray(trace.F),
-        np.asarray(trace.lyapunov),
-        np.asarray(trace.step_sq),
-        np.asarray(trace.residual_sq),
-        np.asarray(trace.descent_slack),
-    ]
-    _write_rows(path, TRACE_HEADER, cols, allow_inf_cols=())
+def write_trace_csv(path, trace) -> dict:
+    """Write one solver trace; every value must be finite.
+
+    Returns the written columns as {column_name: ndarray}, the trace's own
+    arrays, equal to what read_csv would parse back.
+    """
+    cols = {"k": np.asarray(trace.ks)}
+    for name in _VALUE_COLUMNS:
+        cols[name] = np.asarray(getattr(trace, name))
+    _write_rows(path, TRACE_HEADER, list(cols.values()), allow_inf_cols=())
+    return cols
 
 
 def write_mean_trace_csv(path, traces) -> dict:
@@ -49,7 +51,7 @@ def write_mean_trace_csv(path, traces) -> dict:
         if not np.array_equal(np.asarray(t.ks[:n]), ks):
             raise ContractViolation("traces disagree on recorded iteration grid")
     cols = {"k": ks}
-    for name in ("F", "lyapunov", "step_sq", "residual_sq", "descent_slack"):
+    for name in _VALUE_COLUMNS:
         stack = np.stack([np.asarray(getattr(t, name)[:n], dtype=float) for t in traces])
         cols[name] = stack.mean(axis=0)
     _write_rows(path, TRACE_HEADER, list(cols.values()), allow_inf_cols=())

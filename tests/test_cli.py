@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import iprox
-from iprox import cli, reference
+from iprox import cli, reference, traceio
 from iprox.cli import main
 
 HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
@@ -290,8 +290,6 @@ def test_readme_example_fit_failure_is_exit_3(tmp_path, capsys):
 
 
 def test_stochastic_run_keeps_mean_in_memory(tmp_path, monkeypatch):
-    from iprox import traceio
-
     def no_reads(path):
         raise AssertionError(f"run read back {path}")
 
@@ -456,3 +454,59 @@ def test_squared_lyapunov_run_keeps_no_iterates(tmp_path, monkeypatch):
     assert [c.record_dist_sq for c in seen] == [False, True]
     summary = json.loads((tmp_path / "3" / "summary.json").read_text())
     assert summary["audits"]["squared_lyapunov"]["max_violation"] <= 0.0
+
+
+def test_stochastic_descent_audit_with_early_stopping_is_exit_2(tmp_path, capsys):
+    # seeds stop at different k, and the expectation audit needs one k grid:
+    # the config is refused before any file is written
+    doc = quad_stochastic_cfg(
+        instance={"kind": "quadratic", "n": 16, "conditioning": 10.0, "m": 4, "seed": 3},
+        schedule={"c": 0.5, "beta": 0.5},
+        run={"max_iters": 4000, "stop_tol": 1e-6},
+        x0={"mode": "gaussian", "scale": 1.0}, seeds=[1, 2, 3])
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: run.stop_tol" in capsys.readouterr().err
+    assert not out.exists()
+    # without the descent audit the seed means are truncated to a common k
+    doc["audits"] = ["lyapunov"]
+    assert main(["run", "--config", write_cfg(tmp_path, doc, "l.json"),
+                 "--out", str(out)]) == 0
+    lengths = {len(traceio.read_csv(str(out / f"trace_seed{s}.csv"))["k"]) for s in (1, 2, 3)}
+    assert len(lengths) > 1
+    assert len(traceio.read_csv(str(out / "trace_mean.csv"))["k"]) == min(lengths)
+
+
+def test_keep_iterates_is_an_unknown_run_key(tmp_path, capsys):
+    doc = lasso_cfg(run={"max_iters": 50, "keep_iterates": False})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "run.keep_iterates: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("run", "--workers"), ("ode", "--workers"),
+                                           ("rates", "--workers"),
+                                           ("ode", "--seed-offset"),
+                                           ("rates", "--seed-offset")])
+def test_flags_a_subcommand_does_not_read_are_exit_2(tmp_path, capsys, command, flag):
+    cfg = write_cfg(tmp_path, {"version": 1})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_negative_fit_window_is_exit_2_under_run_and_rates(tmp_path, capsys):
+    out = tmp_path / "run"
+    doc = lasso_cfg(audits=["rates"], rate={"k_lo": -1})
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: rate.k_lo: k_lo must be >= 0" in capsys.readouterr().err
+    assert main(["run", "--config", write_cfg(tmp_path, lasso_cfg(audits=[]), "r.json"),
+                 "--out", str(out)]) == 0
+    for key in ("k_lo", "k_hi"):
+        fit = {"version": 1, "fit": {"csv": str(out / "trace.csv"), key: -1}}
+        assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert f"config error: fit.{key}: {key} must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()

@@ -1,6 +1,7 @@
 """Oracle states: the image kept by block moves against the closure fallback."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from iprox.problems import (
     CompositeProblem,
     ImageOracle,
     SmoothModel,
+    objective,
     oracle_state,
 )
+from iprox.reference import solve_reference
 from iprox.solvers import RunConfig, run_cyclic, run_inertial, run_stochastic
 
 KIND_SPECS = {
@@ -169,13 +172,13 @@ def test_non_contiguous_blocks_use_index_columns():
     oracle = oracle_state(p)
     x = rng.standard_normal(6)
     oracle.refresh(x)
-    ix = p.block_index_arrays[1]
+    ix = p.block_selectors[1]
     assert np.allclose(oracle.block_grad(1, x), model.grad(x)[ix], rtol=1e-13)
     d = rng.standard_normal(3)
     oracle.move(1, d)
     x[ix] += d
     assert oracle.value(x) == pytest.approx(model.value(x), rel=1e-13)
-    assert np.allclose(oracle.block_grad(0, x), model.grad(x)[p.block_index_arrays[0]],
+    assert np.allclose(oracle.block_grad(0, x), model.grad(x)[p.block_selectors[0]],
                        rtol=1e-12)
     x0 = rng.standard_normal(6)
     a = run(p, x0, "cyclic", 30)
@@ -198,3 +201,25 @@ def test_model_validation():
         dataclasses.replace(p, smooth_model=SmoothModel("squares", A))
     with pytest.raises(ContractViolation):
         oracle_state(p).refresh(np.zeros(5))
+
+
+def test_replacing_f_by_closures_drops_the_model():
+    # f/2 keeps L an upper bound; the runs and the reference must read the
+    # f the problem reports, not the library model it was built from
+    p, x0 = instance("lasso", 3)
+    model = p.smooth_model
+    q = dataclasses.replace(p, smooth_value=lambda x: 0.5 * model.value(x),
+                            smooth_grad=lambda x: 0.5 * model.grad(x))
+    for variant in RUNNERS:
+        assert run(q, x0, variant, 5).F[0] == objective(q, x0)
+    ref = solve_reference(q, tol=1e-10)
+    assert ref.converged
+    assert ref.f_star == objective(q, ref.x_star)
+    assert q.smooth_model is None
+    # the model's own oracles, or wrappers naming them, keep it
+    assert dataclasses.replace(p, smooth_grad=model.grad).smooth_model is model
+    wrapped = dataclasses.replace(
+        p, smooth_value=functools.wraps(model.value)(lambda x: model.value(x)),
+        smooth_grad=functools.wraps(model.grad)(lambda x: model.grad(x)))
+    assert wrapped.smooth_model is model
+    assert dataclasses.replace(p, smooth_grad=model.value).smooth_model is None

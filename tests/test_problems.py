@@ -108,7 +108,7 @@ def test_block_grad_is_slice_of_full():
     full = grad_f(p, x)
     state = oracle_state(p)
     state.refresh(x)
-    for i, ix in enumerate(p.block_index_arrays):
+    for i, ix in enumerate(p.block_selectors):
         assert np.array_equal(state.block_grad(i, x), full[ix])
 
 
@@ -150,7 +150,7 @@ def test_prox_full_blockwise():
     v = np.linspace(-2, 2, 8)
     full = prox_full(p, v, 0.5)
     stitched = np.empty(8)
-    for i, ix in enumerate(p.block_index_arrays):
+    for i, ix in enumerate(p.block_selectors):
         stitched[ix] = prox_block(p, i, v[ix], 0.5)
     assert np.array_equal(full, stitched)
 
@@ -177,7 +177,7 @@ def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
     # coordinates at the threshold, at zero and at minus zero
     v[:4] = [gamma * 0.3, -gamma * 0.3, 0.0, -0.0]
     want = np.empty(24)
-    for i, ix in enumerate(p.block_index_arrays):
+    for i, ix in enumerate(p.block_selectors):
         want[ix] = prox_block(p, i, v[ix], gamma)
     for got in (prox_full(p, v, gamma), prox_full(per_block, v, gamma)):
         assert got.tobytes() == want.tobytes()
@@ -402,7 +402,7 @@ def test_every_prox_entry_point_rejects_bad_input(kind):
     want = np.concatenate([prox_block(p, 0, v[:2], 0.7), prox_block(p, 1, v[2:], 0.7)])
     assert np.array_equal(prox_full(p, v, 0.7), want)
     if kind is not None:
-        for i, ix in enumerate(p.block_index_arrays):
+        for i, ix in enumerate(p.block_selectors):
             assert np.array_equal(prox_block(p, i, v[ix], 0.7), prox_apply(kind, v[ix], 0.7))
 
 

@@ -188,7 +188,7 @@ def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
 
     def prox(v):
         out = np.empty_like(v)
-        for i, ix in enumerate(problem.block_index_arrays):
+        for i, ix in enumerate(problem.block_selectors):
             out[ix] = problem.prox(i, v[ix], gam)
         return out
 

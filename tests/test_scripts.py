@@ -1,5 +1,5 @@
 """The scripts under scripts/: each runs to exit 0, and trace_digest.py
-prints one hash per run of its grid."""
+prints one hash per run of its grid and per CLI output file."""
 
 import os
 import subprocess
@@ -34,7 +34,13 @@ def test_demo_script_runs(script, tmp_path):
 def test_trace_digest_prints_one_hash_per_run(tmp_path):
     lines = [line.split() for line in run_script("trace_digest.py", tmp_path).splitlines()]
     names = [name for name, _ in lines]
-    assert len(names) == len(set(names)) == 120
+    assert len(names) == len(set(names)) == 144
+    cli_files = [name for name in names if name.startswith("cli-")]
+    assert len(cli_files) == 24
+    assert {"cli-stochastic/trace_seed2.csv", "cli-stochastic/trace_mean.csv",
+            "cli-sweep/sweep_summary.json", "cli-rates/rates.json",
+            "cli-ode/ode_trace.csv"} <= set(cli_files)
+    assert not os.listdir(tmp_path)
     assert all(len(h) == 64 and int(h, 16) >= 0 for _, h in lines)
     assert {f"{kind}-m{m}-{order}-every{every}"
             for kind in iprox.library.KINDS for m in (1, 4)

@@ -236,7 +236,8 @@ def test_divergence_guard_catches_a_non_finite_gradient(variant, record_every, s
     assert not any(np.array_equal(x, xs[5]) for x in xs[:5])
     poisoned = PoisonedModel(model, xs[5], poison)
     if oracle_kind == "image":
-        bad = dataclasses.replace(p, smooth_model=poisoned)
+        bad = dataclasses.replace(p, smooth_model=poisoned, smooth_value=poisoned.value,
+                                  smooth_grad=poisoned.grad)
     else:
         bad = dataclasses.replace(p, smooth_grad=poisoned.grad)
     with pytest.raises(DivergenceError) as exc:
@@ -420,7 +421,7 @@ def test_stochastic_untouched_blocks_carry_over():
     for j in range(1, len(xs)):
         i = tr.chosen_blocks[j]
         assert i >= 0
-        for b, ix in enumerate(p.block_index_arrays):
+        for b, ix in enumerate(p.block_selectors):
             if b != i:
                 assert np.array_equal(xs[j][ix], xs[j - 1][ix])
     # with 60 draws of 4 blocks, every block should have been visited

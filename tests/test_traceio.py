@@ -37,6 +37,18 @@ def test_write_read_round_trip(tmp_path):
         assert np.array_equal(cols[name], want), name
 
 
+def test_written_columns_are_the_traces_arrays(tmp_path):
+    # the returned columns are what read_csv parses back, and they are the
+    # trace's own arrays, not copies
+    tr = small_trace()
+    cols = traceio.write_trace_csv(tmp_path / "trace.csv", tr)
+    back = traceio.read_csv(tmp_path / "trace.csv")
+    assert list(cols) == list(back) == traceio.TRACE_HEADER.split(",")
+    for name in cols:
+        assert np.array_equal(cols[name], back[name]), name
+    assert cols["k"] is tr.ks and cols["lyapunov"] is tr.lyapunov
+
+
 def test_rewrite_is_byte_identical(tmp_path):
     tr = small_trace()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
