@@ -6,7 +6,11 @@ The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
 iterates, diminishing inertia, the stochastic fixed-gamma regime, a
 non-separable prox (group l2, applied block by block) and a closure-built
-problem whose blocks are not contiguous.  Each hash covers every Trace
+problem whose blocks are not contiguous.  Runs record their entries in
+blocks of 256 rows at n = 24, so 600-iteration runs of each order at
+record_every 1 (on the lasso, the group-l2 lasso and the quadratic with
+dist^2), and one record_every 3 run that early stopping ends in its
+second block, cross block boundaries.  Each hash covers every Trace
 array, the final state, the retained iterates and repr(meta), so two
 checkouts produce the same output exactly when their traces are identical
 bit for bit.
@@ -53,6 +57,7 @@ from iprox.problems import kind_oracles
 
 N = 24
 ITERS = 40
+LONG = 600
 RUNNERS = {"full": run_inertial, "cyclic": run_cyclic, "stochastic": run_stochastic}
 SPECS = {
     "quadratic": dict(conditioning=10.0),
@@ -127,16 +132,33 @@ def runs():
                 yield (f"{kind}-m{m}-stochastic-fixed", p, fixed, x0,
                        RunConfig(max_iters=ITERS, record_every=3, seed=7), "stochastic")
     spec = InstanceSpec(kind="lasso", n=N, m=4, seed=3, **SPECS["lasso"])
-    group = dataclasses.replace(make_instance(spec), **kind_oracles(ProxKind.group_l2(0.2)))
+    lasso, xl = make_instance(spec), start_point(spec, "gaussian", 1.0)
+    group = dataclasses.replace(lasso, **kind_oracles(ProxKind.group_l2(0.2)))
     closure, xc = scattered_closure()
-    for name, p, x0 in (("lasso-group-l2-m4", group, start_point(spec, "gaussian", 1.0)),
-                        ("closure-scattered-m2", closure, xc)):
+    for name, p, x0 in (("lasso-group-l2-m4", group, xl), ("closure-scattered-m2", closure, xc)):
         for order in RUNNERS:
             sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
                                   m=p.n_blocks if order == "stochastic" else 1)
             for every in (1, 3):
                 yield (f"{name}-{order}-every{every}", p, sched, x0,
                        RunConfig(max_iters=ITERS, record_every=every, seed=7), order)
+    quad = InstanceSpec(kind="quadratic", n=N, m=4, seed=3, **SPECS["quadratic"])
+    for name, p, x0, dist in (("lasso-m4", lasso, xl, False),
+                              ("lasso-group-l2-m4", group, xl, False),
+                              ("quadratic-m4", make_instance(quad),
+                               start_point(quad, "gaussian", 1.0), True)):
+        for order in RUNNERS:
+            sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
+                                  m=4 if order == "stochastic" else 1)
+            yield (f"{name}-{order}-long", p, sched, x0,
+                   RunConfig(max_iters=LONG, seed=7, record_dist_sq=dist), order)
+    # stops at k = 825: entry 276, in the second block
+    spec = InstanceSpec(kind="logistic_l1", n=N, m=4, seed=3, **SPECS["logistic_l1"])
+    sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant="stochastic", m=4)
+    yield ("logistic_l1-m4-stochastic-stop-long", make_instance(spec), sched,
+           start_point(spec, "gaussian", 1.0),
+           RunConfig(max_iters=5 * LONG, record_every=3, seed=7, stop_tol=1e-10),
+           "stochastic")
 
 
 def experiment(algorithm, instance, schedule, audits, rate, **extra):

@@ -270,8 +270,12 @@ def _reference_solution(problem, spec, ref_cfg):
 
 def _fit(ks, values, fit: dict, floor: float) -> dict:
     """Fit fit["model"] over the window of (k, value) pairs above floor."""
-    ks_w, vals_w = diagnostics.select_window(ks, values, fit["k_lo"], fit["k_hi"], floor)
-    est = diagnostics.fit_rate(ks_w, vals_w, fit["model"], burn_in_frac=fit["burn_in"])
+    try:
+        ks_w, vals_w = diagnostics.select_window(ks, values, fit["k_lo"], fit["k_hi"], floor)
+        est = diagnostics.fit_rate(ks_w, vals_w, fit["model"], burn_in_frac=fit["burn_in"])
+    except ContractViolation as exc:
+        # the config was valid; the trace it names cannot be fitted
+        raise RunFailure(f"rate fit on column {fit['column']!r}: {exc}")
     return {"model": est.model, "value": est.exponent_or_ratio,
             "fit_residual": est.fit_residual,
             "window": [est.window[0], est.window[1]], "points": int(len(ks_w))}
@@ -357,6 +361,9 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         cols = traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"),
                                             traces)
         summary["trace_files"].append("trace_mean.csv")
+        entries = [len(t.ks) for t in traces]
+        if len(set(entries)) > 1:  # seeds stopped apart under stop_tol
+            summary["seed_mean"] = {"entries": len(cols["k"]), "entries_per_seed": entries}
 
     # the audits and the rate fit read one set of columns: the trace's or
     # the seed means
@@ -375,11 +382,7 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
     if "rates" in audits:
         floor = diagnostics.value_floor(problem.f_star if problem.f_star is not None
                                         else 0.0, rate_cfg["floor_scale"])
-        try:
-            fit = _fit(cols["k"], cols[rate_cfg["column"]], rate_cfg, floor)
-        except ContractViolation as exc:
-            # the config was valid; the trace it produced cannot be fitted
-            raise RunFailure(f"rate fit on column {rate_cfg['column']!r}: {exc}")
+        fit = _fit(cols["k"], cols[rate_cfg["column"]], rate_cfg, floor)
         summary["rates"].append({**fit, "column": rate_cfg["column"]})
 
     _write_json(os.path.join(out_dir, "summary.json"), summary)

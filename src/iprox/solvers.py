@@ -20,6 +20,15 @@ block through the problem's block selectors (a slice for a contiguous
 block), and the stochastic order draws its blocks _DRAWS at a time with
 :meth:`iprox.rng.SplitMix64.randint_below_batch`.
 
+Entries are recorded in blocks.  At an entry the loop copies x^k and
+grad f(x^k) into two per-run (rows, n) buffers of at most 8,192 floats
+(64 KiB) each, and appends the entry's scalars; when the buffers are full,
+and at the run's end, the residuals, the Lyapunov and slack values and
+dist^2 of the whole block are computed as numpy columns, in the operation
+order of a per-entry computation, so the trace is the same bit for bit.
+Under stop_tol the loop computes the residual at every step, the entry
+records that value, and no gradient is copied.
+
 Each run produces a Trace whose per-entry columns are enough to replay the
 convergence audits in :mod:`iprox.diagnostics` without re-running:
 
@@ -46,7 +55,6 @@ inputs are immutable and per-run state is private.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,12 +70,12 @@ from .problems import (
     grad_f,
     oracle_state,
 )
+from .prox import _apply_kind
 from .rng import SplitMix64
 from .schedules import (
     ConstantBeta,
     ParamSchedule,
     beta_at,
-    delta_coeff,
     gamma_full,
     gamma_stochastic,
     linear_stochastic_beta,
@@ -140,51 +148,80 @@ class Trace:
 
 _COLUMNS = ("ks", "F", "residual_sq", "betas", "gammas", "lyapunov", "step_sq",
             "descent_slack")
-_INT_COLUMNS = ("ks", "chosen_blocks")
-_PACK_ROWS = 256
+# an entry's values: k, then (F, s, beta, gamma) of x^k and of x^{k-1}
+_ROW = ("ks", "F", "s", "betas", "gammas", "F_prev", "s_prev", "beta_prev", "gamma_prev")
+_BLOCK_VALUES = 8192  # floats per block buffer of x^k or grad f(x^k): 64 KiB
 
 
-class _Builder:
-    """Collects a run's entries into array('q') (ks, chosen_blocks) and
-    array('d') buffers, 8 bytes a value.  Entries are packed every
-    _PACK_ROWS, so only the ones since the last packing are held as Python
-    objects.  A column whose first value is a vector (the cyclic gammas and
-    block_step_sq) takes vectors of that length and builds an (entries, m)
-    array."""
+class _Recorder:
+    """Collects a run's entries and computes them a block of rows at a time.
 
-    def __init__(self, names: tuple, keep_iterates: bool):
-        self.names = names
-        self.buffers = tuple(array("q" if name in _INT_COLUMNS else "d")
-                             for name in names)
-        self.widths = None  # per column: 0 for scalars, else the vector length
-        self.rows = []
-        self.iterates = [] if keep_iterates else None
+    An entry copies x^k, and grad f(x^k) unless the loop computed the
+    residual (under stop_tol), into (rows, n) buffers of at most
+    _BLOCK_VALUES floats, and appends its values, one per name of _ROW
+    and order.stashed (and the residual under stop_tol), to one flat list
+    in one call.  Full buffers, and the run's end, compute the block's
+    residuals, entry formulas and dist^2 as numpy columns; build
+    concatenates the blocks.
+    """
 
-    def add(self, values: tuple, x):
-        self.rows.append(values)
-        if len(self.rows) == _PACK_ROWS:
-            self._pack()
-        if self.iterates is not None:
-            self.iterates.append(x.copy())
+    def __init__(self, problem, order, cfg: RunConfig, project):
+        rows = max(1, min(256, _BLOCK_VALUES // problem.dim))
+        self.problem, self.order, self.project = problem, order, project
+        self.X = np.empty((rows, problem.dim))
+        self.G = np.empty((rows, problem.dim)) if cfg.stop_tol == 0.0 else None
+        # row views: writing one copies a vector in half the time X[j] = x takes
+        self.x_rows = list(self.X)
+        self.g_rows = None if self.G is None else list(self.G)
+        self.names = _ROW + order.stashed + (() if self.G is not None else ("residual_sq",))
+        self.values = []
+        self.columns = {name: [] for name in _COLUMNS + order.extra
+                        + (("dist_sq",) if project is not None else ())}
+        self.iterates = [] if cfg.keep_iterates else None
 
-    def _pack(self):
-        if self.widths is None:
-            self.widths = tuple(np.size(v) if np.ndim(v) else 0 for v in self.rows[0])
-        for buf, w, col in zip(self.buffers, self.widths, zip(*self.rows)):
-            if w:
-                buf.frombytes(np.array(col, dtype=float).tobytes())
+    def add(self, x, grad, rsq, *values):
+        # copies, not references: a closure oracle may reuse its output array
+        j = len(self.values) // len(self.names)
+        if j == len(self.X):
+            self.flush()
+            j = 0
+        self.x_rows[j][...] = x
+        if self.G is None:
+            values += (rsq,)
+        else:
+            self.g_rows[j][...] = grad
+        self.values.extend(values)
+
+    def flush(self):
+        w = len(self.names)
+        a = {name: np.array(self.values[i::w]) for i, name in enumerate(self.names)}
+        self.values.clear()
+        X = self.X[:len(a["ks"])]
+        # np.vecdot gives each row's s.dot(s) bit for bit; einsum and
+        # (S*S).sum(1) do not
+        if self.G is not None:
+            g, kind = 1.0 / self.problem.lipschitz_L, self.problem.prox_kind
+            V = X - g * self.G[:len(X)]
+            if kind is not None and kind.separable:
+                S = X - _apply_kind(kind, V, g)
             else:
-                buf.extend(col)
-        self.rows = []
+                S = X - np.array([_prox_full(self.problem, v, g) for v in V])
+            a["residual_sq"] = np.vecdot(S, S)
+        a.update(self.order.entries(a))
+        if self.project is not None:
+            P, project = np.empty_like(X), self.project
+            for p_row, x in zip(P, self.x_rows):
+                p_row[...] = project(x)  # a copy: project may reuse its output
+            a["dist_sq"] = np.vecdot(X - P, X - P)
+        if self.iterates is not None:
+            self.iterates.extend(X.copy())
+        for name, blocks in self.columns.items():
+            blocks.append(a[name])
 
     def build(self, final_state, meta) -> Trace:
-        self._pack()
-        arrays = {}
-        for name, buf, w in zip(self.names, self.buffers, self.widths):
-            col = np.frombuffer(buf, dtype=np.int64 if buf.typecode == "q" else float)
-            arrays[name] = col.reshape(-1, w) if w else col
-        return Trace(**arrays, final_state=final_state, meta=meta,
-                     iterates=self.iterates)
+        self.flush()
+        arrays = {name: np.concatenate(blocks) for name, blocks in self.columns.items()}
+        return Trace(**arrays, final_state=final_state, meta=meta, iterates=self.iterates)
 
 
 def _forward(x, grad, x_prev, gamma, beta):
@@ -325,16 +362,20 @@ class _FullOrder:
     (x^k, x^{k-1}) to x^{k+1} through the kernel of the order's public
     step function, handing it the loop's checked gradient at x^k when
     there is one, and returns x^{k+1} with its measure
-    s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  entry
-    gives a recorded entry's lyapunov (xi_k - min F), step_sq and
-    descent_slack values, then its values of the Trace fields named in
-    ``extra``.  The oracle state is refreshed at least every ``epoch``
-    steps; the full step moves every block, so here that is every step.
-    The full formulas are the stochastic ones at m = 1.
+    s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  stash
+    gives the values of the Trace fields named in ``stashed`` that an
+    entry records as they are.  entries takes a block of recorded rows as
+    columns named as in _Recorder and gives their lyapunov (xi_k - min F),
+    step_sq and descent_slack columns, and the other Trace fields named in
+    ``extra``.  A row at k = 0 has no previous iterate and stands in for
+    it itself; its s = 0 makes its slack exactly 0.
+    The oracle state is refreshed at least every ``epoch`` steps; the full
+    step moves every block, so here that is every step.  The full formulas
+    are the stochastic ones at m = 1.
     """
 
     variant = "full"
-    extra = ()
+    extra = stashed = ()
     epoch = 1
     step_sq0 = 0.0
 
@@ -360,15 +401,17 @@ class _FullOrder:
         d = x_next - x
         return x_next, float(d.dot(d))
 
-    def entry(self, prev, F_val, s, beta, gamma):
-        xi = F_val + delta_coeff(gamma, self.L) * s - self.f_star
-        if prev is None:
-            return xi, s, 0.0
-        Fp, sp, bp, gp = prev
+    def stash(self):
+        return ()
+
+    def entries(self, a):
+        F, s, beta, gamma, Fp, sp, bp, gp = (a[name] for name in _ROW[1:])
         r = self.root_m
-        return xi, s, ((Fp + bp / (2.0 * r * gp) * sp)
-                       - (F_val + beta / (2.0 * r * gamma) * s)
-                       - ((1.0 - bp / r) / gp - self.L / 2.0) * s)
+        slack = ((Fp + bp / (2.0 * r * gp) * sp)
+                 - (F + beta / (2.0 * r * gamma) * s)
+                 - ((1.0 - bp / r) / gp - self.L / 2.0) * s)
+        return {"lyapunov": F + 0.5 * (1.0 / gamma - self.L / 2.0) * s - self.f_star,
+                "step_sq": s, "descent_slack": slack}
 
 
 class _CyclicOrder(_FullOrder):
@@ -401,16 +444,17 @@ class _CyclicOrder(_FullOrder):
         return x_next, np.array([float(d[sel].dot(d[sel]))
                                  for sel in self.problem.block_selectors])
 
-    def entry(self, prev, F_val, sb, beta, gammas):
+    def entries(self, a):
+        # each row's sums over its m blocks, as (rows, m) arrays summed along
+        # axis 1, which adds in the order a 1-D sum does
+        F, sb, beta, gammas, Fp, sbp, bp, gp = (a[name] for name in _ROW[1:])
         deltas = 0.5 * (1.0 / gammas - self.L_blocks / 2.0)
-        xi = F_val + float((deltas * sb).sum()) - self.f_star
-        s = float(sb.sum())
-        if prev is None:
-            return xi, s, 0.0, sb
-        Fp, sbp, bp, gp = prev
-        return xi, s, ((Fp + float((bp / (2.0 * gp) * sbp).sum()))
-                       - (F_val + float((beta / (2.0 * gammas) * sb).sum()))
-                       - (1.0 - self.c) * self.L_min / (2.0 * self.c) * s), sb
+        s = sb.sum(axis=1)
+        slack = ((Fp + (bp[:, None] / (2.0 * gp) * sbp).sum(axis=1))
+                 - (F + (beta[:, None] / (2.0 * gammas) * sb).sum(axis=1))
+                 - (1.0 - self.c) * self.L_min / (2.0 * self.c) * s)
+        return {"lyapunov": F + (deltas * sb).sum(axis=1) - self.f_star, "step_sq": s,
+                "descent_slack": slack, "block_step_sq": sb}
 
 
 class _StochasticOrder(_FullOrder):
@@ -420,7 +464,7 @@ class _StochasticOrder(_FullOrder):
     _DRAWS at a time."""
 
     variant = "stochastic"
-    extra = ("chosen_blocks", "step_sq_running_min")
+    extra = stashed = ("chosen_blocks", "step_sq_running_min")
 
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule,
                  seed: int, beta_fixed):
@@ -457,31 +501,22 @@ class _StochasticOrder(_FullOrder):
         self.run_min = min(self.run_min, s)
         return x_next, s
 
-    def entry(self, prev, F_val, s, beta, gamma):
-        return (_FullOrder.entry(self, prev, F_val, s, beta, gamma)
-                + (self.chosen, self.run_min))
-
-
-def _residual_sq(problem, x, grad, gamma_audit) -> float:
-    # s.dot(s) is the product s @ s computes, bit for bit, with less call
-    # overhead; the loop takes its squared norms this way
-    s = x - _prox_full(problem, x - gamma_audit * grad, gamma_audit)
-    return float(s.dot(s))
+    def stash(self):
+        return self.chosen, self.run_min
 
 
 def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
-    # The one run loop: F, the divergence guard, the residual and the entry
-    # at x^k, then the order's step into x^{k+1}.  x0 and the schedule are
-    # checked here and by the policy, once; the loop then calls the step
-    # kernels and refreshes the oracle state without checking again.
+    # The one run loop: F, the divergence guard, the stopping residual and
+    # the entry at x^k, then the order's step into x^{k+1}.  x0 and the
+    # schedule are checked here and by the policy, once; the loop then calls
+    # the step kernels and refreshes the oracle state without checking again.
     x0 = _check_dim(problem, x0)
     g_audit = 1.0 / problem.lipschitz_L
     project = problem.solution_projection
     if cfg.record_dist_sq and project is None:
         raise ContractViolation("record_dist_sq needs a problem with solution_projection")
     record_dist = project is not None and (cfg.record_dist_sq or cfg.keep_iterates)
-    b = _Builder(_COLUMNS + order.extra + (("dist_sq",) if record_dist else ()),
-                 cfg.keep_iterates)
+    rec = _Recorder(problem, order, cfg, project if record_dist else None)
 
     oracle = oracle_state(problem)
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
@@ -510,21 +545,22 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
                 f"objective blew up at iteration {k}: F={F_val!r} from F0={F0!r}",
                 k=k, value=F_val)
 
-        rsq = None
         if need_grad:
             _check_grad(grad, k)
-            rsq = _residual_sq(problem, x, grad, g_audit)
-        stopping = stop_tol > 0.0 and rsq <= stop_tol ** 2
+        rsq = None
+        if stop_tol > 0.0:
+            # r.dot(r) is the product r @ r computes, bit for bit, with less
+            # call overhead; the loop takes its squared norms this way
+            r = x - _prox_full(problem, x - g_audit * grad, g_audit)
+            rsq = float(r.dot(r))
+        stopping = rsq is not None and rsq <= stop_tol ** 2
+        cur = (F_val, s, beta, gamma)
         if want_entry or stopping:
-            values = (k, F_val, rsq, beta, gamma, *order.entry(prev, F_val, s, beta, gamma))
-            if record_dist:
-                d = x - np.asarray(project(x), dtype=float)
-                values += (float(d.dot(d)),)
-            b.add(values, x)
+            rec.add(x, grad, rsq, k, *cur, *(prev or cur), *order.stash())
         if stopping or k == max_iters:
             break
 
-        prev = (F_val, s, beta, gamma)
+        prev = cur
         x_next, s = order.step(x, x_prev, k, beta, gamma, oracle, grad)
         x_prev, x = x, x_next
         k += 1
@@ -536,7 +572,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         "stop_tol": cfg.stop_tol, **order.meta,
         "matvec_equiv": oracle.matvec_equiv,
     }
-    return b.build(IterateState(x.copy(), x_prev.copy(), k), meta)
+    return rec.build(IterateState(x.copy(), x_prev.copy(), k), meta)
 
 
 def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,

@@ -83,6 +83,7 @@ def test_stochastic_run_files_and_reruns(tmp_path):
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     assert summary["audits"]["descent"]["min_seed_mean_slack"] >= -1e-9
+    assert "seed_mean" not in summary  # every seed recorded every entry
 
 
 def test_seed_offset_shifts_block_streams(tmp_path):
@@ -472,9 +473,12 @@ def test_stochastic_descent_audit_with_early_stopping_is_exit_2(tmp_path, capsys
     doc["audits"] = ["lyapunov"]
     assert main(["run", "--config", write_cfg(tmp_path, doc, "l.json"),
                  "--out", str(out)]) == 0
-    lengths = {len(traceio.read_csv(str(out / f"trace_seed{s}.csv"))["k"]) for s in (1, 2, 3)}
-    assert len(lengths) > 1
+    lengths = [len(traceio.read_csv(str(out / f"trace_seed{s}.csv"))["k"]) for s in (1, 2, 3)]
+    assert len(set(lengths)) > 1
     assert len(traceio.read_csv(str(out / "trace_mean.csv"))["k"]) == min(lengths)
+    # and summary.json says so
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed_mean"] == {"entries": min(lengths), "entries_per_seed": lengths}
 
 
 def test_keep_iterates_is_an_unknown_run_key(tmp_path, capsys):
@@ -509,4 +513,19 @@ def test_negative_fit_window_is_exit_2_under_run_and_rates(tmp_path, capsys):
         assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
                      "--out", str(tmp_path / "fit")]) == 2
         assert f"config error: fit.{key}: {key} must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_unfittable_window_is_exit_3_under_run_and_rates(tmp_path, capsys):
+    # a valid window holding fewer than 10 points is a runtime failure of
+    # the fit, under run and under rates alike, and rates writes nothing
+    doc = lasso_cfg(audits=["rates"], rate={"k_lo": 5, "k_hi": 8})
+    out = tmp_path / "run"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    want = "run failed: rate fit on column 'lyapunov': "
+    assert want in capsys.readouterr().err
+    fit = {"version": 1, "fit": {"csv": str(out / "trace.csv"), "k_lo": 5, "k_hi": 8}}
+    assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
+                 "--out", str(tmp_path / "fit")]) == 3
+    assert want in capsys.readouterr().err
     assert not (tmp_path / "fit").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from iprox.problems import (
     prox_full,
 )
 from iprox.rng import SplitMix64
-from iprox.schedules import beta_at, gamma_full, gamma_stochastic
+from iprox import solvers
+from iprox.schedules import beta_at, delta_coeff, gamma_full, gamma_stochastic
 from iprox.solvers import (
     RunConfig,
+    Trace,
     cyclic_epoch,
     inertial_step,
     run_cyclic,
@@ -536,12 +539,214 @@ def test_packed_columns_have_the_trace_dtypes_and_shapes():
 
 @pytest.mark.parametrize("entries", [2, 255, 256, 257, 513])
 def test_packing_boundaries_keep_every_entry(entries):
-    # a run ending just before, at or after a packing boundary records the
-    # same entries as the head of a longer run
-    from iprox.solvers import _PACK_ROWS
+    # a run ending just before, at or after a block boundary records the
+    # same entries as the head of a longer run; at n = 12 a block is 256 rows
+    from iprox.solvers import _BLOCK_VALUES
     p, x0 = lasso_problem(m=3)
+    assert min(256, _BLOCK_VALUES // p.dim) == 256
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="cyclic")
-    long = run_cyclic(p, sched, x0, RunConfig(max_iters=2 * _PACK_ROWS + 9))
+    long = run_cyclic(p, sched, x0, RunConfig(max_iters=2 * 256 + 9))
     short = run_cyclic(p, sched, x0, RunConfig(max_iters=entries - 1))
     for name in ("ks", "F", "gammas", "block_step_sq", "descent_slack"):
         assert np.array_equal(getattr(short, name), getattr(long, name)[:entries]), name
+
+
+RUNNERS = {"full": run_inertial, "cyclic": run_cyclic, "stochastic": run_stochastic}
+
+
+def per_entry_run(p, sched, x0, cfg, variant):
+    """The run loop with each entry computed when it is recorded, from the
+    public step functions over one oracle state refreshed at the loop's
+    cadence: the reference that block recording must equal bit for bit.
+    Returns {Trace field: column}."""
+    m, L, c = p.n_blocks, p.lipschitz_L, sched.c
+    L_blocks = np.asarray(p.block_lipschitz, dtype=float)
+    f_star = p.f_star if p.f_star is not None else 0.0
+    r = math.sqrt(m) if variant == "stochastic" else 1.0
+    epoch = m if variant == "stochastic" else 1
+    oracle, rng, g = oracle_state(p), SplitMix64(cfg.seed), 1.0 / L
+    x_prev, x = x0.copy(), x0.copy()
+    s = np.zeros(m) if variant == "cyclic" else 0.0
+    prev, chosen, run_min, F0 = None, -1, math.inf, None
+    rows, k = [], 0
+    while True:
+        beta = beta_at(sched, k)
+        if variant == "full":
+            gamma = gamma_full(beta, c, L)
+        elif variant == "cyclic":
+            gamma = 2.0 * (1.0 - beta) * c / L_blocks
+        else:
+            gamma = gamma_stochastic(beta, c, L, m)
+        want = k % cfg.record_every == 0 or k == cfg.max_iters
+        if want or cfg.stop_tol > 0 or k % epoch == 0:
+            oracle.refresh(x)
+        F = oracle.value(x) + float(p.nonsmooth_value(x))
+        if F0 is None:
+            F0, cap = F, 1e10 * max(1.0, abs(F))
+        if not math.isfinite(F) or F > cap:
+            raise DivergenceError(
+                f"objective blew up at iteration {k}: F={F!r} from F0={F0!r}", k=k, value=F)
+        rsq = None
+        if want or cfg.stop_tol > 0:
+            v = x - prox_full(p, x - g * oracle.full_grad(x), g)
+            rsq = float(v.dot(v))
+        stop = cfg.stop_tol > 0 and rsq <= cfg.stop_tol ** 2
+        if want or stop:
+            row = {"ks": k, "F": F, "residual_sq": rsq, "betas": beta, "gammas": gamma}
+            if variant == "cyclic":
+                deltas = 0.5 * (1.0 / gamma - L_blocks / 2.0)
+                total = float(s.sum())
+                row.update(lyapunov=F + float((deltas * s).sum()) - f_star, step_sq=total,
+                           block_step_sq=s, descent_slack=0.0)
+                if prev is not None:
+                    Fp, sp, bp, gp = prev
+                    row["descent_slack"] = (
+                        (Fp + float((bp / (2.0 * gp) * sp).sum()))
+                        - (F + float((beta / (2.0 * gamma) * s).sum()))
+                        - (1.0 - c) * float(L_blocks.min()) / (2.0 * c) * total)
+            else:
+                row.update(lyapunov=F + delta_coeff(gamma, L) * s - f_star, step_sq=s,
+                           descent_slack=0.0)
+                if prev is not None:
+                    Fp, sp, bp, gp = prev
+                    row["descent_slack"] = ((Fp + bp / (2.0 * r * gp) * sp)
+                                            - (F + beta / (2.0 * r * gamma) * s)
+                                            - ((1.0 - bp / r) / gp - L / 2.0) * s)
+            if variant == "stochastic":
+                row.update(chosen_blocks=chosen, step_sq_running_min=run_min)
+            if cfg.record_dist_sq:
+                d = x - p.solution_projection(x)
+                row["dist_sq"] = float(d.dot(d))
+            rows.append(row)
+        if stop or k == cfg.max_iters:
+            break
+        prev = (F, s, beta, gamma)
+        state = IterateState(x, x_prev, k)
+        if variant == "full":
+            x_next = inertial_step(p, state, gamma, beta, oracle)
+        elif variant == "cyclic":
+            x_next = cyclic_epoch(p, state, gamma, np.full(m, beta), oracle)
+        else:
+            x_next, chosen = stochastic_step(p, state, gamma, beta, rng, oracle)
+        d = x_next - x
+        if variant == "cyclic":
+            s = np.array([float(d[sel].dot(d[sel])) for sel in p.block_selectors])
+        else:
+            s = float(d.dot(d))
+            run_min = min(run_min, s)
+        x_prev, x, k = x, x_next, k + 1
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def trace_arrays(tr):
+    # every array field of a Trace, with the ones a run leaves as None
+    return {f.name: getattr(tr, f.name) for f in dataclasses.fields(Trace)
+            if f.name not in ("final_state", "meta", "iterates")}
+
+
+def run_in_blocks(monkeypatch, rows, p, sched, x0, cfg, variant):
+    # rows entries per block, or the default budget when rows is None
+    with monkeypatch.context() as mp:
+        if rows is not None:
+            mp.setattr(solvers, "_BLOCK_VALUES", rows * p.dim)
+        return RUNNERS[variant](p, sched, x0, cfg)
+
+
+def block_problem(name):
+    # the l1 lasso (a separable kind, applied to a whole block of rows), the
+    # group-l2 lasso (applied row by row) and the quadratic with dist^2
+    if name == "quadratic":
+        spec = iprox.InstanceSpec(kind="quadratic", n=12, conditioning=8.0, m=3, seed=4)
+        return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
+    p, x0 = lasso_problem(n=12, m=3)
+    if name == "group_l2":
+        p = dataclasses.replace(p, **iprox.problems.kind_oracles(iprox.ProxKind.group_l2(0.2)))
+    return p, x0
+
+
+@pytest.mark.parametrize("problem, rule", [("lasso", "constant"), ("group_l2", "diminishing"),
+                                           ("quadratic", "constant")])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_block_recording_equals_per_entry_recording(monkeypatch, variant, record_every,
+                                                    problem, rule):
+    # 40 iterations fill blocks of 1, 2 and 7 rows many times and end one in
+    # mid-block; the default block (256 rows at n = 12) holds the whole run
+    p, x0 = block_problem(problem)
+    sched = iprox.ParamSchedule(beta_rule=FOLD_RULES[rule], c=0.85, variant=variant,
+                                m=p.n_blocks if variant == "stochastic" else 1)
+    cfg = RunConfig(max_iters=40, record_every=record_every, seed=3,
+                    record_dist_sq=problem == "quadratic")
+    want = per_entry_run(p, sched, x0, cfg, variant)
+    default = trace_arrays(run_in_blocks(monkeypatch, None, p, sched, x0, cfg, variant))
+    assert {name for name, col in default.items() if col is not None} == set(want)
+    for rows in (1, 2, 7):
+        got = trace_arrays(run_in_blocks(monkeypatch, rows, p, sched, x0, cfg, variant))
+        for name, col in default.items():
+            assert (col is None and got[name] is None) or (
+                col.dtype == got[name].dtype and np.array_equal(col, got[name])), (rows, name)
+    for name, col in want.items():
+        assert col.shape == default[name].shape and np.array_equal(col, default[name]), name
+
+
+def test_a_reused_closure_gradient_buffer_records_each_entry_residual(monkeypatch):
+    # smooth_grad writes every gradient into one array and returns it; the
+    # entries keep copies, so each row's residual is that of its own x^k
+    p, x0 = closure_lasso()
+    buf = np.empty(p.dim)
+    grad = p.smooth_grad
+
+    def grad_into_buffer(x):
+        buf[:] = grad(x)
+        return buf
+
+    reused = dataclasses.replace(p, smooth_grad=grad_into_buffer)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.8, variant="full")
+    cfg = RunConfig(max_iters=30)
+    want = per_entry_run(p, sched, x0, cfg, "full")["residual_sq"]
+    assert len(set(want.tolist())) == len(want)
+    for rows in (None, 7):
+        tr = run_in_blocks(monkeypatch, rows, reused, sched, x0, cfg, "full")
+        assert np.array_equal(tr.residual_sq, want)
+
+
+def understated_quadratic():
+    # L understated 1.25-fold: each step scales x by -1.25, and F passes the
+    # divergence cap after some fifty iterations
+    return CompositeProblem(
+        dim=2, blocks=((0, 1),),
+        smooth_value=lambda x: 0.5 * float(x @ x),
+        smooth_grad=lambda x: x.copy(),
+        lipschitz_L=0.8, block_lipschitz=(0.8,),
+        nonsmooth_value=lambda x: 0.0,
+        prox=lambda i, v, g: v,
+    )
+
+
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_divergence_inside_a_block_raises_as_per_entry(monkeypatch, variant):
+    p = understated_quadratic()
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.9, variant=variant)
+    x0, cfg = np.array([1.0, 1.0]), RunConfig(max_iters=500)
+    with pytest.raises(DivergenceError) as ref:
+        per_entry_run(p, sched, x0, cfg, variant)
+    assert 7 < ref.value.k < 256 and ref.value.k % 7 != 0
+    for rows in (None, 7):
+        with pytest.raises(DivergenceError) as exc:
+            run_in_blocks(monkeypatch, rows, p, sched, x0, cfg, variant)
+        assert exc.value.k == ref.value.k and str(exc.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_stop_tol_in_mid_block_ends_the_trace_at_the_same_k(monkeypatch, variant):
+    p, x0 = lasso_problem(n=12, m=3)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant=variant,
+                                m=3 if variant == "stochastic" else 1)
+    cfg = RunConfig(max_iters=10_000, record_every=3, stop_tol=1e-6, seed=1)
+    want = per_entry_run(p, sched, x0, cfg, variant)
+    assert want["ks"][-1] % 3 != 0 and len(want["ks"]) % 7 != 0
+    for rows in (None, 7):
+        tr = run_in_blocks(monkeypatch, rows, p, sched, x0, cfg, variant)
+        assert tr.ks[-1] == want["ks"][-1]
+        for name, col in want.items():
+            assert np.array_equal(getattr(tr, name), col), name
