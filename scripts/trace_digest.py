@@ -53,7 +53,6 @@ from iprox import (
     start_point,
 )
 from iprox.cli import main as cli_main
-from iprox.problems import kind_oracles
 
 N = 24
 ITERS = 40
@@ -125,7 +124,9 @@ def runs():
                                      stop_tol=1e-3), order)
                     yield (f"{kind}-m{m}-{order}-iterates", p, sched, x0,
                            RunConfig(max_iters=ITERS, record_every=3, seed=7,
-                                     keep_iterates=True), order)
+                                     keep_iterates=True,
+                                     record_dist_sq=p.solution_projection is not None),
+                           order)
             if m == 4 and p.nu is not None:
                 fixed = ParamSchedule(beta_rule=ConstantBeta(0.0), c=0.8, variant="stochastic",
                                       m=m, fixed_gamma=0.5 / p.lipschitz_L)
@@ -133,7 +134,7 @@ def runs():
                        RunConfig(max_iters=ITERS, record_every=3, seed=7), "stochastic")
     spec = InstanceSpec(kind="lasso", n=N, m=4, seed=3, **SPECS["lasso"])
     lasso, xl = make_instance(spec), start_point(spec, "gaussian", 1.0)
-    group = dataclasses.replace(lasso, **kind_oracles(ProxKind.group_l2(0.2)))
+    group = dataclasses.replace(lasso, prox=ProxKind.group_l2(0.2))
     closure, xc = scattered_closure()
     for name, p, x0 in (("lasso-group-l2-m4", group, xl), ("closure-scattered-m2", closure, xc)):
         for order in RUNNERS:

@@ -14,7 +14,7 @@ from .errors import (
     IntegrationBlowup,
     UnsupportedOracle,
 )
-from .problems import CompositeProblem, IterateState, SmoothModel, make_state
+from .problems import CompositeProblem, IterateState, SmoothModel
 from .prox import ProxKind, group_shrink, project_box, prox_apply, prox_value, soft_threshold
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 from .solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
@@ -24,10 +24,7 @@ from .diagnostics import (
     expectation_descent_audit,
     fit_rate,
     linear_ratio_audit,
-    lyapunov_xi,
     max_lyapunov_increase,
-    residual_S,
-    running_min,
     select_window,
     squared_lyapunov_audit,
     value_floor,
@@ -65,19 +62,15 @@ __all__ = [
     "group_shrink",
     "is_coercive",
     "linear_ratio_audit",
-    "lyapunov_xi",
     "make_instance",
-    "make_state",
     "max_lyapunov_increase",
     "ode_audit",
     "project_box",
     "prox_apply",
     "prox_value",
-    "residual_S",
     "run_cyclic",
     "run_inertial",
     "run_stochastic",
-    "running_min",
     "select_window",
     "simulate_heavy_ball",
     "soft_threshold",

@@ -1,4 +1,4 @@
-"""Lyapunov evaluation, inequality audits, optimality residuals, rate fits.
+"""Lyapunov and inequality audits, rate fits.
 
 Every audit here recomputes its inequality from the recorded trace columns
 rather than trusting the solver's own bookkeeping, so a run and its audit
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedOracle
-from .problems import CompositeProblem, grad_f, prox_full
+from .problems import CompositeProblem
 from .schedules import delta_coeff, epsilon_coeff
 
 
@@ -33,22 +33,6 @@ class RateEstimate:
     exponent_or_ratio: float
     fit_residual: float
     window: tuple
-
-
-def lyapunov_xi(F_val: float, step_sq: float, delta: float, f_star: float) -> float:
-    """xi = F(x^k) + delta*||x^k - x^{k-1}||^2 - min F."""
-    return F_val + delta * step_sq - f_star
-
-
-def residual_S(problem: CompositeProblem, x, gamma: float) -> np.ndarray:
-    """Prox-gradient mapping S_gamma(x) = x - prox_{gamma*g}(x - gamma*grad f(x)).
-
-    Zero exactly at minimizers of F, for any gamma > 0.
-    """
-    if gamma <= 0:
-        raise ContractViolation("residual_S needs gamma > 0")
-    x = np.asarray(x, dtype=float)
-    return x - prox_full(problem, x - gamma * grad_f(problem, x), gamma)
 
 
 def _require_contiguous(trace):
@@ -251,14 +235,6 @@ def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e
         "n_steps": n_checked,
         "ok": bool(max_ratio <= omega),
     }
-
-
-def running_min(series) -> np.ndarray:
-    """Elementwise prefix minimum."""
-    arr = np.asarray(series, dtype=float)
-    if arr.size == 0:
-        raise ContractViolation("running_min needs a nonempty series")
-    return np.minimum.accumulate(arr)
 
 
 def value_floor(f_star: float, scale: float = 1e-14) -> float:

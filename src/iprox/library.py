@@ -42,7 +42,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, SmoothModel, kind_oracles
+from .problems import CompositeProblem, SmoothModel
 from .prox import ProxKind
 
 KINDS = ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadratic")
@@ -303,11 +303,10 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
 
 def _problem(model, blocks, L, L_blocks, reg_lambda, **extra):
     # g = reg_lambda*||x||_1, the zero kind for reg_lambda = 0
-    g = ProxKind.l1(reg_lambda) if reg_lambda > 0 else ProxKind.zero()
     return CompositeProblem(
         dim=model.dim, blocks=blocks, smooth_value=model.value,
         smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=L_blocks,
-        smooth_model=model, **kind_oracles(g), **extra)
+        prox=ProxKind.l1(reg_lambda) if reg_lambda > 0 else ProxKind.zero(), **extra)
 
 
 def is_coercive(spec: InstanceSpec) -> bool:

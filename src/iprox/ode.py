@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IntegrationBlowup
-from .problems import CompositeProblem, grad_f
+from .problems import CompositeProblem, _g_value, grad_f
 
 
 @dataclass
@@ -60,7 +60,7 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     if x0.shape != (problem.dim,) or v0.shape != (problem.dim,):
         raise ContractViolation("x0 and v0 must have the problem dimension")
     # spot-check the smooth-only contract; g is ignored by the integrator
-    if problem.nonsmooth_value(x0) != 0.0 or problem.nonsmooth_value(np.ones(problem.dim)) != 0.0:
+    if _g_value(problem, x0) != 0.0 or _g_value(problem, np.ones(problem.dim)) != 0.0:
         raise ContractViolation("heavy-ball integration needs g identically zero")
 
     n_steps = int(round(t_end / h))

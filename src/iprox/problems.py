@@ -1,29 +1,30 @@
 """Composite problem abstraction: F(x) = f(x) + g(x) with block structure.
 
-The smooth part f is accessed through value/gradient oracles with a known
-Lipschitz constant for the gradient (global L and per-block L_i).  The
-nonsmooth part g is block separable, g(x) = sum_i g_i(x_i), and is accessed
-through per-block prox oracles, or as data by a :class:`ProxKind` shared by
-every block, in which case a coordinate-separable kind is applied to a whole
-vector in one call.  All oracles are pure functions; a problem value may be
-shared freely across threads.
+Each part is described once.  f is its value and gradient callables, with
+a known Lipschitz constant for the gradient (global L and per-block L_i).
+g is block separable, g(x) = sum_i g_i(x_i): a per-block prox callable
+with a value callable for g, or a :class:`ProxKind` that every g_i is.
+All oracles are pure functions; a problem value may be shared freely
+across threads.
 
-When f depends on x only through an image u = A x (a :class:`SmoothModel`),
-the solvers keep u between steps in an oracle state (:func:`oracle_state`),
-so a block step costs a block of columns of A and not full products.
+The data forms are derived from that description.  When the f callables
+are a :class:`SmoothModel`'s own, f reads x only through an image u = A x,
+and the solvers keep u between steps in an oracle state
+(:func:`oracle_state`), so a block step costs a block of columns of A and
+not full products.  A coordinate-separable kind is applied to, and
+evaluated on, a whole vector in one call.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, UnsupportedOracle
-from .prox import ProxKind, _apply_kind, prox_apply, prox_value
+from .errors import ContractViolation
+from .prox import ProxKind, _apply_kind, prox_value
 
 Vector = np.ndarray
 LOSSES = ("squares", "logistic", "quadratic")
@@ -131,10 +132,13 @@ class CompositeProblem:
     block_lipschitz : tuple of float
         Per-block constants L_i of the partial gradients; for library
         problems these are enforced <= lipschitz_L at construction.
+    prox : callable (i, v, gamma) -> ndarray, or ProxKind
+        prox_{gamma*g_i}(v) on block i, which must stay finite for
+        gamma > 0; or a ProxKind, meaning every g_i is that kind, so
+        g(x) = sum_i kind(x_i).
     nonsmooth_value : callable x -> float
-        g(x); may return +inf when g encodes a constraint indicator.
-    prox : callable (i, v, gamma) -> ndarray
-        prox_{gamma*g_i}(v) on block i; must stay finite for gamma > 0.
+        g(x), given exactly when prox is a callable; may return +inf when g
+        encodes a constraint indicator.
     f_star : float, optional
         min F when known (exact for constructed quadratics, else from the
         reference solver).
@@ -143,26 +147,14 @@ class CompositeProblem:
         with xbar the projection of x onto argmin F.
     solution_projection : callable x -> ndarray, optional
         Euclidean projection onto argmin F.
-    smooth_model : SmoothModel, optional
-        The same f as smooth_value/smooth_grad, described by its image
-        operator; the solvers then update the image block by block.  It
-        is kept only while smooth_value and smooth_grad are the model's
-        own value and grad, or wrappers naming them as __wrapped__
-        (functools.wraps); with any other oracle it is set to None, so f
-        has one description.
-    prox_kind : ProxKind, optional
-        The same g as nonsmooth_value/prox, described as data: every g_i
-        is this kind.  prox_full then applies a coordinate-separable kind
-        to the whole vector in one call.  It is kept only while
-        nonsmooth_value and prox are the oracles :func:`kind_oracles` built
-        from it, or wrappers naming them as __wrapped__ (functools.wraps);
-        with any other oracle (say after dataclasses.replace(problem,
-        prox=...)) it is set to None, so g has one description.
 
-    One view of the blocks is derived, not given: block_selectors holds
-    what reads or writes block i of a vector, x[block_selectors[i]]: a
-    slice for a contiguous ascending block, so the read is a view and not
-    a copy, and an index array for any other block.
+    Three attributes are derived, not given.  smooth_model is the
+    SmoothModel whose own value and grad are smooth_value and smooth_grad,
+    or wrappers naming them as __wrapped__ (functools.wraps), else None.
+    prox_kind is the ProxKind given as prox, possibly so wrapped, else
+    None.  block_selectors holds what reads or writes block i of a vector,
+    x[block_selectors[i]]: a slice for a contiguous ascending block, so the
+    read is a view and not a copy, and an index array for any other block.
     """
 
     dim: int
@@ -171,13 +163,13 @@ class CompositeProblem:
     smooth_grad: Callable[[Vector], Vector]
     lipschitz_L: float
     block_lipschitz: tuple
-    nonsmooth_value: Callable[[Vector], float]
-    prox: Callable[[int, Vector, float], Vector]
+    prox: Callable[[int, Vector, float], Vector] | ProxKind
+    nonsmooth_value: Optional[Callable[[Vector], float]] = None
     f_star: Optional[float] = None
     nu: Optional[float] = None
     solution_projection: Optional[Callable[[Vector], Vector]] = None
-    smooth_model: Optional[SmoothModel] = None
-    prox_kind: Optional[ProxKind] = None
+    smooth_model: Optional[SmoothModel] = field(init=False, repr=False)
+    prox_kind: Optional[ProxKind] = field(init=False, repr=False)
     block_selectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -201,19 +193,23 @@ class CompositeProblem:
             raise ContractViolation("block Lipschitz constants must be > 0")
         if self.nu is not None and self.nu <= 0:
             raise ContractViolation("nu must be > 0 when given")
-        model = self.smooth_model
-        if model is not None:
-            if model.dim != self.dim:
-                raise ContractViolation("smooth_model acts on vectors of another length")
-            if not (_reads_method(self.smooth_value, model.value)
-                    and _reads_method(self.smooth_grad, model.grad)):
-                object.__setattr__(self, "smooth_model", None)
-        if self.prox_kind is not None:
-            if not isinstance(self.prox_kind, ProxKind):
-                raise ContractViolation("prox_kind must be a ProxKind")
-            if not (_reads_kind(self.nonsmooth_value, prox_value, self.prox_kind)
-                    and _reads_kind(self.prox, _kind_prox, self.prox_kind)):
-                object.__setattr__(self, "prox_kind", None)
+        value = inspect.unwrap(self.smooth_value)
+        model = getattr(value, "__self__", None)
+        if not (isinstance(model, SmoothModel) and value == model.value
+                and inspect.unwrap(self.smooth_grad) == model.grad):
+            model = None
+        elif model.dim != self.dim:
+            raise ContractViolation("smooth_model acts on vectors of another length")
+        kind = inspect.unwrap(self.prox)
+        if not isinstance(kind, ProxKind):
+            if not callable(self.prox):
+                raise ContractViolation("prox must be a callable or a ProxKind")
+            kind = None
+        if (self.nonsmooth_value is None) != (kind is not None):
+            raise ContractViolation(
+                "nonsmooth_value is given exactly when prox is a callable, not a ProxKind")
+        object.__setattr__(self, "smooth_model", model)
+        object.__setattr__(self, "prox_kind", kind)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(
             self,
@@ -240,22 +236,13 @@ def _selector(ix: np.ndarray):
 class IterateState:
     """The pair (x^k, x^{k-1}) consumed by the inertial step.
 
-    By default x^{-1} = x^0, which makes the first step a plain
+    A run starts from x^{-1} = x^0, which makes the first step a plain
     proximal-gradient step.
     """
 
     x_curr: Vector
     x_prev: Vector
     k: int = 0
-
-
-def make_state(problem: CompositeProblem, x0: Vector, x_prev: Vector | None = None) -> IterateState:
-    x0 = _check_dim(problem, x0)
-    if x_prev is None:
-        x_prev = x0.copy()
-    else:
-        x_prev = _check_dim(problem, x_prev)
-    return IterateState(x_curr=x0.copy(), x_prev=x_prev.copy(), k=0)
 
 
 def _check_dim(problem: CompositeProblem, x: Vector) -> Vector:
@@ -267,34 +254,21 @@ def _check_dim(problem: CompositeProblem, x: Vector) -> Vector:
     return x
 
 
-def kind_oracles(kind: ProxKind) -> dict:
-    """CompositeProblem arguments describing g by one kind for every block:
-    prox_kind, and the nonsmooth_value and prox oracles read from it."""
-    return dict(prox_kind=kind, nonsmooth_value=partial(prox_value, kind),
-                prox=partial(_kind_prox, kind))
-
-
-def _kind_prox(kind: ProxKind, i: int, v: Vector, gamma: float) -> Vector:
-    return prox_apply(kind, v, gamma)
-
-
-def _reads_method(oracle, method) -> bool:
-    # whether oracle is the bound method, or a wrapper that names it as
-    # __wrapped__ (functools.wraps)
-    return inspect.unwrap(oracle) == method
-
-
-def _reads_kind(oracle, fn, kind: ProxKind) -> bool:
-    # whether oracle is the one kind_oracles(kind) built around fn, or a
-    # wrapper that names it as __wrapped__ (functools.wraps)
-    oracle = inspect.unwrap(oracle)
-    return isinstance(oracle, partial) and oracle.func is fn and oracle.args[0] is kind
-
-
 def objective(problem: CompositeProblem, x: Vector) -> float:
     """F(x) = f(x) + g(x); may be +inf under constraint indicators."""
     x = _check_dim(problem, x)
-    return float(problem.smooth_value(x)) + float(problem.nonsmooth_value(x))
+    return float(problem.smooth_value(x)) + _g_value(problem, x)
+
+
+def _g_value(problem: CompositeProblem, x: Vector) -> float:
+    # g(x) at a checked x: sum_i kind(x_i) for a prox_kind, in one call on
+    # the whole vector for a coordinate-separable one; else nonsmooth_value
+    kind = problem.prox_kind
+    if kind is None:
+        return float(problem.nonsmooth_value(x))
+    if kind.separable:
+        return prox_value(kind, x)
+    return sum(prox_value(kind, x[sel]) for sel in problem.block_selectors)
 
 
 def grad_f(problem: CompositeProblem, x: Vector) -> Vector:
@@ -487,14 +461,6 @@ class ClosureOracle:
 
     def move(self, i: int, d: Vector) -> None:
         self.grad = None
-
-
-def solution_project(problem: CompositeProblem, x: Vector) -> Vector:
-    """Projection of x onto argmin F; UnsupportedOracle when unavailable."""
-    if problem.solution_projection is None:
-        raise UnsupportedOracle("problem exposes no solution_projection oracle")
-    x = _check_dim(problem, x)
-    return np.asarray(problem.solution_projection(x), dtype=float)
 
 
 def check_gradient_fd(problem: CompositeProblem, x: Vector, h: float) -> float:

@@ -52,10 +52,13 @@ def _group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProxKind:
-    """Tagged description of a separable nonsmooth term g_i.
+    """Tagged description of a nonsmooth term g_i of one block.
 
     Tags: "zero", "l1" (lam), "box" (lo, hi), "group_l2" (lam).
     Build through the classmethod constructors; they validate parameters.
+    Given as a problem's prox, a kind means every g_i is this kind, so
+    g(x) = sum_i kind(x_i): box bounds then have a block's shape (or are
+    scalars), and group_l2 takes the norm of each block.
     """
 
     tag: str
@@ -117,7 +120,8 @@ def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def prox_value(kind: ProxKind, v: np.ndarray) -> float:
-    """Evaluate g(v); +inf for an infeasible box indicator."""
+    """Evaluate the kind at one block v (or, for a coordinate-separable
+    kind, at any vector); +inf for an infeasible box indicator."""
     v = np.asarray(v, dtype=float)
     if kind.tag == "zero":
         return 0.0

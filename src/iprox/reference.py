@@ -15,9 +15,11 @@ when f has a SmoothModel with an affine gradient (the squares and
 quadratic losses): 2 products with A per lasso iteration, 1 for the
 quadratic kinds, 2 for the noncoercive kind (image and Gram product).
 Logistic and closure-built problems take a second gradient at y when
-c > 0.  The prox of g is one vector call when the problem's prox_kind is
-coordinate-separable.  ``ReferenceSolution.matvec_equiv`` is the oracle
-state's count.
+c > 0.  g is read as the runs read it: through the problem's prox_kind
+when it has one (one vector call for a coordinate-separable kind, one
+per block otherwise), else through its prox and nonsmooth_value
+callables.  ``ReferenceSolution.matvec_equiv`` is the oracle state's
+count.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, oracle_state, prox_full
+from .problems import CompositeProblem, _g_value, oracle_state, prox_full
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
 
     def solution(x, r, it, converged):
         # F at x from the state, which describes x
-        f_star = state.value(x) + float(problem.nonsmooth_value(x))
+        f_star = state.value(x) + _g_value(problem, x)
         return ReferenceSolution(
             x_star=x.copy(), f_star=f_star, residual=r, iterations_used=it,
             converged=converged, matvec_equiv=state.matvec_equiv)

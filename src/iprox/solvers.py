@@ -65,6 +65,7 @@ from .problems import (
     CompositeProblem,
     IterateState,
     _check_dim,
+    _g_value,
     _prox_block,
     _prox_full,
     grad_f,
@@ -94,8 +95,7 @@ class RunConfig:
     record_dist_sq records dist(x^k, argmin F)^2 per entry in Trace.dist_sq,
     the one quantity of the iterates the squared-Lyapunov audit reads; it
     needs a problem with a solution_projection.  keep_iterates retains a
-    copy of x^k per recorded entry, which costs n floats per entry; on a
-    problem with a solution_projection it implies record_dist_sq.
+    copy of x^k per recorded entry, which costs n floats per entry.
     """
 
     max_iters: int
@@ -515,8 +515,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     project = problem.solution_projection
     if cfg.record_dist_sq and project is None:
         raise ContractViolation("record_dist_sq needs a problem with solution_projection")
-    record_dist = project is not None and (cfg.record_dist_sq or cfg.keep_iterates)
-    rec = _Recorder(problem, order, cfg, project if record_dist else None)
+    rec = _Recorder(problem, order, cfg, project if cfg.record_dist_sq else None)
 
     oracle = oracle_state(problem)
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
@@ -537,7 +536,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
             F_val, grad = oracle.value_grad(x)
         else:
             F_val, grad = oracle.value(x), None
-        F_val += float(problem.nonsmooth_value(x))
+        F_val += _g_value(problem, x)
         if F0 is None:
             F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
         if not math.isfinite(F_val) or F_val > F_cap:

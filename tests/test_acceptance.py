@@ -147,7 +147,7 @@ def test_criterion_05_cyclic_descent_and_rate():
     schedule = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
                                    variant="cyclic", m=4)
     trace_a = iprox.run_cyclic(prob_a, schedule, start_point(spec_a, "zeros"),
-                               iprox.RunConfig(max_iters=2000, keep_iterates=True))
+                               iprox.RunConfig(max_iters=2000, record_dist_sq=True))
     F0 = float(trace_a.F[0])
     slack = dx.descent_audit(trace_a)
     assert slack >= -1e-9 * (1.0 + abs(F0))

@@ -6,7 +6,7 @@ import pytest
 import iprox
 from iprox import diagnostics, library, reference
 from iprox.errors import ContractViolation, UnsupportedOracle
-from iprox.problems import IterateState, solution_project
+from iprox.problems import IterateState, grad_f, prox_full
 from iprox.schedules import delta_coeff, epsilon_coeff
 from iprox.solvers import Trace
 
@@ -114,7 +114,7 @@ def test_squared_lyapunov_gates():
     with pytest.raises(ContractViolation):
         diagnostics.squared_lyapunov_audit(no_iter, p)
     with_iter = iprox.run_inertial(p, sched, x0,
-                                   iprox.RunConfig(max_iters=20, keep_iterates=True))
+                                   iprox.RunConfig(max_iters=20, record_dist_sq=True))
     bare = iprox.InstanceSpec(kind="lasso", n=8, rows=20, reg_lambda=0.2, seed=2)
     p_no_proj = library.make_instance(bare)
     with pytest.raises(UnsupportedOracle):
@@ -131,7 +131,7 @@ def test_squared_lyapunov_rejects_stochastic():
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
                                 variant="stochastic", m=2)
     tr = iprox.run_stochastic(p, sched, x0,
-                              iprox.RunConfig(max_iters=20, seed=0, keep_iterates=True))
+                              iprox.RunConfig(max_iters=20, seed=0, record_dist_sq=True))
     with pytest.raises(ContractViolation):
         diagnostics.squared_lyapunov_audit(tr, p)
 
@@ -143,7 +143,7 @@ def squared_lyapunov_by_loop(trace, problem):
     c, L = trace.meta["c"], trace.meta["L"]
     dist2 = np.empty(len(trace.ks))
     for j, x in enumerate(trace.iterates):
-        d = x - solution_project(problem, x)
+        d = x - problem.solution_projection(x)
         dist2[j] = float(d @ d)
     worst = 0.0
     for j in range(len(trace.ks) - 1):
@@ -188,7 +188,7 @@ def bits(v):
 
 @pytest.mark.parametrize("run", [desk_lasso_run, criterion_5_run])
 def test_squared_lyapunov_column_audit_equals_iterate_loop(run):
-    p, kept = run(keep_iterates=True)
+    p, kept = run(keep_iterates=True, record_dist_sq=True)
     p, lean = run(record_dist_sq=True)
     assert lean.iterates is None
     assert np.array_equal(lean.dist_sq, kept.dist_sq)
@@ -288,11 +288,6 @@ def test_linear_ratio_audit_needs_nu():
         diagnostics.linear_ratio_audit(tr, pr)
 
 
-def test_running_min():
-    out = diagnostics.running_min([3.0, 4.0, 2.0, 2.5, 1.0])
-    assert np.array_equal(out, [3.0, 3.0, 2.0, 2.0, 1.0])
-
-
 def test_value_floor():
     assert diagnostics.value_floor(0.0) == pytest.approx(1e-14)
     assert diagnostics.value_floor(-9.0) == pytest.approx(1e-13)
@@ -347,9 +342,16 @@ def test_fit_rate_validation():
 
 
 def test_lyapunov_xi_and_residual_helpers():
-    assert diagnostics.lyapunov_xi(3.0, 0.5, 2.0, 1.0) == pytest.approx(3.0)
+    # xi_k = F(x^k) + delta_k*||x^k - x^{k-1}||^2 - min F, and the
+    # prox-gradient mapping S_gamma(x) = x - prox(x - gamma*grad f(x)),
+    # which vanishes at the minimizer
     spec = iprox.InstanceSpec(kind="quadratic", n=6, conditioning=4.0, seed=6)
     p = library.make_instance(spec)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8, variant="full")
+    tr = iprox.run_inertial(p, sched, library.start_point(spec, "gaussian", 1.0),
+                            iprox.RunConfig(max_iters=30))
+    delta = 0.5 * (1.0 / tr.gammas - p.lipschitz_L / 2.0)
+    assert np.allclose(tr.lyapunov, tr.F + delta * tr.step_sq - p.f_star, rtol=1e-14, atol=0)
     z = p.solution_projection(np.zeros(6))
-    r = diagnostics.residual_S(p, z, 1.0 / p.lipschitz_L)
-    assert np.linalg.norm(r) < 1e-12
+    g = 1.0 / p.lipschitz_L
+    assert np.linalg.norm(z - prox_full(p, z - g * grad_f(p, z), g)) < 1e-12

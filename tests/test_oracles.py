@@ -46,7 +46,9 @@ def run(problem, x0, variant, iters, record_every=1, seed=2):
 
 
 def closures_only(problem):
-    return dataclasses.replace(problem, smooth_model=None)
+    model = problem.smooth_model
+    return dataclasses.replace(problem, smooth_value=lambda x: model.value(x),
+                               smooth_grad=lambda x: model.grad(x))
 
 
 def test_library_problems_carry_a_model():
@@ -152,7 +154,8 @@ def test_large_variants_block_costs():
         dim=n, blocks=tuple(tuple(range(i * 20, (i + 1) * 20)) for i in range(m)),
         smooth_value=model.value, smooth_grad=model.grad, lipschitz_L=L,
         block_lipschitz=(L,) * m, nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, g: v, smooth_model=model)
+        prox=lambda i, v, g: v)
+    assert p.smooth_model is model
     x0 = np.zeros(n)
     assert run(p, x0, "cyclic", 8).meta["matvec_equiv"] / 8 <= 4.25
     sto = run(p, x0, "stochastic", 150, record_every=m)
@@ -168,7 +171,8 @@ def test_non_contiguous_blocks_use_index_columns():
     p = CompositeProblem(
         dim=6, blocks=((0, 2, 4), (5, 1, 3)), smooth_value=model.value,
         smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=(L, L),
-        nonsmooth_value=lambda x: 0.0, prox=lambda i, v, g: v, smooth_model=model)
+        nonsmooth_value=lambda x: 0.0, prox=lambda i, v, g: v)
+    assert p.smooth_model is model
     oracle = oracle_state(p)
     x = rng.standard_normal(6)
     oracle.refresh(x)
@@ -197,8 +201,9 @@ def test_model_validation():
     with pytest.raises(ContractViolation):
         SmoothModel("squares", A, labels=np.ones(3))
     p, _ = instance("lasso", 1)
+    other = SmoothModel("squares", A)
     with pytest.raises(ContractViolation):
-        dataclasses.replace(p, smooth_model=SmoothModel("squares", A))
+        dataclasses.replace(p, smooth_value=other.value, smooth_grad=other.grad)
     with pytest.raises(ContractViolation):
         oracle_state(p).refresh(np.zeros(5))
 

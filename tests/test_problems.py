@@ -1,22 +1,22 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 
-from iprox.errors import ContractViolation, UnsupportedOracle
+import iprox
+from iprox import problems
+from iprox.errors import ContractViolation
 from iprox.library import InstanceSpec, make_instance
 from iprox.problems import (
     CompositeProblem,
     check_gradient_fd,
     grad_f,
-    kind_oracles,
-    make_state,
     objective,
     oracle_state,
     prox_block,
     prox_full,
-    solution_project,
 )
 from iprox.prox import ProxKind, prox_apply, prox_value
 
@@ -169,8 +169,11 @@ PROX_KIND_SPECS = {
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
     p = make_instance(InstanceSpec(m=m, seed=2, **PROX_KIND_SPECS[kind]))
-    assert p.prox_kind is not None and p.prox_kind.separable
-    per_block = dataclasses.replace(p, prox_kind=None)
+    kind = p.prox_kind
+    assert kind is not None and kind.separable
+    per_block = dataclasses.replace(p, prox=lambda i, v, gamma: prox_apply(kind, v, gamma),
+                                    nonsmooth_value=lambda x: prox_value(kind, x))
+    assert per_block.prox_kind is None
     gamma = 0.5
     rng = np.random.Generator(np.random.PCG64(m))
     v = rng.standard_normal(24) * 2.0
@@ -189,7 +192,7 @@ def test_group_l2_prox_full_shrinks_each_block_by_its_own_norm():
     p = CompositeProblem(
         dim=4, blocks=((0, 1), (2, 3)),
         smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), **kind_oracles(kind))
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=kind)
     assert p.prox_kind is kind
     out = prox_full(p, np.array([3.0, 4.0, 0.6, 0.8]), 2.0)
     # block norms 5 and 1: the first keeps 1 - 2/5 of itself, the second is 0
@@ -236,7 +239,8 @@ def test_in_place_closure_prox_leaves_the_callers_vector_alone():
 def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
     p = make_instance(InstanceSpec(kind="lasso", n=6, rows=10, reg_lambda=1.0,
                                    m=3, seed=1))
-    assert p.prox_kind.tag == "l1"
+    assert p.prox_kind.tag == "l1" and p.prox is p.prox_kind
+    assert p.nonsmooth_value is None
     assert dataclasses.replace(p, f_star=0.0).prox_kind is p.prox_kind
     calls = []
 
@@ -244,24 +248,76 @@ def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
         calls.append(i)
         return np.zeros_like(v) + i
 
-    # a replaced prox, or a kind given with other oracles, describes g alone
-    for q in (dataclasses.replace(p, prox=prox),
-              dataclasses.replace(p, prox_kind=ProxKind.zero())):
-        assert q.prox_kind is None
-    out = prox_full(dataclasses.replace(p, prox=prox), np.ones(6), 1.0)
+    # a replaced prox describes g alone, with its own value
+    q = dataclasses.replace(p, prox=prox, nonsmooth_value=lambda x: 0.0)
+    assert q.prox_kind is None
+    out = prox_full(q, np.ones(6), 1.0)
     assert calls == [0, 1, 2]
     assert np.array_equal(out, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-    q = dataclasses.replace(p, nonsmooth_value=lambda x: 0.0)
-    assert q.prox_kind is None and q.prox is p.prox
-    # a wrapper that names its oracle, as a tracer's does, keeps the kind
-    q = dataclasses.replace(p, prox=functools.wraps(p.prox)(lambda *a: p.prox(*a)))
+    assert dataclasses.replace(p, prox=ProxKind.zero()).prox_kind.tag == "zero"
+    # a wrapper that names its kind, as a tracer's does, keeps the kind
+    q = dataclasses.replace(p, prox=functools.wraps(p.prox)(lambda *a: None))
     assert q.prox_kind is p.prox_kind
 
 
-def test_prox_kind_must_be_a_prox_kind():
+def test_prox_must_be_a_callable_or_a_prox_kind():
     p = l1_quadratic()
     with pytest.raises(ContractViolation):
-        dataclasses.replace(p, prox_kind="l1")
+        dataclasses.replace(p, prox="l1", nonsmooth_value=None)
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(p, prox="l1")
+
+
+def test_nonsmooth_value_is_given_exactly_for_a_callable_prox():
+    p = l1_quadratic()
+    kind = ProxKind.l1(1.0)
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(p, prox=kind)
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(p, nonsmooth_value=None)
+    q = dataclasses.replace(p, prox=kind, nonsmooth_value=None)
+    assert q.prox_kind is kind
+    x = np.array([1.0, -2.0])
+    assert objective(q, x) == objective(p, x) == 5.5
+
+
+def kind_problem(kind, blocks=((0, 1), (2, 3))):
+    return CompositeProblem(
+        dim=4, blocks=blocks, smooth_value=lambda x: 0.0, smooth_grad=lambda x: np.zeros(4),
+        lipschitz_L=1.0, block_lipschitz=(1.0,) * len(blocks), prox=kind)
+
+
+def test_a_kind_is_summed_over_the_blocks():
+    # every g_i is the kind, so g(x) = sum_i kind(x_i), not kind(x)
+    x = np.array([3.0, 4.0, 0.0, 5.0])
+    assert objective(kind_problem(ProxKind.group_l2(1.0)), x) == 10.0
+    assert objective(kind_problem(ProxKind.group_l2(1.0), blocks=((0, 1, 2, 3),)), x) \
+        == math.sqrt(50.0)
+    # box bounds of a block's shape hold on every block
+    box = kind_problem(ProxKind.box([-1.0, 0.0], [1.0, 2.0]))
+    assert objective(box, np.array([0.5, 1.0, -1.0, 2.0])) == 0.0
+    assert objective(box, np.array([0.5, 1.0, -1.0, 2.5])) == math.inf
+    assert objective(box, np.array([0.5, -0.1, 0.0, 0.0])) == math.inf
+    assert np.array_equal(prox_full(box, np.array([2.0, -1.0, -3.0, 3.0]), 1.0),
+                          [1.0, 0.0, -1.0, 2.0])
+    # a separable kind gives the same value on the whole vector
+    assert objective(kind_problem(ProxKind.l1(0.5)), x) == 6.0
+
+
+def test_a_separable_kind_takes_one_g_call_per_iteration(monkeypatch):
+    calls = []
+    real = problems.prox_value
+
+    def counted(kind, v):
+        calls.append(len(v))
+        return real(kind, v)
+
+    monkeypatch.setattr(problems, "prox_value", counted)
+    p = make_instance(InstanceSpec(kind="lasso", n=12, rows=30, reg_lambda=0.2, m=4, seed=1))
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
+                                variant="stochastic", m=4)
+    iprox.run_stochastic(p, sched, np.ones(12), iprox.RunConfig(max_iters=10, record_every=3))
+    assert calls == [12] * 11
 
 
 def test_fd_check_quadratic_tight():
@@ -351,23 +407,15 @@ def test_partition_validation():
 
 def test_solution_projection_gate():
     p = l1_quadratic()
-    with pytest.raises(UnsupportedOracle):
-        solution_project(p, np.zeros(2))
+    assert p.solution_projection is None
     q = make_instance(InstanceSpec(kind="quadratic", n=4, conditioning=3.0, seed=6))
-    z = solution_project(q, np.zeros(4))
+    z = q.solution_projection(np.zeros(4))
     assert objective(q, z) == pytest.approx(q.f_star, abs=1e-12)
-
-
-def test_make_state_defaults_prev_to_start():
-    p = l1_quadratic()
-    st = make_state(p, np.array([1.0, 2.0]))
-    assert np.array_equal(st.x_curr, st.x_prev)
-    assert st.k == 0
 
 
 def two_block_problem(kind):
     # g described by a kind (separable or not), or by a closure alone
-    oracles = kind_oracles(kind) if kind is not None else dict(
+    oracles = dict(prox=kind) if kind is not None else dict(
         nonsmooth_value=lambda x: prox_value(ProxKind.l1(0.5), x),
         prox=lambda i, v, gamma: prox_apply(ProxKind.l1(0.5), v, gamma))
     return CompositeProblem(

@@ -8,7 +8,8 @@ import pytest
 import iprox
 from iprox import library, reference
 from iprox.errors import ContractViolation
-from iprox.problems import CompositeProblem, objective
+from iprox.problems import CompositeProblem, objective, prox_block
+from iprox.prox import prox_apply, prox_value
 
 
 def quadratic_with_linear_term():
@@ -177,7 +178,11 @@ def library_problem(kind, m=3, seed=4):
 
 
 def closures_only(problem):
-    return dataclasses.replace(problem, smooth_model=None, prox_kind=None)
+    model, kind = problem.smooth_model, problem.prox_kind
+    return dataclasses.replace(
+        problem, smooth_value=lambda x: model.value(x), smooth_grad=lambda x: model.grad(x),
+        prox=lambda i, v, gamma: prox_apply(kind, v, gamma),
+        nonsmooth_value=lambda x: prox_value(kind, x))
 
 
 def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
@@ -189,7 +194,7 @@ def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
     def prox(v):
         out = np.empty_like(v)
         for i, ix in enumerate(problem.block_selectors):
-            out[ix] = problem.prox(i, v[ix], gam)
+            out[ix] = prox_block(problem, i, v[ix], gam)
         return out
 
     def res(x):
