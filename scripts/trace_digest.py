@@ -4,10 +4,11 @@ output file of a fixed set of CLI invocations.
 
 The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
-iterates, diminishing inertia, the stochastic fixed-gamma regime, a
-non-separable prox (group l2, applied block by block) and a closure-built
-problem whose blocks are not contiguous.  Runs record their entries in
-blocks of 256 rows at n = 24, so 600-iteration runs of each order at
+iterates, diminishing inertia, the stochastic fixed-gamma regime, two
+non-separable proxes applied block by block (group l2, and a box with
+bounds of one block's shape) and a closure-built problem whose blocks are
+not contiguous.  Runs record their entries in blocks of 256 rows at
+n = 24, so 600-iteration runs of each order at
 record_every 1 (on the lasso, the group-l2 lasso and the quadratic with
 dist^2), and one record_every 3 run that early stopping ends in its
 second block, cross block boundaries.  Each hash covers every Trace
@@ -143,6 +144,15 @@ def runs():
             for every in (1, 3):
                 yield (f"{name}-{order}-every{every}", p, sched, x0,
                        RunConfig(max_iters=ITERS, record_every=every, seed=7), order)
+    # g a box with bounds of one block's shape, from a start inside the box
+    lo, hi = -np.linspace(0.2, 0.7, N // 4), np.linspace(0.3, 0.8, N // 4)
+    box = dataclasses.replace(lasso, prox=ProxKind.box(lo, hi))
+    xb = np.clip(xl, np.tile(lo, 4), np.tile(hi, 4))
+    for order in RUNNERS:
+        sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
+                              m=4 if order == "stochastic" else 1)
+        yield (f"lasso-box-m4-{order}", box, sched, xb,
+               RunConfig(max_iters=ITERS, seed=7), order)
     quad = InstanceSpec(kind="quadratic", n=N, m=4, seed=3, **SPECS["quadratic"])
     for name, p, x0, dist in (("lasso-m4", lasso, xl, False),
                               ("lasso-group-l2-m4", group, xl, False),

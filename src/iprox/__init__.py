@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedOracle,
 )
 from .problems import CompositeProblem, IterateState, SmoothModel
-from .prox import ProxKind, group_shrink, project_box, prox_apply, prox_value, soft_threshold
+from .prox import ProxKind, prox_apply, prox_value
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 from .solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
 from .diagnostics import (
@@ -59,13 +59,11 @@ __all__ = [
     "descent_audit",
     "expectation_descent_audit",
     "fit_rate",
-    "group_shrink",
     "is_coercive",
     "linear_ratio_audit",
     "make_instance",
     "max_lyapunov_increase",
     "ode_audit",
-    "project_box",
     "prox_apply",
     "prox_value",
     "run_cyclic",
@@ -73,7 +71,6 @@ __all__ = [
     "run_stochastic",
     "select_window",
     "simulate_heavy_ball",
-    "soft_threshold",
     "solve_reference",
     "squared_lyapunov_audit",
     "start_point",

@@ -54,8 +54,7 @@ def _per_step_slacks(trace) -> np.ndarray:
                   with Psi_k = F(x^k) + (beta_k/(2*gamma_k))*s_k
       cyclic      block-weighted Psi with per-block gamma_{k,i} and the
                   decrease coefficient (1-c)*Lmin/(2c) on the full step
-      stochastic  Psi with weights beta_k/(2*sqrt(m)*gamma_k) and
-                  coefficient (1-beta_k/sqrt(m))/gamma_k - L/2; holds in
+      stochastic  the full formula with beta_k/sqrt(m) for beta_k; holds in
                   expectation only, so single-trace values are averaged
                   over seeds by expectation_descent_audit.
     """
@@ -65,11 +64,6 @@ def _per_step_slacks(trace) -> np.ndarray:
     F = np.asarray(trace.F)
     s = np.asarray(trace.step_sq)
     betas = np.asarray(trace.betas)
-    if variant == "full":
-        g = np.asarray(trace.gammas)
-        psi = F + betas / (2.0 * g) * s
-        coeff = (1.0 - betas) / g - L / 2.0
-        return psi[:-1] - psi[1:] - coeff[:-1] * s[1:]
     if variant == "cyclic":
         if trace.block_step_sq is None:
             raise ContractViolation("cyclic audit needs block_step_sq")
@@ -79,8 +73,9 @@ def _per_step_slacks(trace) -> np.ndarray:
         sb = np.asarray(trace.block_step_sq)  # (N, m)
         psi = F + np.sum(betas[:, None] / (2.0 * g) * sb, axis=1)
         return psi[:-1] - psi[1:] - (1.0 - c) * L_min / (2.0 * c) * s[1:]
-    if variant == "stochastic":
-        rm = math.sqrt(trace.meta["m"])
+    if variant in ("full", "stochastic"):
+        # the full order is the stochastic formula at m = 1, bit for bit
+        rm = math.sqrt(trace.meta["m"]) if variant == "stochastic" else 1.0
         g = np.asarray(trace.gammas)
         psi = F + betas / (2.0 * rm * g) * s
         coeff = (1.0 - betas / rm) / g - L / 2.0
@@ -160,16 +155,7 @@ def squared_lyapunov_audit(trace, problem: CompositeProblem) -> float:
     drop = xi[:-1] - xi[1:]
 
     if variant == "full":
-        # the checks of delta_coeff and epsilon_coeff over every step
-        if np.any(g <= 0):
-            raise ContractViolation("delta_coeff needs gamma > 0")
-        if not (0.0 < c < 1.0):
-            raise ContractViolation("epsilon_coeff needs c in (0, 1)")
-        if L <= 0:
-            raise ContractViolation("epsilon_coeff needs L > 0")
-        delta_next = 0.5 * (1.0 / g[1:] - L / 2.0)
-        scale = 4.0 * c / ((1.0 - c) * L)
-        eps = scale * delta_next * delta_next + scale / (g[:-1] * g[:-1])
+        eps = epsilon_coeff(g[:-1], delta_coeff(g[1:], L), c, L)
         factor = 2.0 * dist2[1:] + s[1:]
     elif variant == "cyclic":
         L_blocks = np.asarray(trace.meta["block_lipschitz"], dtype=float)
@@ -211,13 +197,11 @@ def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e
     g = np.asarray(trace.gammas)
     floor = floor_scale * (1.0 + abs(f_star))
 
-    ell = 0.0
-    for j in range(len(xi) - 1):
-        delta_next = delta_coeff(g[j + 1], L)
-        if delta_next <= 0:
-            raise ContractViolation("ratio audit needs delta_{k+1} > 0")
-        eps = epsilon_coeff(g[j], delta_next, c, L)
-        ell = max(ell, eps * (1.0 / delta_next + 2.0 / problem.nu))
+    delta_next = delta_coeff(g[1:], L)
+    if np.any(delta_next <= 0):
+        raise ContractViolation("ratio audit needs delta_{k+1} > 0")
+    eps = epsilon_coeff(g[:-1], delta_next, c, L)
+    ell = float(np.max(eps * (1.0 / delta_next + 2.0 / problem.nu)))
     omega = 2.0 * ell / (math.sqrt(ell * ell + 4.0 * ell) + ell)
 
     max_ratio = -math.inf

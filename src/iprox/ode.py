@@ -59,8 +59,13 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (problem.dim,) or v0.shape != (problem.dim,):
         raise ContractViolation("x0 and v0 must have the problem dimension")
-    # spot-check the smooth-only contract; g is ignored by the integrator
-    if _g_value(problem, x0) != 0.0 or _g_value(problem, np.ones(problem.dim)) != 0.0:
+    # g is ignored by the integrator: a kind is read, a closure g spot-checked
+    kind = problem.prox_kind
+    if kind is not None:
+        zero_g = kind.tag == "zero" or (kind.tag in ("l1", "group_l2") and kind.lam == 0.0)
+    else:
+        zero_g = _g_value(problem, x0) == 0.0 and _g_value(problem, np.ones(problem.dim)) == 0.0
+    if not zero_g:
         raise ContractViolation("heavy-ball integration needs g identically zero")
 
     n_steps = int(round(t_end / h))

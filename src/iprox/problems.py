@@ -208,6 +208,9 @@ class CompositeProblem:
         if (self.nonsmooth_value is None) != (kind is not None):
             raise ContractViolation(
                 "nonsmooth_value is given exactly when prox is a callable, not a ProxKind")
+        if (kind is not None and kind.tag == "box" and np.shape(kind.lo) != ()
+                and any(np.shape(kind.lo) != (len(blk),) for blk in blocks)):
+            raise ContractViolation("box bounds must be scalars or have every block's length")
         object.__setattr__(self, "smooth_model", model)
         object.__setattr__(self, "prox_kind", kind)
         object.__setattr__(self, "blocks", blocks)
@@ -234,7 +237,7 @@ def _selector(ix: np.ndarray):
 
 @dataclass
 class IterateState:
-    """The pair (x^k, x^{k-1}) consumed by the inertial step.
+    """The last pair (x^k, x^{k-1}) of a run and its k: Trace.final_state.
 
     A run starts from x^{-1} = x^0, which makes the first step a plain
     proximal-gradient step.
@@ -279,21 +282,9 @@ def grad_f(problem: CompositeProblem, x: Vector) -> Vector:
     return g
 
 
-def prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Vector:
-    """prox_{gamma*g_i}(v) on block i: the problem's prox_kind when it has
-    one, else its prox oracle, whose result must have the block's shape."""
-    if not (0 <= i < problem.n_blocks):
-        raise ContractViolation(f"block index {i} out of range")
-    if gamma <= 0:
-        raise ContractViolation("prox stepsize must be > 0")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (len(problem.blocks[i]),):
-        raise ContractViolation("prox input has wrong block dimension")
-    return _prox_block(problem, i, v, gamma)
-
-
 def _prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Vector:
-    # prox_block once i, v and gamma are checked
+    # prox_{gamma*g_i}(v) on block i, for a checked i, v and gamma: the
+    # prox_kind, or else the prox oracle, whose result must have v's shape
     if problem.prox_kind is not None:
         return _apply_kind(problem.prox_kind, v, gamma)
     out = np.asarray(problem.prox(i, v, gamma), dtype=float)
@@ -307,8 +298,9 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
 
     A coordinate-separable prox_kind acts on the whole vector in one call,
     which equals the blockwise calls bit for bit; any other g is applied
-    block by block as in :func:`prox_block`.  v and gamma are checked once
-    here, not again per block or by the kind.
+    block by block, the kind to each block or the prox oracle with each
+    block's index.  v and gamma are checked once here, not again per block
+    or by the kind.
     """
     v = _check_dim(problem, v)
     if gamma <= 0:

@@ -1,4 +1,6 @@
-"""Closed-form proximal operators used by the problem library."""
+"""The nonsmooth terms g_i as data: a :class:`ProxKind` (zero, l1, box or
+group l2) with its closed-form prox, :func:`prox_apply`, and its value,
+:func:`prox_value`."""
 
 from __future__ import annotations
 
@@ -10,39 +12,8 @@ import numpy as np
 from .errors import ContractViolation
 
 
-def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    """Prox of tau*||.||_1: per coordinate sign(v)*max(|v|-tau, 0)."""
-    if tau < 0:
-        raise ContractViolation("soft_threshold needs tau >= 0")
-    return _soft_threshold(np.asarray(v, dtype=float), tau)
-
-
-def _soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def project_box(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the box [lo, hi] (elementwise clamp)."""
-    v = np.asarray(v, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ContractViolation("project_box needs lo <= hi elementwise")
-    return _project_box(v, lo, hi)
-
-
-def _project_box(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(v, lo), hi)
-
-
-def group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
-    """Prox of tau*||.||_2 on one block: v*max(1 - tau/||v||, 0), 0 at v=0."""
-    if tau < 0:
-        raise ContractViolation("group_shrink needs tau >= 0")
-    return _group_shrink(np.asarray(v, dtype=float), tau)
-
-
 def _group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
+    # prox of tau*||.||_2 on one block: v*max(1 - tau/||v||, 0), 0 at v = 0
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         # removable singularity: the prox objective's unique minimizer is 0
@@ -111,9 +82,10 @@ def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
     if kind.tag == "zero":
         return v.copy()
     if kind.tag == "l1":
-        return _soft_threshold(v, gamma * kind.lam)
+        # soft thresholding: sign(v)*max(|v| - gamma*lam, 0) per coordinate
+        return np.sign(v) * np.maximum(np.abs(v) - gamma * kind.lam, 0.0)
     if kind.tag == "box":
-        return _project_box(v, kind.lo, kind.hi)
+        return np.minimum(np.maximum(v, kind.lo), kind.hi)
     if kind.tag == "group_l2":
         return _group_shrink(v, gamma * kind.lam)
     raise ContractViolation(f"unknown prox tag {kind.tag!r}")

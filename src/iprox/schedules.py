@@ -1,7 +1,8 @@
 """Inertia sequences, stepsize rules, and Lyapunov coefficients.
 
-Everything here is a pure function of scalars, so schedules can be shared
-across threads and runs.  The stepsize rules keep the per-step decrease
+Everything here is a pure function, so schedules can be shared across
+threads and runs; gamma_full, delta_coeff and epsilon_coeff also act
+elementwise on arrays (per-block constants, or a trace's columns).  The stepsize rules keep the per-step decrease
 coefficient at L(1-c)/(2c) > 0 for every admissible (beta, c):
 
     full/cyclic  gamma = 2(1-beta)c/L      so (1-beta)/gamma - L/2 = L(1-c)/(2c)
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import ContractViolation
 
@@ -97,7 +100,7 @@ def gamma_full(beta: float, c: float, L_val: float) -> float:
         raise ContractViolation("gamma_full needs beta in [0, 1)")
     if not (0.0 < c < 1.0):
         raise ContractViolation("gamma_full needs c in (0, 1)")
-    if L_val <= 0:
+    if np.any(L_val <= 0):
         raise ContractViolation("gamma_full needs L > 0")
     return 2.0 * (1.0 - beta) * c / L_val
 
@@ -118,7 +121,7 @@ def gamma_stochastic(beta: float, c: float, L_val: float, m: int) -> float:
 
 def delta_coeff(gamma: float, L_val: float) -> float:
     """Lyapunov weight delta = (1/gamma - L/2)/2; > 0 whenever gamma < 2/L."""
-    if gamma <= 0:
+    if np.any(gamma <= 0):
         raise ContractViolation("delta_coeff needs gamma > 0")
     return 0.5 * (1.0 / gamma - L_val / 2.0)
 
@@ -128,7 +131,7 @@ def epsilon_coeff(gamma: float, delta_next: float, c: float, L_val: float) -> fl
 
     eps = 4c*delta_next^2/((1-c)L) + 4c/((1-c)L*gamma^2).
     """
-    if gamma <= 0:
+    if np.any(gamma <= 0):
         raise ContractViolation("epsilon_coeff needs gamma > 0")
     if not (0.0 < c < 1.0):
         raise ContractViolation("epsilon_coeff needs c in (0, 1)")

@@ -2,22 +2,21 @@
 
 The three runners share one run loop.  Iteration k reads F(x^k), guards
 against divergence, records an entry when asked to, and then moves to
-x^{k+1} through the kernel of the order's public step function:
-:func:`inertial_step`, :func:`cyclic_epoch` or :func:`stochastic_step`.
-Each public step function is its input checks followed by that kernel,
-so the steps the unit tests pin by hand are the code the runs execute.
-A small per-order policy supplies what differs: the step, the stepsize
-(scalar, one per block, or fixed with beta from nu), the weights in the
-slack and Lyapunov formulas (the full order is the stochastic formula at
-m = 1), how often the oracle state is refreshed, and the extra Trace
-fields.
+x^{k+1} by the step of a small per-order policy, the one copy of the
+order's update rule: x^{k+1} = prox_{gamma*g}(x - gamma*grad f(x) +
+beta*(x - x_prev)) in the full order, that move on each block in turn in
+the cyclic order, and on one uniformly drawn block in the stochastic one.
+The policy also supplies the stepsize (scalar, one per block, or fixed
+with beta from nu), the weights in the slack and Lyapunov formulas (the
+full order is the stochastic formula at m = 1), how often the oracle
+state is refreshed, and the extra Trace fields.
 
 A run checks each thing once: x0, the problem and a constant (beta,
 gamma) before the loop, a diminishing (beta_k, gamma_k) at each k, and
 each gradient where it is read, by the loop at recorded entries and
-under stop_tol, else by the kernel that computed it.  Kernels reach a
-block through the problem's block selectors (a slice for a contiguous
-block), and the stochastic order draws its blocks _DRAWS at a time with
+under stop_tol, else by the step that computed it.  Steps reach a block
+through the problem's block selectors (a slice for a contiguous block),
+and the stochastic order draws its blocks _DRAWS at a time with
 :meth:`iprox.rng.SplitMix64.randint_below_batch`.
 
 Entries are recorded in blocks.  At an entry the loop copies x^k and
@@ -68,7 +67,7 @@ from .problems import (
     _g_value,
     _prox_block,
     _prox_full,
-    grad_f,
+    grad_f,  # read as solvers.grad_f by perfbench's test_tracer_restores_the_package
     oracle_state,
 )
 from .prox import _apply_kind
@@ -240,107 +239,11 @@ def _check_grad(grad, k: int):
         raise DivergenceError("non-finite gradient", k=k)
 
 
-def _check_state(problem: CompositeProblem, state: IterateState):
-    # (x^k, x^{k-1}) as float vectors of the problem's length, which the
-    # kernels rely on
-    return _check_dim(problem, state.x_curr), _check_dim(problem, state.x_prev)
-
-
-def inertial_step(problem: CompositeProblem, state: IterateState,
-                  gamma: float, beta: float, oracle=None) -> np.ndarray:
-    """One full-vector step: prox_{gamma*g}(x - gamma*grad f(x) + beta*(x - x_prev)).
-
-    ``oracle`` is an oracle state describing state.x_curr, which gives
-    grad f(x); without one, the problem's gradient oracle gives it.
-    """
-    if not (0.0 <= beta < 1.0):
-        raise ContractViolation("inertial_step needs beta in [0, 1)")
-    if gamma <= 0:
-        raise ContractViolation("prox stepsize must be > 0")
-    x, x_prev = _check_state(problem, state)
-    grad = None
-    if oracle is None:
-        grad = grad_f(problem, x)
-        _check_grad(grad, state.k)
-    return _inertial_step(problem, x, x_prev, gamma, beta, oracle, state.k, grad)
-
-
-def _inertial_step(problem, x, x_prev, gamma, beta, oracle, k, grad=None):
-    # The kernel of inertial_step, for checked inputs.  grad is the checked
-    # gradient at x when the caller holds one; else the oracle state gives
-    # it and it is checked here.  The block kernels below take grad the
-    # same way, for the first block they read at x.
-    if grad is None:
-        grad = oracle.full_grad(x)
-        _check_grad(grad, k)
-    return _prox_full(problem, _forward(x, grad, x_prev, gamma, beta), gamma)
-
-
-def cyclic_epoch(problem: CompositeProblem, state: IterateState,
-                 gammas, betas, oracle=None) -> np.ndarray:
-    """One epoch of block updates in fixed order with fresh gradients.
-
-    Block i's gradient is evaluated after blocks 0..i-1 have already been
-    updated within the epoch (Gauss-Seidel order); a Jacobi variant is
-    deliberately not provided because the descent analysis relies on the
-    fresh evaluation.  ``oracle`` is an oracle state describing
-    state.x_curr; each block move is applied to it.  Without one, a fresh
-    state is refreshed at state.x_curr.
-    """
-    m = problem.n_blocks
-    gammas = np.asarray(gammas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    if gammas.shape != (m,) or betas.shape != (m,):
-        raise ContractViolation("need one gamma and beta per block")
-    if np.any(gammas <= 0) or np.any((betas < 0) | (betas >= 1)):
-        raise ContractViolation("cyclic_epoch needs gammas > 0 and betas in [0, 1)")
-    x, x_prev = _check_state(problem, state)
-    if oracle is None:
-        oracle = oracle_state(problem)
-        oracle.refresh(x)
-    return _cyclic_epoch(problem, x, x_prev, gammas, betas, oracle, state.k)
-
-
-def _cyclic_epoch(problem, x_curr, x_prev, gammas, betas, oracle, k, grad=None):
-    # the kernel of cyclic_epoch; grad, when given, serves block 0
-    x = x_curr.copy()
-    for i in range(problem.n_blocks):
-        _block_move(problem, x, x_prev, i, gammas[i], betas[i], oracle, k, grad)
-        grad = None  # x has moved
-    return x
-
-
-def stochastic_step(problem: CompositeProblem, state: IterateState,
-                    gamma: float, beta: float, rng: SplitMix64, oracle=None):
-    """One uniformly chosen block update; returns (x_next, block index).
-
-    The block gradient is evaluated at the pre-step point x^k, and
-    non-selected coordinates are carried over exactly.  ``oracle`` is as
-    in :func:`cyclic_epoch`; the block move is applied to it.
-    """
-    m = problem.n_blocks
-    if not (0.0 <= beta < math.sqrt(m)):
-        raise ContractViolation("stochastic_step needs beta in [0, sqrt(m))")
-    if gamma <= 0:
-        raise ContractViolation("prox stepsize must be > 0")
-    x, x_prev = _check_state(problem, state)
-    i = rng.randint_below(m)
-    if oracle is None:
-        oracle = oracle_state(problem)
-        oracle.refresh(x)
-    return _stochastic_step(problem, x, x_prev, i, gamma, beta, oracle, state.k), i
-
-
-def _stochastic_step(problem, x_curr, x_prev, i, gamma, beta, oracle, k, grad=None):
-    # the kernel of stochastic_step, moving the drawn block i
-    x = x_curr.copy()
-    _block_move(problem, x, x_prev, i, gamma, beta, oracle, k, grad)
-    return x
-
-
 def _block_move(problem, x, x_prev, i, gamma, beta, oracle, k, grad):
     # Moves block i of x in place, and tells the oracle state.  x is the
-    # kernel's own copy; the gradient and x_prev are only read.
+    # step's own copy; x_prev and grad are only read.  grad is the loop's
+    # checked gradient at x when no block of x has moved yet, else None,
+    # and the oracle state gives block i's gradient, checked here.
     sel = problem.block_selectors[i]
     if grad is None:
         grad_i = oracle.block_grad(i, x)
@@ -358,10 +261,10 @@ class _FullOrder:
 
     A policy gives the run loop what differs between orders.  params(k)
     gives (beta_k, gamma_k), checked; when ``constant`` holds they are the
-    same for every k and the loop takes them once.  step takes the pair
-    (x^k, x^{k-1}) to x^{k+1} through the kernel of the order's public
-    step function, handing it the loop's checked gradient at x^k when
-    there is one, and returns x^{k+1} with its measure
+    same for every k and the loop takes them once.  step is the order's
+    update rule: it takes the pair (x^k, x^{k-1}) to x^{k+1}, using the
+    loop's checked gradient at x^k when there is one (grad, else None, and
+    the oracle state gives it), and returns x^{k+1} with its measure
     s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  stash
     gives the values of the Trace fields named in ``stashed`` that an
     entry records as they are.  entries takes a block of recorded rows as
@@ -397,7 +300,10 @@ class _FullOrder:
         return beta, gamma_full(beta, self.c, self.L)
 
     def step(self, x, x_prev, k, beta, gamma, oracle, grad):
-        x_next = _inertial_step(self.problem, x, x_prev, gamma, beta, oracle, k, grad)
+        if grad is None:
+            grad = oracle.full_grad(x)
+            _check_grad(grad, k)
+        x_next = _prox_full(self.problem, _forward(x, grad, x_prev, gamma, beta), gamma)
         d = x_next - x
         return x_next, float(d.dot(d))
 
@@ -433,11 +339,15 @@ class _CyclicOrder(_FullOrder):
 
     def params(self, k: int):
         beta = beta_at(self.schedule, k)
-        return beta, 2.0 * (1.0 - beta) * self.c / self.L_blocks
+        return beta, gamma_full(beta, self.c, self.L_blocks)
 
     def step(self, x, x_prev, k, beta, gammas, oracle, grad):
-        x_next = _cyclic_epoch(self.problem, x, x_prev, gammas, (beta,) * self.m,
-                               oracle, k, grad)
+        # block i's gradient is read after blocks 0..i-1 moved (Gauss-Seidel
+        # order), which the descent analysis relies on
+        x_next = x.copy()
+        for i in range(self.m):
+            _block_move(self.problem, x_next, x_prev, i, gammas[i], beta, oracle, k, grad)
+            grad = None  # x_next has moved
         d = x_next - x
         # d.dot(d), not sum(d**2): keeps the m = 1 trace bit-identical to
         # the full order, which uses the dot-product form
@@ -494,8 +404,8 @@ class _StochasticOrder(_FullOrder):
         if not self.draws:
             self.draws = self.rng.randint_below_batch(self.m, _DRAWS)[::-1]
         self.chosen = self.draws.pop()
-        x_next = _stochastic_step(self.problem, x, x_prev, self.chosen, gamma, beta,
-                                  oracle, k, grad)
+        x_next = x.copy()
+        _block_move(self.problem, x_next, x_prev, self.chosen, gamma, beta, oracle, k, grad)
         d = x_next - x
         s = float(d.dot(d))
         self.run_min = min(self.run_min, s)
@@ -509,7 +419,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     # The one run loop: F, the divergence guard, the stopping residual and
     # the entry at x^k, then the order's step into x^{k+1}.  x0 and the
     # schedule are checked here and by the policy, once; the loop then calls
-    # the step kernels and refreshes the oracle state without checking again.
+    # the order's step and refreshes the oracle state without checking again.
     x0 = _check_dim(problem, x0)
     g_audit = 1.0 / problem.lipschitz_L
     project = problem.solution_projection

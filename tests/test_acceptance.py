@@ -21,10 +21,9 @@ from iprox import diagnostics as dx
 from iprox import library, ode, reference
 from iprox.cli import main as cli_main
 from iprox.library import InstanceSpec, make_instance, start_point
-from iprox.problems import CompositeProblem, IterateState, check_gradient_fd, grad_f
+from iprox.problems import CompositeProblem, check_gradient_fd, grad_f
 from iprox.prox import ProxKind, prox_apply
 from iprox.schedules import gamma0_root, linear_stochastic_beta
-from iprox.solvers import inertial_step
 
 
 def fit_above_floor(ks, xi, k_lo, k_hi, floor, model):
@@ -263,22 +262,27 @@ def test_criterion_08_oracle_equivalences():
             assert check_gradient_fd(problem, x, 1e-6) < 1e-5
 
     # no-inertia stepping must equal an independently coded
-    # forward-backward step, bit for bit, on 10^3 random states
+    # forward-backward step, bit for bit, from 10^3 random starts: x^1 and
+    # x^2 of each run, so the second step has x^{k-1} != x^k
     spec = InstanceSpec(kind="lasso", n=30, rows=60, reg_lambda=0.25,
                         m=1, seed=13)
     problem = make_instance(spec)
     gamma = 2.0 * 0.9 / problem.lipschitz_L
     lam = 0.25
+    schedule = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.9,
+                                   variant="full")
     state_rng = np.random.default_rng(99)
     for _ in range(1000):
         x = state_rng.standard_normal(30) * state_rng.uniform(0.1, 3.0)
-        x_prev = state_rng.standard_normal(30)
-        ours = inertial_step(problem, IterateState(x, x_prev, 7), gamma, 0.0)
-        w = x - gamma * grad_f(problem, x)
-        theirs = np.sign(w) * np.maximum(np.abs(w) - gamma * lam, 0.0)
-        assert np.array_equal(ours, theirs)
+        trace = iprox.run_inertial(problem, schedule, x,
+                                   iprox.RunConfig(max_iters=2, keep_iterates=True))
+        assert trace.gammas[0] == gamma
+        for ours in trace.iterates[1:]:
+            w = x - gamma * grad_f(problem, x)
+            x = np.sign(w) * np.maximum(np.abs(w) - gamma * lam, 0.0)
+            assert np.array_equal(ours, x)
     print("criterion 8: PASS (grid prox 1e-4, FD gradients 1e-5, "
-          "1000 bit-exact no-inertia steps)")
+          "2000 bit-exact no-inertia steps)")
 
 
 def test_criterion_09_ode_lab():

@@ -6,6 +6,7 @@ import pytest
 from iprox import ode
 from iprox.errors import ContractViolation, IntegrationBlowup
 from iprox.problems import CompositeProblem
+from iprox.prox import ProxKind
 
 
 def smooth_problem(dim, value, grad, L, f_star=0.0):
@@ -152,3 +153,24 @@ def test_audit_validation():
     tr = ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-2, t_end=0.5)
     with pytest.raises(ContractViolation):
         ode.ode_audit(tr, theta=0.0, x_star=[0.0])
+
+
+@pytest.mark.parametrize("kind, zero", [
+    (ProxKind.zero(), True), (ProxKind.l1(0.0), True), (ProxKind.group_l2(0.0), True),
+    (ProxKind.l1(0.5), False), (ProxKind.group_l2(0.5), False),
+    (ProxKind.box(-1.0, 1.0), False)],
+    ids=["zero", "l1-weight0", "group_l2-weight0", "l1", "group_l2", "box"])
+def test_a_kind_g_is_read_not_spot_checked(kind, zero):
+    # g = the box indicator of [-1, 1]^2 is 0 at x0 = (0.5, 0.5) and at the
+    # ones, where a spot check looks, yet g is not identically zero
+    import dataclasses
+    p = dataclasses.replace(smooth_problem(2, lambda x: 0.5 * float(x @ x),
+                                           lambda x: x.copy(), L=1.0),
+                            prox=kind, nonsmooth_value=None)
+    x0 = 0.5 * np.ones(2)
+    if zero:
+        trace = ode.simulate_heavy_ball(p, x0, np.zeros(2), alpha=1.0, h=1e-2, t_end=0.1)
+        assert np.all(np.isfinite(trace.xs))
+    else:
+        with pytest.raises(ContractViolation, match="identically zero"):
+            ode.simulate_heavy_ball(p, x0, np.zeros(2), alpha=1.0, h=1e-2, t_end=0.1)

@@ -15,7 +15,6 @@ from iprox.problems import (
     grad_f,
     objective,
     oracle_state,
-    prox_block,
     prox_full,
 )
 from iprox.prox import ProxKind, prox_apply, prox_value
@@ -122,14 +121,14 @@ def test_block_grad_m1_degeneracy():
 
 def test_prox_block_zero_identity():
     p = make_instance(InstanceSpec(kind="quadratic", n=6, conditioning=4.0, seed=0, m=2))
-    v = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(prox_block(p, 0, v, 0.7), v)
+    v = np.array([1.0, -2.0, 0.5, 3.0, 0.0, -0.25])
+    assert np.array_equal(prox_full(p, v, 0.7), v)
 
 
 def test_prox_block_soft_threshold_case():
     p = l1_quadratic()
     # gamma*lambda = 1 -> prox(3) = 2
-    out = prox_block(p, 0, np.array([3.0, 0.0]), 1.0)
+    out = prox_full(p, np.array([3.0, 0.0]), 1.0)
     assert np.array_equal(out, np.array([2.0, 0.0]))
 
 
@@ -137,7 +136,7 @@ def test_prox_block_grid_oracle():
     prob, _, _, lam = hand_lasso()
     v = np.array([0.9, -1.7, 0.2])
     gamma = 0.6
-    got = prox_block(prob, 0, v, gamma)
+    got = prox_full(prob, v, gamma)
     z = np.linspace(-4, 4, 800_001)
     for j in range(3):
         best = z[np.argmin((z - v[j]) ** 2 / (2 * gamma) + lam * np.abs(z))]
@@ -151,7 +150,7 @@ def test_prox_full_blockwise():
     full = prox_full(p, v, 0.5)
     stitched = np.empty(8)
     for i, ix in enumerate(p.block_selectors):
-        stitched[ix] = prox_block(p, i, v[ix], 0.5)
+        stitched[ix] = prox_apply(p.prox_kind, v[ix], 0.5)
     assert np.array_equal(full, stitched)
 
 
@@ -181,7 +180,7 @@ def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
     v[:4] = [gamma * 0.3, -gamma * 0.3, 0.0, -0.0]
     want = np.empty(24)
     for i, ix in enumerate(p.block_selectors):
-        want[ix] = prox_block(p, i, v[ix], gamma)
+        want[ix] = prox_apply(kind, v[ix], gamma)
     for got in (prox_full(p, v, gamma), prox_full(per_block, v, gamma)):
         assert got.tobytes() == want.tobytes()
     assert prox_full(p, v, gamma) is not v
@@ -374,7 +373,7 @@ def test_prox_nonexpansive_on_library_blocks():
     rng = np.random.Generator(np.random.PCG64(12))
     for _ in range(50):
         u, v = rng.standard_normal(4), rng.standard_normal(4)
-        du = prox_block(p, 0, u, 0.8) - prox_block(p, 0, v, 0.8)
+        du = prox_apply(p.prox_kind, u, 0.8) - prox_apply(p.prox_kind, v, 0.8)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-12
 
 
@@ -384,10 +383,33 @@ def test_dimension_mismatch_errors():
         objective(p, np.zeros(3))
     with pytest.raises(ContractViolation):
         grad_f(p, np.zeros(1))
-    with pytest.raises(ContractViolation):
-        prox_block(p, 0, np.zeros(5), 1.0)
-    with pytest.raises(ContractViolation):
-        prox_block(p, 0, np.zeros(2), 0.0)
+
+
+def test_box_bounds_of_another_length_than_a_block_are_rejected():
+    # bounds must fit every block: bounds of the whole vector's length on
+    # two blocks of 2 would make objective and prox_full fail to broadcast
+    def problem(kind):
+        return CompositeProblem(
+            dim=4, blocks=((0, 1), (2, 3)),
+            smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
+            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=kind)
+
+    for lo, hi in ((-np.ones(4), np.ones(4)), (-np.ones(3), np.ones(3)),
+                   (-np.ones((2, 2)), np.ones((2, 2)))):
+        with pytest.raises(ContractViolation, match="every block's length"):
+            problem(ProxKind.box(lo, hi))
+    with pytest.raises(ContractViolation, match="every block's length"):
+        CompositeProblem(
+            dim=5, blocks=((0, 1), (2, 3, 4)),
+            smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
+            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
+            prox=ProxKind.box(-np.ones(2), np.ones(2)))
+    v = np.array([2.0, -0.5, 0.3, -3.0])
+    for lo, hi in ((-1.0, 1.0), (-np.ones(2), np.ones(2)), ([-1.0, 0.0], [1.0, 0.2])):
+        p = problem(ProxKind.box(lo, hi))
+        want = np.concatenate([np.clip(v[:2], lo, hi), np.clip(v[2:], lo, hi)])
+        assert np.array_equal(prox_full(p, v, 1.0), want)
+        assert objective(p, want) == 0.5 * float(want @ want)
 
 
 def test_partition_validation():
@@ -433,8 +455,6 @@ def test_every_prox_entry_point_rejects_bad_input(kind):
     for gamma in (0.0, -1.0):
         with pytest.raises(ContractViolation):
             prox_full(p, v, gamma)
-        with pytest.raises(ContractViolation):
-            prox_block(p, 1, v[2:], gamma)
         if kind is not None:
             with pytest.raises(ContractViolation):
                 prox_apply(kind, v, gamma)
@@ -442,23 +462,10 @@ def test_every_prox_entry_point_rejects_bad_input(kind):
         prox_full(p, v[:3], 1.0)
     with pytest.raises(ContractViolation):
         prox_full(p, v.reshape(2, 2), 1.0)
-    with pytest.raises(ContractViolation):
-        prox_block(p, 0, v[:3], 1.0)
-    with pytest.raises(ContractViolation):
-        prox_block(p, 2, v[:2], 1.0)
-    # checked once, applied unchecked: the same bits as the checked kind
-    want = np.concatenate([prox_block(p, 0, v[:2], 0.7), prox_block(p, 1, v[2:], 0.7)])
+    # checked once, applied unchecked: the same bits as the checked kind, or
+    # as the closure called per block
+    want = np.concatenate([p.prox(i, v[ix], 0.7) if kind is None
+                           else prox_apply(kind, v[ix], 0.7)
+                           for i, ix in enumerate(p.block_selectors)])
     assert np.array_equal(prox_full(p, v, 0.7), want)
-    if kind is not None:
-        for i, ix in enumerate(p.block_selectors):
-            assert np.array_equal(prox_block(p, i, v[ix], 0.7), prox_apply(kind, v[ix], 0.7))
 
-
-def test_public_prox_operators_keep_their_checks():
-    from iprox.prox import group_shrink, project_box, soft_threshold
-    with pytest.raises(ContractViolation):
-        soft_threshold(np.ones(2), -0.1)
-    with pytest.raises(ContractViolation):
-        group_shrink(np.ones(2), -0.1)
-    with pytest.raises(ContractViolation):
-        project_box(np.ones(2), 1.0, -1.0)

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iprox.errors import ContractViolation
-from iprox.prox import (
-    ProxKind,
-    group_shrink,
-    project_box,
-    prox_apply,
-    prox_value,
-    soft_threshold,
-)
+from iprox.prox import ProxKind, prox_apply, prox_value
+
+
+def l1_prox(v, tau):
+    # prox of tau*||.||_1, from the l1 kind at gamma = 1
+    return prox_apply(ProxKind.l1(tau), v, 1.0)
+
+
+def group_l2_prox(v, tau):
+    # prox of tau*||.||_2 on one block, from the group_l2 kind at gamma = 1
+    return prox_apply(ProxKind.group_l2(tau), v, 1.0)
 
 
 def grid_prox_scalar(v, gamma, g_scalar, lo=-10.0, hi=10.0, steps=400_001):
@@ -25,20 +28,20 @@ def grid_prox_scalar(v, gamma, g_scalar, lo=-10.0, hi=10.0, steps=400_001):
 @pytest.mark.parametrize("v", [-3.0, -0.7, 0.0, 0.3, 2.5])
 @pytest.mark.parametrize("tau", [0.1, 1.0, 2.0])
 def test_soft_threshold_matches_grid(v, tau):
-    got = soft_threshold(np.array([v]), tau)[0]
+    got = l1_prox(np.array([v]), tau)[0]
     want = grid_prox_scalar(v, 1.0, lambda z: tau * np.abs(z))
     assert abs(got - want) < 1e-4
 
 
 def test_soft_threshold_closed_form_cases():
     v = np.array([3.0, -3.0, 0.5, -0.5, 0.0])
-    out = soft_threshold(v, 1.0)
+    out = l1_prox(v, 1.0)
     assert np.array_equal(out, np.array([2.0, -2.0, 0.0, -0.0, 0.0]))
 
 
 @pytest.mark.parametrize("v", [-4.0, -1.2, 0.0, 1.2, 4.0])
 def test_box_projection_matches_grid(v):
-    got = project_box(np.array([v]), -1.0, 2.0)[0]
+    got = prox_apply(ProxKind.box(-1.0, 2.0), np.array([v]), 1.0)[0]
     want = grid_prox_scalar(v, 1.0, lambda z: np.where((z >= -1.0) & (z <= 2.0), 0.0, np.inf))
     assert abs(got - want) < 1e-4
 
@@ -47,7 +50,7 @@ def test_group_shrink_matches_2d_grid():
     # radial problem: search over the ray through v plus a coarse 2-D check
     v = np.array([1.5, -2.0])
     lam, gamma = 0.8, 0.7
-    got = group_shrink(v, lam * gamma)
+    got = prox_apply(ProxKind.group_l2(lam), v, gamma)
     r = np.linalg.norm(v)
     ts = np.linspace(0.0, 1.5, 200_001)
     obj = (ts * r - r) ** 2 / (2.0 * gamma) + lam * ts * r
@@ -62,14 +65,14 @@ def test_group_shrink_matches_2d_grid():
 
 
 def test_group_shrink_zero_input():
-    out = group_shrink(np.zeros(3), 0.5)
+    out = group_l2_prox(np.zeros(3), 0.5)
     assert np.array_equal(out, np.zeros(3))
 
 
 def test_prox_apply_l1_scales_threshold_by_gamma():
     kind = ProxKind.l1(0.5)
     v = np.array([2.0, -2.0])
-    assert np.allclose(prox_apply(kind, v, 2.0), soft_threshold(v, 1.0))
+    assert np.array_equal(prox_apply(kind, v, 2.0), [1.0, -1.0])
 
 
 def test_prox_apply_zero_is_identity():
@@ -96,6 +99,8 @@ def test_kind_validation():
     with pytest.raises(ContractViolation):
         ProxKind.l1(-0.1)
     with pytest.raises(ContractViolation):
+        ProxKind.group_l2(-0.1)
+    with pytest.raises(ContractViolation):
         ProxKind.box(2.0, -2.0)
     with pytest.raises(ContractViolation):
         prox_apply(ProxKind.l1(1.0), np.array([1.0]), 0.0)
@@ -111,7 +116,7 @@ def test_soft_threshold_nonexpansive(v, w, tau):
     # firm nonexpansiveness implies ||prox(v) - prox(w)|| <= ||v - w||
     n = min(len(v), len(w))
     a, b = np.array(v[:n]), np.array(w[:n])
-    da = soft_threshold(a, tau) - soft_threshold(b, tau)
+    da = l1_prox(a, tau) - l1_prox(b, tau)
     assert np.linalg.norm(da) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -124,7 +129,7 @@ def test_soft_threshold_nonexpansive(v, w, tau):
 def test_group_shrink_nonexpansive(v, w, tau):
     n = min(len(v), len(w))
     a, b = np.array(v[:n]), np.array(w[:n])
-    da = group_shrink(a, tau) - group_shrink(b, tau)
+    da = group_l2_prox(a, tau) - group_l2_prox(b, tau)
     assert np.linalg.norm(da) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -141,11 +146,12 @@ def test_firm_nonexpansiveness(v, w, tau, which):
     n = min(len(v), len(w))
     a, b = np.array(v[:n]), np.array(w[:n])
     if which == "l1":
-        pa, pb = soft_threshold(a, tau), soft_threshold(b, tau)
+        pa, pb = l1_prox(a, tau), l1_prox(b, tau)
     elif which == "box":
-        pa, pb = project_box(a, -tau, tau), project_box(b, -tau, tau)
+        box = ProxKind.box(-tau, tau)
+        pa, pb = prox_apply(box, a, 1.0), prox_apply(box, b, 1.0)
     else:
-        pa, pb = group_shrink(a, tau), group_shrink(b, tau)
+        pa, pb = group_l2_prox(a, tau), group_l2_prox(b, tau)
     d = pa - pb
     assert float(d @ d) <= float(d @ (a - b)) + 1e-10
 
@@ -156,7 +162,7 @@ def test_firm_nonexpansiveness(v, w, tau, which):
 def test_soft_threshold_optimality(v, tau):
     # subgradient optimality: v - p in tau * sign(p) componentwise
     a = np.array(v)
-    p = soft_threshold(a, tau)
+    p = l1_prox(a, tau)
     r = a - p
     on = p != 0.0
     assert np.allclose(r[on], tau * np.sign(p[on]), atol=1e-12)

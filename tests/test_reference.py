@@ -8,7 +8,7 @@ import pytest
 import iprox
 from iprox import library, reference
 from iprox.errors import ContractViolation
-from iprox.problems import CompositeProblem, objective, prox_block
+from iprox.problems import CompositeProblem, objective, prox_full
 from iprox.prox import prox_apply, prox_value
 
 
@@ -187,15 +187,12 @@ def closures_only(problem):
 
 def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
     """The loop with both gradients from closures: grad f at y for the
-    step and at x for the stopping residual, every g_i prox per block.
+    step and at x for the stopping residual, the prox from prox_full.
     Also returns how many steps were taken at a y other than x."""
     gam = 1.0 / problem.lipschitz_L
 
     def prox(v):
-        out = np.empty_like(v)
-        for i, ix in enumerate(problem.block_selectors):
-            out[ix] = prox_block(problem, i, v[ix], gam)
-        return out
+        return prox_full(problem, v, gam)
 
     def res(x):
         return float(np.linalg.norm(x - prox(x - gam * problem.smooth_grad(x))))

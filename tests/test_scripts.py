@@ -34,7 +34,7 @@ def test_demo_script_runs(script, tmp_path):
 def test_trace_digest_prints_one_hash_per_run(tmp_path):
     lines = [line.split() for line in run_script("trace_digest.py", tmp_path).splitlines()]
     names = [name for name, _ in lines]
-    assert len(names) == len(set(names)) == 154
+    assert len(names) == len(set(names)) == 157
     cli_files = [name for name in names if name.startswith("cli-")]
     assert len(cli_files) == 24
     assert {"cli-stochastic/trace_seed2.csv", "cli-stochastic/trace_mean.csv",

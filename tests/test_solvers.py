@@ -7,26 +7,12 @@ import pytest
 import iprox
 from iprox import library
 from iprox.errors import ContractViolation, DivergenceError
-from iprox.problems import (
-    CompositeProblem,
-    IterateState,
-    objective,
-    oracle_state,
-    prox_full,
-)
+from iprox.problems import CompositeProblem, grad_f, objective, oracle_state, prox_full
+from iprox.prox import prox_apply
 from iprox.rng import SplitMix64
 from iprox import solvers
 from iprox.schedules import beta_at, delta_coeff, gamma_full, gamma_stochastic
-from iprox.solvers import (
-    RunConfig,
-    Trace,
-    cyclic_epoch,
-    inertial_step,
-    run_cyclic,
-    run_inertial,
-    run_stochastic,
-    stochastic_step,
-)
+from iprox.solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
 
 
 def two_dim_quadratic():
@@ -45,50 +31,55 @@ def two_dim_quadratic():
     )
 
 
-STATE = IterateState(x_curr=np.array([1.0, 1.0]),
-                     x_prev=np.array([0.5, 0.25]), k=1)
+def hand_quadratic(**changes):
+    # the 2-D quadratic with the upper bounds L = 4 and L_i = (2, 4), which
+    # make every stepsize below, and so every iterate, a short binary fraction
+    return dataclasses.replace(two_dim_quadratic(), lipschitz_L=4.0,
+                               block_lipschitz=(2.0, 4.0), **changes)
+
+
+def first_two_iterates(runner, p, sched, seed=0):
+    # x^0 = (1, 1), then x^1, a plain step from x^{-1} = x^0, and x^2, which
+    # carries momentum
+    tr = runner(p, sched, np.array([1.0, 1.0]),
+                RunConfig(max_iters=2, seed=seed, keep_iterates=True))
+    assert np.array_equal(tr.iterates[0], [1.0, 1.0])
+    return tr, tr.iterates[1], tr.iterates[2]
 
 
 def test_full_step_hand_values():
-    # grad = (3,4); v = x - 0.5*grad + 0.25*(x - x_prev)
-    out = inertial_step(two_dim_quadratic(), STATE, gamma=0.5, beta=0.25)
-    assert np.allclose(out, [-0.375, -0.8125], atol=1e-15)
+    # gamma = 2(1 - 0.5)*0.5/4 = 0.125.  x^1 = x^0 - gamma*(3, 4);
+    # x^2 = x^1 - gamma*Q x^1 + 0.5*(x^1 - x^0) with Q x^1 = (1.75, 2.125)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.5)
+    _, x1, x2 = first_two_iterates(run_inertial, hand_quadratic(), sched)
+    assert np.array_equal(x1, [0.625, 0.5])
+    assert np.array_equal(x2, [0.21875, -0.015625])
 
 
 def test_cyclic_epoch_hand_values():
-    # gamma = (0.6, 0.4): block 0 sees grad (3,4), block 1 sees the fresh
-    # gradient (-0.35, 2.325) after block 0 moved
-    out = cyclic_epoch(two_dim_quadratic(), STATE,
-                       np.array([0.6, 0.4]), np.array([0.25, 0.25]))
-    assert np.allclose(out, [-0.675, 0.2575], atol=1e-14)
+    # gamma_i = 2(1 - 0.5)*0.5/L_i = (0.25, 0.125).  Epoch 1: block 0 sees
+    # grad 3, block 1 the fresh gradient 0.25 + 3 = 3.25 after block 0 moved.
+    # Epoch 2: block 0 sees 2*0.25 + 0.59375 = 1.09375, block 1 sees
+    # -0.3984375 + 3*0.59375 = 1.3828125, each with momentum 0.5*(x^1 - x^0)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.5, variant="cyclic")
+    _, x1, x2 = first_two_iterates(run_cyclic, hand_quadratic(), sched)
+    assert np.array_equal(x1, [0.25, 0.59375])
+    assert np.array_equal(x2, [-0.3984375, 0.2177734375])
 
 
 def test_stochastic_step_hand_values():
-    # SplitMix64(0) first draw below 2 picks block 1; block 0 must carry over
-    out, i = stochastic_step(two_dim_quadratic(), STATE, 0.5, 0.25, SplitMix64(0))
-    assert i == 1
-    assert out[0] == 1.0
-    assert out[1] == pytest.approx(-0.8125, abs=1e-15)
-
-
-def test_step_validation():
-    p = two_dim_quadratic()
-    with pytest.raises(ContractViolation):
-        inertial_step(p, STATE, 0.5, 1.0)
-    with pytest.raises(ContractViolation):
-        stochastic_step(p, STATE, 0.5, np.sqrt(2.0), SplitMix64(0))
-    with pytest.raises(ContractViolation):
-        cyclic_epoch(p, STATE, np.array([0.5]), np.array([0.2]))
-    # a one-value x_prev would broadcast, so its length is checked
-    short = IterateState(x_curr=np.array([1.0, 1.0]), x_prev=np.array([0.5]), k=1)
-    with pytest.raises(ContractViolation):
-        inertial_step(p, short, 0.5, 0.25)
-    with pytest.raises(ContractViolation):
-        cyclic_epoch(p, short, np.array([0.5, 0.5]), np.array([0.2, 0.2]))
-    with pytest.raises(ContractViolation):
-        stochastic_step(p, short, 0.5, 0.25, SplitMix64(0))
-    with pytest.raises(ContractViolation):
-        stochastic_step(p, STATE, 0.0, 0.25, SplitMix64(0))
+    # the fixed-gamma regime: gamma = 0.25 and beta = gamma*nu/(4m) = 1/64.
+    # SplitMix64(1) draws block 1 twice, so block 0 carries over exactly.
+    # x^1_1 = 1 - 0.25*4; x^2_1 = 0 - 0.25*1 + (0 - 1)/64
+    draws = SplitMix64(1)
+    assert [draws.randint_below(2) for _ in range(2)] == [1, 1]
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.5,
+                                variant="stochastic", m=2, fixed_gamma=0.25)
+    tr, x1, x2 = first_two_iterates(run_stochastic, hand_quadratic(nu=0.5), sched, seed=1)
+    assert tr.betas[0] == 1.0 / 64.0
+    assert tr.chosen_blocks.tolist() == [-1, 1, 1]
+    assert np.array_equal(x1, [1.0, 0.0])
+    assert np.array_equal(x2, [1.0, -0.265625])
 
 
 def lasso_problem(seed=9, n=12, m=1):
@@ -151,14 +142,46 @@ def fold_id(case):
     return f"{variant}-{problem}-every{every}-{rule}" + ("-oracle" if with_oracle else "")
 
 
+def block_prox(p, i, v, gamma):
+    # prox_{gamma*g_i}(v) on block i: the problem's kind, or its closure
+    if p.prox_kind is not None:
+        return prox_apply(p.prox_kind, v, gamma)
+    return p.prox(i, v, gamma)
+
+
+def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
+    """x^{k+1} by the order's update rule, coded apart from the solvers.
+
+    Gradients come from the oracle state (full_grad, block_grad, and each
+    block move told to it by move), or from grad_f without one.  The full
+    step is prox_full(x - gamma*grad f(x) + beta*(x - x_prev)).  The cyclic
+    step moves every block in turn, block i with gamma[i] and its gradient
+    read after blocks 0..i-1 moved; the stochastic step moves ``block``
+    alone.  A block moves by the same rule with the prox of its own g_i.
+    """
+    if variant == "full":
+        grad = grad_f(p, x) if oracle is None else oracle.full_grad(x)
+        return prox_full(p, x - gamma * grad + beta * (x - x_prev), gamma)
+    x = x.copy()
+    for i in (range(p.n_blocks) if variant == "cyclic" else (block,)):
+        ix = list(p.blocks[i])
+        g_i = grad_f(p, x)[ix] if oracle is None else oracle.block_grad(i, x)
+        gam = gamma[i] if variant == "cyclic" else gamma
+        x_i = block_prox(p, i, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
+        if oracle is not None:
+            oracle.move(i, x_i - x[ix])
+        x[ix] = x_i
+    return x
+
+
 @pytest.mark.parametrize("variant, problem, record_every, rule, with_oracle", FOLD_CASES,
                          ids=[fold_id(case) for case in FOLD_CASES])
 def test_run_matches_manual_fold(variant, problem, record_every, rule, with_oracle):
-    # a run equals, bit for bit, a fold of the public checked step functions.
-    # Called without an oracle state they read the problem's oracles; with
-    # one, it is refreshed at the documented cadence: at every recorded
-    # entry, where the full gradient is read, and at every epoch start
-    # (every full or cyclic step, every m stochastic steps)
+    # a run equals, bit for bit, a fold of reference_step.  Without an
+    # oracle state it reads grad_f; with one, the state is refreshed at the
+    # documented cadence: at every recorded entry, where the full gradient
+    # is read, and at every epoch start (every full or cyclic step, every m
+    # stochastic steps)
     beta_rule = FOLD_RULES[rule]
     p, x0 = fold_problem(problem)
     m, c, seed, iters = p.n_blocks, 0.85, 4, 60
@@ -169,7 +192,6 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
                                         record_every=record_every))
     epoch = m if variant == "stochastic" else 1
     oracle = oracle_state(p) if with_oracle else None
-    extra = (oracle,) if with_oracle else ()
     rng = SplitMix64(seed)
     x_prev, x = x0.copy(), x0.copy()
     F, blocks = {0: objective(p, x)}, []
@@ -180,17 +202,15 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
         elif with_oracle and k % epoch == 0:
             oracle.refresh(x)
         beta = beta_at(sched, k)
-        state = IterateState(x, x_prev, k)
         if variant == "full":
-            x_next = inertial_step(p, state, gamma_full(beta, c, p.lipschitz_L), beta,
-                                   *extra)
+            gamma = gamma_full(beta, c, p.lipschitz_L)
         elif variant == "cyclic":
-            gammas = 2.0 * (1.0 - beta) * c / np.asarray(p.block_lipschitz)
-            x_next = cyclic_epoch(p, state, gammas, np.full(m, beta), *extra)
+            gamma = 2.0 * (1.0 - beta) * c / np.asarray(p.block_lipschitz)
         else:
             gamma = gamma_stochastic(beta, c, p.lipschitz_L, m)
-            x_next, i = stochastic_step(p, state, gamma, beta, rng, *extra)
-            blocks.append(i)
+            blocks.append(rng.randint_below(m))
+        x_next = reference_step(p, variant, x, x_prev, beta, gamma, oracle,
+                                blocks[-1] if blocks else None)
         x, x_prev = x_next, x
         F[k + 1] = objective(p, x)
     assert np.array_equal(tr.final_state.x_curr, x)
@@ -264,16 +284,12 @@ def test_wrong_shaped_closure_prox_is_rejected():
     x0 = np.arange(4.0)
     with pytest.raises(ContractViolation):
         prox_full(p, x0, 1.0)
-    for runner, variant in ((run_cyclic, "cyclic"), (run_stochastic, "stochastic")):
+    for runner, variant in ((run_inertial, "full"), (run_cyclic, "cyclic"),
+                            (run_stochastic, "stochastic")):
         sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.5,
                                     variant=variant, m=2)
         with pytest.raises(ContractViolation):
             runner(p, sched, x0, RunConfig(max_iters=5))
-    state = IterateState(x0, x0, 0)
-    with pytest.raises(ContractViolation):
-        cyclic_epoch(p, state, np.ones(2), np.zeros(2))
-    with pytest.raises(ContractViolation):
-        stochastic_step(p, state, 1.0, 0.0, SplitMix64(0))
 
 
 def test_first_step_has_no_momentum():
@@ -284,7 +300,6 @@ def test_first_step_has_no_momentum():
                                 variant="full")
     tr = run_inertial(p, sched, x0, RunConfig(max_iters=1, keep_iterates=True))
     gamma0 = gamma_full(0.9, 0.5, p.lipschitz_L)
-    from iprox.problems import grad_f, prox_full
     want = prox_full(p, x0 - gamma0 * grad_f(p, x0), gamma0)
     assert np.array_equal(tr.iterates[1], want)
 
@@ -557,9 +572,8 @@ RUNNERS = {"full": run_inertial, "cyclic": run_cyclic, "stochastic": run_stochas
 
 
 def per_entry_run(p, sched, x0, cfg, variant):
-    """The run loop with each entry computed when it is recorded, from the
-    public step functions over one oracle state refreshed at the loop's
-    cadence: the reference that block recording must equal bit for bit.
+    """The run loop with each entry computed when it is recorded, from
+    reference_step over one oracle state refreshed at the loop's cadence: the reference that block recording must equal bit for bit.
     Returns {Trace field: column}."""
     m, L, c = p.n_blocks, p.lipschitz_L, sched.c
     L_blocks = np.asarray(p.block_lipschitz, dtype=float)
@@ -623,13 +637,9 @@ def per_entry_run(p, sched, x0, cfg, variant):
         if stop or k == cfg.max_iters:
             break
         prev = (F, s, beta, gamma)
-        state = IterateState(x, x_prev, k)
-        if variant == "full":
-            x_next = inertial_step(p, state, gamma, beta, oracle)
-        elif variant == "cyclic":
-            x_next = cyclic_epoch(p, state, gamma, np.full(m, beta), oracle)
-        else:
-            x_next, chosen = stochastic_step(p, state, gamma, beta, rng, oracle)
+        if variant == "stochastic":
+            chosen = rng.randint_below(m)
+        x_next = reference_step(p, variant, x, x_prev, beta, gamma, oracle, chosen)
         d = x_next - x
         if variant == "cyclic":
             s = np.array([float(d[sel].dot(d[sel])) for sel in p.block_selectors])
