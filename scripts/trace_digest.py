@@ -6,7 +6,7 @@ The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
 iterates, diminishing inertia, the stochastic fixed-gamma regime, two
 non-separable proxes applied block by block (group l2, and a box with
-bounds of one block's shape) and a closure-built problem whose blocks are
+bounds of one block's shape) and a problem with a closure f whose blocks are
 not contiguous.  Runs record their entries in blocks of 256 rows at
 n = 24, so 600-iteration runs of each order at
 record_every 1 (on the lasso, the group-l2 lasso and the quadratic with
@@ -87,7 +87,7 @@ def digest(trace) -> str:
 
 
 def scattered_closure():
-    # a two-block lasso given by closures only, with interleaved blocks
+    # a two-block lasso with a closure f and interleaved blocks
     rng = np.random.default_rng(5)
     A, b, lam = rng.standard_normal((18, 6)), rng.standard_normal(18), 0.2
     blocks = ((0, 2, 4), (5, 3, 1))
@@ -98,8 +98,7 @@ def scattered_closure():
         lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
         block_lipschitz=tuple(float(np.linalg.norm(A[:, list(blk)], 2) ** 2)
                               for blk in blocks),
-        nonsmooth_value=lambda x: lam * float(np.abs(x).sum()),
-        prox=lambda i, v, gamma: np.sign(v) * np.maximum(np.abs(v) - gamma * lam, 0.0),
+        prox=ProxKind.l1(lam),
     ), rng.standard_normal(6)
 
 

@@ -208,6 +208,8 @@ def _validate_fit(section: dict, path: str, columns=None) -> dict:
     for key in ("k_lo", "k_hi"):
         fit[key] = _get(section, key, path, int, default=None, pred=lambda v: v >= 0,
                         predmsg=f"{key} must be >= 0")
+    if fit["k_lo"] is not None and fit["k_hi"] is not None and fit["k_lo"] > fit["k_hi"]:
+        raise ConfigError(f"{path}.k_lo", "the window k_lo..k_hi is empty: k_lo > k_hi")
     fit["burn_in"] = _get(section, "burn_in", path, float,
                           default=0.0 if fit["k_lo"] is not None else 0.1,
                           pred=lambda v: 0 <= v < 1, predmsg="burn_in must lie in [0, 1)")
@@ -304,6 +306,10 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         for i, s in enumerate(seeds):
             if not isinstance(s, int) or isinstance(s, bool) or s < 0:
                 raise ConfigError(f"seeds[{i}]", "seeds must be nonnegative integers")
+            if not 0 <= s + seed_offset < 2 ** 64:
+                raise ConfigError(f"seeds[{i}]", "seed + --seed-offset must lie in [0, 2^64)")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError("seeds", "seeds must be distinct")
     elif seeds is not None:
         raise ConfigError("seeds", "only stochastic runs take seeds")
     if schedule.fixed_gamma is not None and spec.kind not in (

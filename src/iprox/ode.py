@@ -1,4 +1,5 @@
-"""Heavy-ball ODE lab: x'' + alpha*x' + grad f(x) = 0 for smooth f.
+"""Heavy-ball ODE lab: x'' + alpha*x' + grad f(x) = 0 for smooth f; the
+problem's prox_kind must make g zero (zero, or l1 or group l2 at weight 0).
 
 The second-order system is integrated as a first-order system in (x, v)
 with classical fourth-order Runge-Kutta at a fixed step.  The energy
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, IntegrationBlowup
-from .problems import CompositeProblem, _g_value, grad_f
+from .problems import CompositeProblem, grad_f
 
 
 @dataclass
@@ -59,13 +60,8 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     v0 = np.asarray(v0, dtype=float)
     if x0.shape != (problem.dim,) or v0.shape != (problem.dim,):
         raise ContractViolation("x0 and v0 must have the problem dimension")
-    # g is ignored by the integrator: a kind is read, a closure g spot-checked
-    kind = problem.prox_kind
-    if kind is not None:
-        zero_g = kind.tag == "zero" or (kind.tag in ("l1", "group_l2") and kind.lam == 0.0)
-    else:
-        zero_g = _g_value(problem, x0) == 0.0 and _g_value(problem, np.ones(problem.dim)) == 0.0
-    if not zero_g:
+    kind = problem.prox_kind  # g is ignored by the integrator
+    if not (kind.tag == "zero" or (kind.tag in ("l1", "group_l2") and kind.lam == 0.0)):
         raise ContractViolation("heavy-ball integration needs g identically zero")
 
     n_steps = int(round(t_end / h))

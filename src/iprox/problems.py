@@ -2,8 +2,8 @@
 
 Each part is described once.  f is its value and gradient callables, with
 a known Lipschitz constant for the gradient (global L and per-block L_i).
-g is block separable, g(x) = sum_i g_i(x_i): a per-block prox callable
-with a value callable for g, or a :class:`ProxKind` that every g_i is.
+g is block separable, g(x) = sum_i g_i(x_i), and is given as the
+:class:`ProxKind` that every g_i is: its closed-form prox and its value.
 All oracles are pure functions; a problem value may be shared freely
 across threads.
 
@@ -132,13 +132,9 @@ class CompositeProblem:
     block_lipschitz : tuple of float
         Per-block constants L_i of the partial gradients; for library
         problems these are enforced <= lipschitz_L at construction.
-    prox : callable (i, v, gamma) -> ndarray, or ProxKind
-        prox_{gamma*g_i}(v) on block i, which must stay finite for
-        gamma > 0; or a ProxKind, meaning every g_i is that kind, so
-        g(x) = sum_i kind(x_i).
-    nonsmooth_value : callable x -> float
-        g(x), given exactly when prox is a callable; may return +inf when g
-        encodes a constraint indicator.
+    prox : ProxKind
+        The kind every g_i is, so g(x) = sum_i kind(x_i); g(x) is +inf
+        outside a box.
     f_star : float, optional
         min F when known (exact for constructed quadratics, else from the
         reference solver).
@@ -151,8 +147,8 @@ class CompositeProblem:
     Three attributes are derived, not given.  smooth_model is the
     SmoothModel whose own value and grad are smooth_value and smooth_grad,
     or wrappers naming them as __wrapped__ (functools.wraps), else None.
-    prox_kind is the ProxKind given as prox, possibly so wrapped, else
-    None.  block_selectors holds what reads or writes block i of a vector,
+    prox_kind is the ProxKind given as prox, or named by a prox so wrapped.
+    block_selectors holds what reads or writes block i of a vector,
     x[block_selectors[i]]: a slice for a contiguous ascending block, so the
     read is a view and not a copy, and an index array for any other block.
     """
@@ -163,13 +159,12 @@ class CompositeProblem:
     smooth_grad: Callable[[Vector], Vector]
     lipschitz_L: float
     block_lipschitz: tuple
-    prox: Callable[[int, Vector, float], Vector] | ProxKind
-    nonsmooth_value: Optional[Callable[[Vector], float]] = None
+    prox: ProxKind
     f_star: Optional[float] = None
     nu: Optional[float] = None
     solution_projection: Optional[Callable[[Vector], Vector]] = None
     smooth_model: Optional[SmoothModel] = field(init=False, repr=False)
-    prox_kind: Optional[ProxKind] = field(init=False, repr=False)
+    prox_kind: ProxKind = field(init=False, repr=False)
     block_selectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -202,13 +197,8 @@ class CompositeProblem:
             raise ContractViolation("smooth_model acts on vectors of another length")
         kind = inspect.unwrap(self.prox)
         if not isinstance(kind, ProxKind):
-            if not callable(self.prox):
-                raise ContractViolation("prox must be a callable or a ProxKind")
-            kind = None
-        if (self.nonsmooth_value is None) != (kind is not None):
-            raise ContractViolation(
-                "nonsmooth_value is given exactly when prox is a callable, not a ProxKind")
-        if (kind is not None and kind.tag == "box" and np.shape(kind.lo) != ()
+            raise ContractViolation("prox must be a ProxKind")
+        if (kind.tag == "box" and np.shape(kind.lo) != ()
                 and any(np.shape(kind.lo) != (len(blk),) for blk in blocks)):
             raise ContractViolation("box bounds must be scalars or have every block's length")
         object.__setattr__(self, "smooth_model", model)
@@ -264,11 +254,9 @@ def objective(problem: CompositeProblem, x: Vector) -> float:
 
 
 def _g_value(problem: CompositeProblem, x: Vector) -> float:
-    # g(x) at a checked x: sum_i kind(x_i) for a prox_kind, in one call on
-    # the whole vector for a coordinate-separable one; else nonsmooth_value
+    # g(x) at a checked x: sum_i kind(x_i), in one call on the whole vector
+    # for a coordinate-separable kind
     kind = problem.prox_kind
-    if kind is None:
-        return float(problem.nonsmooth_value(x))
     if kind.separable:
         return prox_value(kind, x)
     return sum(prox_value(kind, x[sel]) for sel in problem.block_selectors)
@@ -282,44 +270,28 @@ def grad_f(problem: CompositeProblem, x: Vector) -> Vector:
     return g
 
 
-def _prox_block(problem: CompositeProblem, i: int, v: Vector, gamma: float) -> Vector:
-    # prox_{gamma*g_i}(v) on block i, for a checked i, v and gamma: the
-    # prox_kind, or else the prox oracle, whose result must have v's shape
-    if problem.prox_kind is not None:
-        return _apply_kind(problem.prox_kind, v, gamma)
-    out = np.asarray(problem.prox(i, v, gamma), dtype=float)
-    if out.shape != v.shape:
-        raise ContractViolation("prox oracle returned a wrong-shaped vector")
-    return out
-
-
 def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     """Blockwise prox of the separable g with one shared stepsize.
 
     A coordinate-separable prox_kind acts on the whole vector in one call,
-    which equals the blockwise calls bit for bit; any other g is applied
-    block by block, the kind to each block or the prox oracle with each
-    block's index.  v and gamma are checked once here, not again per block
+    which equals the blockwise calls bit for bit; any other kind is applied
+    to each block.  v and gamma are checked once here, not again per block
     or by the kind.
     """
     v = _check_dim(problem, v)
     if gamma <= 0:
         raise ContractViolation("prox stepsize must be > 0")
-    if problem.prox_kind is None:
-        # a closure prox reads its blocks from a copy, so one that writes its
-        # argument never writes the caller's v
-        v = v.copy()
     return _prox_full(problem, v, gamma)
 
 
 def _prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     # prox_full once v and gamma are checked
     kind = problem.prox_kind
-    if kind is not None and kind.separable:
+    if kind.separable:
         return _apply_kind(kind, v, gamma)
     out = np.empty_like(v)
-    for i, sel in enumerate(problem.block_selectors):
-        out[sel] = _prox_block(problem, i, v[sel], gamma)
+    for sel in problem.block_selectors:
+        out[sel] = _apply_kind(kind, v[sel], gamma)
     return out
 
 

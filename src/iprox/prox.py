@@ -25,17 +25,34 @@ def _group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
 class ProxKind:
     """Tagged description of a nonsmooth term g_i of one block.
 
-    Tags: "zero", "l1" (lam), "box" (lo, hi), "group_l2" (lam).
-    Build through the classmethod constructors; they validate parameters.
-    Given as a problem's prox, a kind means every g_i is this kind, so
-    g(x) = sum_i kind(x_i): box bounds then have a block's shape (or are
-    scalars), and group_l2 takes the norm of each block.
+    Tags: "zero", "l1" (lam), "box" (lo, hi), "group_l2" (lam).  A kind
+    checks itself when built, by a classmethod or directly: lam finite and
+    >= 0, and bounds for a box alone, float arrays of one shape with
+    lo <= hi and no NaN.  As a problem's prox, a kind means every g_i is
+    this kind, so g(x) = sum_i kind(x_i): box bounds then have a block's
+    shape (or are scalars), and group_l2 takes the norm of each block.
     """
 
     tag: str
     lam: float = 0.0
     lo: np.ndarray | None = field(default=None)
     hi: np.ndarray | None = field(default=None)
+
+    def __post_init__(self):
+        if self.tag not in ("zero", "l1", "box", "group_l2"):
+            raise ContractViolation(f"unknown prox tag {self.tag!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ContractViolation(f"{self.tag} weight must be finite and >= 0")
+        object.__setattr__(self, "lam", float(self.lam))
+        if (self.lo is None and self.hi is None) == (self.tag == "box"):
+            raise ContractViolation("a box takes both bounds, and the other kinds none")
+        if self.tag == "box":
+            lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+            # a missing bound reads as NaN, and NaN fails lo <= hi
+            if lo.shape != hi.shape or not np.all(lo <= hi):
+                raise ContractViolation("box needs lo <= hi of matching shape, without NaN")
+            object.__setattr__(self, "lo", lo)
+            object.__setattr__(self, "hi", hi)
 
     @property
     def separable(self) -> bool:
@@ -49,23 +66,15 @@ class ProxKind:
 
     @classmethod
     def l1(cls, lam: float) -> "ProxKind":
-        if lam < 0:
-            raise ContractViolation("l1 weight must be >= 0")
-        return cls(tag="l1", lam=float(lam))
+        return cls(tag="l1", lam=lam)
 
     @classmethod
     def box(cls, lo, hi) -> "ProxKind":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ContractViolation("box needs lo <= hi of matching shape")
         return cls(tag="box", lo=lo, hi=hi)
 
     @classmethod
     def group_l2(cls, lam: float) -> "ProxKind":
-        if lam < 0:
-            raise ContractViolation("group_l2 weight must be >= 0")
-        return cls(tag="group_l2", lam=float(lam))
+        return cls(tag="group_l2", lam=lam)
 
 
 def prox_apply(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
@@ -77,8 +86,8 @@ def prox_apply(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
 
 def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
     """prox_apply for a caller that has already checked its input: v a
-    float vector and gamma > 0.  The kind's parameters were checked by its
-    constructor, so nothing is validated again."""
+    float vector and gamma > 0.  The kind checked itself when it was built,
+    so nothing is validated again."""
     if kind.tag == "zero":
         return v.copy()
     if kind.tag == "l1":
@@ -86,9 +95,7 @@ def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
         return np.sign(v) * np.maximum(np.abs(v) - gamma * kind.lam, 0.0)
     if kind.tag == "box":
         return np.minimum(np.maximum(v, kind.lo), kind.hi)
-    if kind.tag == "group_l2":
-        return _group_shrink(v, gamma * kind.lam)
-    raise ContractViolation(f"unknown prox tag {kind.tag!r}")
+    return _group_shrink(v, gamma * kind.lam)  # group_l2
 
 
 def prox_value(kind: ProxKind, v: np.ndarray) -> float:
@@ -103,6 +110,4 @@ def prox_value(kind: ProxKind, v: np.ndarray) -> float:
         if np.any(v < kind.lo) or np.any(v > kind.hi):
             return math.inf
         return 0.0
-    if kind.tag == "group_l2":
-        return kind.lam * float(np.linalg.norm(v))
-    raise ContractViolation(f"unknown prox tag {kind.tag!r}")
+    return kind.lam * float(np.linalg.norm(v))  # group_l2

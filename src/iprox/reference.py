@@ -14,12 +14,11 @@ y = x + c (x - x_prev) is that gradient when c = 0, and g + c (g - g_prev)
 when f has a SmoothModel with an affine gradient (the squares and
 quadratic losses): 2 products with A per lasso iteration, 1 for the
 quadratic kinds, 2 for the noncoercive kind (image and Gram product).
-Logistic and closure-built problems take a second gradient at y when
-c > 0.  g is read as the runs read it: through the problem's prox_kind
-when it has one (one vector call for a coordinate-separable kind, one
-per block otherwise), else through its prox and nonsmooth_value
-callables.  ``ReferenceSolution.matvec_equiv`` is the oracle state's
-count.
+Logistic problems, and problems with a closure f, take a second gradient
+at y when c > 0.  g is read as the runs read it, through the problem's
+prox_kind: one vector call for a coordinate-separable kind, one per
+block otherwise.  ``ReferenceSolution.matvec_equiv`` is the oracle
+state's count.
 """
 
 from __future__ import annotations

@@ -65,7 +65,6 @@ from .problems import (
     IterateState,
     _check_dim,
     _g_value,
-    _prox_block,
     _prox_full,
     grad_f,  # read as solvers.grad_f by perfbench's test_tracer_restores_the_package
     oracle_state,
@@ -201,7 +200,7 @@ class _Recorder:
         if self.G is not None:
             g, kind = 1.0 / self.problem.lipschitz_L, self.problem.prox_kind
             V = X - g * self.G[:len(X)]
-            if kind is not None and kind.separable:
+            if kind.separable:
                 S = X - _apply_kind(kind, V, g)
             else:
                 S = X - np.array([_prox_full(self.problem, v, g) for v in V])
@@ -250,8 +249,8 @@ def _block_move(problem, x, x_prev, i, gamma, beta, oracle, k, grad):
         _check_grad(grad_i, k)
     else:
         grad_i = grad[sel]
-    x_i = _prox_block(problem, i, _forward(x[sel], grad_i, x_prev[sel], gamma, beta),
-                      gamma)
+    v = _forward(x[sel], grad_i, x_prev[sel], gamma, beta)
+    x_i = _apply_kind(problem.prox_kind, v, gamma)
     oracle.move(i, x_i - x[sel])
     x[sel] = x_i
 

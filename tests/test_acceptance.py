@@ -290,8 +290,7 @@ def test_criterion_09_ode_lab():
         dim=1, blocks=((0,),),
         smooth_value=lambda x: float(0.5 * x[0] ** 2),
         smooth_grad=lambda x: np.array([x[0]]),
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, gamma: v,
+        prox=ProxKind.zero(),
         lipschitz_L=1.0, block_lipschitz=(1.0,), f_star=0.0,
     )
     t0 = time.perf_counter()

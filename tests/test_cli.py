@@ -99,6 +99,19 @@ def test_seed_offset_shifts_block_streams(tmp_path):
     assert (out / "trace_seed5.csv").read_bytes() != (base / "trace_seed0.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seeds, offset, field", [
+    ([0, 2 ** 64], 0, "seeds[1]"), ([0, 1], 2 ** 64 - 1, "seeds[1]"),
+    ([3, 1], -2, "seeds[1]"), ([3, 3], 0, "seeds")],
+    ids=["too-large", "offset-too-large", "offset-negative", "repeated"])
+def test_bad_block_seeds_are_exit_2_before_any_output(tmp_path, capsys, seeds, offset, field):
+    cfg = write_cfg(tmp_path, quad_stochastic_cfg(seeds=seeds))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--seed-offset", str(offset)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_is_exit_2_with_field_path(tmp_path, capsys):
     doc = lasso_cfg()
     doc["schedule"]["bogus"] = 1
@@ -513,6 +526,20 @@ def test_negative_fit_window_is_exit_2_under_run_and_rates(tmp_path, capsys):
         assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
                      "--out", str(tmp_path / "fit")]) == 2
         assert f"config error: fit.{key}: {key} must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_empty_fit_window_is_exit_2_under_run_and_rates(tmp_path, capsys):
+    # k_lo > k_hi names no k at all: a config error before any output
+    out = tmp_path / "run"
+    doc = lasso_cfg(audits=["rates"], rate={"k_lo": 9, "k_hi": 8})
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: rate.k_lo: " in capsys.readouterr().err
+    assert not out.exists()
+    fit = {"version": 1, "fit": {"csv": str(tmp_path / "missing.csv"), "k_lo": 9, "k_hi": 8}}
+    assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
+                 "--out", str(tmp_path / "fit")]) == 2
+    assert "config error: fit.k_lo: " in capsys.readouterr().err
     assert not (tmp_path / "fit").exists()
 
 

@@ -13,8 +13,7 @@ def smooth_problem(dim, value, grad, L, f_star=0.0):
     return CompositeProblem(
         dim=dim, blocks=(tuple(range(dim)),),
         smooth_value=value, smooth_grad=grad,
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, gamma: v,
+        prox=ProxKind.zero(),
         lipschitz_L=L, block_lipschitz=(L,), f_star=f_star,
     )
 
@@ -141,11 +140,6 @@ def test_simulation_validation():
     no_star = dataclasses.replace(p, f_star=None)
     with pytest.raises(ContractViolation):
         ode.simulate_heavy_ball(no_star, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=1.0)
-    lumpy = dataclasses.replace(
-        p, nonsmooth_value=lambda x: float(np.sum(np.abs(x))),
-        prox=lambda i, v, gamma: np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0))
-    with pytest.raises(ContractViolation):
-        ode.simulate_heavy_ball(lumpy, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=1.0)
 
 
 def test_audit_validation():
@@ -162,11 +156,11 @@ def test_audit_validation():
     ids=["zero", "l1-weight0", "group_l2-weight0", "l1", "group_l2", "box"])
 def test_a_kind_g_is_read_not_spot_checked(kind, zero):
     # g = the box indicator of [-1, 1]^2 is 0 at x0 = (0.5, 0.5) and at the
-    # ones, where a spot check looks, yet g is not identically zero
+    # ones, where a two-point spot check would look, yet g is not zero
     import dataclasses
     p = dataclasses.replace(smooth_problem(2, lambda x: 0.5 * float(x @ x),
                                            lambda x: x.copy(), L=1.0),
-                            prox=kind, nonsmooth_value=None)
+                            prox=kind)
     x0 = 0.5 * np.ones(2)
     if zero:
         trace = ode.simulate_heavy_ball(p, x0, np.zeros(2), alpha=1.0, h=1e-2, t_end=0.1)

@@ -153,8 +153,7 @@ def test_large_variants_block_costs():
     p = CompositeProblem(
         dim=n, blocks=tuple(tuple(range(i * 20, (i + 1) * 20)) for i in range(m)),
         smooth_value=model.value, smooth_grad=model.grad, lipschitz_L=L,
-        block_lipschitz=(L,) * m, nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, g: v)
+        block_lipschitz=(L,) * m, prox=iprox.ProxKind.zero())
     assert p.smooth_model is model
     x0 = np.zeros(n)
     assert run(p, x0, "cyclic", 8).meta["matvec_equiv"] / 8 <= 4.25
@@ -171,7 +170,7 @@ def test_non_contiguous_blocks_use_index_columns():
     p = CompositeProblem(
         dim=6, blocks=((0, 2, 4), (5, 1, 3)), smooth_value=model.value,
         smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=(L, L),
-        nonsmooth_value=lambda x: 0.0, prox=lambda i, v, g: v)
+        prox=iprox.ProxKind.zero())
     assert p.smooth_model is model
     oracle = oracle_state(p)
     x = rng.standard_normal(6)

@@ -17,12 +17,11 @@ from iprox.problems import (
     oracle_state,
     prox_full,
 )
-from iprox.prox import ProxKind, prox_apply, prox_value
+from iprox.prox import ProxKind, prox_apply
 
 
 def l1_quadratic(dim=2, blocks=None):
     # f = ||x - b||^2 / 2 with b = 0, g = ||x||_1
-    kind = ProxKind.l1(1.0)
     return CompositeProblem(
         dim=dim,
         blocks=blocks or (tuple(range(dim)),),
@@ -30,8 +29,7 @@ def l1_quadratic(dim=2, blocks=None):
         smooth_grad=lambda x: x.copy(),
         lipschitz_L=1.0,
         block_lipschitz=tuple(1.0 for _ in (blocks or [0])),
-        nonsmooth_value=lambda x: prox_value(kind, x),
-        prox=lambda i, v, gamma: prox_apply(kind, v, gamma),
+        prox=ProxKind.l1(1.0),
     )
 
 
@@ -45,15 +43,13 @@ def hand_lasso():
                   [-2.0, 0.0, 2.0]])
     b = np.array([1.0, -1.0, 2.0, 0.0, 1.0])
     lam = 0.3
-    kind = ProxKind.l1(lam)
     prob = CompositeProblem(
         dim=3, blocks=((0, 1, 2),),
         smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
         smooth_grad=lambda x: A.T @ (A @ x - b),
         lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
         block_lipschitz=(float(np.linalg.norm(A, 2) ** 2),),
-        nonsmooth_value=lambda x: prox_value(kind, x),
-        prox=lambda i, v, gamma: prox_apply(kind, v, gamma),
+        prox=ProxKind.l1(lam),
     )
     return prob, A, b, lam
 
@@ -119,20 +115,20 @@ def test_block_grad_m1_degeneracy():
     assert np.array_equal(state.block_grad(0, x), grad_f(p, x))
 
 
-def test_prox_block_zero_identity():
+def test_prox_full_zero_identity():
     p = make_instance(InstanceSpec(kind="quadratic", n=6, conditioning=4.0, seed=0, m=2))
     v = np.array([1.0, -2.0, 0.5, 3.0, 0.0, -0.25])
     assert np.array_equal(prox_full(p, v, 0.7), v)
 
 
-def test_prox_block_soft_threshold_case():
+def test_prox_full_soft_threshold_case():
     p = l1_quadratic()
     # gamma*lambda = 1 -> prox(3) = 2
     out = prox_full(p, np.array([3.0, 0.0]), 1.0)
     assert np.array_equal(out, np.array([2.0, 0.0]))
 
 
-def test_prox_block_grid_oracle():
+def test_prox_full_grid_oracle():
     prob, _, _, lam = hand_lasso()
     v = np.array([0.9, -1.7, 0.2])
     gamma = 0.6
@@ -169,10 +165,7 @@ PROX_KIND_SPECS = {
 def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
     p = make_instance(InstanceSpec(m=m, seed=2, **PROX_KIND_SPECS[kind]))
     kind = p.prox_kind
-    assert kind is not None and kind.separable
-    per_block = dataclasses.replace(p, prox=lambda i, v, gamma: prox_apply(kind, v, gamma),
-                                    nonsmooth_value=lambda x: prox_value(kind, x))
-    assert per_block.prox_kind is None
+    assert kind.separable
     gamma = 0.5
     rng = np.random.Generator(np.random.PCG64(m))
     v = rng.standard_normal(24) * 2.0
@@ -181,8 +174,7 @@ def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
     want = np.empty(24)
     for i, ix in enumerate(p.block_selectors):
         want[ix] = prox_apply(kind, v[ix], gamma)
-    for got in (prox_full(p, v, gamma), prox_full(per_block, v, gamma)):
-        assert got.tobytes() == want.tobytes()
+    assert prox_full(p, v, gamma).tobytes() == want.tobytes()
     assert prox_full(p, v, gamma) is not v
 
 
@@ -198,86 +190,31 @@ def test_group_l2_prox_full_shrinks_each_block_by_its_own_norm():
     assert np.allclose(out, [1.8, 2.4, 0.0, 0.0], rtol=0, atol=1e-15)
 
 
-def test_closure_problem_prox_full_calls_each_block_prox_once():
-    calls = []
-    kind = ProxKind.l1(1.0)
-
-    def prox(i, v, gamma):
-        calls.append(i)
-        return prox_apply(kind, v, gamma)
-
-    p = CompositeProblem(
-        dim=6, blocks=((0, 1), (2, 3), (4, 5)),
-        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0,) * 3,
-        nonsmooth_value=lambda x: prox_value(kind, x), prox=prox)
-    out = prox_full(p, np.array([2.0, -0.5, 1.5, 0.0, -3.0, 1.0]), 1.0)
-    assert calls == [0, 1, 2]
-    assert np.array_equal(out, [1.0, 0.0, 0.5, 0.0, -2.0, 0.0])
-
-
-def test_in_place_closure_prox_leaves_the_callers_vector_alone():
-    # contiguous blocks are read through slices; a closure prox that writes
-    # its argument must still not write the vector handed to prox_full
-    def prox(i, v, gamma):
-        return np.clip(v, -gamma, gamma, out=v)
-
-    p = CompositeProblem(
-        dim=6, blocks=((0, 1, 2), (3, 4, 5)),
-        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
-        nonsmooth_value=lambda x: 0.0, prox=prox)
-    assert all(isinstance(sel, slice) for sel in p.block_selectors)
-    v = np.array([2.0, -0.5, 1.5, 0.0, -3.0, 1.0])
-    before = v.copy()
-    out = prox_full(p, v, 1.0)
-    assert np.array_equal(v, before)
-    assert np.array_equal(out, [1.0, -0.5, 1.0, 0.0, -1.0, 1.0])
-
-
 def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
     p = make_instance(InstanceSpec(kind="lasso", n=6, rows=10, reg_lambda=1.0,
                                    m=3, seed=1))
     assert p.prox_kind.tag == "l1" and p.prox is p.prox_kind
-    assert p.nonsmooth_value is None
     assert dataclasses.replace(p, f_star=0.0).prox_kind is p.prox_kind
-    calls = []
-
-    def prox(i, v, gamma):
-        calls.append(i)
-        return np.zeros_like(v) + i
-
-    # a replaced prox describes g alone, with its own value
-    q = dataclasses.replace(p, prox=prox, nonsmooth_value=lambda x: 0.0)
-    assert q.prox_kind is None
-    out = prox_full(q, np.ones(6), 1.0)
-    assert calls == [0, 1, 2]
-    assert np.array_equal(out, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
     assert dataclasses.replace(p, prox=ProxKind.zero()).prox_kind.tag == "zero"
     # a wrapper that names its kind, as a tracer's does, keeps the kind
     q = dataclasses.replace(p, prox=functools.wraps(p.prox)(lambda *a: None))
     assert q.prox_kind is p.prox_kind
 
 
-def test_prox_must_be_a_callable_or_a_prox_kind():
-    p = l1_quadratic()
-    with pytest.raises(ContractViolation):
-        dataclasses.replace(p, prox="l1", nonsmooth_value=None)
-    with pytest.raises(ContractViolation):
-        dataclasses.replace(p, prox="l1")
-
-
-def test_nonsmooth_value_is_given_exactly_for_a_callable_prox():
+def test_prox_must_be_a_prox_kind():
     p = l1_quadratic()
     kind = ProxKind.l1(1.0)
-    with pytest.raises(ContractViolation):
-        dataclasses.replace(p, prox=kind)
-    with pytest.raises(ContractViolation):
-        dataclasses.replace(p, nonsmooth_value=None)
-    q = dataclasses.replace(p, prox=kind, nonsmooth_value=None)
-    assert q.prox_kind is kind
+    for prox in ("l1", lambda i, v, gamma: prox_apply(kind, v, gamma)):
+        with pytest.raises(ContractViolation, match="prox must be a ProxKind"):
+            dataclasses.replace(p, prox=prox)
+
+
+def test_objective_adds_the_kinds_value():
+    p = l1_quadratic()
+    assert p.prox_kind is p.prox
     x = np.array([1.0, -2.0])
-    assert objective(q, x) == objective(p, x) == 5.5
+    # f = ||x||^2 / 2 = 2.5, g = ||x||_1 = 3
+    assert objective(p, x) == 5.5
 
 
 def kind_problem(kind, blocks=((0, 1), (2, 3))):
@@ -417,14 +354,12 @@ def test_partition_validation():
         CompositeProblem(
             dim=3, blocks=((0, 1), (1, 2)),
             smooth_value=lambda x: 0.0, smooth_grad=lambda x: np.zeros(3),
-            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
-            nonsmooth_value=lambda x: 0.0, prox=lambda i, v, g: v)
+            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=ProxKind.zero())
     with pytest.raises(ContractViolation):
         CompositeProblem(
             dim=3, blocks=((0,), (2,)),
             smooth_value=lambda x: 0.0, smooth_grad=lambda x: np.zeros(3),
-            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
-            nonsmooth_value=lambda x: 0.0, prox=lambda i, v, g: v)
+            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=ProxKind.zero())
 
 
 def test_solution_projection_gate():
@@ -435,37 +370,32 @@ def test_solution_projection_gate():
     assert objective(q, z) == pytest.approx(q.f_star, abs=1e-12)
 
 
-def two_block_problem(kind):
-    # g described by a kind (separable or not), or by a closure alone
-    oracles = dict(prox=kind) if kind is not None else dict(
-        nonsmooth_value=lambda x: prox_value(ProxKind.l1(0.5), x),
-        prox=lambda i, v, gamma: prox_apply(ProxKind.l1(0.5), v, gamma))
+def two_block_problem(prox):
+    # g described by a kind (separable or not), or by a wrapper naming one
     return CompositeProblem(
         dim=4, blocks=((0, 1), (2, 3)),
         smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), **oracles)
+        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=prox)
 
 
-@pytest.mark.parametrize("kind", [ProxKind.l1(0.5), ProxKind.zero(),
-                                  ProxKind.group_l2(0.5), ProxKind.box(-1.0, 1.0), None],
+@pytest.mark.parametrize("prox", [ProxKind.l1(0.5), ProxKind.zero(),
+                                  ProxKind.group_l2(0.5), ProxKind.box(-1.0, 1.0),
+                                  functools.wraps(ProxKind.l1(0.5))(lambda *a: None)],
                          ids=["l1", "zero", "group_l2", "box", "closure"])
-def test_every_prox_entry_point_rejects_bad_input(kind):
-    p = two_block_problem(kind)
+def test_every_prox_entry_point_rejects_bad_input(prox):
+    p = two_block_problem(prox)
+    kind = p.prox_kind
     v = np.array([2.0, -0.5, 0.3, 0.0])
     for gamma in (0.0, -1.0):
         with pytest.raises(ContractViolation):
             prox_full(p, v, gamma)
-        if kind is not None:
-            with pytest.raises(ContractViolation):
-                prox_apply(kind, v, gamma)
+        with pytest.raises(ContractViolation):
+            prox_apply(kind, v, gamma)
     with pytest.raises(ContractViolation):
         prox_full(p, v[:3], 1.0)
     with pytest.raises(ContractViolation):
         prox_full(p, v.reshape(2, 2), 1.0)
-    # checked once, applied unchecked: the same bits as the checked kind, or
-    # as the closure called per block
-    want = np.concatenate([p.prox(i, v[ix], 0.7) if kind is None
-                           else prox_apply(kind, v[ix], 0.7)
-                           for i, ix in enumerate(p.block_selectors)])
+    # checked once, applied unchecked: the same bits as the checked kind
+    want = np.concatenate([prox_apply(kind, v[ix], 0.7) for ix in p.block_selectors])
     assert np.array_equal(prox_full(p, v, 0.7), want)
 

@@ -106,6 +106,33 @@ def test_kind_validation():
         prox_apply(ProxKind.l1(1.0), np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ProxKind("l1", lam=-1.0), lambda: ProxKind("group_l2", lam=-0.5),
+    lambda: ProxKind.l1(float("nan")), lambda: ProxKind.group_l2(float("inf")),
+    lambda: ProxKind("zero", lam=float("nan")), lambda: ProxKind("foo"),
+    lambda: ProxKind("box"), lambda: ProxKind("box", lo=-1.0),
+    lambda: ProxKind.box([-1.0, 0.0], [1.0]), lambda: ProxKind.box([float("nan")], [1.0]),
+    lambda: ProxKind.box(-1.0, float("nan")),
+    lambda: ProxKind("l1", lam=1.0, hi=np.ones(2)), lambda: ProxKind("zero", lo=0.0)],
+    ids=["negative-l1", "negative-group_l2", "nan-l1", "inf-group_l2", "nan-zero",
+         "unknown-tag", "box-without-bounds", "box-without-hi", "box-shapes",
+         "nan-lo", "nan-hi", "l1-with-bounds", "zero-with-bounds"])
+def test_a_kind_checks_itself_when_built(build):
+    # the dataclass constructor checks what the classmethods check
+    with pytest.raises(ContractViolation):
+        build()
+
+
+def test_a_directly_built_kind_equals_the_classmethods():
+    box = ProxKind("box", lo=[-1, 0], hi=[1, 2])
+    assert box.lo.dtype == box.hi.dtype == np.float64
+    v = np.array([-3.0, 3.0])
+    assert np.array_equal(prox_apply(box, v, 1.0), prox_apply(ProxKind.box([-1, 0], [1, 2]),
+                                                                v, 1.0))
+    l1 = ProxKind("l1", lam=2)
+    assert type(l1.lam) is float and l1.lam == ProxKind.l1(2).lam
+
+
 @settings(max_examples=200)
 @given(
     v=st.lists(st.floats(-50, 50), min_size=1, max_size=6),

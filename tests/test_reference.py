@@ -9,7 +9,7 @@ import iprox
 from iprox import library, reference
 from iprox.errors import ContractViolation
 from iprox.problems import CompositeProblem, objective, prox_full
-from iprox.prox import prox_apply, prox_value
+from iprox.prox import ProxKind
 
 
 def quadratic_with_linear_term():
@@ -23,8 +23,7 @@ def quadratic_with_linear_term():
         dim=10, blocks=(tuple(range(10)),),
         smooth_value=lambda x: float(0.5 * x @ (Q @ x) - b @ x),
         smooth_grad=lambda x: Q @ x - b,
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, gamma: v,
+        prox=ProxKind.zero(),
         lipschitz_L=L, block_lipschitz=(L,),
     ), Q, b
 
@@ -46,8 +45,7 @@ def test_reference_one_dim_soft_threshold():
         dim=1, blocks=((0,),),
         smooth_value=lambda x: float(0.5 * (x[0] - 3.0) ** 2),
         smooth_grad=lambda x: np.array([x[0] - 3.0]),
-        nonsmooth_value=lambda x: float(abs(x[0])),
-        prox=lambda i, v, gamma: np.sign(v) * np.maximum(np.abs(v) - gamma, 0.0),
+        prox=ProxKind.l1(1.0),
         lipschitz_L=1.0, block_lipschitz=(1.0,),
     )
     ref = reference.solve_reference(p, tol=1e-13)
@@ -177,12 +175,10 @@ def library_problem(kind, m=3, seed=4):
     return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
 
 
-def closures_only(problem):
-    model, kind = problem.smooth_model, problem.prox_kind
+def closure_f(problem):
+    model = problem.smooth_model
     return dataclasses.replace(
-        problem, smooth_value=lambda x: model.value(x), smooth_grad=lambda x: model.grad(x),
-        prox=lambda i, v, gamma: prox_apply(kind, v, gamma),
-        nonsmooth_value=lambda x: prox_value(kind, x))
+        problem, smooth_value=lambda x: model.value(x), smooth_grad=lambda x: model.grad(x))
 
 
 def two_gradient_reference(problem, tol, max_iters=10 ** 6, x0=None):
@@ -227,7 +223,7 @@ def fields(ref):
 @pytest.mark.parametrize("budget", [None, 4])
 def test_closure_problems_keep_the_two_gradient_loop_bit_for_bit(kind, budget):
     p, x0 = library_problem(kind)
-    p = closures_only(p)
+    p = closure_f(p)
     tol, iters = (1e-12, 10 ** 6) if budget is None else (1e-14, budget)
     got = reference.solve_reference(p, tol=tol, max_iters=iters, x0=x0)
     want = two_gradient_reference(p, tol, iters, x0)
@@ -269,7 +265,7 @@ def test_matvec_equiv_of_each_kind_follows_its_formula():
                                     + per_momentum.get(kind, 0) * momentum)
         # closures: a gradient at x0 and at each iterate, one at each y
         # with momentum, and f at x*
-        closure = closures_only(p)
+        closure = closure_f(p)
         ref = reference.solve_reference(closure, tol=1e-12, x0=x0)
         momentum = two_gradient_reference(closure, 1e-12, x0=x0)[5]
         assert ref.matvec_equiv == 2 + ref.iterations_used + momentum

@@ -24,8 +24,7 @@ def two_dim_quadratic():
         smooth_value=lambda x: 0.5 * float(x @ Q @ x),
         smooth_grad=lambda x: Q @ x,
         lipschitz_L=L, block_lipschitz=(2.0, 3.0),
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, gamma: v,
+        prox=iprox.ProxKind.zero(),
         f_star=0.0, nu=float(np.linalg.eigvalsh(Q)[0]) / 2.0,
         solution_projection=lambda x: np.zeros(2),
     )
@@ -89,8 +88,8 @@ def lasso_problem(seed=9, n=12, m=1):
 
 
 def closure_lasso(seed=9, n=6, blocks=None):
-    # a two-block lasso given by closures only (no smooth_model, no
-    # prox_kind), whose gradients are exact at every refresh cadence
+    # a two-block lasso with a closure f (no smooth_model), whose gradients
+    # are exact at every refresh cadence
     rng = np.random.default_rng(seed)
     A, b, lam = rng.standard_normal((3 * n, n)), rng.standard_normal(3 * n), 0.2
     if blocks is None:
@@ -102,8 +101,7 @@ def closure_lasso(seed=9, n=6, blocks=None):
         lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
         block_lipschitz=tuple(float(np.linalg.norm(A[:, list(blk)], 2) ** 2)
                               for blk in blocks),
-        nonsmooth_value=lambda x: lam * float(np.abs(x).sum()),
-        prox=lambda i, v, gamma: np.sign(v) * np.maximum(np.abs(v) - gamma * lam, 0.0),
+        prox=iprox.ProxKind.l1(lam),
     ), rng.standard_normal(n)
 
 
@@ -142,13 +140,6 @@ def fold_id(case):
     return f"{variant}-{problem}-every{every}-{rule}" + ("-oracle" if with_oracle else "")
 
 
-def block_prox(p, i, v, gamma):
-    # prox_{gamma*g_i}(v) on block i: the problem's kind, or its closure
-    if p.prox_kind is not None:
-        return prox_apply(p.prox_kind, v, gamma)
-    return p.prox(i, v, gamma)
-
-
 def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
     """x^{k+1} by the order's update rule, coded apart from the solvers.
 
@@ -167,7 +158,7 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
         ix = list(p.blocks[i])
         g_i = grad_f(p, x)[ix] if oracle is None else oracle.block_grad(i, x)
         gam = gamma[i] if variant == "cyclic" else gamma
-        x_i = block_prox(p, i, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
+        x_i = prox_apply(p.prox_kind, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
         if oracle is not None:
             oracle.move(i, x_i - x[ix])
         x[ix] = x_i
@@ -271,27 +262,6 @@ def test_divergence_guard_catches_a_non_finite_gradient(variant, record_every, s
     assert "gradient" in str(exc.value)
 
 
-def test_wrong_shaped_closure_prox_is_rejected():
-    # one value back for a two-coordinate block must not be broadcast
-    p = CompositeProblem(
-        dim=4, blocks=((0, 1), (2, 3)),
-        smooth_value=lambda x: 0.5 * float(x @ x),
-        smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, g: np.array([v.sum()]),
-    )
-    x0 = np.arange(4.0)
-    with pytest.raises(ContractViolation):
-        prox_full(p, x0, 1.0)
-    for runner, variant in ((run_inertial, "full"), (run_cyclic, "cyclic"),
-                            (run_stochastic, "stochastic")):
-        sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.5,
-                                    variant=variant, m=2)
-        with pytest.raises(ContractViolation):
-            runner(p, sched, x0, RunConfig(max_iters=5))
-
-
 def test_first_step_has_no_momentum():
     # x^{-1} = x^0, so the first update is a plain prox-gradient step at
     # gamma_0 regardless of beta
@@ -357,8 +327,7 @@ def test_divergence_raises_with_iteration():
         smooth_value=lambda x: 0.5 * float(x @ x),
         smooth_grad=lambda x: x.copy(),
         lipschitz_L=0.05, block_lipschitz=(0.05,),
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, g: v,
+        prox=iprox.ProxKind.zero(),
     )
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.9,
                                 variant="full")
@@ -730,8 +699,7 @@ def understated_quadratic():
         smooth_value=lambda x: 0.5 * float(x @ x),
         smooth_grad=lambda x: x.copy(),
         lipschitz_L=0.8, block_lipschitz=(0.8,),
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, g: v,
+        prox=iprox.ProxKind.zero(),
     )
 
 

@@ -101,8 +101,7 @@ def test_ode_csv_allows_inf_ratio_only(tmp_path):
         smooth_value=lambda x: 0.5 * float(x[0]) ** 2,
         smooth_grad=lambda x: x.copy(),
         lipschitz_L=1.0, block_lipschitz=(1.0,),
-        nonsmooth_value=lambda x: 0.0,
-        prox=lambda i, v, g: v,
+        prox=iprox.ProxKind.zero(),
         f_star=0.0,
     )
     # start at the equilibrium: speed stays 0, accel_ratio column is inf
