@@ -45,7 +45,7 @@ def main():
 
     print(f"final F - F* = {trace.F[-1] - ref.f_star:.3e}")
     print(f"descent audit (most negative slack) = {descent_audit(trace):.3e}")
-    print(f"max lyapunov increase               = {max_lyapunov_increase(trace):.3e}")
+    print(f"max lyapunov increase               = {max_lyapunov_increase(trace.lyapunov):.3e}")
 
     # fit only the windowed gap values still above measurement resolution;
     # this instance has enough structure that the gap decays geometrically

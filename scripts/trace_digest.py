@@ -6,12 +6,11 @@ The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
 iterates, diminishing inertia, the stochastic fixed-gamma regime, two
 non-separable proxes applied block by block (group l2, and a box with
-bounds of one block's shape) and a problem with a closure f whose blocks are
-not contiguous.  Runs record their entries in blocks of 256 rows at
-n = 24, so 600-iteration runs of each order at
-record_every 1 (on the lasso, the group-l2 lasso and the quadratic with
-dist^2), and one record_every 3 run that early stopping ends in its
-second block, cross block boundaries.  Each hash covers every Trace
+bounds of one block's shape) and a lasso whose blocks are not contiguous.
+Runs record their entries in blocks of 256 rows at n = 24, so
+600-iteration runs of each order at record_every 1 (on the lasso, the
+group-l2 lasso and the quadratic with dist^2), and one record_every 3 run
+that early stopping ends in its second block, cross block boundaries.  Each hash covers every Trace
 array, the final state, the retained iterates and repr(meta), so two
 checkouts produce the same output exactly when their traces are identical
 bit for bit.
@@ -47,6 +46,7 @@ from iprox import (
     ParamSchedule,
     ProxKind,
     RunConfig,
+    SmoothModel,
     make_instance,
     run_cyclic,
     run_inertial,
@@ -86,15 +86,14 @@ def digest(trace) -> str:
     return h.hexdigest()
 
 
-def scattered_closure():
-    # a two-block lasso with a closure f and interleaved blocks
+def scattered_model():
+    # a two-block lasso whose blocks are interleaved
     rng = np.random.default_rng(5)
     A, b, lam = rng.standard_normal((18, 6)), rng.standard_normal(18), 0.2
     blocks = ((0, 2, 4), (5, 3, 1))
+    model = SmoothModel("squares", A, offset=b)
     return CompositeProblem(
-        dim=6, blocks=blocks,
-        smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
-        smooth_grad=lambda x: A.T @ (A @ x - b),
+        blocks=blocks, smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
         block_lipschitz=tuple(float(np.linalg.norm(A[:, list(blk)], 2) ** 2)
                               for blk in blocks),
@@ -135,8 +134,8 @@ def runs():
     spec = InstanceSpec(kind="lasso", n=N, m=4, seed=3, **SPECS["lasso"])
     lasso, xl = make_instance(spec), start_point(spec, "gaussian", 1.0)
     group = dataclasses.replace(lasso, prox=ProxKind.group_l2(0.2))
-    closure, xc = scattered_closure()
-    for name, p, x0 in (("lasso-group-l2-m4", group, xl), ("closure-scattered-m2", closure, xc)):
+    scattered, xs = scattered_model()
+    for name, p, x0 in (("lasso-group-l2-m4", group, xl), ("scattered-m2", scattered, xs)):
         for order in RUNNERS:
             sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
                                   m=p.n_blocks if order == "stochastic" else 1)

@@ -379,8 +379,7 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
             {"min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
             if stochastic else {"max_violation": diagnostics.descent_audit(trace)})
     if "lyapunov" in audits:
-        xi = cols["lyapunov"]
-        inc = float(max(0.0, np.max(np.diff(xi)))) if len(xi) > 1 else 0.0
+        inc = diagnostics.max_lyapunov_increase(cols["lyapunov"])
         found["lyapunov"] = {"max_increase_of_mean" if stochastic else "max_increase": inc}
     if "squared_lyapunov" in audits:
         found["squared_lyapunov"] = {

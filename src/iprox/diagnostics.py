@@ -108,9 +108,10 @@ def expectation_descent_audit(traces) -> float:
     return float(stack.mean(axis=0).min())
 
 
-def max_lyapunov_increase(trace) -> float:
-    """Largest positive forward difference of the lyapunov column (0 if none)."""
-    xi = np.asarray(trace.lyapunov)
+def max_lyapunov_increase(lyapunov) -> float:
+    """Largest positive forward difference of a lyapunov column (0 if none):
+    the column, such as a CSV's seed mean, or a trace's own."""
+    xi = np.asarray(getattr(lyapunov, "lyapunov", lyapunov))
     if len(xi) < 2:
         return 0.0
     return float(max(0.0, np.max(np.diff(xi))))
@@ -161,7 +162,7 @@ def squared_lyapunov_audit(trace, problem: CompositeProblem) -> float:
         L_blocks = np.asarray(trace.meta["block_lipschitz"], dtype=float)
         L_min = float(L_blocks.min())
         scale = 4.0 * c / ((1.0 - c) * L_min)
-        deltas_next = 0.5 * (1.0 / g[1:] - L_blocks / 2.0)
+        deltas_next = delta_coeff(g[1:], L_blocks)
         a = np.sum(deltas_next ** 2 + L_blocks ** 2, axis=1)
         b = np.sum(1.0 / g[:-1] ** 2, axis=1)
         eps = scale * np.where(b > a, b, a)  # max(a, b) as Python takes it

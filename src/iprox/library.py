@@ -304,8 +304,8 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
 def _problem(model, blocks, L, L_blocks, reg_lambda, **extra):
     # g = reg_lambda*||x||_1, the zero kind for reg_lambda = 0
     return CompositeProblem(
-        dim=model.dim, blocks=blocks, smooth_value=model.value,
-        smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=L_blocks,
+        blocks=blocks, smooth_value=model.value, smooth_grad=model.grad,
+        lipschitz_L=L, block_lipschitz=L_blocks,
         prox=ProxKind.l1(reg_lambda) if reg_lambda > 0 else ProxKind.zero(), **extra)
 
 

@@ -1,18 +1,17 @@
 """Composite problem abstraction: F(x) = f(x) + g(x) with block structure.
 
-Each part is described once.  f is its value and gradient callables, with
-a known Lipschitz constant for the gradient (global L and per-block L_i).
-g is block separable, g(x) = sum_i g_i(x_i), and is given as the
-:class:`ProxKind` that every g_i is: its closed-form prox and its value.
-All oracles are pure functions; a problem value may be shared freely
-across threads.
+Each part is described once, as data.  f is a :class:`SmoothModel`, one
+of the three losses of the experiments, given as its value and gradient
+methods, with a known Lipschitz constant for the gradient (global L and
+per-block L_i); the dimension is the model's.  g is block separable,
+g(x) = sum_i g_i(x_i), and is given as the :class:`ProxKind` that every
+g_i is: its closed-form prox and its value.  All oracles are pure
+functions; a problem value may be shared freely across threads.
 
-The data forms are derived from that description.  When the f callables
-are a :class:`SmoothModel`'s own, f reads x only through an image u = A x,
-and the solvers keep u between steps in an oracle state
-(:func:`oracle_state`), so a block step costs a block of columns of A and
-not full products.  A coordinate-separable kind is applied to, and
-evaluated on, a whole vector in one call.
+f reads x only through an image u = A x, and the solvers keep u between
+steps in an :class:`ImageOracle`, so a block step costs a block of columns
+of A and not full products.  A coordinate-separable kind is applied to,
+and evaluated on, a whole vector in one call.
 """
 
 from __future__ import annotations
@@ -43,7 +42,9 @@ class SmoothModel:
     Column j of A is how coordinate j moves the image, so a change d_i of
     block i moves u by A[:, block i] @ d_i.  ``value`` and ``grad`` are the
     plain oracles a problem built on the model uses as smooth_value and
-    smooth_grad.
+    smooth_grad.  The data is checked when the model is built: offset and
+    labels have one entry per row of A, center one per column, and a
+    quadratic A equals its transpose.
     """
 
     loss: str
@@ -66,6 +67,11 @@ class SmoothModel:
             raise ContractViolation("offset belongs to the squares loss")
         if self.center is not None and self.loss != "quadratic":
             raise ContractViolation("center belongs to the quadratic loss")
+        for name, length in (("offset", rows), ("labels", rows), ("center", n)):
+            if getattr(self, name) is not None and np.shape(getattr(self, name)) != (length,):
+                raise ContractViolation(f"{name} must have shape ({length},)")
+        if self.loss == "quadratic" and not np.array_equal(self.A, self.A.T):
+            raise ContractViolation("a quadratic model needs a symmetric A")
 
     @property
     def dim(self) -> int:
@@ -119,14 +125,13 @@ class CompositeProblem:
 
     Parameters
     ----------
-    dim : int
-        Ambient dimension n.
     blocks : tuple of tuples of int
         Ordered partition of {0, .., n-1} into m nonempty groups.
     smooth_value : callable x -> float
-        f(x).
+        f(x): a SmoothModel's own value method, or a wrapper naming it as
+        __wrapped__ (functools.wraps).
     smooth_grad : callable x -> ndarray
-        grad f(x), same length as x.
+        grad f(x): the same model's grad method, or a wrapper naming it.
     lipschitz_L : float
         Global Lipschitz constant of grad f (must be > 0).
     block_lipschitz : tuple of float
@@ -144,16 +149,15 @@ class CompositeProblem:
     solution_projection : callable x -> ndarray, optional
         Euclidean projection onto argmin F.
 
-    Three attributes are derived, not given.  smooth_model is the
-    SmoothModel whose own value and grad are smooth_value and smooth_grad,
-    or wrappers naming them as __wrapped__ (functools.wraps), else None.
-    prox_kind is the ProxKind given as prox, or named by a prox so wrapped.
-    block_selectors holds what reads or writes block i of a vector,
-    x[block_selectors[i]]: a slice for a contiguous ascending block, so the
-    read is a view and not a copy, and an index array for any other block.
+    Four attributes are derived, not given.  smooth_model is the
+    SmoothModel whose value and grad smooth_value and smooth_grad are, and
+    dim, the ambient dimension n, is its dim.  prox_kind is the ProxKind
+    given as prox, or named by a prox so wrapped.  block_selectors holds
+    what reads or writes block i of a vector, x[block_selectors[i]]: a
+    slice for a contiguous ascending block, so the read is a view and not
+    a copy, and an index array for any other block.
     """
 
-    dim: int
     blocks: tuple
     smooth_value: Callable[[Vector], float]
     smooth_grad: Callable[[Vector], Vector]
@@ -163,13 +167,19 @@ class CompositeProblem:
     f_star: Optional[float] = None
     nu: Optional[float] = None
     solution_projection: Optional[Callable[[Vector], Vector]] = None
-    smooth_model: Optional[SmoothModel] = field(init=False, repr=False)
+    dim: int = field(init=False)
+    smooth_model: SmoothModel = field(init=False, repr=False)
     prox_kind: ProxKind = field(init=False, repr=False)
     block_selectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ContractViolation("dim must be >= 1")
+        value = inspect.unwrap(self.smooth_value)
+        model = getattr(value, "__self__", None)
+        if not (isinstance(model, SmoothModel) and value == model.value
+                and inspect.unwrap(self.smooth_grad) == model.grad):
+            raise ContractViolation("f must be a SmoothModel's value and grad")
+        object.__setattr__(self, "smooth_model", model)
+        object.__setattr__(self, "dim", model.dim)
         if self.lipschitz_L <= 0:
             raise ContractViolation("lipschitz_L must be > 0")
         blocks = tuple(tuple(int(j) for j in blk) for blk in self.blocks)
@@ -188,20 +198,12 @@ class CompositeProblem:
             raise ContractViolation("block Lipschitz constants must be > 0")
         if self.nu is not None and self.nu <= 0:
             raise ContractViolation("nu must be > 0 when given")
-        value = inspect.unwrap(self.smooth_value)
-        model = getattr(value, "__self__", None)
-        if not (isinstance(model, SmoothModel) and value == model.value
-                and inspect.unwrap(self.smooth_grad) == model.grad):
-            model = None
-        elif model.dim != self.dim:
-            raise ContractViolation("smooth_model acts on vectors of another length")
         kind = inspect.unwrap(self.prox)
         if not isinstance(kind, ProxKind):
             raise ContractViolation("prox must be a ProxKind")
         if (kind.tag == "box" and np.shape(kind.lo) != ()
                 and any(np.shape(kind.lo) != (len(blk),) for blk in blocks)):
             raise ContractViolation("box bounds must be scalars or have every block's length")
-        object.__setattr__(self, "smooth_model", model)
         object.__setattr__(self, "prox_kind", kind)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(
@@ -263,11 +265,7 @@ def _g_value(problem: CompositeProblem, x: Vector) -> float:
 
 
 def grad_f(problem: CompositeProblem, x: Vector) -> Vector:
-    x = _check_dim(problem, x)
-    g = np.asarray(problem.smooth_grad(x), dtype=float)
-    if g.shape != (problem.dim,):
-        raise ContractViolation("smooth_grad returned a wrong-shaped vector")
-    return g
+    return problem.smooth_grad(_check_dim(problem, x))
 
 
 def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
@@ -295,25 +293,16 @@ def _prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     return out
 
 
-def oracle_state(problem: CompositeProblem):
-    """Fresh per-run oracle state: an ImageOracle when the problem has a
-    smooth_model, else a ClosureOracle over smooth_value/smooth_grad.
-
-    Both take the same calls.  refresh(x) starts a new image at x;
-    value(x), full_grad(x) and value_grad(x) read f, grad f or both of
-    that x, the gradient computed once until x moves; block_grad(i, x) is
-    block i of grad f(x), possibly a view of the gradient the state keeps,
-    so callers read it and never write it; move(i, d) tells the state that
-    block i of x moved by d.  The caller passes the x the state currently
-    describes.  ``matvec_equiv`` counts the work done so far.
-    """
-    if problem.smooth_model is not None:
-        return ImageOracle(problem)
-    return ClosureOracle(problem)
-
-
 class ImageOracle:
-    """Keeps the image u of the current iterate under a SmoothModel.
+    """Per-run oracle state: keeps the image u of the current iterate under
+    the problem's SmoothModel.
+
+    refresh(x) starts a new image at x, whose shape the caller has checked;
+    value(x), full_grad(x) and value_grad(x) read f, grad f or both of that
+    x; block_grad(i, x) is block i of grad f(x), possibly a view of the
+    gradient the state keeps, so callers read it and never write it;
+    move(i, d) tells the state that block i of x moved by d.  The caller
+    passes the x the state currently describes.
 
     A block gradient or a move reads only the block's columns of A
     through the problem's block selectors, so as views when the block is
@@ -326,7 +315,6 @@ class ImageOracle:
     """
 
     def __init__(self, problem: CompositeProblem):
-        self.problem = problem
         self.model = problem.smooth_model
         self.dim = problem.dim
         self.sizes = tuple(len(blk) for blk in problem.blocks)
@@ -342,10 +330,6 @@ class ImageOracle:
         return self.columns / self.dim
 
     def refresh(self, x: Vector) -> None:
-        self._refresh(_check_dim(self.problem, x))
-
-    def _refresh(self, x: Vector) -> None:
-        # refresh at an x whose shape the caller has checked
         self.u = self.model.image(x)
         self.grad = None
         self.pending = None
@@ -383,47 +367,6 @@ class ImageOracle:
     def move(self, i: int, d: Vector) -> None:
         self._image()
         self.pending = (i, d)
-        self.grad = None
-
-
-class ClosureOracle:
-    """The oracle-state calls over smooth_value/smooth_grad, for problems
-    without a smooth_model.  Each closure call counts one matvec-equivalent.
-    """
-
-    def __init__(self, problem: CompositeProblem):
-        self.problem = problem
-        self.grad = None
-        self.calls = 0
-
-    @property
-    def matvec_equiv(self) -> float:
-        return float(self.calls)
-
-    def refresh(self, x: Vector) -> None:
-        self._refresh(_check_dim(self.problem, x))
-
-    def _refresh(self, x: Vector) -> None:
-        self.grad = None
-
-    def value(self, x: Vector) -> float:
-        self.calls += 1
-        return float(self.problem.smooth_value(x))
-
-    def full_grad(self, x: Vector) -> Vector:
-        if self.grad is None:
-            self.calls += 1
-            self.grad = grad_f(self.problem, x)
-        return self.grad
-
-    def value_grad(self, x: Vector):
-        f = self.value(x)
-        return f, self.full_grad(x)
-
-    def block_grad(self, i: int, x: Vector) -> Vector:
-        return self.full_grad(x)[self.problem.block_selectors[i]]
-
-    def move(self, i: int, d: Vector) -> None:
         self.grad = None
 
 

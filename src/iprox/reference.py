@@ -7,18 +7,18 @@ adaptive restart) at stepsize 1/L, stopping on the prox-gradient residual
 hash of the instance spec and tolerance, with atomic replacement so
 concurrent sweep workers can share one cache directory.
 
-Each iteration refreshes the oracle state (:func:`iprox.problems.oracle_state`)
-at the new iterate and takes grad f there; it serves the stopping residual
-and the next step.  The step's gradient at the extrapolated point
-y = x + c (x - x_prev) is that gradient when c = 0, and g + c (g - g_prev)
-when f has a SmoothModel with an affine gradient (the squares and
-quadratic losses): 2 products with A per lasso iteration, 1 for the
-quadratic kinds, 2 for the noncoercive kind (image and Gram product).
-Logistic problems, and problems with a closure f, take a second gradient
+Each iteration refreshes the oracle state, an
+:class:`iprox.problems.ImageOracle`, at the new iterate and takes grad f
+there; it serves the stopping residual and the next step.  The step's
+gradient at the extrapolated point y = x + c (x - x_prev) is that
+gradient when c = 0, and g + c (g - g_prev) when the SmoothModel's
+gradient is affine (the squares and quadratic losses): 2 products with A
+per lasso iteration, 1 for the quadratic kinds, 2 for the noncoercive
+kind (image and Gram product).  The logistic loss takes a second gradient
 at y when c > 0.  g is read as the runs read it, through the problem's
-prox_kind: one vector call for a coordinate-separable kind, one per
-block otherwise.  ``ReferenceSolution.matvec_equiv`` is the oracle
-state's count.
+prox_kind: one vector call for a coordinate-separable kind, one per block
+otherwise.  ``ReferenceSolution.matvec_equiv`` is the oracle state's
+count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, _g_value, oracle_state, prox_full
+from .problems import CompositeProblem, ImageOracle, _check_dim, _g_value, prox_full
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     if max_iters < 1:
         raise ContractViolation("max_iters must be >= 1")
     gam = 1.0 / problem.lipschitz_L
-    state = oracle_state(problem)
-    model = problem.smooth_model
-    affine = model is not None and model.loss != "logistic"
+    state = ImageOracle(problem)
+    affine = problem.smooth_model.loss != "logistic"
 
     def grad(x):
         state.refresh(x)
@@ -82,7 +81,7 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
             x_star=x.copy(), f_star=f_star, residual=r, iterations_used=it,
             converged=converged, matvec_equiv=state.matvec_equiv)
 
-    x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(problem.dim) if x0 is None else _check_dim(problem, x0).copy()
     g = grad(x)
     g_prev = None
     y = x.copy()

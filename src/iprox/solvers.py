@@ -39,13 +39,13 @@ used at each recorded iteration.  The optimality residual S uses the fixed
 audit stepsize 1/L throughout: S_gamma(x) vanishes exactly at minimizers of
 F for any gamma > 0, so the choice only rescales the stopping rule.
 
-The smooth part is read through a per-run oracle state
-(:func:`iprox.problems.oracle_state`).  It is refreshed from x at every
-recorded entry and at the start of every epoch (every full step, each
-cyclic epoch, every m stochastic steps), which bounds the rounding drift
-of an image kept up to date by block moves; with m = 1 every step
-refreshes.  meta["matvec_equiv"] holds the work the run's oracle state
-counted.
+The smooth part is read through a per-run oracle state, an
+:class:`iprox.problems.ImageOracle` over the problem's SmoothModel.  It is
+refreshed from x at every recorded entry and at the start of every epoch
+(every full step, each cyclic epoch, every m stochastic steps), which
+bounds the rounding drift of an image kept up to date by block moves; with
+m = 1 every step refreshes.  meta["matvec_equiv"] holds the work the run's
+oracle state counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -62,12 +62,12 @@ import numpy as np
 from .errors import ContractViolation, DivergenceError
 from .problems import (
     CompositeProblem,
+    ImageOracle,
     IterateState,
     _check_dim,
     _g_value,
     _prox_full,
     grad_f,  # read as solvers.grad_f by perfbench's test_tracer_restores_the_package
-    oracle_state,
 )
 from .prox import _apply_kind
 from .rng import SplitMix64
@@ -75,6 +75,7 @@ from .schedules import (
     ConstantBeta,
     ParamSchedule,
     beta_at,
+    delta_coeff,
     gamma_full,
     gamma_stochastic,
     linear_stochastic_beta,
@@ -178,7 +179,6 @@ class _Recorder:
         self.iterates = [] if cfg.keep_iterates else None
 
     def add(self, x, grad, rsq, *values):
-        # copies, not references: a closure oracle may reuse its output array
         j = len(self.values) // len(self.names)
         if j == len(self.X):
             self.flush()
@@ -315,7 +315,7 @@ class _FullOrder:
         slack = ((Fp + bp / (2.0 * r * gp) * sp)
                  - (F + beta / (2.0 * r * gamma) * s)
                  - ((1.0 - bp / r) / gp - self.L / 2.0) * s)
-        return {"lyapunov": F + 0.5 * (1.0 / gamma - self.L / 2.0) * s - self.f_star,
+        return {"lyapunov": F + delta_coeff(gamma, self.L) * s - self.f_star,
                 "step_sq": s, "descent_slack": slack}
 
 
@@ -357,7 +357,7 @@ class _CyclicOrder(_FullOrder):
         # each row's sums over its m blocks, as (rows, m) arrays summed along
         # axis 1, which adds in the order a 1-D sum does
         F, sb, beta, gammas, Fp, sbp, bp, gp = (a[name] for name in _ROW[1:])
-        deltas = 0.5 * (1.0 / gammas - self.L_blocks / 2.0)
+        deltas = delta_coeff(gammas, self.L_blocks)
         s = sb.sum(axis=1)
         slack = ((Fp + (bp[:, None] / (2.0 * gp) * sbp).sum(axis=1))
                  - (F + (beta[:, None] / (2.0 * gammas) * sb).sum(axis=1))
@@ -426,7 +426,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         raise ContractViolation("record_dist_sq needs a problem with solution_projection")
     rec = _Recorder(problem, order, cfg, project if cfg.record_dist_sq else None)
 
-    oracle = oracle_state(problem)
+    oracle = ImageOracle(problem)
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
     x_prev = x0.copy()
     x = x0.copy()
@@ -440,7 +440,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         want_entry = (k % record_every == 0) or (k == max_iters)
         need_grad = want_entry or stop_tol > 0.0
         if need_grad or k % order.epoch == 0:
-            oracle._refresh(x)
+            oracle.refresh(x)
         if need_grad:
             F_val, grad = oracle.value_grad(x)
         else:

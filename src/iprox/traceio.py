@@ -96,7 +96,10 @@ def _write_rows(path, header: str, cols, allow_inf_cols) -> None:
 
 
 def read_csv(path) -> dict:
-    """Read a trace CSV back into {column_name: ndarray}."""
+    """Read a trace CSV back into {column_name: ndarray}.
+
+    Every cell must be a number, and every k an integer.
+    """
     with open(path, "r", newline="") as fh:
         text = fh.read()
     lines = [ln for ln in text.split("\n") if ln != ""]
@@ -108,9 +111,13 @@ def read_csv(path) -> dict:
         raise ContractViolation(f"ragged CSV {path}")
     out = {}
     for j, name in enumerate(names):
-        vals = [float(r[j]) for r in rows]
+        try:
+            vals = np.asarray([float(r[j]) for r in rows], dtype=float)
+        except ValueError:
+            raise ContractViolation(f"non-numeric {name} in {path}") from None
         if name == "k":
-            out[name] = np.asarray(vals, dtype=np.int64)
-        else:
-            out[name] = np.asarray(vals, dtype=float)
+            if not (np.all(np.isfinite(vals)) and np.array_equal(vals, np.trunc(vals))):
+                raise ContractViolation(f"non-integer k in {path}")
+            vals = vals.astype(np.int64)
+        out[name] = vals
     return out

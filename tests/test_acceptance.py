@@ -286,10 +286,9 @@ def test_criterion_08_oracle_equivalences():
 
 
 def test_criterion_09_ode_lab():
+    model = iprox.SmoothModel("quadratic", np.eye(1))
     problem = CompositeProblem(
-        dim=1, blocks=((0,),),
-        smooth_value=lambda x: float(0.5 * x[0] ** 2),
-        smooth_grad=lambda x: np.array([x[0]]),
+        blocks=((0,),), smooth_value=model.value, smooth_grad=model.grad,
         prox=ProxKind.zero(),
         lipschitz_L=1.0, block_lipschitz=(1.0,), f_star=0.0,
     )

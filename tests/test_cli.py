@@ -271,6 +271,18 @@ def test_rates_refit_from_csv(tmp_path):
                  "--out", str(fit_out)]) == 2
 
 
+@pytest.mark.parametrize("row", ["1,abc,1,1,1,1", "1.5,1,1,1,1,1"])
+def test_rates_on_a_malformed_csv_is_exit_2(tmp_path, capsys, row):
+    # a non-numeric cell, or a k that is not an integer, is a config error
+    csv = tmp_path / "trace.csv"
+    csv.write_text(HEADER + "\n0,1,1,1,1,1\n" + row + "\n")
+    fit = {"version": 1, "fit": {"csv": str(csv)}}
+    assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
+                 "--out", str(tmp_path / "fit")]) == 2
+    assert "config error: fit.csv: " in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, lasso_cfg())
     out = tmp_path / "out"

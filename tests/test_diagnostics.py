@@ -52,6 +52,9 @@ def test_max_lyapunov_increase():
     assert diagnostics.max_lyapunov_increase(tr) == pytest.approx(0.5)
     tr2 = fake_full_trace([0, 1], [1.0, 1.0], [0.0, 0.0], lyap=[2.0, 1.0])
     assert diagnostics.max_lyapunov_increase(tr2) == 0.0
+    # the column alone, as the CLI passes a trace CSV's
+    assert diagnostics.max_lyapunov_increase(np.array([5.0, 4.0, 4.5, 3.0])) == 0.5
+    assert diagnostics.max_lyapunov_increase([2.0]) == 0.0
 
 
 def real_runs():

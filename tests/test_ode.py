@@ -5,27 +5,28 @@ import pytest
 
 from iprox import ode
 from iprox.errors import ContractViolation, IntegrationBlowup
-from iprox.problems import CompositeProblem
+from iprox.problems import CompositeProblem, SmoothModel
 from iprox.prox import ProxKind
 
 
-def smooth_problem(dim, value, grad, L, f_star=0.0):
+def smooth_problem(H, L, f_star=0.0):
+    # f(x) = x'Hx/2, the quadratic model of the symmetric H
+    model = SmoothModel("quadratic", np.asarray(H, dtype=float))
     return CompositeProblem(
-        dim=dim, blocks=(tuple(range(dim)),),
-        smooth_value=value, smooth_grad=grad,
+        blocks=(tuple(range(model.dim)),),
+        smooth_value=model.value, smooth_grad=model.grad,
         prox=ProxKind.zero(),
         lipschitz_L=L, block_lipschitz=(L,), f_star=f_star,
     )
 
 
 def flat_problem(dim=2):
-    return smooth_problem(dim, lambda x: 0.0, lambda x: np.zeros(dim), L=1.0)
+    return smooth_problem(np.zeros((dim, dim)), L=1.0)
 
 
 def spring_problem():
     # f(x) = 0.5*x^2 in one dimension; min at 0
-    return smooth_problem(1, lambda x: float(0.5 * x[0] ** 2),
-                          lambda x: np.array([x[0]]), L=1.0)
+    return smooth_problem([[1.0]], L=1.0)
 
 
 def test_flat_potential_velocity_decays_exponentially():
@@ -116,8 +117,8 @@ def test_equilibrium_start_is_trivial():
 
 
 def test_negative_curvature_blows_up():
-    p = smooth_problem(1, lambda x: float(-50.0 * x[0] ** 2),
-                       lambda x: np.array([-100.0 * x[0]]), L=100.0)
+    # f(x) = -50*x^2
+    p = smooth_problem([[-100.0]], L=100.0)
     with pytest.raises(IntegrationBlowup) as exc:
         ode.simulate_heavy_ball(p, x0=[1.0], v0=[0.0], alpha=1.0,
                                 h=0.009, t_end=100.0)
@@ -158,9 +159,7 @@ def test_a_kind_g_is_read_not_spot_checked(kind, zero):
     # g = the box indicator of [-1, 1]^2 is 0 at x0 = (0.5, 0.5) and at the
     # ones, where a two-point spot check would look, yet g is not zero
     import dataclasses
-    p = dataclasses.replace(smooth_problem(2, lambda x: 0.5 * float(x @ x),
-                                           lambda x: x.copy(), L=1.0),
-                            prox=kind)
+    p = dataclasses.replace(smooth_problem(np.eye(2), L=1.0), prox=kind)
     x0 = 0.5 * np.ones(2)
     if zero:
         trace = ode.simulate_heavy_ball(p, x0, np.zeros(2), alpha=1.0, h=1e-2, t_end=0.1)

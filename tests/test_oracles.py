@@ -1,4 +1,9 @@
-"""Oracle states: the image kept by block moves against the closure fallback."""
+"""Oracle states: the image kept by block moves against exact gradients.
+
+The exact-gradient reference is a run with the FreshOracle of conftest.py
+patched into the solvers (the ``fresh_reads`` fixture): every value and
+gradient computed from x, as closures of x compute them.
+"""
 
 import dataclasses
 import functools
@@ -9,14 +14,7 @@ import pytest
 import iprox
 from iprox.errors import ContractViolation
 from iprox.library import InstanceSpec, make_instance, start_point
-from iprox.problems import (
-    ClosureOracle,
-    CompositeProblem,
-    ImageOracle,
-    SmoothModel,
-    objective,
-    oracle_state,
-)
+from iprox.problems import CompositeProblem, ImageOracle, SmoothModel, objective
 from iprox.reference import solve_reference
 from iprox.solvers import RunConfig, run_cyclic, run_inertial, run_stochastic
 
@@ -45,24 +43,21 @@ def run(problem, x0, variant, iters, record_every=1, seed=2):
     return RUNNERS[variant](problem, sched, x0, cfg)
 
 
-def closures_only(problem):
-    model = problem.smooth_model
-    return dataclasses.replace(problem, smooth_value=lambda x: model.value(x),
-                               smooth_grad=lambda x: model.grad(x))
-
-
 def test_library_problems_carry_a_model():
     for kind in KIND_SPECS:
         p, _ = instance(kind, 3)
-        assert isinstance(oracle_state(p), ImageOracle)
-        assert isinstance(oracle_state(closures_only(p)), ClosureOracle)
+        assert isinstance(p.smooth_model, SmoothModel)
+        assert p.smooth_value == p.smooth_model.value
+        assert p.dim == p.smooth_model.dim == 12
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
-def test_full_run_is_bit_identical_to_closures(kind):
+def test_full_run_is_bit_identical_to_closures(kind, fresh_reads):
+    # every full step refreshes the image from x, so nothing drifts
     p, x0 = instance(kind, 1)
     a = run(p, x0, "full", 60)
-    b = run(closures_only(p), x0, "full", 60)
+    fresh_reads()
+    b = run(p, x0, "full", 60)
     for col in COLUMNS:
         assert np.array_equal(getattr(a, col), getattr(b, col)), col
     assert np.array_equal(a.final_state.x_curr, b.final_state.x_curr)
@@ -71,10 +66,11 @@ def test_full_run_is_bit_identical_to_closures(kind):
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
 @pytest.mark.parametrize("variant", ["cyclic", "stochastic"])
 @pytest.mark.parametrize("record_every", [1, 7])
-def test_block_runs_agree_with_closures(kind, variant, record_every):
+def test_block_runs_agree_with_closures(kind, variant, record_every, fresh_reads):
     p, x0 = instance(kind, 4)
     a = run(p, x0, variant, 120, record_every)
-    b = run(closures_only(p), x0, variant, 120, record_every)
+    fresh_reads()
+    b = run(p, x0, variant, 120, record_every)
     assert np.array_equal(a.ks, b.ks)
     scale = max(1.0, float(np.max(np.abs(b.F))))
     for col in COLUMNS:
@@ -137,8 +133,6 @@ def test_matvec_equiv_matches_its_formula(kind, variant, m, record_every):
 def test_full_run_costs_two_matvecs_per_iteration():
     p, x0 = instance("lasso", 1)
     assert run(p, x0, "full", 30).meta["matvec_equiv"] == 2 * 31
-    # closures count one per call: a value and a gradient per iterate
-    assert run(closures_only(p), x0, "full", 30).meta["matvec_equiv"] == 2 * 31
 
 
 def test_large_variants_block_costs():
@@ -151,7 +145,7 @@ def test_large_variants_block_costs():
     model = SmoothModel("squares", A, offset=b)
     L = float(np.sum(A * A))  # Frobenius bound: >= sigma_max^2
     p = CompositeProblem(
-        dim=n, blocks=tuple(tuple(range(i * 20, (i + 1) * 20)) for i in range(m)),
+        blocks=tuple(tuple(range(i * 20, (i + 1) * 20)) for i in range(m)),
         smooth_value=model.value, smooth_grad=model.grad, lipschitz_L=L,
         block_lipschitz=(L,) * m, prox=iprox.ProxKind.zero())
     assert p.smooth_model is model
@@ -161,18 +155,18 @@ def test_large_variants_block_costs():
     assert sto.meta["matvec_equiv"] / 150 <= 0.1
 
 
-def test_non_contiguous_blocks_use_index_columns():
+def test_non_contiguous_blocks_use_index_columns(fresh_reads):
     rng = np.random.default_rng(5)
     A = rng.standard_normal((9, 6))
     b = rng.standard_normal(9)
     model = SmoothModel("squares", A, offset=b)
     L = float(np.linalg.norm(A, 2) ** 2) * (1 + 1e-9)
     p = CompositeProblem(
-        dim=6, blocks=((0, 2, 4), (5, 1, 3)), smooth_value=model.value,
+        blocks=((0, 2, 4), (5, 1, 3)), smooth_value=model.value,
         smooth_grad=model.grad, lipschitz_L=L, block_lipschitz=(L, L),
         prox=iprox.ProxKind.zero())
     assert p.smooth_model is model
-    oracle = oracle_state(p)
+    oracle = ImageOracle(p)
     x = rng.standard_normal(6)
     oracle.refresh(x)
     ix = p.block_selectors[1]
@@ -185,7 +179,8 @@ def test_non_contiguous_blocks_use_index_columns():
                        rtol=1e-12)
     x0 = rng.standard_normal(6)
     a = run(p, x0, "cyclic", 30)
-    c = run(closures_only(p), x0, "cyclic", 30)
+    fresh_reads()
+    c = run(p, x0, "cyclic", 30)
     assert np.allclose(a.F, c.F, rtol=1e-12)
 
 
@@ -201,29 +196,56 @@ def test_model_validation():
         SmoothModel("squares", A, labels=np.ones(3))
     p, _ = instance("lasso", 1)
     other = SmoothModel("squares", A)
-    with pytest.raises(ContractViolation):
+    # another model's f acts on its own 2 coordinates, which the lasso's
+    # blocks over 12 coordinates do not partition
+    with pytest.raises(ContractViolation, match="partition"):
         dataclasses.replace(p, smooth_value=other.value, smooth_grad=other.grad)
     with pytest.raises(ContractViolation):
-        oracle_state(p).refresh(np.zeros(5))
+        solve_reference(p, x0=np.zeros(5))
 
 
-def test_replacing_f_by_closures_drops_the_model():
-    # f/2 keeps L an upper bound; the runs and the reference must read the
-    # f the problem reports, not the library model it was built from
+def test_a_model_checks_the_shapes_of_its_data():
+    # one offset or label per row of A, one center entry per column, and a
+    # quadratic A equal to its transpose; each of these was once accepted
+    A = np.arange(15.0).reshape(5, 3)
+    for bad in (dict(loss="squares", offset=[1.0]),
+                dict(loss="squares", offset=np.ones((5, 1))),
+                dict(loss="logistic", labels=np.ones(1))):
+        with pytest.raises(ContractViolation, match=r"must have shape \(5,\)"):
+            SmoothModel(A=A, **bad)
+    Q = np.array([[2.0, 1.0], [0.0, 3.0]])
+    with pytest.raises(ContractViolation, match="symmetric"):
+        SmoothModel("quadratic", Q)
+    S = 0.5 * (Q + Q.T)
+    with pytest.raises(ContractViolation, match=r"center must have shape \(2,\)"):
+        SmoothModel("quadratic", S, center=np.ones(1))
+    SmoothModel("squares", A, offset=np.ones(5))
+    SmoothModel("logistic", A, labels=np.ones(5))
+    SmoothModel("quadratic", S, center=np.ones(2))
+
+
+def test_a_closure_f_is_rejected_and_another_models_f_is_read():
     p, x0 = instance("lasso", 3)
     model = p.smooth_model
-    q = dataclasses.replace(p, smooth_value=lambda x: 0.5 * model.value(x),
-                            smooth_grad=lambda x: 0.5 * model.grad(x))
+    for value, grad in ((lambda x: 0.5 * model.value(x), lambda x: 0.5 * model.grad(x)),
+                        (model.value, lambda x: model.grad(x)),
+                        (model.value, model.value),
+                        (model.value, SmoothModel("squares", model.A).grad)):
+        with pytest.raises(ContractViolation, match="f must be a SmoothModel's value and grad"):
+            dataclasses.replace(p, smooth_value=value, smooth_grad=grad)
+    # f/2 keeps L an upper bound; the runs and the reference must read the
+    # f the problem reports, not the library model it was built from
+    half = SmoothModel("squares", model.A / np.sqrt(2.0), offset=model.offset / np.sqrt(2.0))
+    q = dataclasses.replace(p, smooth_value=half.value, smooth_grad=half.grad)
+    assert q.smooth_model is half and q.dim == half.dim
     for variant in RUNNERS:
         assert run(q, x0, variant, 5).F[0] == objective(q, x0)
+    assert objective(q, x0) != objective(p, x0)
     ref = solve_reference(q, tol=1e-10)
     assert ref.converged
     assert ref.f_star == objective(q, ref.x_star)
-    assert q.smooth_model is None
     # the model's own oracles, or wrappers naming them, keep it
-    assert dataclasses.replace(p, smooth_grad=model.grad).smooth_model is model
     wrapped = dataclasses.replace(
         p, smooth_value=functools.wraps(model.value)(lambda x: model.value(x)),
         smooth_grad=functools.wraps(model.grad)(lambda x: model.grad(x)))
     assert wrapped.smooth_model is model
-    assert dataclasses.replace(p, smooth_grad=model.value).smooth_model is None

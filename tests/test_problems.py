@@ -11,26 +11,31 @@ from iprox.errors import ContractViolation
 from iprox.library import InstanceSpec, make_instance
 from iprox.problems import (
     CompositeProblem,
+    ImageOracle,
+    SmoothModel,
     check_gradient_fd,
     grad_f,
     objective,
-    oracle_state,
     prox_full,
 )
 from iprox.prox import ProxKind, prox_apply
 
 
-def l1_quadratic(dim=2, blocks=None):
-    # f = ||x - b||^2 / 2 with b = 0, g = ||x||_1
+def model_problem(model, blocks, prox):
+    # f from the model, with L = 1 and every L_i = 1
     return CompositeProblem(
-        dim=dim,
-        blocks=blocks or (tuple(range(dim)),),
-        smooth_value=lambda x: 0.5 * float(x @ x),
-        smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0,
-        block_lipschitz=tuple(1.0 for _ in (blocks or [0])),
-        prox=ProxKind.l1(1.0),
-    )
+        blocks=blocks, smooth_value=model.value, smooth_grad=model.grad,
+        lipschitz_L=1.0, block_lipschitz=(1.0,) * len(blocks), prox=prox)
+
+
+def half_norm_sq(dim):
+    # f = ||x||^2 / 2, its gradient x
+    return SmoothModel("quadratic", np.eye(dim))
+
+
+def l1_quadratic():
+    # f = ||x - b||^2 / 2 with b = 0, g = ||x||_1, in two dimensions
+    return model_problem(half_norm_sq(2), ((0, 1),), ProxKind.l1(1.0))
 
 
 def hand_lasso():
@@ -43,10 +48,9 @@ def hand_lasso():
                   [-2.0, 0.0, 2.0]])
     b = np.array([1.0, -1.0, 2.0, 0.0, 1.0])
     lam = 0.3
+    model = SmoothModel("squares", A, offset=b)
     prob = CompositeProblem(
-        dim=3, blocks=((0, 1, 2),),
-        smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
-        smooth_grad=lambda x: A.T @ (A @ x - b),
+        blocks=((0, 1, 2),), smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
         block_lipschitz=(float(np.linalg.norm(A, 2) ** 2),),
         prox=ProxKind.l1(lam),
@@ -101,7 +105,7 @@ def test_block_grad_is_slice_of_full():
     rng = np.random.Generator(np.random.PCG64(7))
     x = rng.standard_normal(12)
     full = grad_f(p, x)
-    state = oracle_state(p)
+    state = ImageOracle(p)
     state.refresh(x)
     for i, ix in enumerate(p.block_selectors):
         assert np.array_equal(state.block_grad(i, x), full[ix])
@@ -110,7 +114,7 @@ def test_block_grad_is_slice_of_full():
 def test_block_grad_m1_degeneracy():
     p = l1_quadratic()
     x = np.array([0.5, -0.25])
-    state = oracle_state(p)
+    state = ImageOracle(p)
     state.refresh(x)
     assert np.array_equal(state.block_grad(0, x), grad_f(p, x))
 
@@ -180,10 +184,7 @@ def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
 
 def test_group_l2_prox_full_shrinks_each_block_by_its_own_norm():
     kind = ProxKind.group_l2(1.0)
-    p = CompositeProblem(
-        dim=4, blocks=((0, 1), (2, 3)),
-        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=kind)
+    p = model_problem(half_norm_sq(4), ((0, 1), (2, 3)), kind)
     assert p.prox_kind is kind
     out = prox_full(p, np.array([3.0, 4.0, 0.6, 0.8]), 2.0)
     # block norms 5 and 1: the first keeps 1 - 2/5 of itself, the second is 0
@@ -218,9 +219,8 @@ def test_objective_adds_the_kinds_value():
 
 
 def kind_problem(kind, blocks=((0, 1), (2, 3))):
-    return CompositeProblem(
-        dim=4, blocks=blocks, smooth_value=lambda x: 0.0, smooth_grad=lambda x: np.zeros(4),
-        lipschitz_L=1.0, block_lipschitz=(1.0,) * len(blocks), prox=kind)
+    # f = 0: a squares model of one zero row
+    return model_problem(SmoothModel("squares", np.zeros((1, 4))), blocks, kind)
 
 
 def test_a_kind_is_summed_over_the_blocks():
@@ -326,21 +326,15 @@ def test_box_bounds_of_another_length_than_a_block_are_rejected():
     # bounds must fit every block: bounds of the whole vector's length on
     # two blocks of 2 would make objective and prox_full fail to broadcast
     def problem(kind):
-        return CompositeProblem(
-            dim=4, blocks=((0, 1), (2, 3)),
-            smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=kind)
+        return model_problem(half_norm_sq(4), ((0, 1), (2, 3)), kind)
 
     for lo, hi in ((-np.ones(4), np.ones(4)), (-np.ones(3), np.ones(3)),
                    (-np.ones((2, 2)), np.ones((2, 2)))):
         with pytest.raises(ContractViolation, match="every block's length"):
             problem(ProxKind.box(lo, hi))
     with pytest.raises(ContractViolation, match="every block's length"):
-        CompositeProblem(
-            dim=5, blocks=((0, 1), (2, 3, 4)),
-            smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0),
-            prox=ProxKind.box(-np.ones(2), np.ones(2)))
+        model_problem(half_norm_sq(5), ((0, 1), (2, 3, 4)),
+                      ProxKind.box(-np.ones(2), np.ones(2)))
     v = np.array([2.0, -0.5, 0.3, -3.0])
     for lo, hi in ((-1.0, 1.0), (-np.ones(2), np.ones(2)), ([-1.0, 0.0], [1.0, 0.2])):
         p = problem(ProxKind.box(lo, hi))
@@ -350,16 +344,11 @@ def test_box_bounds_of_another_length_than_a_block_are_rejected():
 
 
 def test_partition_validation():
-    with pytest.raises(ContractViolation):
-        CompositeProblem(
-            dim=3, blocks=((0, 1), (1, 2)),
-            smooth_value=lambda x: 0.0, smooth_grad=lambda x: np.zeros(3),
-            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=ProxKind.zero())
-    with pytest.raises(ContractViolation):
-        CompositeProblem(
-            dim=3, blocks=((0,), (2,)),
-            smooth_value=lambda x: 0.0, smooth_grad=lambda x: np.zeros(3),
-            lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=ProxKind.zero())
+    # the blocks partition the model's 3 coordinates, its dim
+    for blocks in (((0, 1), (1, 2)), ((0,), (2,)), ((0, 1), (2, 3))):
+        with pytest.raises(ContractViolation, match="partition"):
+            model_problem(half_norm_sq(3), blocks, ProxKind.zero())
+    assert model_problem(half_norm_sq(3), ((2,), (0, 1)), ProxKind.zero()).dim == 3
 
 
 def test_solution_projection_gate():
@@ -372,10 +361,7 @@ def test_solution_projection_gate():
 
 def two_block_problem(prox):
     # g described by a kind (separable or not), or by a wrapper naming one
-    return CompositeProblem(
-        dim=4, blocks=((0, 1), (2, 3)),
-        smooth_value=lambda x: 0.5 * float(x @ x), smooth_grad=lambda x: x.copy(),
-        lipschitz_L=1.0, block_lipschitz=(1.0, 1.0), prox=prox)
+    return model_problem(half_norm_sq(4), ((0, 1), (2, 3)), prox)
 
 
 @pytest.mark.parametrize("prox", [ProxKind.l1(0.5), ProxKind.zero(),

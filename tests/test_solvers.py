@@ -7,7 +7,7 @@ import pytest
 import iprox
 from iprox import library
 from iprox.errors import ContractViolation, DivergenceError
-from iprox.problems import CompositeProblem, grad_f, objective, oracle_state, prox_full
+from iprox.problems import CompositeProblem, ImageOracle, grad_f, objective, prox_full
 from iprox.prox import prox_apply
 from iprox.rng import SplitMix64
 from iprox import solvers
@@ -19,10 +19,9 @@ def two_dim_quadratic():
     # f = x'Qx/2 with Q = [[2,1],[1,3]], g = 0; small enough to step by hand
     Q = np.array([[2.0, 1.0], [1.0, 3.0]])
     L = float(np.linalg.eigvalsh(Q)[-1])
+    model = iprox.SmoothModel("quadratic", Q)
     return CompositeProblem(
-        dim=2, blocks=((0,), (1,)),
-        smooth_value=lambda x: 0.5 * float(x @ Q @ x),
-        smooth_grad=lambda x: Q @ x,
+        blocks=((0,), (1,)), smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=L, block_lipschitz=(2.0, 3.0),
         prox=iprox.ProxKind.zero(),
         f_star=0.0, nu=float(np.linalg.eigvalsh(Q)[0]) / 2.0,
@@ -87,17 +86,15 @@ def lasso_problem(seed=9, n=12, m=1):
     return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
 
 
-def closure_lasso(seed=9, n=6, blocks=None):
-    # a two-block lasso with a closure f (no smooth_model), whose gradients
-    # are exact at every refresh cadence
+def two_block_lasso(seed=9, n=6, blocks=None):
+    # a two-block lasso built by hand, with blocks given by the caller
     rng = np.random.default_rng(seed)
     A, b, lam = rng.standard_normal((3 * n, n)), rng.standard_normal(3 * n), 0.2
     if blocks is None:
         blocks = (tuple(range(n // 2)), tuple(range(n // 2, n)))
+    model = iprox.SmoothModel("squares", A, offset=b)
     return CompositeProblem(
-        dim=n, blocks=blocks,
-        smooth_value=lambda x: 0.5 * float((A @ x - b) @ (A @ x - b)),
-        smooth_grad=lambda x: A.T @ (A @ x - b),
+        blocks=blocks, smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=float(np.linalg.norm(A, 2) ** 2),
         block_lipschitz=tuple(float(np.linalg.norm(A[:, list(blk)], 2) ** 2)
                               for blk in blocks),
@@ -106,11 +103,14 @@ def closure_lasso(seed=9, n=6, blocks=None):
 
 
 def fold_problem(name):
+    # A "closure" case runs, and folds, with fresh_reads patched in: every
+    # value and gradient is computed from x, as a closure f of x computed
+    # them.  A library case reads f through the kept image.
     if name == "closure":
-        return closure_lasso()
+        return two_block_lasso()
     if name == "closure-scattered":
         # blocks that are neither contiguous nor ascending keep index arrays
-        return closure_lasso(blocks=((4, 0, 2), (1, 5, 3)))
+        return two_block_lasso(blocks=((4, 0, 2), (1, 5, 3)))
     return lasso_problem(n=12, m=4)  # the image oracle, with slice selectors
 
 
@@ -123,7 +123,7 @@ def test_block_selectors_are_slices_for_contiguous_blocks():
 
 FOLD_RULES = {"diminishing": iprox.DiminishingBeta(1.5), "constant": iprox.ConstantBeta(0.6)}
 # Every case folds over one oracle state; a closure problem's case also
-# folds without one, since its oracles give the same gradient at any cadence.
+# folds without one, since its reads give the same gradient at any cadence.
 FOLD_CASES = [(variant, problem, every, rule, with_oracle)
               for variant in ("full", "cyclic", "stochastic")
               for problem in ("closure", "closure-scattered", "library")
@@ -167,7 +167,8 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
 
 @pytest.mark.parametrize("variant, problem, record_every, rule, with_oracle", FOLD_CASES,
                          ids=[fold_id(case) for case in FOLD_CASES])
-def test_run_matches_manual_fold(variant, problem, record_every, rule, with_oracle):
+def test_run_matches_manual_fold(variant, problem, record_every, rule, with_oracle,
+                                 fresh_reads):
     # a run equals, bit for bit, a fold of reference_step.  Without an
     # oracle state it reads grad_f; with one, the state is refreshed at the
     # documented cadence: at every recorded entry, where the full gradient
@@ -175,6 +176,8 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     # stochastic steps)
     beta_rule = FOLD_RULES[rule]
     p, x0 = fold_problem(problem)
+    if problem != "library":
+        fresh_reads()
     m, c, seed, iters = p.n_blocks, 0.85, 4, 60
     sched = iprox.ParamSchedule(beta_rule=beta_rule, c=c, variant=variant, m=m)
     runner = {"full": run_inertial, "cyclic": run_cyclic,
@@ -182,7 +185,7 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     tr = runner(p, sched, x0, RunConfig(max_iters=iters, seed=seed,
                                         record_every=record_every))
     epoch = m if variant == "stochastic" else 1
-    oracle = oracle_state(p) if with_oracle else None
+    oracle = solvers.ImageOracle(p) if with_oracle else None
     rng = SplitMix64(seed)
     x_prev, x = x0.copy(), x0.copy()
     F, blocks = {0: objective(p, x)}, []
@@ -230,11 +233,13 @@ class PoisonedModel(iprox.SmoothModel):
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
 def test_divergence_guard_catches_a_non_finite_gradient(variant, record_every, stop_tol,
-                                                        oracle_kind, poison):
+                                                        oracle_kind, poison, fresh_reads):
     # The gradient turns non-finite at the iterate x^5 only, and F stays
     # finite there.  Every order reads a gradient at x^5 in iteration 5 (the
     # entry's, the full step's, or its first block's), whether or not 5 is
-    # a recorded entry, so the run stops there with k = 5.
+    # a recorded entry, so the run stops there with k = 5.  The "image"
+    # case reads it off the kept image, the "closure" case (fresh_reads)
+    # from x itself.
     p, x0 = lasso_problem(seed=21, n=12, m=3)
     model = p.smooth_model
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.8, variant=variant,
@@ -242,19 +247,15 @@ def test_divergence_guard_catches_a_non_finite_gradient(variant, record_every, s
     runner = {"full": run_inertial, "cyclic": run_cyclic,
               "stochastic": run_stochastic}[variant]
     if oracle_kind == "closure":
-        p = dataclasses.replace(p, smooth_value=lambda x: model.value(x),
-                                smooth_grad=lambda x: model.grad(x))
+        fresh_reads()
     # x^j is the final iterate of the same run cut at j
     xs = [x0] + [runner(p, sched, x0, RunConfig(
         max_iters=j, seed=2, record_every=record_every, stop_tol=stop_tol)).final_state.x_curr
         for j in range(1, 6)]
     assert not any(np.array_equal(x, xs[5]) for x in xs[:5])
     poisoned = PoisonedModel(model, xs[5], poison)
-    if oracle_kind == "image":
-        bad = dataclasses.replace(p, smooth_value=poisoned.value, smooth_grad=poisoned.grad)
-        assert bad.smooth_model is poisoned
-    else:
-        bad = dataclasses.replace(p, smooth_grad=poisoned.grad)
+    bad = dataclasses.replace(p, smooth_value=poisoned.value, smooth_grad=poisoned.grad)
+    assert bad.smooth_model is poisoned
     with pytest.raises(DivergenceError) as exc:
         runner(bad, sched, x0, RunConfig(max_iters=12, seed=2, record_every=record_every,
                                          stop_tol=stop_tol))
@@ -322,13 +323,8 @@ def test_fixed_point_stays_put():
 
 def test_divergence_raises_with_iteration():
     # understate L so the stepsize is far beyond the stability range
-    p = CompositeProblem(
-        dim=2, blocks=((0, 1),),
-        smooth_value=lambda x: 0.5 * float(x @ x),
-        smooth_grad=lambda x: x.copy(),
-        lipschitz_L=0.05, block_lipschitz=(0.05,),
-        prox=iprox.ProxKind.zero(),
-    )
+    p = dataclasses.replace(understated_quadratic(), lipschitz_L=0.05,
+                            block_lipschitz=(0.05,))
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.0), c=0.9,
                                 variant="full")
     with pytest.raises(DivergenceError) as exc:
@@ -549,7 +545,7 @@ def per_entry_run(p, sched, x0, cfg, variant):
     f_star = p.f_star if p.f_star is not None else 0.0
     r = math.sqrt(m) if variant == "stochastic" else 1.0
     epoch = m if variant == "stochastic" else 1
-    oracle, rng, g = oracle_state(p), SplitMix64(cfg.seed), 1.0 / L
+    oracle, rng, g = ImageOracle(p), SplitMix64(cfg.seed), 1.0 / L
     x_prev, x = x0.copy(), x0.copy()
     s = np.zeros(m) if variant == "cyclic" else 0.0
     prev, chosen, run_min, F0 = None, -1, math.inf, None
@@ -670,34 +666,12 @@ def test_block_recording_equals_per_entry_recording(monkeypatch, variant, record
         assert col.shape == default[name].shape and np.array_equal(col, default[name]), name
 
 
-def test_a_reused_closure_gradient_buffer_records_each_entry_residual(monkeypatch):
-    # smooth_grad writes every gradient into one array and returns it; the
-    # entries keep copies, so each row's residual is that of its own x^k
-    p, x0 = closure_lasso()
-    buf = np.empty(p.dim)
-    grad = p.smooth_grad
-
-    def grad_into_buffer(x):
-        buf[:] = grad(x)
-        return buf
-
-    reused = dataclasses.replace(p, smooth_grad=grad_into_buffer)
-    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.8, variant="full")
-    cfg = RunConfig(max_iters=30)
-    want = per_entry_run(p, sched, x0, cfg, "full")["residual_sq"]
-    assert len(set(want.tolist())) == len(want)
-    for rows in (None, 7):
-        tr = run_in_blocks(monkeypatch, rows, reused, sched, x0, cfg, "full")
-        assert np.array_equal(tr.residual_sq, want)
-
-
 def understated_quadratic():
     # L understated 1.25-fold: each step scales x by -1.25, and F passes the
     # divergence cap after some fifty iterations
+    model = iprox.SmoothModel("quadratic", np.eye(2))
     return CompositeProblem(
-        dim=2, blocks=((0, 1),),
-        smooth_value=lambda x: 0.5 * float(x @ x),
-        smooth_grad=lambda x: x.copy(),
+        blocks=((0, 1),), smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=0.8, block_lipschitz=(0.8,),
         prox=iprox.ProxKind.zero(),
     )

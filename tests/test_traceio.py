@@ -96,10 +96,9 @@ def test_ode_csv_allows_inf_ratio_only(tmp_path):
     from iprox.ode import simulate_heavy_ball
     from iprox.problems import CompositeProblem
 
+    model = iprox.SmoothModel("quadratic", np.eye(1))
     prob = CompositeProblem(
-        dim=1, blocks=((0,),),
-        smooth_value=lambda x: 0.5 * float(x[0]) ** 2,
-        smooth_grad=lambda x: x.copy(),
+        blocks=((0,),), smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=1.0, block_lipschitz=(1.0,),
         prox=iprox.ProxKind.zero(),
         f_star=0.0,
@@ -117,6 +116,21 @@ def test_ode_csv_allows_inf_ratio_only(tmp_path):
 def test_read_csv_missing_file():
     with pytest.raises(OSError):
         traceio.read_csv("/nonexistent/path/trace.csv")
+
+
+def test_read_csv_rejects_a_non_numeric_cell_and_a_fractional_k(tmp_path):
+    path = tmp_path / "trace.csv"
+    for rows, match in ((["0,1.0", "1,abc"], "non-numeric F"), (["0,1.0", "1,"], "non-numeric F"),
+                        (["x,1.0"], "non-numeric k"), (["0,1.0", "1.5,0.5"], "non-integer k"),
+                        (["0,1.0", "nan,0.5"], "non-integer k"),
+                        (["0,1.0", "inf,0.5"], "non-integer k")):
+        path.write_text("\n".join(["k,F"] + rows) + "\n")
+        with pytest.raises(ContractViolation, match=match):
+            traceio.read_csv(path)
+    path.write_text("k,F\n0,1.5\n2.0,nan\n")
+    cols = traceio.read_csv(path)
+    assert cols["k"].dtype == np.int64 and cols["k"].tolist() == [0, 2]
+    assert cols["F"][0] == 1.5 and np.isnan(cols["F"][1])
 
 
 def test_chunked_write_equals_one_shot_formatting(tmp_path):
