@@ -13,7 +13,7 @@ x0 = rng.standard_normal(problem.dim)
 v0 = rng.standard_normal(problem.dim)
 
 trace = simulate_heavy_ball(problem, x0, v0, alpha=1.0, h=1e-3, t_end=20.0)
-report = ode_audit(trace, theta=4.0, x_star=problem.solution_projection(x0))
+report = ode_audit(trace, theta=4.0, x_star=problem.solution_set.point)
 
 print(f"xi_f(0) = {trace.xi_f[0]:.6f}   xi_f(T) = {trace.xi_f[-1]:.3e}")
 print(f"max xi increase          = {report['max_xi_increase']:.3e}")

@@ -7,13 +7,14 @@ record_every in {1, 3} at n = 24, plus runs with early stopping, retained
 iterates, diminishing inertia, the stochastic fixed-gamma regime, two
 non-separable proxes applied block by block (group l2, and a box with
 bounds of one block's shape) and a lasso whose blocks are not contiguous.
-Runs record their entries in blocks of 256 rows at n = 24, so
-600-iteration runs of each order at record_every 1 (on the lasso, the
-group-l2 lasso and the quadratic with dist^2), and one record_every 3 run
-that early stopping ends in its second block, cross block boundaries.  Each hash covers every Trace
-array, the final state, the retained iterates and repr(meta), so two
-checkouts produce the same output exactly when their traces are identical
-bit for bit.
+Every run of the quadratic and noncoercive_quadratic kinds, whose argmin F
+is known, records dist^2.  Runs record their entries in blocks of 256 rows
+at n = 24, so 600-iteration runs of each order at record_every 1 (on the
+lasso, the group-l2 lasso and the quadratic), and one record_every 3 run
+that early stopping ends in its second block, cross block boundaries.
+Each hash covers every Trace array, the final state, the retained
+iterates and repr(meta), so two checkouts produce the same output exactly
+when their traces are identical bit for bit.
 
 The CLI part runs `inertial`, `prox_grad` and `cyclic` experiments with
 every audit that applies to them, a three-seed stochastic experiment, a
@@ -123,9 +124,7 @@ def runs():
                                      stop_tol=1e-3), order)
                     yield (f"{kind}-m{m}-{order}-iterates", p, sched, x0,
                            RunConfig(max_iters=ITERS, record_every=3, seed=7,
-                                     keep_iterates=True,
-                                     record_dist_sq=p.solution_projection is not None),
-                           order)
+                                     keep_iterates=True), order)
             if m == 4 and p.nu is not None:
                 fixed = ParamSchedule(beta_rule=ConstantBeta(0.0), c=0.8, variant="stochastic",
                                       m=m, fixed_gamma=0.5 / p.lipschitz_L)
@@ -152,15 +151,13 @@ def runs():
         yield (f"lasso-box-m4-{order}", box, sched, xb,
                RunConfig(max_iters=ITERS, seed=7), order)
     quad = InstanceSpec(kind="quadratic", n=N, m=4, seed=3, **SPECS["quadratic"])
-    for name, p, x0, dist in (("lasso-m4", lasso, xl, False),
-                              ("lasso-group-l2-m4", group, xl, False),
-                              ("quadratic-m4", make_instance(quad),
-                               start_point(quad, "gaussian", 1.0), True)):
+    for name, p, x0 in (("lasso-m4", lasso, xl), ("lasso-group-l2-m4", group, xl),
+                        ("quadratic-m4", make_instance(quad), start_point(quad, "gaussian", 1.0))):
         for order in RUNNERS:
             sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant=order,
                                   m=4 if order == "stochastic" else 1)
             yield (f"{name}-{order}-long", p, sched, x0,
-                   RunConfig(max_iters=LONG, seed=7, record_dist_sq=dist), order)
+                   RunConfig(max_iters=LONG, seed=7), order)
     # stops at k = 825: entry 276, in the second block
     spec = InstanceSpec(kind="logistic_l1", n=N, m=4, seed=3, **SPECS["logistic_l1"])
     sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant="stochastic", m=4)

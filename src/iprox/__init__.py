@@ -14,7 +14,7 @@ from .errors import (
     IntegrationBlowup,
     UnsupportedOracle,
 )
-from .problems import CompositeProblem, IterateState, SmoothModel
+from .problems import CompositeProblem, IterateState, SmoothModel, SolutionSet
 from .prox import ProxKind, prox_apply, prox_value
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 from .solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
@@ -30,7 +30,7 @@ from .diagnostics import (
     value_floor,
 )
 from .reference import ReferenceSolution, solve_reference, with_reference
-from .library import InstanceSpec, is_coercive, make_instance, start_point
+from .library import InstanceSpec, make_instance, start_point
 from .ode import OdeTrace, ode_audit, simulate_heavy_ball
 from .rng import SplitMix64
 
@@ -53,13 +53,13 @@ __all__ = [
     "ReferenceSolution",
     "RunConfig",
     "SmoothModel",
+    "SolutionSet",
     "SplitMix64",
     "Trace",
     "UnsupportedOracle",
     "descent_audit",
     "expectation_descent_audit",
     "fit_rate",
-    "is_coercive",
     "linear_ratio_audit",
     "make_instance",
     "max_lyapunov_increase",

@@ -180,7 +180,7 @@ def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
     if audits and set(audits) != {"rates"} and record_every != 1:
         raise ConfigError("run.record_every", "inequality audits need record_every = 1")
     return solvers.RunConfig(max_iters=max_iters, record_every=record_every,
-                             stop_tol=stop_tol, record_dist_sq="squared_lyapunov" in audits)
+                             stop_tol=stop_tol)
 
 
 def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
@@ -192,7 +192,7 @@ def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
         if algorithm == "stochastic":
             raise ConfigError("audits", "squared_lyapunov applies to inertial/cyclic runs")
         if spec.kind == "logistic_l1":
-            raise ConfigError("audits", "squared_lyapunov needs a solution projection; "
+            raise ConfigError("audits", "squared_lyapunov needs a solution set; "
                                         "logistic_l1 has none")
     return list(audits)
 
@@ -324,8 +324,7 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
     problem = library.make_instance(spec)
     ref_key = None
     ref = None
-    if problem.f_star is None or (
-            "squared_lyapunov" in audits and problem.solution_projection is None):
+    if problem.solution_set is None:
         ref_key, ref = _reference_solution(problem, spec, ref_cfg)
         needs = [a for a in audits if a in _F_STAR_AUDITS]
         if not ref.converged and needs:
@@ -383,7 +382,7 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         found["lyapunov"] = {"max_increase_of_mean" if stochastic else "max_increase": inc}
     if "squared_lyapunov" in audits:
         found["squared_lyapunov"] = {
-            "max_violation": diagnostics.squared_lyapunov_audit(trace, problem)}
+            "max_violation": diagnostics.squared_lyapunov_audit(trace)}
     if "rates" in audits:
         floor = diagnostics.value_floor(problem.f_star if problem.f_star is not None
                                         else 0.0, rate_cfg["floor_scale"])
@@ -513,7 +512,7 @@ def cmd_ode(cfg: dict, out_dir: str) -> int:
     spec = library.InstanceSpec(kind="quadratic", n=n, conditioning=conditioning,
                                 seed=seed)
     problem = library.make_instance(spec)
-    x_star = problem.solution_projection(np.zeros(n))
+    x_star = problem.solution_set.point
     rng = np.random.Generator(np.random.PCG64([seed, 0x0DE]))
     x0 = x_star + x0_scale * rng.standard_normal(n)
     v0 = v0_scale * rng.standard_normal(n)

@@ -4,7 +4,9 @@ Every audit here recomputes its inequality from the recorded trace columns
 rather than trusting the solver's own bookkeeping, so a run and its audit
 form two independent routes to the same quantity.  Audits require traces
 recorded at every iteration (record_every = 1): the per-step inequalities
-cannot be reconstructed from subsampled endpoints.
+cannot be reconstructed from subsampled endpoints.  Of the iterates, the
+squared-Lyapunov audit reads only the dist_sq column, which a run records
+when its problem's solution_set is known.
 
 Tolerance convention: the inequalities are exact in real arithmetic, so
 tests compare audit outputs against small negative thresholds scaled by
@@ -111,13 +113,13 @@ def expectation_descent_audit(traces) -> float:
 def max_lyapunov_increase(lyapunov) -> float:
     """Largest positive forward difference of a lyapunov column (0 if none):
     the column, such as a CSV's seed mean, or a trace's own."""
-    xi = np.asarray(getattr(lyapunov, "lyapunov", lyapunov))
+    xi = np.asarray(lyapunov)
     if len(xi) < 2:
         return 0.0
     return float(max(0.0, np.max(np.diff(xi))))
 
 
-def squared_lyapunov_audit(trace, problem: CompositeProblem) -> float:
+def squared_lyapunov_audit(trace) -> float:
     """Most negative slack of the squared-Lyapunov inequality.
 
     Full variant, per step k -> k+1 with eps_k from epsilon_coeff:
@@ -132,23 +134,19 @@ def squared_lyapunov_audit(trace, problem: CompositeProblem) -> float:
         xi_{k+1}^2 <= eps_k*(xi_k - xi_{k+1})
                       *(3*||x^{k+1} - xbar^{k+1}||^2 + ||x^k - x^{k-1}||^2)
 
-    Of the iterates the inequality reads only ||x^k - xbar^k||^2, the
-    trace's dist_sq column (RunConfig.record_dist_sq); the problem must
-    have a solution_projection oracle.
+    ||x^k - xbar^k||^2 is the trace's dist_sq column.
     """
     _require_contiguous(trace)
-    dist2 = trace.dist_sq
-    if dist2 is None or len(dist2) != len(trace.ks):
-        raise ContractViolation("audit needs a trace with record_dist_sq=True")
-    if problem.solution_projection is None:
-        raise UnsupportedOracle("squared-Lyapunov audit needs solution_projection")
+    if trace.dist_sq is None or len(trace.dist_sq) != len(trace.ks):
+        raise ContractViolation(
+            "audit needs a dist_sq column: a run on a problem with a solution_set")
     variant = trace.meta["variant"]
     c = trace.meta["c"]
     L = trace.meta["L"]
     xi = np.asarray(trace.lyapunov)
     s = np.asarray(trace.step_sq)
     g = np.asarray(trace.gammas)
-    dist2 = np.asarray(dist2)
+    dist2 = np.asarray(trace.dist_sq)
     # np.float_power(xi, 2.0) calls pow() per value as xi**2 does on a
     # numpy scalar; xi**2 on an array rounds xi*xi, which differs in the
     # last bit for about one value in a thousand

@@ -3,7 +3,8 @@
 Five kinds cover the hypotheses the diagnostics exercise:
 
   quadratic              strongly convex f = (x-z)'Q(x-z)/2, g = 0; exact
-                         min F = 0, unique minimizer z, nu = lam_min/2.
+                         min F = 0, nu = lam_min/2, and the solution set
+                         SolutionSet(z): the unique minimizer z.
   quadratic_l1           same f with g = lambda*||x||_1; nu = lam_min/2
                          still certifies F - min F >= nu*||x - xbar||^2 by
                          the optimality subgradient of the l1 term.
@@ -13,15 +14,18 @@ Five kinds cover the hypotheses the diagnostics exercise:
   logistic_l1            row-averaged logistic loss with labels
                          y = sign(A x_true + 0.5*noise), g = lambda*||x||_1;
                          L = sigma_max(A)^2/(4*rows).
-  noncoercive_quadratic  f = ||P x||^2/2 with P of rank rows < n, so
-                         argmin F = null(P) is a whole subspace and F is
-                         not coercive, yet F - min F >= nu*||x - xbar||^2
+  noncoercive_quadratic  f = ||P x||^2/2 with P = diag(sqrt(eigs)) Ur' of
+                         rank rows < n, so argmin F = null(P) is a whole
+                         subspace, SolutionSet(0, normal=Ur), and F is not
+                         coercive, yet F - min F >= nu*||x - xbar||^2
                          holds with nu = lam_min/2 along normal directions.
 
 Constructed quadratics use exact eigenvalue placement: lam_max = L = 1 and
-lam_min = 2/conditioning, so conditioning equals L/nu exactly.  Data
-matrices get L = sigma_max(A)^2 (over 4*rows for logistic) and each
-per-block L_i = sigma_max(A_i)^2 from Lanczos on the Gram operator
+lam_min = 2/conditioning, so conditioning equals L/nu exactly; their L_i
+is the norm of the block row ||H[ix, :]|| of the Hessian H (Q or P'P),
+which bounds the diagonal block's ||H_ii||.  Data matrices get
+L = sigma_max(A)^2 (over 4*rows for logistic) and each per-block
+L_i = sigma_max(A_i)^2, the diagonal block's value, from Lanczos on the Gram operator
 v -> A'(Av): no stored basis, the top Ritz value of the tridiagonal found
 by Sturm-count bisection.  It stops when that value stalls to 1e-14
 relative between two evaluations, one of them at the step count equal to
@@ -42,7 +46,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, SmoothModel
+from .problems import CompositeProblem, SmoothModel, SolutionSet
 from .prox import ProxKind
 
 KINDS = ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadratic")
@@ -73,6 +77,9 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractViolation(f"kind must be one of {KINDS}")
+        if any(not isinstance(v, int) or isinstance(v, bool) or v > np.iinfo(np.intp).max
+               for v in (self.n, self.rows, self.m)):
+            raise ContractViolation("n, rows and m must be integers numpy can index with")
         if self.n < 1:
             raise ContractViolation("n must be >= 1")
         if self.m < 1 or self.n % self.m != 0:
@@ -250,8 +257,7 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
 
         if spec.kind == "quadratic":
             return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
-                            f_star=0.0, nu=lam_min / 2.0,
-                            solution_projection=lambda x, z=z: z.copy())
+                            f_star=0.0, nu=lam_min / 2.0, solution_set=SolutionSet(z))
         return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
                         nu=lam_min / 2.0)
 
@@ -267,14 +273,10 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         H = 0.5 * (H + H.T)
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(H, blocks, L)
-        model = SmoothModel("squares", P)
-
-        def project(x, Ur=Ur):
-            # argmin F = null(P); remove the component in range(Ur)
-            return x - Ur @ (Ur.T @ x)
-
-        return _problem(model, blocks, L, L_blocks, 0.0,
-                        f_star=0.0, nu=lam_min / 2.0, solution_projection=project)
+        # argmin F = null(P) = null(Ur')
+        return _problem(SmoothModel("squares", P), blocks, L, L_blocks, 0.0,
+                        f_star=0.0, nu=lam_min / 2.0,
+                        solution_set=SolutionSet(np.zeros(n), normal=Ur))
 
     if spec.kind == "lasso":
         p = spec.rows
@@ -307,17 +309,6 @@ def _problem(model, blocks, L, L_blocks, reg_lambda, **extra):
         blocks=blocks, smooth_value=model.value, smooth_grad=model.grad,
         lipschitz_L=L, block_lipschitz=L_blocks,
         prox=ProxKind.l1(reg_lambda) if reg_lambda > 0 else ProxKind.zero(), **extra)
-
-
-def is_coercive(spec: InstanceSpec) -> bool:
-    """Whether F grows unboundedly along every ray for this instance."""
-    if spec.kind in ("quadratic", "quadratic_l1"):
-        return True
-    if spec.kind == "lasso":
-        return spec.reg_lambda > 0 or spec.rows >= spec.n
-    if spec.kind == "logistic_l1":
-        return spec.reg_lambda > 0
-    return False
 
 
 def start_point(spec: InstanceSpec, mode: str = "zeros", scale: float = 1.0) -> np.ndarray:

@@ -12,6 +12,9 @@ f reads x only through an image u = A x, and the solvers keep u between
 steps in an :class:`ImageOracle`, so a block step costs a block of columns
 of A and not full products.  A coordinate-separable kind is applied to,
 and evaluated on, a whole vector in one call.
+
+argmin F, when known, is data too: a :class:`SolutionSet`, which gives
+dist(x, argmin F)^2 for a whole block of rows at once.
 """
 
 from __future__ import annotations
@@ -120,6 +123,33 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class SolutionSet:
+    """argmin F as data: the affine set {x : N'(x - point) = 0} for an
+    (n, r) matrix N = normal with orthonormal columns, or the single point
+    when normal is None.  A vector point, and a normal with one row per
+    coordinate, are checked when the set is built."""
+
+    point: Vector
+    normal: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if np.ndim(self.point) != 1 or self.normal is not None and (
+                np.ndim(self.normal) != 2 or len(self.normal) != len(self.point)):
+            raise ContractViolation(
+                "a solution set needs a vector point and a normal with a row per coordinate")
+
+    def dist_sq(self, X: np.ndarray) -> np.ndarray:
+        """dist(x, argmin F)^2 of each row x of X: x minus its projection
+        x - N(N'(x - point)), taken one gemv per row by the stacked matmul
+        (a gemm rounds differently), dotted with itself by np.vecdot."""
+        D = X - self.point
+        if self.normal is not None:
+            N = self.normal
+            D = X - (X - np.matmul(N, np.matmul(N.T, D[:, :, None]))[:, :, 0])
+        return np.vecdot(D, D)
+
+
+@dataclass(frozen=True, eq=False)
 class CompositeProblem:
     """Oracle bundle for min F(x) = f(x) + sum_i g_i(x_i).
 
@@ -146,8 +176,9 @@ class CompositeProblem:
     nu : float, optional
         Optimal-strong-convexity constant: F(x) - min F >= nu*||x - xbar||^2
         with xbar the projection of x onto argmin F.
-    solution_projection : callable x -> ndarray, optional
-        Euclidean projection onto argmin F.
+    solution_set : SolutionSet, optional
+        argmin F when known, of the problem's dimension; every run on the
+        problem records dist(x^k, argmin F)^2.
 
     Four attributes are derived, not given.  smooth_model is the
     SmoothModel whose value and grad smooth_value and smooth_grad are, and
@@ -166,7 +197,7 @@ class CompositeProblem:
     prox: ProxKind
     f_star: Optional[float] = None
     nu: Optional[float] = None
-    solution_projection: Optional[Callable[[Vector], Vector]] = None
+    solution_set: Optional[SolutionSet] = None
     dim: int = field(init=False)
     smooth_model: SmoothModel = field(init=False, repr=False)
     prox_kind: ProxKind = field(init=False, repr=False)
@@ -198,6 +229,9 @@ class CompositeProblem:
             raise ContractViolation("block Lipschitz constants must be > 0")
         if self.nu is not None and self.nu <= 0:
             raise ContractViolation("nu must be > 0 when given")
+        sol = self.solution_set
+        if sol is not None and (not isinstance(sol, SolutionSet) or len(sol.point) != self.dim):
+            raise ContractViolation("solution_set must be a SolutionSet of the problem's dimension")
         kind = inspect.unwrap(self.prox)
         if not isinstance(kind, ProxKind):
             raise ContractViolation("prox must be a ProxKind")

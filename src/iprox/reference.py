@@ -18,7 +18,8 @@ kind (image and Gram product).  The logistic loss takes a second gradient
 at y when c > 0.  g is read as the runs read it, through the problem's
 prox_kind: one vector call for a coordinate-separable kind, one per block
 otherwise.  ``ReferenceSolution.matvec_equiv`` is the oracle state's
-count.
+count.  :func:`with_reference` attaches f_star and, for a unique
+minimizer, the solution set SolutionSet(x*) to the problem.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, ImageOracle, _check_dim, _g_value, prox_full
+from .problems import CompositeProblem, ImageOracle, SolutionSet, _check_dim, _g_value, prox_full
 
 
 @dataclass(frozen=True)
@@ -121,18 +122,17 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
 
 def with_reference(problem: CompositeProblem, ref: ReferenceSolution,
                    unique_minimizer: bool = True) -> CompositeProblem:
-    """Attach f_star (and, for unique minimizers, a constant projection).
+    """Attach f_star (and, for unique minimizers, the solution set {x*}).
 
     Fields already present on the problem are kept; only missing ones are
-    filled.  The constant-map projection is valid only when argmin F is a
-    singleton, which the caller asserts via unique_minimizer.
+    filled.  The single point x* is argmin F only when the minimizer is
+    unique, which the caller asserts via unique_minimizer.
     """
     updates = {}
     if problem.f_star is None:
         updates["f_star"] = float(ref.f_star)
-    if problem.solution_projection is None and unique_minimizer:
-        x_star = ref.x_star.copy()
-        updates["solution_projection"] = lambda x, _xs=x_star: _xs.copy()
+    if problem.solution_set is None and unique_minimizer:
+        updates["solution_set"] = SolutionSet(ref.x_star.copy())
     if not updates:
         return problem
     return dataclasses.replace(problem, **updates)

@@ -22,11 +22,12 @@ and the stochastic order draws its blocks _DRAWS at a time with
 Entries are recorded in blocks.  At an entry the loop copies x^k and
 grad f(x^k) into two per-run (rows, n) buffers of at most 8,192 floats
 (64 KiB) each, and appends the entry's scalars; when the buffers are full,
-and at the run's end, the residuals, the Lyapunov and slack values and
-dist^2 of the whole block are computed as numpy columns, in the operation
-order of a per-entry computation, so the trace is the same bit for bit.
-Under stop_tol the loop computes the residual at every step, the entry
-records that value, and no gradient is copied.
+and at the run's end, the residuals, the Lyapunov and slack values and,
+on a problem with a solution_set, dist(x^k, argmin F)^2 of the whole
+block are computed as numpy columns, in the operation order of a
+per-entry computation, so the trace is the same bit for bit.  Under
+stop_tol the loop also computes the residual at every step, only to
+decide when to stop; its entries are recorded like any other.
 
 Each run produces a Trace whose per-entry columns are enough to replay the
 convergence audits in :mod:`iprox.diagnostics` without re-running:
@@ -91,10 +92,8 @@ class RunConfig:
 
     stop_tol is an absolute threshold on ||S_{1/L}(x^k)||; 0 disables early
     stopping.  seed drives block selection in the stochastic variant only.
-    record_dist_sq records dist(x^k, argmin F)^2 per entry in Trace.dist_sq,
-    the one quantity of the iterates the squared-Lyapunov audit reads; it
-    needs a problem with a solution_projection.  keep_iterates retains a
-    copy of x^k per recorded entry, which costs n floats per entry.
+    keep_iterates retains a copy of x^k per recorded entry, which costs n
+    floats per entry.
     """
 
     max_iters: int
@@ -102,7 +101,6 @@ class RunConfig:
     stop_tol: float = 0.0
     seed: int = 0
     keep_iterates: bool = False
-    record_dist_sq: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -123,9 +121,9 @@ class Trace:
     over all steps taken so far; +inf in the k=0 slot where no step
     exists).  descent_slack[j] is the slack of the descent inequality for
     the transition into iterate ks[j] (0.0 at k=0).  dist_sq holds
-    dist(x^k, argmin F)^2 per entry when the run recorded it (see
-    RunConfig.record_dist_sq), else None; like block_step_sq it is not
-    written to the trace CSVs.
+    dist(x^k, argmin F)^2 per entry when the problem has a solution_set,
+    the one quantity of the iterates the squared-Lyapunov audit reads,
+    else None; like block_step_sq it is not written to the trace CSVs.
     """
 
     ks: np.ndarray
@@ -153,41 +151,30 @@ _BLOCK_VALUES = 8192  # floats per block buffer of x^k or grad f(x^k): 64 KiB
 
 
 class _Recorder:
-    """Collects a run's entries and computes them a block of rows at a time.
+    """Collects a run's entries and computes them a block of rows at a time,
+    as the module docstring describes.  An entry appends its values, one
+    per name of _ROW and order.stashed, to one flat list in one call."""
 
-    An entry copies x^k, and grad f(x^k) unless the loop computed the
-    residual (under stop_tol), into (rows, n) buffers of at most
-    _BLOCK_VALUES floats, and appends its values, one per name of _ROW
-    and order.stashed (and the residual under stop_tol), to one flat list
-    in one call.  Full buffers, and the run's end, compute the block's
-    residuals, entry formulas and dist^2 as numpy columns; build
-    concatenates the blocks.
-    """
-
-    def __init__(self, problem, order, cfg: RunConfig, project):
+    def __init__(self, problem, order, cfg: RunConfig):
         rows = max(1, min(256, _BLOCK_VALUES // problem.dim))
-        self.problem, self.order, self.project = problem, order, project
+        self.problem, self.order = problem, order
         self.X = np.empty((rows, problem.dim))
-        self.G = np.empty((rows, problem.dim)) if cfg.stop_tol == 0.0 else None
+        self.G = np.empty((rows, problem.dim))
         # row views: writing one copies a vector in half the time X[j] = x takes
-        self.x_rows = list(self.X)
-        self.g_rows = None if self.G is None else list(self.G)
-        self.names = _ROW + order.stashed + (() if self.G is not None else ("residual_sq",))
+        self.x_rows, self.g_rows = list(self.X), list(self.G)
+        self.names = _ROW + order.stashed
         self.values = []
         self.columns = {name: [] for name in _COLUMNS + order.extra
-                        + (("dist_sq",) if project is not None else ())}
+                        + (("dist_sq",) if problem.solution_set is not None else ())}
         self.iterates = [] if cfg.keep_iterates else None
 
-    def add(self, x, grad, rsq, *values):
+    def add(self, x, grad, *values):
         j = len(self.values) // len(self.names)
         if j == len(self.X):
             self.flush()
             j = 0
         self.x_rows[j][...] = x
-        if self.G is None:
-            values += (rsq,)
-        else:
-            self.g_rows[j][...] = grad
+        self.g_rows[j][...] = grad
         self.values.extend(values)
 
     def flush(self):
@@ -197,20 +184,16 @@ class _Recorder:
         X = self.X[:len(a["ks"])]
         # np.vecdot gives each row's s.dot(s) bit for bit; einsum and
         # (S*S).sum(1) do not
-        if self.G is not None:
-            g, kind = 1.0 / self.problem.lipschitz_L, self.problem.prox_kind
-            V = X - g * self.G[:len(X)]
-            if kind.separable:
-                S = X - _apply_kind(kind, V, g)
-            else:
-                S = X - np.array([_prox_full(self.problem, v, g) for v in V])
-            a["residual_sq"] = np.vecdot(S, S)
+        g, kind = 1.0 / self.problem.lipschitz_L, self.problem.prox_kind
+        V = X - g * self.G[:len(X)]
+        if kind.separable:
+            S = X - _apply_kind(kind, V, g)
+        else:
+            S = X - np.array([_prox_full(self.problem, v, g) for v in V])
+        a["residual_sq"] = np.vecdot(S, S)
         a.update(self.order.entries(a))
-        if self.project is not None:
-            P, project = np.empty_like(X), self.project
-            for p_row, x in zip(P, self.x_rows):
-                p_row[...] = project(x)  # a copy: project may reuse its output
-            a["dist_sq"] = np.vecdot(X - P, X - P)
+        if self.problem.solution_set is not None:
+            a["dist_sq"] = self.problem.solution_set.dist_sq(X)
         if self.iterates is not None:
             self.iterates.extend(X.copy())
         for name, blocks in self.columns.items():
@@ -421,10 +404,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     # the order's step and refreshes the oracle state without checking again.
     x0 = _check_dim(problem, x0)
     g_audit = 1.0 / problem.lipschitz_L
-    project = problem.solution_projection
-    if cfg.record_dist_sq and project is None:
-        raise ContractViolation("record_dist_sq needs a problem with solution_projection")
-    rec = _Recorder(problem, order, cfg, project if cfg.record_dist_sq else None)
+    rec = _Recorder(problem, order, cfg)
 
     oracle = ImageOracle(problem)
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
@@ -455,16 +435,12 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
 
         if need_grad:
             _check_grad(grad, k)
-        rsq = None
-        if stop_tol > 0.0:
-            # r.dot(r) is the product r @ r computes, bit for bit, with less
-            # call overhead; the loop takes its squared norms this way
-            r = x - _prox_full(problem, x - g_audit * grad, g_audit)
-            rsq = float(r.dot(r))
-        stopping = rsq is not None and rsq <= stop_tol ** 2
+        # r.dot(r) is, bit for bit, the residual_sq recorded for x
+        r = x - _prox_full(problem, x - g_audit * grad, g_audit) if stop_tol > 0.0 else None
+        stopping = r is not None and float(r.dot(r)) <= stop_tol ** 2
         cur = (F_val, s, beta, gamma)
         if want_entry or stopping:
-            rec.add(x, grad, rsq, k, *cur, *(prev or cur), *order.stash())
+            rec.add(x, grad, k, *cur, *(prev or cur), *order.stash())
         if stopping or k == max_iters:
             break
 

@@ -58,7 +58,7 @@ def test_criterion_01_lyapunov_monotone(lasso_run):
     F0 = float(trace.F[0])
     tol = 1e-9 * (1.0 + abs(F0))
     worst_slack = dx.descent_audit(trace)
-    worst_rise = dx.max_lyapunov_increase(trace)
+    worst_rise = dx.max_lyapunov_increase(trace.lyapunov)
     assert worst_slack >= -tol
     assert worst_rise <= tol
     assert lasso_run["seconds"] <= 5.0
@@ -146,12 +146,12 @@ def test_criterion_05_cyclic_descent_and_rate():
     schedule = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
                                    variant="cyclic", m=4)
     trace_a = iprox.run_cyclic(prob_a, schedule, start_point(spec_a, "zeros"),
-                               iprox.RunConfig(max_iters=2000, record_dist_sq=True))
+                               iprox.RunConfig(max_iters=2000))
     F0 = float(trace_a.F[0])
     slack = dx.descent_audit(trace_a)
     assert slack >= -1e-9 * (1.0 + abs(F0))
     xi0 = float(trace_a.lyapunov[0])
-    squared = dx.squared_lyapunov_audit(trace_a, prob_a)
+    squared = dx.squared_lyapunov_audit(trace_a)
     assert squared >= -1e-9 * (1.0 + xi0 ** 2)
 
     spec_b = InstanceSpec(kind="quadratic", n=48, conditioning=20.0, m=4, seed=0)

@@ -49,10 +49,10 @@ def test_audit_requires_contiguous_ks():
 def test_max_lyapunov_increase():
     tr = fake_full_trace([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0], [0.0] * 4,
                          lyap=[5.0, 4.0, 4.5, 3.0])
-    assert diagnostics.max_lyapunov_increase(tr) == pytest.approx(0.5)
+    assert diagnostics.max_lyapunov_increase(tr.lyapunov) == pytest.approx(0.5)
     tr2 = fake_full_trace([0, 1], [1.0, 1.0], [0.0, 0.0], lyap=[2.0, 1.0])
-    assert diagnostics.max_lyapunov_increase(tr2) == 0.0
-    # the column alone, as the CLI passes a trace CSV's
+    assert diagnostics.max_lyapunov_increase(tr2.lyapunov) == 0.0
+    # any column, as the CLI passes a trace CSV's
     assert diagnostics.max_lyapunov_increase(np.array([5.0, 4.0, 4.5, 3.0])) == 0.5
     assert diagnostics.max_lyapunov_increase([2.0]) == 0.0
 
@@ -109,22 +109,22 @@ def test_expectation_audit_needs_matching_grids():
 
 
 def test_squared_lyapunov_gates():
+    # a run records dist^2 exactly when its problem has a solution set, and
+    # the audit refuses a trace without that column
     spec = iprox.InstanceSpec(kind="quadratic", n=8, conditioning=4.0, seed=2)
     p = library.make_instance(spec)
     x0 = library.start_point(spec, "gaussian", 1.0)
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8, variant="full")
-    no_iter = iprox.run_inertial(p, sched, x0, iprox.RunConfig(max_iters=20))
+    bare = library.make_instance(
+        iprox.InstanceSpec(kind="lasso", n=8, rows=20, reg_lambda=0.2, seed=2))
+    no_dist = iprox.run_inertial(bare, sched, x0, iprox.RunConfig(max_iters=20))
+    assert no_dist.dist_sq is None
     with pytest.raises(ContractViolation):
-        diagnostics.squared_lyapunov_audit(no_iter, p)
-    with_iter = iprox.run_inertial(p, sched, x0,
-                                   iprox.RunConfig(max_iters=20, record_dist_sq=True))
-    bare = iprox.InstanceSpec(kind="lasso", n=8, rows=20, reg_lambda=0.2, seed=2)
-    p_no_proj = library.make_instance(bare)
-    with pytest.raises(UnsupportedOracle):
-        diagnostics.squared_lyapunov_audit(with_iter, p_no_proj)
+        diagnostics.squared_lyapunov_audit(no_dist)
+    with_dist = iprox.run_inertial(p, sched, x0, iprox.RunConfig(max_iters=20))
     # on the well-posed run the inequality holds up to float dust
-    v = diagnostics.squared_lyapunov_audit(with_iter, p)
-    assert v >= -1e-9 * (1.0 + with_iter.lyapunov[0] ** 2)
+    v = diagnostics.squared_lyapunov_audit(with_dist)
+    assert v >= -1e-9 * (1.0 + with_dist.lyapunov[0] ** 2)
 
 
 def test_squared_lyapunov_rejects_stochastic():
@@ -133,20 +133,21 @@ def test_squared_lyapunov_rejects_stochastic():
     x0 = library.start_point(spec, "gaussian", 1.0)
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
                                 variant="stochastic", m=2)
-    tr = iprox.run_stochastic(p, sched, x0,
-                              iprox.RunConfig(max_iters=20, seed=0, record_dist_sq=True))
+    tr = iprox.run_stochastic(p, sched, x0, iprox.RunConfig(max_iters=20, seed=0))
+    assert tr.dist_sq is not None
     with pytest.raises(ContractViolation):
-        diagnostics.squared_lyapunov_audit(tr, p)
+        diagnostics.squared_lyapunov_audit(tr)
 
 
-def squared_lyapunov_by_loop(trace, problem):
-    # the audit as a loop over retained iterates, each projected in turn;
-    # the column audit must give the same bits
+def squared_lyapunov_by_loop(trace, solutions):
+    # the audit as a loop over retained iterates, each one's distance to
+    # the solution set computed in turn; the column audit must give the
+    # same bits
     xi, s, g = trace.lyapunov, trace.step_sq, trace.gammas
     c, L = trace.meta["c"], trace.meta["L"]
     dist2 = np.empty(len(trace.ks))
     for j, x in enumerate(trace.iterates):
-        d = x - problem.solution_projection(x)
+        d = x - solutions.point  # both sets here are single points
         dist2[j] = float(d @ d)
     worst = 0.0
     for j in range(len(trace.ks) - 1):
@@ -191,13 +192,13 @@ def bits(v):
 
 @pytest.mark.parametrize("run", [desk_lasso_run, criterion_5_run])
 def test_squared_lyapunov_column_audit_equals_iterate_loop(run):
-    p, kept = run(keep_iterates=True, record_dist_sq=True)
-    p, lean = run(record_dist_sq=True)
+    p, kept = run(keep_iterates=True)
+    p, lean = run()
     assert lean.iterates is None
     assert np.array_equal(lean.dist_sq, kept.dist_sq)
-    want = squared_lyapunov_by_loop(kept, p)
-    assert bits(diagnostics.squared_lyapunov_audit(kept, p)) == bits(want)
-    assert bits(diagnostics.squared_lyapunov_audit(lean, p)) == bits(want)
+    want = squared_lyapunov_by_loop(kept, p.solution_set)
+    assert bits(diagnostics.squared_lyapunov_audit(kept)) == bits(want)
+    assert bits(diagnostics.squared_lyapunov_audit(lean)) == bits(want)
     # step by step: with the lyapunov column reversed most steps violate,
     # and a two-entry window's audit is then that step's slack
     rising = dataclasses.replace(kept, lyapunov=kept.lyapunov[::-1].copy())
@@ -207,9 +208,9 @@ def test_squared_lyapunov_column_audit_equals_iterate_loop(run):
             rising, **{name: getattr(rising, name)[j:j + 2]
                        for name in ("ks", "lyapunov", "step_sq", "gammas",
                                     "dist_sq", "iterates")})
-        want = squared_lyapunov_by_loop(window, p)
+        want = squared_lyapunov_by_loop(window, p.solution_set)
         violated += want < 0.0
-        assert bits(diagnostics.squared_lyapunov_audit(window, p)) == bits(want), j
+        assert bits(diagnostics.squared_lyapunov_audit(window)) == bits(want), j
     assert violated > 0.5 * len(kept.ks)
 
 
@@ -220,20 +221,20 @@ def test_squared_lyapunov_audit_takes_python_min_semantics():
     p = library.make_instance(iprox.InstanceSpec(kind="quadratic", n=2,
                                                  conditioning=2.0, seed=0))
     tr.dist_sq = np.zeros(4)  # every iterate at the minimizer
-    tr.iterates = [p.solution_projection(np.zeros(2))] * 4
-    assert bits(diagnostics.squared_lyapunov_audit(tr, p)) == bits(0.0)
+    tr.iterates = [p.solution_set.point] * 4
+    assert bits(diagnostics.squared_lyapunov_audit(tr)) == bits(0.0)
     tr.lyapunov = np.array([1.0, 2.0, np.nan, 3.0])
-    got = diagnostics.squared_lyapunov_audit(tr, p)
-    assert bits(got) == bits(squared_lyapunov_by_loop(tr, p))
+    got = diagnostics.squared_lyapunov_audit(tr)
+    assert bits(got) == bits(squared_lyapunov_by_loop(tr, p.solution_set))
     assert got == -4.0  # the step 0 -> 1; the steps through NaN are passed over
     tr.gammas[2] = 0.0
     with pytest.raises(ContractViolation):
-        diagnostics.squared_lyapunov_audit(tr, p)
+        diagnostics.squared_lyapunov_audit(tr)
     # a single slack of -0.0 is no violation: +0.0, as min(0.0, -0.0) gives
     one = fake_full_trace([0, 1], [1.0, 1.0], [0.0, -1.0], lyap=[0.0, 0.0])
     one.dist_sq, one.iterates = np.zeros(2), tr.iterates[:2]
-    assert bits(squared_lyapunov_by_loop(one, p)) == bits(0.0)
-    assert bits(diagnostics.squared_lyapunov_audit(one, p)) == bits(0.0)
+    assert bits(squared_lyapunov_by_loop(one, p.solution_set)) == bits(0.0)
+    assert bits(diagnostics.squared_lyapunov_audit(one)) == bits(0.0)
 
 
 def test_squared_lyapunov_audit_cyclic_takes_python_max():
@@ -245,10 +246,10 @@ def test_squared_lyapunov_audit_cyclic_takes_python_max():
     tr.meta.update(variant="cyclic", block_lipschitz=(1.0, 1.0))
     tr.gammas = np.array([[np.nan, 1.0], [1.0, 1.0]])
     tr.dist_sq = np.zeros(2)
-    tr.iterates = [p.solution_projection(np.zeros(4))] * 2
-    want = squared_lyapunov_by_loop(tr, p)
+    tr.iterates = [p.solution_set.point] * 2
+    want = squared_lyapunov_by_loop(tr, p.solution_set)
     assert want < 0.0
-    assert bits(diagnostics.squared_lyapunov_audit(tr, p)) == bits(want)
+    assert bits(diagnostics.squared_lyapunov_audit(tr)) == bits(want)
 
 
 def test_squared_lyapunov_audit_squares_xi_as_the_loop_did():
@@ -257,13 +258,13 @@ def test_squared_lyapunov_audit_squares_xi_as_the_loop_did():
     # in the last bit for about one value in a thousand
     p = library.make_instance(iprox.InstanceSpec(kind="quadratic", n=2, conditioning=2.0,
                                                  seed=0))
-    xbar = p.solution_projection(np.zeros(2))
+    xbar = p.solution_set.point
     rng = np.random.default_rng(11)
     for v in rng.standard_normal(8000) * 10.0 ** rng.integers(-100, 100, 8000):
         tr = fake_full_trace([0, 1], [1.0, 1.0], [0.0, 0.0], lyap=[v, v])
         tr.dist_sq, tr.iterates = np.zeros(2), [xbar, xbar]
-        assert bits(diagnostics.squared_lyapunov_audit(tr, p)) == bits(
-            squared_lyapunov_by_loop(tr, p)), v
+        assert bits(diagnostics.squared_lyapunov_audit(tr)) == bits(
+            squared_lyapunov_by_loop(tr, p.solution_set)), v
 
 
 def test_linear_ratio_audit_on_quadratic():
@@ -355,6 +356,6 @@ def test_lyapunov_xi_and_residual_helpers():
                             iprox.RunConfig(max_iters=30))
     delta = 0.5 * (1.0 / tr.gammas - p.lipschitz_L / 2.0)
     assert np.allclose(tr.lyapunov, tr.F + delta * tr.step_sq - p.f_star, rtol=1e-14, atol=0)
-    z = p.solution_projection(np.zeros(6))
+    z = p.solution_set.point
     g = 1.0 / p.lipschitz_L
     assert np.linalg.norm(z - prox_full(p, z - g * grad_f(p, z), g)) < 1e-12

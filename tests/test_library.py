@@ -6,8 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from iprox import library
 from iprox.errors import ContractViolation
-from iprox.library import InstanceSpec, is_coercive, make_instance, spec_from_dict, spec_to_dict, start_point
+from iprox.library import InstanceSpec, make_instance, spec_from_dict, spec_to_dict, start_point
 from iprox.problems import grad_f, objective
+
+
+def project(problem, x):
+    # the projection of x onto argmin F, x - N(N'(x - point)), from the
+    # problem's solution set
+    sol = problem.solution_set
+    if sol.normal is None:
+        return sol.point.copy()
+    return x - sol.normal @ (sol.normal.T @ (x - sol.point))
 
 
 def probe_hessian(problem, at=None):
@@ -57,21 +66,26 @@ def test_quadratic_spectrum_matches_conditioning():
 
 def test_quadratic_families_field_contracts():
     q = make_instance(InstanceSpec(kind="quadratic", n=8, conditioning=5.0, seed=1))
-    assert q.f_star == 0.0 and q.nu is not None and q.solution_projection is not None
+    assert q.f_star == 0.0 and q.nu is not None and q.solution_set.normal is None
     ql1 = make_instance(InstanceSpec(kind="quadratic_l1", n=8, conditioning=5.0,
                                      reg_lambda=0.3, seed=1))
-    assert ql1.f_star is None and ql1.solution_projection is None
+    assert ql1.f_star is None and ql1.solution_set is None
     assert ql1.nu == pytest.approx(1.0 / 5.0)
     lasso = make_instance(InstanceSpec(kind="lasso", n=8, rows=20, reg_lambda=0.2, seed=1))
-    assert lasso.f_star is None and lasso.nu is None
+    assert lasso.f_star is None and lasso.nu is None and lasso.solution_set is None
+    flat = make_instance(InstanceSpec(kind="noncoercive_quadratic", n=8, rows=3,
+                                      conditioning=5.0, seed=1))
+    assert np.array_equal(flat.solution_set.point, np.zeros(8))
+    assert flat.solution_set.normal.shape == (8, 3)
 
 
 def test_quadratic_projection_is_the_minimizer():
     spec = InstanceSpec(kind="quadratic", n=10, conditioning=4.0, seed=3)
     p = make_instance(spec)
-    x = np.arange(10.0)
-    z = p.solution_projection(x)
-    assert np.array_equal(p.solution_projection(z), z)
+    z = p.solution_set.point
+    assert p.solution_set.normal is None
+    assert np.array_equal(z, p.smooth_model.center)
+    assert p.solution_set.dist_sq(np.stack([z, z + 1.0])).tolist() == [0.0, 10.0]
     assert objective(p, z) == pytest.approx(0.0, abs=1e-30)
     assert np.linalg.norm(grad_f(p, z)) < 1e-14
 
@@ -83,7 +97,7 @@ def test_optimal_strong_convexity_sampled():
         rng = np.random.default_rng(8)
         for _ in range(30):
             x = rng.standard_normal(10) * rng.uniform(0.2, 4.0)
-            xbar = p.solution_projection(x)
+            xbar = project(p, x)
             gap = objective(p, x) - p.f_star
             need = p.nu * float((x - xbar) @ (x - xbar))
             assert gap >= need - 1e-10 * (1.0 + abs(gap))
@@ -94,7 +108,7 @@ def test_noncoercive_flat_along_null_space():
                         conditioning=9.0, seed=5)
     p = make_instance(spec)
     rng = np.random.default_rng(2)
-    w = p.solution_projection(rng.standard_normal(12))  # lives in null(P)
+    w = project(p, rng.standard_normal(12))  # lives in null(P)
     assert np.linalg.norm(w) > 1e-3
     x = rng.standard_normal(12)
     base = objective(p, x)
@@ -109,13 +123,12 @@ def test_noncoercive_projection_normal_equations():
     p = make_instance(spec)
     H = probe_hessian(p)
     x = np.linspace(-1.0, 1.0, 12)
-    xbar = p.solution_projection(x)
+    xbar = project(p, x)
     # projected point solves Hx = 0 and the residual x - xbar is H-range
     assert np.linalg.norm(H @ xbar) < 1e-6
-    assert np.allclose(p.solution_projection(xbar), xbar, atol=1e-14)
+    assert np.allclose(project(p, xbar), xbar, atol=1e-14)
     # orthogonality: (x - xbar) perpendicular to every null vector
-    nulls = [p.solution_projection(np.random.default_rng(k).standard_normal(12))
-             for k in range(3)]
+    nulls = [project(p, np.random.default_rng(k).standard_normal(12)) for k in range(3)]
     for w in nulls:
         assert abs((x - xbar) @ w) < 1e-10 * (1 + np.linalg.norm(w))
 
@@ -273,19 +286,6 @@ def test_lanczos_keeps_no_krylov_basis():
     assert steps >= 40
     assert peak < 8 * 8 * (50 + 2000)
 
-
-def test_coercivity_flags():
-    assert is_coercive(InstanceSpec(kind="quadratic", n=4, conditioning=2.0))
-    assert is_coercive(InstanceSpec(kind="quadratic_l1", n=4, conditioning=2.0,
-                                    reg_lambda=0.1))
-    assert not is_coercive(InstanceSpec(kind="noncoercive_quadratic", n=6, rows=3,
-                                        conditioning=2.0))
-    assert not is_coercive(InstanceSpec(kind="lasso", n=6, rows=3, reg_lambda=0.0))
-    assert is_coercive(InstanceSpec(kind="lasso", n=6, rows=3, reg_lambda=0.1))
-    assert is_coercive(InstanceSpec(kind="lasso", n=6, rows=9, reg_lambda=0.0))
-    assert not is_coercive(InstanceSpec(kind="logistic_l1", n=6, rows=9,
-                                        reg_lambda=0.0))
-    assert is_coercive(InstanceSpec(kind="logistic_l1", n=6, rows=9, reg_lambda=0.2))
 
 
 def test_spec_validation():

@@ -13,6 +13,7 @@ from iprox.problems import (
     CompositeProblem,
     ImageOracle,
     SmoothModel,
+    SolutionSet,
     check_gradient_fd,
     grad_f,
     objective,
@@ -351,12 +352,50 @@ def test_partition_validation():
     assert model_problem(half_norm_sq(3), ((2,), (0, 1)), ProxKind.zero()).dim == 3
 
 
-def test_solution_projection_gate():
+def test_solution_set_gate():
     p = l1_quadratic()
-    assert p.solution_projection is None
+    assert p.solution_set is None
     q = make_instance(InstanceSpec(kind="quadratic", n=4, conditioning=3.0, seed=6))
-    z = q.solution_projection(np.zeros(4))
+    z = q.solution_set.point
     assert objective(q, z) == pytest.approx(q.f_star, abs=1e-12)
+
+
+def test_a_solution_set_checks_its_shapes_and_the_problem_its_dimension():
+    with pytest.raises(ContractViolation, match="point"):
+        SolutionSet(np.zeros((2, 2)))
+    for normal in (np.zeros(2), np.zeros((3, 1)), np.zeros((2, 1, 1))):
+        with pytest.raises(ContractViolation, match="normal"):
+            SolutionSet(np.zeros(2), normal=normal)
+    p = l1_quadratic()
+    for wrong in (SolutionSet(np.zeros(3)), SolutionSet(np.zeros(1), normal=np.ones((1, 1))),
+                  lambda x: np.zeros(2)):
+        with pytest.raises(ContractViolation, match="solution_set"):
+            dataclasses.replace(p, solution_set=wrong)
+    flat = SolutionSet(np.zeros(2), normal=np.array([[1.0], [0.0]]))
+    assert dataclasses.replace(p, solution_set=flat).solution_set is flat
+
+
+def orthonormal_columns(n, r, seed):
+    # the first r columns of a random orthogonal matrix, a view as the
+    # noncoercive kind takes them
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return U[:, :r]
+
+
+@pytest.mark.parametrize("n, r", [(6, 0), (20, 15), (24, 8), (64, 40), (200, 120)])
+@pytest.mark.parametrize("at_origin", [True, False], ids=["origin", "shifted"])
+def test_solution_set_dist_sq_equals_the_per_row_formula(n, r, at_origin):
+    # r = 0 is the single point; else the set point + null(N') with N (n, r)
+    rng = np.random.default_rng(n + r)
+    point = np.zeros(n) if at_origin else rng.standard_normal(n)
+    N = orthonormal_columns(n, r, seed=r) if r else None
+    X = rng.standard_normal((300, n)) * rng.uniform(0.1, 10.0, (300, 1))
+    want = []
+    for x in X:
+        d = x - (point if N is None else x - N @ (N.T @ (x - point)))
+        want.append(float(d.dot(d)))
+    got = SolutionSet(point, normal=N).dist_sq(X)
+    assert got.shape == (300,) and np.array_equal(got, want)
 
 
 def two_block_problem(prox):

@@ -81,14 +81,15 @@ def test_with_reference_fills_only_missing_fields():
     ref = reference.solve_reference(p, tol=1e-12)
     filled = reference.with_reference(p, ref)
     assert filled.f_star == ref.f_star
-    assert np.array_equal(filled.solution_projection(np.zeros(10)), ref.x_star)
+    assert np.array_equal(filled.solution_set.point, ref.x_star)
+    assert filled.solution_set.normal is None
     # a problem that already carries f_star keeps its own value
     pinned = dataclasses.replace(p, f_star=-123.0)
     kept = reference.with_reference(pinned, ref)
     assert kept.f_star == -123.0
-    # non-unique minimizers must not get a constant projection
+    # non-unique minimizers must not get the single point as argmin F
     nop = reference.with_reference(p, ref, unique_minimizer=False)
-    assert nop.solution_projection is None
+    assert nop.solution_set is None
     assert nop.f_star == ref.f_star
 
 

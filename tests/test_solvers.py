@@ -7,7 +7,14 @@ import pytest
 import iprox
 from iprox import library
 from iprox.errors import ContractViolation, DivergenceError
-from iprox.problems import CompositeProblem, ImageOracle, grad_f, objective, prox_full
+from iprox.problems import (
+    CompositeProblem,
+    ImageOracle,
+    SolutionSet,
+    grad_f,
+    objective,
+    prox_full,
+)
 from iprox.prox import prox_apply
 from iprox.rng import SplitMix64
 from iprox import solvers
@@ -25,7 +32,7 @@ def two_dim_quadratic():
         lipschitz_L=L, block_lipschitz=(2.0, 3.0),
         prox=iprox.ProxKind.zero(),
         f_star=0.0, nu=float(np.linalg.eigvalsh(Q)[0]) / 2.0,
-        solution_projection=lambda x: np.zeros(2),
+        solution_set=SolutionSet(np.zeros(2)),
     )
 
 
@@ -313,7 +320,7 @@ def test_stop_tol_halts_early():
 def test_fixed_point_stays_put():
     spec = iprox.InstanceSpec(kind="quadratic", n=5, conditioning=3.0, seed=4)
     p = library.make_instance(spec)
-    z = p.solution_projection(np.zeros(5))
+    z = p.solution_set.point
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.6), c=0.9,
                                 variant="full")
     tr = run_inertial(p, sched, z, RunConfig(max_iters=10))
@@ -472,35 +479,22 @@ def test_dist_sq_column_records_distance_to_solution_set(variant):
               "stochastic": run_stochastic}[variant]
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8, variant=variant,
                                 m=3 if variant == "stochastic" else 1)
-    plain = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4))
-    assert plain.dist_sq is None
-    lean = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4,
-                                          record_dist_sq=True))
+    lean = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4))
     kept = runner(p, sched, x0, RunConfig(max_iters=30, record_every=4,
                                           keep_iterates=True))
     assert lean.iterates is None
-    # retained iterates record no distances of their own
-    assert kept.dist_sq is None
-    want = [float((x - p.solution_projection(x)) @ (x - p.solution_projection(x)))
-            for x in kept.iterates]
-    assert np.array_equal(lean.dist_sq, want)
-    # recording it leaves every other column as it was
+    want = [row_dist_sq(p.solution_set, x) for x in kept.iterates]
+    assert np.array_equal(lean.dist_sq, want) and np.array_equal(kept.dist_sq, want)
+    # a problem without a solution set records none, iterates kept or not,
+    # and every other column is as it was
+    plain = runner(dataclasses.replace(p, solution_set=None), sched, x0,
+                   RunConfig(max_iters=30, record_every=4, keep_iterates=True))
+    assert plain.dist_sq is None and len(plain.iterates) == len(want)
     for name in ("ks", "F", "lyapunov", "step_sq", "residual_sq", "descent_slack",
                  "betas", "gammas", "block_step_sq", "chosen_blocks",
                  "step_sq_running_min"):
         a, b = getattr(plain, name), getattr(lean, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
-
-
-def test_record_dist_sq_needs_a_solution_projection():
-    p, x0 = lasso_problem()
-    assert p.solution_projection is None
-    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="full")
-    with pytest.raises(ContractViolation):
-        run_inertial(p, sched, x0, RunConfig(max_iters=5, record_dist_sq=True))
-    # retained iterates alone need no projection, and record no distances
-    tr = run_inertial(p, sched, x0, RunConfig(max_iters=5, keep_iterates=True))
-    assert tr.dist_sq is None and len(tr.iterates) == 6
 
 
 def test_packed_columns_have_the_trace_dtypes_and_shapes():
@@ -534,6 +528,14 @@ def test_packing_boundaries_keep_every_entry(entries):
 
 
 RUNNERS = {"full": run_inertial, "cyclic": run_cyclic, "stochastic": run_stochastic}
+
+
+def row_dist_sq(solutions, x):
+    # dist(x, argmin F)^2 from the set's data, one row at a time: x minus
+    # its projection x - N(N'(x - point)), or minus the point itself
+    N = solutions.normal
+    d = x - (solutions.point if N is None else x - N @ (N.T @ (x - solutions.point)))
+    return float(d.dot(d))
 
 
 def per_entry_run(p, sched, x0, cfg, variant):
@@ -595,9 +597,8 @@ def per_entry_run(p, sched, x0, cfg, variant):
                                             - ((1.0 - bp / r) / gp - L / 2.0) * s)
             if variant == "stochastic":
                 row.update(chosen_blocks=chosen, step_sq_running_min=run_min)
-            if cfg.record_dist_sq:
-                d = x - p.solution_projection(x)
-                row["dist_sq"] = float(d.dot(d))
+            if p.solution_set is not None:
+                row["dist_sq"] = row_dist_sq(p.solution_set, x)
             rows.append(row)
         if stop or k == cfg.max_iters:
             break
@@ -631,9 +632,11 @@ def run_in_blocks(monkeypatch, rows, p, sched, x0, cfg, variant):
 
 def block_problem(name):
     # the l1 lasso (a separable kind, applied to a whole block of rows), the
-    # group-l2 lasso (applied row by row) and the quadratic with dist^2
-    if name == "quadratic":
-        spec = iprox.InstanceSpec(kind="quadratic", n=12, conditioning=8.0, m=3, seed=4)
+    # group-l2 lasso (applied row by row), and the quadratic and noncoercive
+    # kinds, whose solution sets, a point and a subspace, give dist^2
+    if name in ("quadratic", "noncoercive_quadratic"):
+        spec = iprox.InstanceSpec(kind=name, n=12, conditioning=8.0, m=3, seed=4,
+                                  rows=5 if name == "noncoercive_quadratic" else 0)
         return library.make_instance(spec), library.start_point(spec, "gaussian", 1.0)
     p, x0 = lasso_problem(n=12, m=3)
     if name == "group_l2":
@@ -642,7 +645,8 @@ def block_problem(name):
 
 
 @pytest.mark.parametrize("problem, rule", [("lasso", "constant"), ("group_l2", "diminishing"),
-                                           ("quadratic", "constant")])
+                                           ("quadratic", "constant"),
+                                           ("noncoercive_quadratic", "diminishing")])
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
 def test_block_recording_equals_per_entry_recording(monkeypatch, variant, record_every,
@@ -652,8 +656,7 @@ def test_block_recording_equals_per_entry_recording(monkeypatch, variant, record
     p, x0 = block_problem(problem)
     sched = iprox.ParamSchedule(beta_rule=FOLD_RULES[rule], c=0.85, variant=variant,
                                 m=p.n_blocks if variant == "stochastic" else 1)
-    cfg = RunConfig(max_iters=40, record_every=record_every, seed=3,
-                    record_dist_sq=problem == "quadratic")
+    cfg = RunConfig(max_iters=40, record_every=record_every, seed=3)
     want = per_entry_run(p, sched, x0, cfg, variant)
     default = trace_arrays(run_in_blocks(monkeypatch, None, p, sched, x0, cfg, variant))
     assert {name for name, col in default.items() if col is not None} == set(want)
@@ -704,3 +707,25 @@ def test_stop_tol_in_mid_block_ends_the_trace_at_the_same_k(monkeypatch, variant
         assert tr.ks[-1] == want["ks"][-1]
         for name, col in want.items():
             assert np.array_equal(getattr(tr, name), col), name
+
+
+@pytest.mark.parametrize("problem", ["lasso", "group_l2", "noncoercive_quadratic"])
+@pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
+def test_every_stop_tol_entry_records_the_residual_of_its_iterate(variant, problem):
+    # under stop_tol the residual is computed from the recorded gradient as
+    # on any run, and the loop stops on that same value
+    p, x0 = block_problem(problem)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant=variant,
+                                m=3 if variant == "stochastic" else 1)
+    stop_tol = 1e-6
+    tr = RUNNERS[variant](p, sched, x0, RunConfig(max_iters=10_000, record_every=3,
+                                                  stop_tol=stop_tol, seed=1,
+                                                  keep_iterates=True))
+    assert tr.ks[-1] < 10_000
+    g = 1.0 / p.lipschitz_L
+    want = []
+    for x in tr.iterates:
+        r = x - prox_full(p, x - g * grad_f(p, x), g)
+        want.append(float(r.dot(r)))
+    assert np.array_equal(tr.residual_sq, want)
+    assert want[-1] <= stop_tol ** 2 < min(want[:-1])
