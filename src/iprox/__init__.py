@@ -11,8 +11,6 @@ from .errors import (
     ConfigError,
     ContractViolation,
     DivergenceError,
-    IntegrationBlowup,
-    UnsupportedOracle,
 )
 from .problems import CompositeProblem, IterateState, SmoothModel, SolutionSet
 from .prox import ProxKind, prox_apply, prox_value
@@ -44,7 +42,6 @@ __all__ = [
     "DiminishingBeta",
     "DivergenceError",
     "InstanceSpec",
-    "IntegrationBlowup",
     "IterateState",
     "OdeTrace",
     "ParamSchedule",
@@ -56,7 +53,6 @@ __all__ = [
     "SolutionSet",
     "SplitMix64",
     "Trace",
-    "UnsupportedOracle",
     "descent_audit",
     "expectation_descent_audit",
     "fit_rate",

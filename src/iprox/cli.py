@@ -183,6 +183,16 @@ def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
                              stop_tol=stop_tol)
 
 
+def _no_solution_set(spec):
+    """Why a reference point x* is not all of argmin F, or None; a lasso with
+    reg_lambda > 0 has one minimizer for Gaussian A (Tibshirani 2013)."""
+    if spec.kind == "logistic_l1":
+        return "logistic_l1 has none"
+    if spec.kind == "lasso" and spec.reg_lambda == 0 and spec.rows < spec.n:
+        return "a lasso with reg_lambda = 0 and rows < n has x* + null(A)"
+    return None
+
+
 def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
     audits = _get(cfg, "audits", "config", list, default=[])
     for i, a in enumerate(audits):
@@ -191,9 +201,9 @@ def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
     if "squared_lyapunov" in audits:
         if algorithm == "stochastic":
             raise ConfigError("audits", "squared_lyapunov applies to inertial/cyclic runs")
-        if spec.kind == "logistic_l1":
-            raise ConfigError("audits", "squared_lyapunov needs a solution set; "
-                                        "logistic_l1 has none")
+        why = _no_solution_set(spec)
+        if why is not None:
+            raise ConfigError("audits", f"squared_lyapunov needs a solution set; {why}")
     return list(audits)
 
 
@@ -333,7 +343,7 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
                 f"after {ref.iterations_used} iterations); audits {needs} need "
                 "min F: raise reference.max_iters or tol")
         problem = reference.with_reference(
-            problem, ref, unique_minimizer=spec.kind != "logistic_l1")
+            problem, ref, unique_minimizer=_no_solution_set(spec) is None)
 
     x0 = library.start_point(spec, x0_cfg["mode"], x0_cfg["scale"])
     summary = {
@@ -514,8 +524,9 @@ def cmd_ode(cfg: dict, out_dir: str) -> int:
     problem = library.make_instance(spec)
     x_star = problem.solution_set.point
     rng = np.random.Generator(np.random.PCG64([seed, 0x0DE]))
-    x0 = x_star + x0_scale * rng.standard_normal(n)
-    v0 = v0_scale * rng.standard_normal(n)
+    with np.errstate(over="ignore"):  # the integrator's guard rejects an inf start
+        x0 = x_star + x0_scale * rng.standard_normal(n)
+        v0 = v0_scale * rng.standard_normal(n)
 
     trace = simulate_heavy_ball(problem, x0, v0, alpha, h, t_end)
     report = ode_audit(trace, theta, x_star)

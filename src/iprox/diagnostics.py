@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, UnsupportedOracle
+from .errors import ContractViolation
 from .problems import CompositeProblem
 from .schedules import delta_coeff, epsilon_coeff
 
@@ -186,7 +186,7 @@ def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e
     if trace.meta["variant"] != "full":
         raise ContractViolation("ratio audit expects a full-variant trace")
     if problem.nu is None:
-        raise UnsupportedOracle("ratio audit needs problem.nu")
+        raise ContractViolation("ratio audit needs problem.nu")
     f_star = trace.meta["f_star"]
     if f_star is None:
         raise ContractViolation("ratio audit needs a trace with known f_star")

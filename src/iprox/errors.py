@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per kind of failure."""
 
 
 class ContractViolation(ValueError):
@@ -6,7 +6,7 @@ class ContractViolation(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A run tripped the divergence guard or produced non-finite values."""
+    """A solver run or ODE integration diverged; k is the iteration or sample."""
 
     def __init__(self, message, k=None, value=None):
         super().__init__(message)
@@ -16,18 +16,6 @@ class DivergenceError(RuntimeError):
 
 class RunFailure(RuntimeError):
     """A run completed, but a step on its results (such as a rate fit) failed."""
-
-
-class UnsupportedOracle(RuntimeError):
-    """The problem lacks an optional oracle required by this operation."""
-
-
-class IntegrationBlowup(RuntimeError):
-    """ODE state became non-finite during integration."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 class ConfigError(ValueError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, IntegrationBlowup
+from .errors import ContractViolation, DivergenceError
 from .problems import CompositeProblem, grad_f
 
 
@@ -47,6 +47,8 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
 
     The problem must be smooth-only (g identically zero) with f_star set;
     the stability guard h <= 0.1/sqrt(L) keeps RK4 far inside its region.
+    A non-finite state, or a sample whose energy, speed or acceleration
+    ratio is not finite, raises DivergenceError with the sample index k.
     """
     if alpha <= 0:
         raise ContractViolation("alpha must be > 0")
@@ -77,8 +79,8 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     v = v0.copy()
     xs[0] = x
     vs[0] = v
-    # overflow is detected via the isfinite guard, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow is detected via the isfinite guards, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(1, n_steps + 1):
             k1x = v
             k1v = -alpha * v - grad(x)
@@ -91,18 +93,20 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
             x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-                raise IntegrationBlowup(f"non-finite state at t={ts[i]:.6g}", t=float(ts[i]))
+                raise DivergenceError(f"non-finite state at t={ts[i]:.6g}", k=i)
             xs[i] = x
             vs[i] = v
 
-    accs = -alpha * vs - np.stack([grad(xs[i]) for i in range(n_steps + 1)])
-    speeds = np.linalg.norm(vs, axis=1)
-    xi = np.array([problem.smooth_value(xs[i]) for i in range(n_steps + 1)])
-    xi += 0.5 * speeds ** 2 - f_star
-    with np.errstate(divide="ignore"):
-        ratio = np.where(speeds > 0.0,
-                         np.linalg.norm(accs, axis=1) / np.where(speeds > 0, speeds, 1.0),
-                         np.inf)
+        accs = -alpha * vs - np.stack([grad(xs[i]) for i in range(n_steps + 1)])
+        speeds = np.linalg.norm(vs, axis=1)
+        xi = np.array([problem.smooth_value(xs[i]) for i in range(n_steps + 1)])
+        xi += 0.5 * speeds ** 2 - f_star
+        ratio = np.where(speeds > 0.0, np.linalg.norm(accs, axis=1) / speeds, np.inf)
+    # a finite state can still overflow its energy; the ratio's +inf sentinel stays
+    bad = ~(np.isfinite(xi) & np.isfinite(speeds) & (np.isfinite(ratio) | (speeds == 0.0)))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DivergenceError(f"non-finite energy at t={ts[i]:.6g}", k=i)
     return OdeTrace(ts=ts, xs=xs, vs=vs, accs=accs, xi_f=xi,
                     accel_ratio=ratio, alpha=alpha, step_h=h)
 

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from iprox import cli, reference, traceio
 from iprox.cli import main
 
 HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "configs")
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -257,6 +260,20 @@ def test_ode_subcommand(tmp_path):
     assert report["max_xi_increase"] <= 1e-8
 
 
+@pytest.mark.parametrize("scales", [{"x0_scale": 1.7e308}, {"x0_scale": 1e200},
+                                    {"v0_scale": 1e200}])
+def test_ode_overflow_is_exit_3_before_any_output(tmp_path, capsys, scales):
+    doc = {"version": 1,
+           "ode": {"n": 4, "conditioning": 4.0, "seed": 0, "alpha": 1.0,
+                   "theta": 2.0, "h": 0.001, "t_end": 0.01, **scales}}
+    cfg = write_cfg(tmp_path, doc)
+    out = tmp_path / "ode"
+    assert main(["ode", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "run diverged" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_rates_refit_from_csv(tmp_path):
     run_doc = {
         "version": 1,
@@ -395,11 +412,41 @@ def test_readme_example_runs_and_fits(tmp_path):
     with open(os.path.join(root, "README.md")) as fh:
         doc = _example_config(fh.read())
     assert doc == _example_config(cli.__doc__)
+    assert doc == cli.load_config(os.path.join(CONFIGS, "lasso_inertial.json"))
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rates"][0]["points"] >= 10
+
+
+@pytest.mark.parametrize("name", [os.path.basename(path) for path in
+                                  sorted(glob.glob(os.path.join(CONFIGS, "*.json")))])
+def test_example_config_runs(tmp_path, name):
+    path = os.path.join(CONFIGS, name)
+    out = tmp_path / "out"
+    if "ode" in cli.load_config(path):
+        assert main(["ode", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "ode_summary.json").read_text())["audit"]
+        xi0 = traceio.read_csv(str(out / "ode_trace.csv"))["xi_f"][0]
+        assert report["bound_ok"]
+        assert report["max_xi_increase"] <= 1e-9 * (1.0 + abs(xi0))
+        return
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # trace.csv, or trace_mean.csv for a stochastic run
+    F0 = traceio.read_csv(str(out / summary["trace_files"][-1]))["F"][0]
+    tol = 1e-9 * (1.0 + abs(F0))
+    audits = summary["audits"]
+    assert set(audits) == set(summary["config"]["audits"]) - {"rates"}
+    if "descent" in audits:
+        assert min(audits["descent"].values()) >= -tol
+    if "lyapunov" in audits:
+        assert max(audits["lyapunov"].values()) <= tol
+    if "squared_lyapunov" in audits:
+        assert audits["squared_lyapunov"]["max_violation"] >= -tol
+    if "rates" in summary["config"]["audits"]:
+        assert summary["rates"][0]["points"] >= 10
 
 
 def test_unconverged_reference_fails_audits_and_is_never_cached(tmp_path, capsys):
@@ -495,6 +542,20 @@ def test_squared_lyapunov_run_keeps_no_iterates(tmp_path, monkeypatch):
     assert all(t.iterates is None and t.dist_sq is not None for t in seen)
     summary = json.loads((tmp_path / "3" / "summary.json").read_text())
     assert summary["audits"]["squared_lyapunov"]["max_violation"] <= 0.0
+
+
+def test_squared_lyapunov_on_a_lasso_without_a_unique_minimizer_is_exit_2(tmp_path, capsys):
+    # with lambda = 0 and rows < n, argmin F is x* + null(A), not {x*}
+    doc = lasso_cfg(audits=["squared_lyapunov"],
+                    instance={"kind": "lasso", "n": 8, "rows": 4,
+                              "reg_lambda": 0.0, "seed": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "squared_lyapunov" in capsys.readouterr().err
+    assert not out.exists()
+    # with lambda > 0 the lasso solution of a Gaussian A is unique
+    doc["instance"]["reg_lambda"] = 0.2
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
 
 
 def test_stochastic_descent_audit_with_early_stopping_is_exit_2(tmp_path, capsys):

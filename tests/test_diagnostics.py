@@ -5,7 +5,7 @@ import pytest
 
 import iprox
 from iprox import diagnostics, library, reference
-from iprox.errors import ContractViolation, UnsupportedOracle
+from iprox.errors import ContractViolation
 from iprox.problems import IterateState, grad_f, prox_full
 from iprox.schedules import delta_coeff, epsilon_coeff
 from iprox.solvers import Trace
@@ -288,7 +288,7 @@ def test_linear_ratio_audit_needs_nu():
     x0 = library.start_point(spec, "zeros")
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="full")
     tr = iprox.run_inertial(pr, sched, x0, iprox.RunConfig(max_iters=30))
-    with pytest.raises(UnsupportedOracle):
+    with pytest.raises(ContractViolation, match="needs problem.nu"):
         diagnostics.linear_ratio_audit(tr, pr)
 
 

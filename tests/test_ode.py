@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iprox import ode
-from iprox.errors import ContractViolation, IntegrationBlowup
+from iprox.errors import ContractViolation, DivergenceError
 from iprox.problems import CompositeProblem, SmoothModel
 from iprox.prox import ProxKind
 
@@ -119,10 +119,10 @@ def test_equilibrium_start_is_trivial():
 def test_negative_curvature_blows_up():
     # f(x) = -50*x^2
     p = smooth_problem([[-100.0]], L=100.0)
-    with pytest.raises(IntegrationBlowup) as exc:
+    with pytest.raises(DivergenceError) as exc:
         ode.simulate_heavy_ball(p, x0=[1.0], v0=[0.0], alpha=1.0,
                                 h=0.009, t_end=100.0)
-    assert exc.value.t is not None and exc.value.t > 0
+    assert exc.value.k is not None and exc.value.k > 0
 
 
 def test_simulation_validation():
