@@ -13,7 +13,7 @@ from .errors import (
     DivergenceError,
 )
 from .problems import CompositeProblem, IterateState, SmoothModel, SolutionSet
-from .prox import ProxKind, prox_apply, prox_value
+from .prox import ProxKind, prox_value
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 from .solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
 from .diagnostics import (
@@ -60,7 +60,6 @@ __all__ = [
     "make_instance",
     "max_lyapunov_increase",
     "ode_audit",
-    "prox_apply",
     "prox_value",
     "run_cyclic",
     "run_inertial",

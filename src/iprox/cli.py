@@ -16,8 +16,9 @@ take --seed-offset, and sweep takes --workers):
 instance synthesis seeds are part of the config).
 
 Config files are versioned JSON ({"version": 1, ...}); unknown keys are
-rejected with the offending field path.  Exit codes: 0 success, 2 config
-error, 3 divergence or runtime failure.
+rejected with the offending field path.  Exit codes: 0 success; 2 config
+error, and nothing was written; 3 divergence or runtime failure, after the
+run happened, so its traces may be on disk.
 
 Example run config:
 
@@ -39,6 +40,7 @@ stochastic runs write trace_seed<S>.csv per seed plus trace_mean.csv.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -55,7 +57,9 @@ from .errors import ConfigError, ContractViolation, DivergenceError, RunFailure
 from .ode import ode_audit, simulate_heavy_ball
 from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
 
-ALGORITHMS = ("inertial", "cyclic", "stochastic", "prox_grad")
+# algorithm -> (schedule variant, runner in solvers)
+ALGORITHMS = {"inertial": ("full", "run_inertial"), "prox_grad": ("full", "run_inertial"),
+              "cyclic": ("cyclic", "run_cyclic"), "stochastic": ("stochastic", "run_stochastic")}
 AUDITS = ("descent", "squared_lyapunov", "lyapunov", "rates")
 RATE_COLUMNS = ("lyapunov", "F", "step_sq", "residual_sq")
 # audits whose result depends on min F (or the minimizer) from the reference
@@ -92,6 +96,24 @@ def _get(d: dict, key: str, path: str, types, default=KeyError, pred=None,
     return val
 
 
+@contextlib.contextmanager
+def _section(path: str):
+    """Where section path is built, a ContractViolation is a config error at path."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise ConfigError(path, str(exc))
+
+
+@contextlib.contextmanager
+def _on_trace(what: str):
+    """Where what is computed on a valid config's trace, a ContractViolation fails the run."""
+    try:
+        yield
+    except ContractViolation as exc:
+        raise RunFailure(f"{what}: {exc}")
+
+
 def _non_finite(name: str):
     # Python's json parses NaN and +-Infinity, which JSON does not allow
     raise ConfigError("config", f"{name} is not a JSON number")
@@ -121,66 +143,44 @@ def load_config(path: str) -> dict:
 
 
 def _validate_instance(cfg: dict) -> library.InstanceSpec:
-    section = _get(cfg, "instance", "config", dict)
-    try:
-        return library.spec_from_dict(section)
-    except (ContractViolation, TypeError) as exc:
-        raise ConfigError("instance", str(exc))
+    with _section("instance"):
+        return library.spec_from_dict(_get(cfg, "instance", "config", dict))
 
 
 def _validate_schedule(cfg: dict, algorithm: str, m: int) -> ParamSchedule:
     sched = _get(cfg, "schedule", "config", dict)
     _check_keys(sched, ("c", "beta", "theta", "fixed_gamma"), "schedule")
-    c = _get(sched, "c", "schedule", float, default=0.9,
-             pred=lambda v: 0 < v < 1, predmsg="c must lie in (0, 1)")
-    has_beta = "beta" in sched
-    has_theta = "theta" in sched
-    fixed_gamma = _get(sched, "fixed_gamma", "schedule", float, default=None,
-                       pred=lambda v: v > 0, predmsg="fixed_gamma must be > 0")
-    variant = {"inertial": "full", "prox_grad": "full",
-               "cyclic": "cyclic", "stochastic": "stochastic"}[algorithm]
-    if fixed_gamma is not None:
-        if algorithm != "stochastic":
-            raise ConfigError("schedule.fixed_gamma", "only valid for algorithm=stochastic")
-        if has_beta or has_theta:
-            raise ConfigError("schedule.fixed_gamma",
-                              "fixed_gamma regime sets beta itself; drop beta/theta")
-        rule = ConstantBeta(0.0)  # placeholder; the solver derives beta from nu
-    elif algorithm == "prox_grad":
-        if has_beta or has_theta:
-            raise ConfigError("schedule", "prox_grad baseline takes only c")
-        rule = ConstantBeta(0.0)
-    elif has_beta == has_theta:
+    c = _get(sched, "c", "schedule", float, default=0.9)
+    fixed_gamma = _get(sched, "fixed_gamma", "schedule", float, default=None)
+    inertia = [key for key in ("beta", "theta") if key in sched]
+    if fixed_gamma is not None or algorithm == "prox_grad":
+        if inertia:
+            raise ConfigError(f"schedule.{inertia[0]}",
+                              "fixed_gamma and prox_grad set beta themselves")
+    elif len(inertia) != 1:
         raise ConfigError("schedule", "give exactly one of beta (constant) or theta (diminishing)")
-    elif has_beta:
-        beta = _get(sched, "beta", "schedule", float,
-                    pred=lambda v: 0 <= v < 1, predmsg="beta must lie in [0, 1)")
-        rule = ConstantBeta(beta)
-    else:
-        theta = _get(sched, "theta", "schedule", float,
-                     pred=lambda v: v > 1, predmsg="theta must be > 1")
-        rule = DiminishingBeta(theta)
-    try:
+    variant = ALGORITHMS[algorithm][0]
+    with _section("schedule"):
+        if inertia == ["theta"]:
+            rule = DiminishingBeta(_get(sched, "theta", "schedule", float))
+        else:  # beta = 0 for prox_grad; under fixed_gamma the solver derives beta from nu
+            rule = ConstantBeta(_get(sched, "beta", "schedule", float, default=0.0))
         return ParamSchedule(beta_rule=rule, c=c, variant=variant,
                              m=m if variant == "stochastic" else 1,
                              fixed_gamma=fixed_gamma)
-    except ContractViolation as exc:
-        raise ConfigError("schedule", str(exc))
 
 
 def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
     section = _get(cfg, "run", "config", dict)
     _check_keys(section, ("max_iters", "record_every", "stop_tol"), "run")
-    max_iters = _get(section, "max_iters", "run", int,
-                     pred=lambda v: v >= 1, predmsg="max_iters must be >= 1")
-    record_every = _get(section, "record_every", "run", int, default=1,
-                        pred=lambda v: v >= 1, predmsg="record_every must be >= 1")
-    stop_tol = _get(section, "stop_tol", "run", float, default=0.0,
-                    pred=lambda v: v >= 0, predmsg="stop_tol must be >= 0")
-    if audits and set(audits) != {"rates"} and record_every != 1:
+    with _section("run"):
+        run_cfg = solvers.RunConfig(
+            max_iters=_get(section, "max_iters", "run", int),
+            record_every=_get(section, "record_every", "run", int, default=1),
+            stop_tol=_get(section, "stop_tol", "run", float, default=0.0))
+    if audits and set(audits) != {"rates"} and run_cfg.record_every != 1:
         raise ConfigError("run.record_every", "inequality audits need record_every = 1")
-    return solvers.RunConfig(max_iters=max_iters, record_every=record_every,
-                             stop_tol=stop_tol)
+    return run_cfg
 
 
 def _no_solution_set(spec):
@@ -252,56 +252,50 @@ def _validate_reference(cfg: dict, out_dir: str) -> dict:
 def _validate_x0(cfg: dict) -> dict:
     section = _get(cfg, "x0", "config", dict, default={})
     _check_keys(section, ("mode", "scale"), "x0")
-    mode = _get(section, "mode", "x0", str, default="zeros",
-                pred=lambda v: v in ("zeros", "gaussian"),
-                predmsg="mode must be zeros or gaussian")
-    scale = _get(section, "scale", "x0", float, default=1.0)
-    return {"mode": mode, "scale": scale}
+    return {"mode": _get(section, "mode", "x0", str, default="zeros"),
+            "scale": _get(section, "scale", "x0", float, default=1.0)}
 
 
 _RUN_KEYS = ("version", "instance", "algorithm", "schedule", "run", "seeds",
              "audits", "rate", "reference", "x0", "output_dir", "sweep")
-_RUNNERS = {"inertial": "run_inertial", "prox_grad": "run_inertial",
-            "cyclic": "run_cyclic", "stochastic": "run_stochastic"}
 
 
 # ---------------------------------------------------------------- experiment
 
 def _reference_solution(problem, spec, ref_cfg):
-    """Load or solve the reference; only converged solutions are cached."""
+    """Load or solve the reference; returns (key, reference, whether to cache
+    it): only a converged solution that was not loaded is cached."""
     key = reference.spec_cache_key(library.spec_to_dict(spec), ref_cfg["tol"])
-    cache_dir = ref_cfg["cache_dir"]
-    ref = reference.load_cached(cache_dir, key, dim=spec.n)
-    if ref is None or not ref.converged:
-        ref = reference.solve_reference(problem, tol=ref_cfg["tol"],
-                                        max_iters=ref_cfg["max_iters"])
-        if ref.converged:
-            reference.store_cached(cache_dir, key, ref)
-    return key, ref
+    ref = reference.load_cached(ref_cfg["cache_dir"], key, dim=spec.n)
+    if ref is not None and ref.converged:
+        return key, ref, False
+    ref = reference.solve_reference(problem, tol=ref_cfg["tol"],
+                                    max_iters=ref_cfg["max_iters"])
+    return key, ref, ref.converged
 
 
 def _fit(ks, values, fit: dict, floor: float) -> dict:
     """Fit fit["model"] over the window of (k, value) pairs above floor."""
-    try:
+    with _on_trace(f"rate fit on column {fit['column']!r}"):
         ks_w, vals_w = diagnostics.select_window(ks, values, fit["k_lo"], fit["k_hi"], floor)
         est = diagnostics.fit_rate(ks_w, vals_w, fit["model"], burn_in_frac=fit["burn_in"])
-    except ContractViolation as exc:
-        # the config was valid; the trace it names cannot be fitted
-        raise RunFailure(f"rate fit on column {fit['column']!r}: {exc}")
     return {"model": est.model, "value": est.exponent_or_ratio,
             "fit_residual": est.fit_residual,
             "window": [est.window[0], est.window[1]], "points": int(len(ks_w))}
 
 
 def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
-    """Validate and execute one run config; returns the summary dict."""
+    """Validate and execute one run config; returns the summary dict.
+
+    Nothing is written until every run is made, so a config that a
+    constructor or a runner rejects leaves no output."""
     _check_keys(cfg, _RUN_KEYS, "config")
     if "sweep" in cfg:
         raise ConfigError("sweep", "grid section requires the sweep subcommand")
     spec = _validate_instance(cfg)
     algorithm = _get(cfg, "algorithm", "config", str,
                      pred=lambda v: v in ALGORITHMS,
-                     predmsg=f"must be one of {ALGORITHMS}")
+                     predmsg=f"must be one of {tuple(ALGORITHMS)}")
     audits = _validate_audits(cfg, algorithm, spec)
     schedule = _validate_schedule(cfg, algorithm, spec.m)
     run_cfg = _validate_run(cfg, audits)
@@ -322,20 +316,19 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
             raise ConfigError("seeds", "seeds must be distinct")
     elif seeds is not None:
         raise ConfigError("seeds", "only stochastic runs take seeds")
-    if schedule.fixed_gamma is not None and spec.kind not in (
-            "quadratic", "quadratic_l1", "noncoercive_quadratic"):
-        raise ConfigError("schedule.fixed_gamma",
-                          "the linear regime needs an instance with nu (quadratic family)")
     if stochastic and "descent" in audits and run_cfg.stop_tol > 0:
         # the audit averages the seeds' slacks at each k, and seeds stop apart
         raise ConfigError("run.stop_tol", "the stochastic descent audit needs stop_tol = 0")
-    os.makedirs(out_dir, exist_ok=True)
 
     problem = library.make_instance(spec)
-    ref_key = None
+    if schedule.fixed_gamma is not None and problem.nu is None:
+        raise ConfigError("schedule.fixed_gamma", "the linear regime needs an instance with nu")
+    with _section("x0"):
+        x0 = library.start_point(spec, x0_cfg["mode"], x0_cfg["scale"])
+
     ref = None
     if problem.solution_set is None:
-        ref_key, ref = _reference_solution(problem, spec, ref_cfg)
+        ref_key, ref, store = _reference_solution(problem, spec, ref_cfg)
         needs = [a for a in audits if a in _F_STAR_AUDITS]
         if not ref.converged and needs:
             raise RunFailure(
@@ -345,7 +338,21 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         problem = reference.with_reference(
             problem, ref, unique_minimizer=_no_solution_set(spec) is None)
 
-    x0 = library.start_point(spec, x0_cfg["mode"], x0_cfg["scale"])
+    # one trace.csv, or one trace_seed<S>.csv per seed and their mean
+    if stochastic:
+        runs = [(f"trace_seed{s + seed_offset}.csv",
+                 dataclasses.replace(run_cfg, seed=s + seed_offset)) for s in seeds]
+    else:
+        runs = [("trace.csv", run_cfg)]
+    runner = getattr(solvers, ALGORITHMS[algorithm][1])
+    # what a runner rejects in a decoded config is the schedule on this
+    # problem, such as a fixed_gamma whose beta reaches sqrt(m)
+    with _section("schedule"):
+        traces = [runner(problem, schedule, x0, cfg_s) for _, cfg_s in runs]
+
+    os.makedirs(out_dir, exist_ok=True)
+    if ref is not None and store:
+        reference.store_cached(ref_cfg["cache_dir"], ref_key, ref)
     summary = {
         "config": cfg,
         "algorithm": algorithm,
@@ -356,22 +363,10 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         },
         "audits": {},
         "rates": [],
-        "trace_files": [],
+        "trace_files": [fname for fname, _ in runs],
     }
-
-    # one trace.csv, or one trace_seed<S>.csv per seed and their mean
-    if stochastic:
-        runs = [(f"trace_seed{s + seed_offset}.csv",
-                 dataclasses.replace(run_cfg, seed=s + seed_offset)) for s in seeds]
-    else:
-        runs = [("trace.csv", run_cfg)]
-    runner = getattr(solvers, _RUNNERS[algorithm])
-    traces = []
-    for fname, cfg_s in runs:
-        trace = runner(problem, schedule, x0, cfg_s)
-        traces.append(trace)
+    for (fname, _), trace in zip(runs, traces):
         cols = traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
-        summary["trace_files"].append(fname)
     if stochastic:
         cols = traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"),
                                             traces)
@@ -383,16 +378,17 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
     # the audits and the rate fit read one set of columns: the trace's or
     # the seed means
     found = summary["audits"]
-    if "descent" in audits:
-        found["descent"] = (
-            {"min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
-            if stochastic else {"max_violation": diagnostics.descent_audit(trace)})
-    if "lyapunov" in audits:
-        inc = diagnostics.max_lyapunov_increase(cols["lyapunov"])
-        found["lyapunov"] = {"max_increase_of_mean" if stochastic else "max_increase": inc}
-    if "squared_lyapunov" in audits:
-        found["squared_lyapunov"] = {
-            "max_violation": diagnostics.squared_lyapunov_audit(trace)}
+    for name in [a for a in AUDITS if a in audits and a != "rates"]:
+        with _on_trace(f"audit {name}"):
+            if name == "descent":
+                found[name] = (
+                    {"min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
+                    if stochastic else {"max_violation": diagnostics.descent_audit(traces[0])})
+            elif name == "lyapunov":
+                inc = diagnostics.max_lyapunov_increase(cols["lyapunov"])
+                found[name] = {"max_increase_of_mean" if stochastic else "max_increase": inc}
+            else:
+                found[name] = {"max_violation": diagnostics.squared_lyapunov_audit(traces[0])}
     if "rates" in audits:
         floor = diagnostics.value_floor(problem.f_star if problem.f_star is not None
                                         else 0.0, rate_cfg["floor_scale"])
@@ -447,12 +443,8 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
     cs = section.get("c", [base_sched.get("c", 0.9)])
     if not isinstance(cs, list) or not cs:
         raise ConfigError("sweep.c", "expected a nonempty list")
-    if "beta" in section:
-        inertia_key, inertia_vals = "beta", section["beta"]
-    elif "theta" in section:
-        inertia_key, inertia_vals = "theta", section["theta"]
-    else:
-        inertia_key, inertia_vals = None, [None]
+    inertia_key = next((key for key in ("beta", "theta") if key in section), None)
+    inertia_vals = section[inertia_key] if inertia_key else [None]
     if not isinstance(inertia_vals, list) or not inertia_vals:
         raise ConfigError(f"sweep.{inertia_key}", "expected a nonempty list")
     for key, vals in (("c", cs), (inertia_key, inertia_vals)):
@@ -504,32 +496,25 @@ def cmd_ode(cfg: dict, out_dir: str) -> int:
     section = _get(cfg, "ode", "config", dict)
     _check_keys(section, ("n", "conditioning", "seed", "alpha", "theta", "h",
                           "t_end", "x0_scale", "v0_scale"), "ode")
-    n = _get(section, "n", "ode", int, pred=lambda v: v >= 2, predmsg="n must be >= 2")
-    conditioning = _get(section, "conditioning", "ode", float, default=4.0,
-                        pred=lambda v: v >= 2, predmsg="conditioning must be >= 2")
-    seed = _get(section, "seed", "ode", int, default=0,
-                pred=lambda v: v >= 0, predmsg="seed must be >= 0")
-    alpha = _get(section, "alpha", "ode", float,
-                 pred=lambda v: v > 0, predmsg="alpha must be > 0")
-    theta = _get(section, "theta", "ode", float,
-                 pred=lambda v: v > 0, predmsg="theta must be > 0")
-    h = _get(section, "h", "ode", float, pred=lambda v: v > 0, predmsg="h must be > 0")
-    t_end = _get(section, "t_end", "ode", float,
-                 pred=lambda v: v > 0, predmsg="t_end must be > 0")
+    n = _get(section, "n", "ode", int)
+    conditioning = _get(section, "conditioning", "ode", float, default=4.0)
+    seed = _get(section, "seed", "ode", int, default=0)
+    alpha, theta, h, t_end = (_get(section, key, "ode", float)
+                              for key in ("alpha", "theta", "h", "t_end"))
     x0_scale = _get(section, "x0_scale", "ode", float, default=1.0)
     v0_scale = _get(section, "v0_scale", "ode", float, default=0.0)
 
-    spec = library.InstanceSpec(kind="quadratic", n=n, conditioning=conditioning,
-                                seed=seed)
-    problem = library.make_instance(spec)
-    x_star = problem.solution_set.point
-    rng = np.random.Generator(np.random.PCG64([seed, 0x0DE]))
-    with np.errstate(over="ignore"):  # the integrator's guard rejects an inf start
-        x0 = x_star + x0_scale * rng.standard_normal(n)
-        v0 = v0_scale * rng.standard_normal(n)
-
-    trace = simulate_heavy_ball(problem, x0, v0, alpha, h, t_end)
-    report = ode_audit(trace, theta, x_star)
+    with _section("ode"):
+        spec = library.InstanceSpec(kind="quadratic", n=n, conditioning=conditioning,
+                                    seed=seed)
+        problem = library.make_instance(spec)
+        x_star = problem.solution_set.point
+        rng = np.random.Generator(np.random.PCG64([seed, 0x0DE]))
+        with np.errstate(over="ignore"):  # the integrator's guard rejects an inf start
+            x0 = x_star + x0_scale * rng.standard_normal(n)
+            v0 = v0_scale * rng.standard_normal(n)
+        trace = simulate_heavy_ball(problem, x0, v0, alpha, h, t_end)
+        report = ode_audit(trace, theta, x_star)
     os.makedirs(out_dir, exist_ok=True)
     traceio.write_ode_csv(os.path.join(out_dir, "ode_trace.csv"), trace)
     _write_json(os.path.join(out_dir, "ode_summary.json"), {

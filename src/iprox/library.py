@@ -40,6 +40,7 @@ Identical specs produce byte-identical data (numpy PCG64 stream).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, asdict
 
@@ -80,13 +81,17 @@ class InstanceSpec:
         if any(not isinstance(v, int) or isinstance(v, bool) or v > np.iinfo(np.intp).max
                for v in (self.n, self.rows, self.m)):
             raise ContractViolation("n, rows and m must be integers numpy can index with")
+        if any(not isinstance(v, numbers.Real) or isinstance(v, bool)
+               for v in (self.reg_lambda, self.conditioning)):
+            raise ContractViolation("reg_lambda and conditioning must be real numbers")
         if self.n < 1:
             raise ContractViolation("n must be >= 1")
         if self.m < 1 or self.n % self.m != 0:
             raise ContractViolation("m must divide n (equal-size blocks)")
         if self.reg_lambda < 0:
             raise ContractViolation("reg_lambda must be >= 0")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2 ** 64):
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not (0 <= self.seed < 2 ** 64)):
             raise ContractViolation("seed must be an integer in [0, 2^64)")
         if self.kind in ("quadratic", "quadratic_l1"):
             if self.n < 2 or self.conditioning < 2:
@@ -118,6 +123,8 @@ def spec_from_dict(d: dict) -> InstanceSpec:
     unknown = set(d) - allowed
     if unknown:
         raise ContractViolation(f"unknown InstanceSpec fields {sorted(unknown)}")
+    if not {"kind", "n"} <= set(d):
+        raise ContractViolation("an InstanceSpec needs kind and n")
     return InstanceSpec(**d)
 
 

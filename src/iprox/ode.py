@@ -66,6 +66,8 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     if not (kind.tag == "zero" or (kind.tag in ("l1", "group_l2") and kind.lam == 0.0)):
         raise ContractViolation("heavy-ball integration needs g identically zero")
 
+    if not t_end / h * problem.dim < np.iinfo(np.intp).max:
+        raise ContractViolation("t_end/h gives more samples than numpy can index")
     n_steps = int(round(t_end / h))
     if n_steps < 1:
         raise ContractViolation("t_end shorter than one step")

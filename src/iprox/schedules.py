@@ -91,7 +91,10 @@ def beta_at(schedule: ParamSchedule, k: int) -> float:
     rule = schedule.beta_rule
     if isinstance(rule, ConstantBeta):
         return rule.beta0
-    return 1.0 / float(k + 2) ** rule.theta
+    try:
+        return 1.0 / float(k + 2) ** rule.theta
+    except OverflowError:  # (k+2)^theta is beyond the largest double
+        return 0.0
 
 
 def gamma_full(beta: float, c: float, L_val: float) -> float:

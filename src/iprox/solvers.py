@@ -408,6 +408,8 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
 
     oracle = ImageOracle(problem)
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
+    # a float ** raises OverflowError above about 1.3e154, where * gives inf
+    stop_sq = stop_tol * stop_tol
     x_prev = x0.copy()
     x = x0.copy()
     s = order.step_sq0
@@ -437,7 +439,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
             _check_grad(grad, k)
         # r.dot(r) is, bit for bit, the residual_sq recorded for x
         r = x - _prox_full(problem, x - g_audit * grad, g_audit) if stop_tol > 0.0 else None
-        stopping = r is not None and float(r.dot(r)) <= stop_tol ** 2
+        stopping = r is not None and float(r.dot(r)) <= stop_sq
         cur = (F_val, s, beta, gamma)
         if want_entry or stopping:
             rec.add(x, grad, k, *cur, *(prev or cur), *order.stash())

@@ -1,11 +1,16 @@
+import contextlib
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import iprox
 from iprox import cli, reference, traceio
@@ -644,3 +649,211 @@ def test_unfittable_window_is_exit_3_under_run_and_rates(tmp_path, capsys):
                  "--out", str(tmp_path / "fit")]) == 3
     assert want in capsys.readouterr().err
     assert not (tmp_path / "fit").exists()
+
+
+
+@pytest.mark.parametrize("field", [{"reg_lambda": True}, {"reg_lambda": False},
+                                   {"conditioning": False}, {"seed": True}],
+                         ids=["true-reg-lambda", "false-reg-lambda", "bool-conditioning",
+                              "bool-seed"])
+def test_instance_bools_for_numbers_are_exit_2_before_any_output(tmp_path, capsys, field):
+    # a bool is an int to Python: "reg_lambda": true used to run with lambda = 1
+    instance = {"kind": "lasso", "n": 12, "rows": 30, "reg_lambda": 0.2, "m": 4, "seed": 3}
+    cfg = write_cfg(tmp_path, lasso_cfg(instance={**instance, **field}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: instance: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic_l1"])
+def test_fixed_gamma_past_the_beta_ceiling_is_exit_2_before_any_output(tmp_path, capsys,
+                                                                        kind):
+    # beta = gamma*nu/(4m) reaches sqrt(m), which run_stochastic refuses; the
+    # quadratic_l1 run would first have cached its reference solve
+    instance = {"kind": kind, "n": 12, "conditioning": 6.0, "m": 4, "seed": 2,
+                **({"reg_lambda": 0.1} if kind == "quadratic_l1" else {})}
+    doc = quad_stochastic_cfg(instance=instance, schedule={"c": 0.8, "fixed_gamma": 1e300})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: schedule: fixed_gamma regime needs beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fixed_gamma_without_nu_is_exit_2_before_any_output(tmp_path, capsys):
+    doc = quad_stochastic_cfg(instance={"kind": "lasso", "n": 12, "rows": 30,
+                                        "reg_lambda": 0.2, "m": 4, "seed": 3},
+                              schedule={"c": 0.8, "fixed_gamma": 0.5})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: schedule.fixed_gamma: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_audit_of_a_run_stopped_at_k0_is_exit_3_with_the_trace_on_disk(tmp_path, capsys):
+    # with lambda = 1e6 the start x = 0 is the minimizer, so stop_tol holds at
+    # k = 0 and the descent audit has one entry: the run happened, its audit
+    # cannot be computed, and the trace stays for `iprox rates`
+    doc = lasso_cfg(instance={"kind": "lasso", "n": 16, "rows": 40, "reg_lambda": 1e6,
+                              "m": 1, "seed": 3},
+                    run={"max_iters": 300, "stop_tol": 1e-3}, audits=["descent"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert "run failed: audit descent: " in capsys.readouterr().err
+    assert list(traceio.read_csv(str(out / "trace.csv"))["k"]) == [0]
+    assert not (out / "summary.json").exists()
+
+
+def test_a_stop_tol_whose_square_overflows_stops_at_k0(tmp_path, capsys):
+    doc = lasso_cfg(run={"max_iters": 300, "stop_tol": 1e300}, audits=["lyapunov"])
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    assert list(traceio.read_csv(str(out / "trace.csv"))["k"]) == [0]
+
+
+@pytest.mark.parametrize("field", [{"t_end": 1e300}, {"h": 0.5}, {"theta": 0.0}, {"n": 1},
+                                   {"seed": -1}],
+                         ids=["t_end-past-indexing", "h-past-guard", "theta", "n", "seed"])
+def test_ode_values_its_builders_refuse_are_exit_2_before_any_output(tmp_path, capsys,
+                                                                    field):
+    doc = {"version": 1,
+           "ode": {"n": 4, "conditioning": 4.0, "seed": 0, "alpha": 1.0,
+                   "theta": 2.0, "h": 0.001, "t_end": 0.01, **field}}
+    out = tmp_path / "ode"
+    assert main(["ode", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: ode: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------------- generated configs
+#
+# Small valid configs, one per run algorithm and instance kind plus sweep,
+# ode and rates, each with one or two leaves replaced from a fixed pool or
+# deleted.  Whatever the mutation, the CLI must keep its exit-code contract.
+
+_DELETE = object()
+_POOL = (_DELETE, None, True, False, 0, 1, 2, -1, 0.0, 0.5, 2.5, 8.0, -0.5, 1e300, -1e300,
+         "x", "lasso", "stochastic", "gaussian", [], [0.5], {})
+
+
+def _fuzz_run_base(algorithm, kind):
+    instance = {"kind": kind, "n": 8, "m": 2 if algorithm in ("cyclic", "stochastic") else 1,
+                "seed": 1}
+    if kind in ("lasso", "logistic_l1"):
+        instance.update(rows=12, reg_lambda=0.1)
+    else:
+        instance["conditioning"] = 4.0
+        if kind == "noncoercive_quadratic":
+            instance["rows"] = 4
+        if kind == "quadratic_l1":
+            instance["reg_lambda"] = 0.1
+    audits = ["descent", "lyapunov", "rates"]
+    if algorithm in ("inertial", "cyclic") and kind != "logistic_l1":
+        audits.append("squared_lyapunov")
+    doc = {"version": 1, "instance": instance, "algorithm": algorithm,
+           "schedule": {"c": 0.9} if algorithm == "prox_grad" else
+           {"c": 0.9, "theta": 2.0} if algorithm == "cyclic" else {"c": 0.9, "beta": 0.5},
+           "run": {"max_iters": 30, "record_every": 1, "stop_tol": 0.0},
+           "audits": audits, "rate": {"model": "geometric", "k_lo": 2},
+           "reference": {"tol": 1e-10, "max_iters": 2000},
+           "x0": {"mode": "gaussian", "scale": 1.0}}
+    if algorithm == "stochastic":
+        doc["seeds"] = [0, 1]
+    return doc
+
+
+_FUZZ_BASES = {
+    f"run-{algorithm}-{kind}": ("run", _fuzz_run_base(algorithm, kind))
+    for algorithm in ("inertial", "cyclic", "stochastic", "prox_grad")
+    for kind in ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadratic")}
+_FUZZ_BASES["run-fixed-gamma"] = ("run", {
+    **_fuzz_run_base("stochastic", "quadratic"), "schedule": {"c": 0.9, "fixed_gamma": 0.5}})
+_FUZZ_BASES["sweep"] = ("sweep", {
+    **_fuzz_run_base("inertial", "lasso"), "schedule": {"c": 0.9}, "audits": ["descent"],
+    "sweep": {"c": [0.5, 0.9], "beta": [0.3]}})
+_FUZZ_BASES["ode"] = ("ode", {
+    "version": 1, "ode": {"n": 4, "conditioning": 4.0, "seed": 0, "alpha": 1.0, "theta": 2.0,
+                          "h": 0.001, "t_end": 0.01, "x0_scale": 1.0, "v0_scale": 1.0}})
+_FUZZ_BASES["rates"] = ("rates", {
+    "version": 1, "fit": {"csv": "trace.csv", "column": "lyapunov", "model": "geometric",
+                          "k_lo": 0, "k_hi": 20, "floor": 0.0, "burn_in": 0.0}})
+
+
+def _leaves(doc, path=()):
+    # every path to a value that is not a JSON object, list elements included
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, val in items:
+        if isinstance(val, dict):
+            yield from _leaves(val, path + (key,))
+        else:
+            yield path + (key,)
+            if isinstance(val, list):
+                yield from _leaves(val, path + (key,))
+
+
+@st.composite
+def _mutated_config(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_BASES)))
+    command, doc = _FUZZ_BASES[name]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_leaves(doc))))
+        value = draw(st.sampled_from(_POOL))
+        if path == ("reference", "max_iters") and value is _DELETE:
+            continue  # the default budget of 10^6 iterations is not small
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(value))  # a fresh [] or {}
+    return command, doc
+
+
+def _fuzz_csv():
+    # the trace.csv the rates base refits
+    rows = [f"{k},{0.5 ** k!r},{0.5 ** k!r},1,1,0" for k in range(30)]
+    return HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_BASES))
+def test_generated_config_bases_exit_0(tmp_path, monkeypatch, name):
+    command, doc = _FUZZ_BASES[name]
+    (tmp_path / "trace.csv").write_text(_fuzz_csv())
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", write_cfg(tmp_path, doc), "--out", "out"]) == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "trace.csv").write_text(_fuzz_csv())
+    return root
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_mutated_config())
+def test_generated_configs_keep_the_exit_code_contract(fuzz_root, case):
+    command, doc = case
+    work = tempfile.mkdtemp(dir=fuzz_root)
+    cfg = os.path.join(work, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    out = os.path.join(work, "out")
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_root)  # the rates base reads trace.csv here
+    try:
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            # numpy's overflow warnings, which the test settings make errors,
+            # are printed and not raised when iprox runs as a program
+            warnings.simplefilter("ignore")
+            code = main([command, "--config", cfg, "--out", out])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not os.path.exists(out), err.getvalue()

@@ -325,6 +325,23 @@ def test_spec_dict_round_trip():
         spec_from_dict({**d, "surprise": 1})
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("lasso", {"reg_lambda": True}), ("lasso", {"reg_lambda": "0.1"}),
+    ("lasso", {"conditioning": False}), ("quadratic", {"conditioning": "4"}),
+    ("quadratic", {"conditioning": 4.0, "seed": True})],
+    ids=["bool-reg-lambda", "string-reg-lambda", "bool-conditioning",
+         "string-conditioning", "bool-seed"])
+def test_spec_reals_must_be_numbers_and_not_bools(kind, field):
+    with pytest.raises(ContractViolation):
+        InstanceSpec(kind=kind, n=4, **({"rows": 6} if kind == "lasso" else {}), **field)
+
+
+def test_spec_from_dict_without_kind_or_n_is_a_contract_violation():
+    for d in ({"n": 4}, {"kind": "quadratic", "conditioning": 4.0}):
+        with pytest.raises(ContractViolation, match="needs kind and n"):
+            spec_from_dict(d)
+
+
 def test_start_point_modes():
     spec = InstanceSpec(kind="quadratic", n=6, conditioning=3.0, seed=11)
     assert np.array_equal(start_point(spec, "zeros"), np.zeros(6))

@@ -143,6 +143,13 @@ def test_simulation_validation():
         ode.simulate_heavy_ball(no_star, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=1.0)
 
 
+def test_more_samples_than_numpy_can_index_is_rejected():
+    # t_end/h = 1e302 samples: no array could hold them
+    with pytest.raises(ContractViolation, match="numpy can index"):
+        ode.simulate_heavy_ball(spring_problem(), [1.0], [0.0], alpha=1.0, h=1e-2,
+                                t_end=1e300)
+
+
 def test_audit_validation():
     p = spring_problem()
     tr = ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-2, t_end=0.5)

@@ -23,6 +23,13 @@ def test_constant_rule():
     assert beta_at(s, 0) == beta_at(s, 10 ** 6) == 0.3
 
 
+def test_diminishing_rule_beyond_the_largest_double_is_zero():
+    # (k+2)^theta overflows a double for theta >= 1024 already at k = 0
+    for theta in (2000.0, 1e300):
+        s = ParamSchedule(beta_rule=DiminishingBeta(theta), c=0.9, variant="full")
+        assert beta_at(s, 0) == beta_at(s, 7) == 0.0
+
+
 def test_diminishing_rule_values():
     s = ParamSchedule(beta_rule=DiminishingBeta(2.0), c=0.9, variant="full")
     # 1/(k+2)^theta: starts below 1 even at k = 0

@@ -317,6 +317,15 @@ def test_stop_tol_halts_early():
     assert np.all(tr.residual_sq[:-1] > 1e-16)
 
 
+def test_a_stop_tol_whose_square_overflows_stops_at_k0():
+    # stop_tol ** 2 raises OverflowError above about 1.3e154; the squared
+    # tolerance is inf instead, which the first residual meets
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.5)
+    tr = run_inertial(two_dim_quadratic(), sched, np.array([1.0, 1.0]),
+                      RunConfig(max_iters=50, stop_tol=1e300))
+    assert list(tr.ks) == [0]
+
+
 def test_fixed_point_stays_put():
     spec = iprox.InstanceSpec(kind="quadratic", n=5, conditioning=3.0, seed=4)
     p = library.make_instance(spec)
