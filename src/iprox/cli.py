@@ -17,8 +17,8 @@ instance synthesis seeds are part of the config).
 
 Config files are versioned JSON ({"version": 1, ...}); unknown keys are
 rejected with the offending field path.  Exit codes: 0 success; 2 config
-error, and nothing was written; 3 divergence or runtime failure, after the
-run happened, so its traces may be on disk.
+error, and nothing was written; 3 divergence or runtime failure (a failed
+allocation included), after which traces may be on disk.
 
 Example run config:
 
@@ -349,6 +349,10 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
     # problem, such as a fixed_gamma whose beta reaches sqrt(m)
     with _section("schedule"):
         traces = [runner(problem, schedule, x0, cfg_s) for _, cfg_s in runs]
+    # a run below a converged reference's F shows that F is not min F
+    if ref is not None and ref.converged and any(
+            t.F.min() < ref.f_star - 1e-9 * (1.0 + abs(t.F[0])) for t in traces):
+        raise RunFailure(f"a run fell below reference min F {ref.f_star!r}: lower reference.tol")
 
     os.makedirs(out_dir, exist_ok=True)
     if ref is not None and store:
@@ -412,7 +416,7 @@ def _sweep_worker(cfg_text: str, out_dir: str, seed_offset: int):
     try:
         run_experiment(cfg, out_dir, seed_offset=seed_offset)
         return out_dir, "ok"
-    except (ConfigError, ContractViolation, DivergenceError, RunFailure) as exc:
+    except (ConfigError, ContractViolation, DivergenceError, RunFailure, MemoryError) as exc:
         return out_dir, f"error: {type(exc).__name__}: {exc}"
     except Exception as exc:  # unforeseen: log it, but finish the other points
         traceback.print_exc()
@@ -583,8 +587,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
-    except RunFailure as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (RunFailure, MemoryError) as exc:  # an allocation no machine can hold
+        print(f"run failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -89,11 +89,11 @@ class SmoothModel:
     def value_at(self, x: Vector, u: Vector) -> float:
         """f(x) from the image u of x."""
         if self.loss == "squares":
-            return 0.5 * float(u @ u)
+            return 0.5 * float(u.dot(u))
         if self.loss == "logistic":
             return float(np.mean(np.logaddexp(0.0, -(self.labels * u))))
         d = x if self.center is None else x - self.center
-        return 0.5 * float(d @ u)
+        return 0.5 * float(d.dot(u))
 
     def grad_at(self, x: Vector, u: Vector, cols=None) -> Vector:
         """grad f(x) from the image u of x; cols selects one block of it."""
@@ -105,8 +105,17 @@ class SmoothModel:
         y = self.labels
         return -(At.T @ (y * _sigmoid(-(y * u)))) / len(y)
 
+    def image_value(self, x: Vector):
+        """(u, f(x)) from one image u of x; the quadratic loss takes x - center once."""
+        if self.loss != "quadratic":
+            u = self.image(x)
+            return u, self.value_at(x, u)
+        d = x if self.center is None else x - self.center
+        u = self.A @ d
+        return u, 0.5 * float(d.dot(u))
+
     def value(self, x: Vector) -> float:
-        return self.value_at(x, self.image(x))
+        return self.image_value(x)[1]
 
     def grad(self, x: Vector) -> Vector:
         return self.grad_at(x, self.image(x))
@@ -332,17 +341,19 @@ class ImageOracle:
     the problem's SmoothModel.
 
     refresh(x) starts a new image at x, whose shape the caller has checked;
-    value(x), full_grad(x) and value_grad(x) read f, grad f or both of that
-    x; block_grad(i, x) is block i of grad f(x), possibly a view of the
-    gradient the state keeps, so callers read it and never write it;
-    move(i, d) tells the state that block i of x moved by d.  The caller
-    passes the x the state currently describes.
+    read(x) is refresh(x) with (f(x), grad f(x)) read off the new image,
+    bit for bit and column for column what value and full_grad then give;
+    value(x) and full_grad(x) read f or grad f of that x; block_grad(i, x)
+    is block i of grad f(x), possibly a view of the gradient the state
+    keeps, so callers read it and never write it; move(i, d) tells the
+    state that block i of x moved by d.  The caller passes the x the state
+    currently describes.
 
     A block gradient or a move reads only the block's columns of A
-    through the problem's block selectors, so as views when the block is
-    a contiguous range.  A move is applied when the image is next read,
-    so one followed by a refresh costs nothing.
-    Work is counted in matvec-equivalents: a product with all of A
+    through the problem's block selectors, so as views when the block is a
+    contiguous range.  A move is applied when the image is next read, so
+    one followed by a refresh costs nothing.  Work is counted in
+    matvec-equivalents: a product with all of A
     counts 1, one with a block's columns |block|/n; a value from the
     image is free.  A full gradient is computed once per image: it serves
     every full and block gradient until the next move or refresh.
@@ -387,9 +398,13 @@ class ImageOracle:
                 self.columns += self.dim
         return self.grad
 
-    def value_grad(self, x: Vector):
-        grad = self.full_grad(x)
-        return self.model.value_at(x, self.u), grad
+    def read(self, x: Vector):
+        """refresh(x), then (f(x), grad f(x)) from the one new image."""
+        self.u, value = self.model.image_value(x)
+        self.pending = None
+        self.grad = self.model.grad_at(x, self.u)
+        self.columns += self.dim if self.grad_is_image else 2 * self.dim
+        return value, self.grad
 
     def block_grad(self, i: int, x: Vector) -> Vector:
         if self.grad is not None:

@@ -41,12 +41,13 @@ audit stepsize 1/L throughout: S_gamma(x) vanishes exactly at minimizers of
 F for any gamma > 0, so the choice only rescales the stopping rule.
 
 The smooth part is read through a per-run oracle state, an
-:class:`iprox.problems.ImageOracle` over the problem's SmoothModel.  It is
-refreshed from x at every recorded entry and at the start of every epoch
-(every full step, each cyclic epoch, every m stochastic steps), which
-bounds the rounding drift of an image kept up to date by block moves; with
-m = 1 every step refreshes.  meta["matvec_equiv"] holds the work the run's
-oracle state counted.
+:class:`iprox.problems.ImageOracle` over the problem's SmoothModel.  An
+entry (and every step under stop_tol) takes f and grad f of x in one read
+of a new image of x, and the loop also refreshes the image at the start of
+every epoch (every full step, each cyclic epoch, every m stochastic steps);
+this bounds the rounding drift of an image kept up to date by block moves,
+and with m = 1 every step refreshes.  meta["matvec_equiv"] holds the work
+the run's oracle state counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -103,8 +104,8 @@ class RunConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ContractViolation("max_iters must be >= 1")
+        if not 1 <= self.max_iters <= np.iinfo(np.intp).max:
+            raise ContractViolation("max_iters must be >= 1 and no larger than numpy's index type")
         if self.record_every < 1:
             raise ContractViolation("record_every must be >= 1")
         if self.stop_tol < 0:
@@ -205,37 +206,31 @@ class _Recorder:
         return Trace(**arrays, final_state=final_state, meta=meta, iterates=self.iterates)
 
 
-def _forward(x, grad, x_prev, gamma, beta):
-    # Shared forward candidate: x - gamma*grad + beta*(x - x_prev).  The
-    # momentum add is skipped when beta == 0.0 so a no-inertia run is
-    # bit-identical to a plain forward-backward step.
-    v = x - gamma * grad
-    if beta != 0.0:
-        v += beta * (x - x_prev)
-    return v
-
-
 def _check_grad(grad, k: int):
     # count_nonzero takes half the time of ndarray.all() on short vectors
     if np.count_nonzero(np.isfinite(grad)) != grad.size:
         raise DivergenceError("non-finite gradient", k=k)
 
 
-def _block_move(problem, x, x_prev, i, gamma, beta, oracle, k, grad):
-    # Moves block i of x in place, and tells the oracle state.  x is the
-    # step's own copy; x_prev and grad are only read.  grad is the loop's
-    # checked gradient at x when no block of x has moved yet, else None,
-    # and the oracle state gives block i's gradient, checked here.
-    sel = problem.block_selectors[i]
+def _block_move(order, x, x_prev, i, gamma, beta, oracle, k, grad):
+    # Moves block i of x in place by the order's rule, and tells the oracle
+    # state.  x is the step's own copy; x_prev and grad are only read.  grad
+    # is the loop's checked gradient at x when no block of x has moved yet,
+    # else None, and the oracle state gives block i's gradient, checked here.
+    sel = order.sels[i]
+    x_i = x[sel]
     if grad is None:
         grad_i = oracle.block_grad(i, x)
         _check_grad(grad_i, k)
     else:
         grad_i = grad[sel]
-    v = _forward(x[sel], grad_i, x_prev[sel], gamma, beta)
-    x_i = _apply_kind(problem.prox_kind, v, gamma)
-    oracle.move(i, x_i - x[sel])
-    x[sel] = x_i
+    v = x_i - gamma * grad_i
+    if beta != 0.0:
+        v += beta * (x_i - x_prev[sel])
+    if order.kind is not None:
+        v = _apply_kind(order.kind, v, gamma)
+    oracle.move(i, v - x_i)
+    x[sel] = v
 
 
 class _FullOrder:
@@ -267,6 +262,9 @@ class _FullOrder:
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
         self.problem = problem
         self.schedule = schedule
+        # a block move's selectors and kind; the zero kind's prox is v itself
+        self.sels = problem.block_selectors
+        self.kind = None if problem.prox_kind.tag == "zero" else problem.prox_kind
         self.constant = isinstance(schedule.beta_rule, ConstantBeta)
         self.c = schedule.c
         self.L = problem.lipschitz_L
@@ -285,7 +283,12 @@ class _FullOrder:
         if grad is None:
             grad = oracle.full_grad(x)
             _check_grad(grad, k)
-        x_next = _prox_full(self.problem, _forward(x, grad, x_prev, gamma, beta), gamma)
+        # the momentum add is skipped when beta == 0.0, so a no-inertia run is
+        # bit-identical to a plain forward-backward step
+        v = x - gamma * grad
+        if beta != 0.0:
+            v += beta * (x - x_prev)
+        x_next = _prox_full(self.problem, v, gamma)
         d = x_next - x
         return x_next, float(d.dot(d))
 
@@ -328,13 +331,12 @@ class _CyclicOrder(_FullOrder):
         # order), which the descent analysis relies on
         x_next = x.copy()
         for i in range(self.m):
-            _block_move(self.problem, x_next, x_prev, i, gammas[i], beta, oracle, k, grad)
+            _block_move(self, x_next, x_prev, i, gammas[i], beta, oracle, k, grad)
             grad = None  # x_next has moved
         d = x_next - x
         # d.dot(d), not sum(d**2): keeps the m = 1 trace bit-identical to
         # the full order, which uses the dot-product form
-        return x_next, np.array([float(d[sel].dot(d[sel]))
-                                 for sel in self.problem.block_selectors])
+        return x_next, np.array([float(d[sel].dot(d[sel])) for sel in self.sels])
 
     def entries(self, a):
         # each row's sums over its m blocks, as (rows, m) arrays summed along
@@ -387,7 +389,7 @@ class _StochasticOrder(_FullOrder):
             self.draws = self.rng.randint_below_batch(self.m, _DRAWS)[::-1]
         self.chosen = self.draws.pop()
         x_next = x.copy()
-        _block_move(self.problem, x_next, x_prev, self.chosen, gamma, beta, oracle, k, grad)
+        _block_move(self, x_next, x_prev, self.chosen, gamma, beta, oracle, k, grad)
         d = x_next - x
         s = float(d.dot(d))
         self.run_min = min(self.run_min, s)
@@ -410,23 +412,22 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
     # a float ** raises OverflowError above about 1.3e154, where * gives inf
     stop_sq = stop_tol * stop_tol
-    x_prev = x0.copy()
-    x = x0.copy()
+    # bound once: the lookups are a measurable share of a recorded block step
+    read, refresh, value, add = oracle.read, oracle.refresh, oracle.value, rec.add
+    params, step, stash, epoch = order.params, order.step, order.stash, order.epoch
+    x_prev, x = x0.copy(), x0.copy()
     s = order.step_sq0
     prev = None  # (F, s, beta, gamma) of the previous iterate
     F0 = None
-    const = order.params(0) if order.constant else None
+    const = params(0) if order.constant else None
     k = 0
     while True:
-        beta, gamma = const or order.params(k)
+        beta, gamma = const or params(k)
         want_entry = (k % record_every == 0) or (k == max_iters)
         need_grad = want_entry or stop_tol > 0.0
-        if need_grad or k % order.epoch == 0:
-            oracle.refresh(x)
-        if need_grad:
-            F_val, grad = oracle.value_grad(x)
-        else:
-            F_val, grad = oracle.value(x), None
+        if not need_grad and k % epoch == 0:
+            refresh(x)
+        F_val, grad = read(x) if need_grad else (value(x), None)
         F_val += _g_value(problem, x)
         if F0 is None:
             F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
@@ -442,12 +443,12 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         stopping = r is not None and float(r.dot(r)) <= stop_sq
         cur = (F_val, s, beta, gamma)
         if want_entry or stopping:
-            rec.add(x, grad, k, *cur, *(prev or cur), *order.stash())
+            add(x, grad, k, *cur, *(prev or cur), *stash())
         if stopping or k == max_iters:
             break
 
         prev = cur
-        x_next, s = order.step(x, x_prev, k, beta, gamma, oracle, grad)
+        x_next, s = step(x, x_prev, k, beta, gamma, oracle, grad)
         x_prev, x = x, x_next
         k += 1
 

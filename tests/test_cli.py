@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import iprox
 from iprox import cli, reference, traceio
 from iprox.cli import main
+from iprox.problems import objective
 
 HEADER = "k,F,lyapunov,step_sq,residual_sq,descent_slack"
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -494,6 +495,65 @@ def test_cached_reference_of_wrong_length_is_resolved(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["reference"]["f_star"] > 0.0
     assert summary["reference"]["iterations_used"] > 1
+
+
+def test_a_run_below_the_reference_min_f_is_exit_3_before_any_output(tmp_path, capsys):
+    # a tol of 1e300 calls the first reference iterate converged, at F far
+    # above min F; the run goes below it, where the lyapunov column and the
+    # squared-Lyapunov audit would read negative
+    doc = lasso_cfg(audits=["descent", "lyapunov", "squared_lyapunov"],
+                    reference={"tol": 1e300, "cache_dir": str(tmp_path / "cache")})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "below reference min F" in err
+    assert not out.exists() and not (tmp_path / "cache").exists()
+
+
+def test_a_cached_reference_above_min_f_is_exit_3_before_any_output(tmp_path, capsys):
+    doc = lasso_cfg(reference={"cache_dir": str(tmp_path / "cache")})
+    spec = iprox.InstanceSpec(**doc["instance"])
+    key = reference.spec_cache_key(iprox.library.spec_to_dict(spec), 1e-12)
+    x0 = np.zeros(spec.n)  # the run's start point, so the run goes below its F
+    bogus = reference.ReferenceSolution(
+        x_star=x0, f_star=objective(iprox.make_instance(spec), x0), residual=0.0,
+        iterations_used=1, converged=True)
+    reference.store_cached(str(tmp_path / "cache"), key, bogus)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert "below reference min F" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [("run", (iprox.library, "make_instance")),
+                                             ("ode", (cli, "simulate_heavy_ball"))],
+                         ids=["run", "ode"])
+def test_memory_error_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch, command, target):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(*target, refuse)
+    doc = lasso_cfg() if command == "run" else {
+        "version": 1, "ode": {"n": 4, "alpha": 1.0, "theta": 2.0, "h": 0.001, "t_end": 1.0}}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "run failed: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
+
+
+def test_a_sweep_point_out_of_memory_is_recorded_without_a_traceback(tmp_path, capsys,
+                                                                      monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(iprox.library, "make_instance", refuse)
+    out = tmp_path / "sweep"
+    doc = lasso_cfg(sweep={"c": [0.8]})
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    runs = json.loads((out / "sweep_summary.json").read_text())["runs"]
+    assert runs["c0.8"]["status"] == "error: MemoryError: Unable to allocate 7.28 TiB for an array"
 
 
 def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):

@@ -249,3 +249,36 @@ def test_a_closure_f_is_rejected_and_another_models_f_is_read():
         p, smooth_value=functools.wraps(model.value)(lambda x: model.value(x)),
         smooth_grad=functools.wraps(model.grad)(lambda x: model.grad(x)))
     assert wrapped.smooth_model is model
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS) + ["quadratic-without-center"])
+def test_a_read_is_a_refresh_a_gradient_and_a_value(kind):
+    # read(x) is the run loop's one call at an entry: bit for bit what
+    # refresh(x), full_grad(x) and value(x) give, with the same columns
+    if kind == "quadratic-without-center":
+        q, _ = instance("quadratic", 3)
+        model = SmoothModel("quadratic", q.smooth_model.A)
+        p = dataclasses.replace(q, smooth_value=model.value, smooth_grad=model.grad)
+        assert p.smooth_model.center is None
+    else:
+        p, _ = instance(kind, 3)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(p.dim)
+    one, three = ImageOracle(p), ImageOracle(p)
+    stale = rng.standard_normal(len(p.blocks[0]))
+    for state in (one, three):  # a move still pending is dropped by both
+        state.refresh(np.zeros(p.dim))
+        state.move(0, stale)
+    value, grad = one.read(x)
+    three.refresh(x)
+    want_grad = three.full_grad(x)
+    assert value == three.value(x) == p.smooth_model.value(x)
+    assert np.array_equal(grad, want_grad) and np.array_equal(one.u, three.u)
+    assert one.columns == three.columns
+    # the state then serves block gradients and moves as after a refresh
+    d = np.full(len(p.blocks[1]), 0.25)
+    for state in (one, three):
+        assert np.array_equal(state.block_grad(1, x), want_grad[p.block_selectors[1]])
+        state.move(1, d)
+    x[p.block_selectors[1]] += d
+    assert one.value(x) == three.value(x) and one.columns == three.columns

@@ -479,6 +479,15 @@ def test_run_config_validation():
         RunConfig(max_iters=10, stop_tol=-1.0)
 
 
+def test_a_max_iters_numpy_cannot_index_is_rejected():
+    # "max_iters": 10**30 in a config used to run until it was killed
+    RunConfig(max_iters=np.iinfo(np.intp).max)
+    with pytest.raises(ContractViolation, match="max_iters"):
+        RunConfig(max_iters=np.iinfo(np.intp).max + 1)
+    with pytest.raises(ContractViolation, match="max_iters"):
+        RunConfig(max_iters=10 ** 30)
+
+
 @pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
 def test_dist_sq_column_records_distance_to_solution_set(variant):
     spec = iprox.InstanceSpec(kind="quadratic", n=12, conditioning=8.0, m=3, seed=4)
