@@ -17,8 +17,9 @@ instance synthesis seeds are part of the config).
 
 Config files are versioned JSON ({"version": 1, ...}); unknown keys are
 rejected with the offending field path.  Exit codes: 0 success; 2 config
-error, and nothing was written; 3 divergence or runtime failure (a failed
-allocation included), after which traces may be on disk.
+error, and nothing was written (a sweep decodes every point first); 3
+divergence or runtime failure (a failed allocation included), after which
+traces may be on disk.
 
 Example run config:
 
@@ -249,18 +250,73 @@ def _validate_reference(cfg: dict, out_dir: str) -> dict:
     }
 
 
-def _validate_x0(cfg: dict) -> dict:
+def _validate_x0(cfg: dict, spec) -> np.ndarray:
     section = _get(cfg, "x0", "config", dict, default={})
     _check_keys(section, ("mode", "scale"), "x0")
-    return {"mode": _get(section, "mode", "x0", str, default="zeros"),
-            "scale": _get(section, "scale", "x0", float, default=1.0)}
+    with _section("x0"):
+        return library.start_point(spec, _get(section, "mode", "x0", str, default="zeros"),
+                                   _get(section, "scale", "x0", float, default=1.0))
 
 
 _RUN_KEYS = ("version", "instance", "algorithm", "schedule", "run", "seeds",
-             "audits", "rate", "reference", "x0", "output_dir", "sweep")
+             "audits", "rate", "reference", "x0", "sweep")
 
 
 # ---------------------------------------------------------------- experiment
+
+@dataclasses.dataclass(frozen=True)
+class _Plan:
+    """A decoded run config: all a run needs but its instance.  runs holds a
+    (trace file name, RunConfig) pair per trace, one per stochastic seed."""
+
+    cfg: dict
+    out_dir: str
+    spec: library.InstanceSpec
+    algorithm: str
+    audits: list
+    schedule: ParamSchedule
+    runs: list
+    rate: dict
+    ref: dict
+    x0: np.ndarray
+
+
+def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
+    """Validate one run config into a _Plan, building no instance and writing nothing."""
+    _check_keys(cfg, _RUN_KEYS, "config")
+    if "sweep" in cfg:
+        raise ConfigError("sweep", "grid section requires the sweep subcommand")
+    spec = _validate_instance(cfg)
+    algorithm = _get(cfg, "algorithm", "config", str,
+                     pred=lambda v: v in ALGORITHMS,
+                     predmsg=f"must be one of {tuple(ALGORITHMS)}")
+    audits = _validate_audits(cfg, algorithm, spec)
+    schedule = _validate_schedule(cfg, algorithm, spec.m)
+    run_cfg = _validate_run(cfg, audits)
+    rate_cfg = _validate_rate(cfg)
+    ref_cfg = _validate_reference(cfg, out_dir)
+    x0 = _validate_x0(cfg, spec)
+    seeds = _get(cfg, "seeds", "config", list, default=None)
+    runs = [("trace.csv", run_cfg)]
+    if algorithm == "stochastic":
+        if not seeds:
+            raise ConfigError("seeds", "stochastic runs need a nonempty seeds list")
+        runs = []
+        for i, s in enumerate(seeds):
+            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+                raise ConfigError(f"seeds[{i}]", "seeds must be nonnegative integers")
+            with _section(f"seeds[{i}]"):  # the seed shifted by --seed-offset
+                runs.append((f"trace_seed{s + seed_offset}.csv",
+                             dataclasses.replace(run_cfg, seed=s + seed_offset)))
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError("seeds", "seeds must be distinct")
+        if "descent" in audits and run_cfg.stop_tol > 0:
+            # the audit averages the seeds' slacks at each k, and seeds stop apart
+            raise ConfigError("run.stop_tol", "the stochastic descent audit needs stop_tol = 0")
+    elif seeds is not None:
+        raise ConfigError("seeds", "only stochastic runs take seeds")
+    return _Plan(cfg, out_dir, spec, algorithm, audits, schedule, runs, rate_cfg, ref_cfg, x0)
+
 
 def _reference_solution(problem, spec, ref_cfg):
     """Load or solve the reference; returns (key, reference, whether to cache
@@ -284,51 +340,20 @@ def _fit(ks, values, fit: dict, floor: float) -> dict:
             "window": [est.window[0], est.window[1]], "points": int(len(ks_w))}
 
 
-def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
-    """Validate and execute one run config; returns the summary dict.
-
-    Nothing is written until every run is made, so a config that a
-    constructor or a runner rejects leaves no output."""
-    _check_keys(cfg, _RUN_KEYS, "config")
-    if "sweep" in cfg:
-        raise ConfigError("sweep", "grid section requires the sweep subcommand")
-    spec = _validate_instance(cfg)
-    algorithm = _get(cfg, "algorithm", "config", str,
-                     pred=lambda v: v in ALGORITHMS,
-                     predmsg=f"must be one of {tuple(ALGORITHMS)}")
-    audits = _validate_audits(cfg, algorithm, spec)
-    schedule = _validate_schedule(cfg, algorithm, spec.m)
-    run_cfg = _validate_run(cfg, audits)
-    rate_cfg = _validate_rate(cfg)
-    ref_cfg = _validate_reference(cfg, out_dir)
-    x0_cfg = _validate_x0(cfg)
-    seeds = _get(cfg, "seeds", "config", list, default=None)
-    stochastic = algorithm == "stochastic"
-    if stochastic:
-        if not seeds:
-            raise ConfigError("seeds", "stochastic runs need a nonempty seeds list")
-        for i, s in enumerate(seeds):
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-                raise ConfigError(f"seeds[{i}]", "seeds must be nonnegative integers")
-            if not 0 <= s + seed_offset < 2 ** 64:
-                raise ConfigError(f"seeds[{i}]", "seed + --seed-offset must lie in [0, 2^64)")
-        if len(set(seeds)) < len(seeds):
-            raise ConfigError("seeds", "seeds must be distinct")
-    elif seeds is not None:
-        raise ConfigError("seeds", "only stochastic runs take seeds")
-    if stochastic and "descent" in audits and run_cfg.stop_tol > 0:
-        # the audit averages the seeds' slacks at each k, and seeds stop apart
-        raise ConfigError("run.stop_tol", "the stochastic descent audit needs stop_tol = 0")
-
+def _execute_run(plan: _Plan) -> dict:
+    """Build a plan's instance, make its runs and write them; returns the
+    summary dict.  Nothing is written until every run is made, so what only
+    the instance shows wrong (a fixed_gamma without nu, a schedule a runner
+    refuses) leaves no output."""
+    spec, audits, schedule, out_dir = plan.spec, plan.audits, plan.schedule, plan.out_dir
+    stochastic = plan.algorithm == "stochastic"
     problem = library.make_instance(spec)
     if schedule.fixed_gamma is not None and problem.nu is None:
         raise ConfigError("schedule.fixed_gamma", "the linear regime needs an instance with nu")
-    with _section("x0"):
-        x0 = library.start_point(spec, x0_cfg["mode"], x0_cfg["scale"])
 
     ref = None
     if problem.solution_set is None:
-        ref_key, ref, store = _reference_solution(problem, spec, ref_cfg)
+        ref_key, ref, store = _reference_solution(problem, spec, plan.ref)
         needs = [a for a in audits if a in _F_STAR_AUDITS]
         if not ref.converged and needs:
             raise RunFailure(
@@ -338,17 +363,11 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         problem = reference.with_reference(
             problem, ref, unique_minimizer=_no_solution_set(spec) is None)
 
-    # one trace.csv, or one trace_seed<S>.csv per seed and their mean
-    if stochastic:
-        runs = [(f"trace_seed{s + seed_offset}.csv",
-                 dataclasses.replace(run_cfg, seed=s + seed_offset)) for s in seeds]
-    else:
-        runs = [("trace.csv", run_cfg)]
-    runner = getattr(solvers, ALGORITHMS[algorithm][1])
+    runner = getattr(solvers, ALGORITHMS[plan.algorithm][1])
     # what a runner rejects in a decoded config is the schedule on this
     # problem, such as a fixed_gamma whose beta reaches sqrt(m)
     with _section("schedule"):
-        traces = [runner(problem, schedule, x0, cfg_s) for _, cfg_s in runs]
+        traces = [runner(problem, schedule, plan.x0, cfg_s) for _, cfg_s in plan.runs]
     # a run below a converged reference's F shows that F is not min F
     if ref is not None and ref.converged and any(
             t.F.min() < ref.f_star - 1e-9 * (1.0 + abs(t.F[0])) for t in traces):
@@ -356,10 +375,10 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
 
     os.makedirs(out_dir, exist_ok=True)
     if ref is not None and store:
-        reference.store_cached(ref_cfg["cache_dir"], ref_key, ref)
+        reference.store_cached(plan.ref["cache_dir"], ref_key, ref)
     summary = {
-        "config": cfg,
-        "algorithm": algorithm,
+        "config": plan.cfg,
+        "algorithm": plan.algorithm,
         "out_dir": os.path.abspath(out_dir),
         "reference": None if ref is None else {
             "key": ref_key, "f_star": ref.f_star, "residual": ref.residual,
@@ -367,9 +386,10 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
         },
         "audits": {},
         "rates": [],
-        "trace_files": [fname for fname, _ in runs],
+        "trace_files": [fname for fname, _ in plan.runs],
     }
-    for (fname, _), trace in zip(runs, traces):
+    # one trace.csv, or one trace_seed<S>.csv per seed and their mean
+    for (fname, _), trace in zip(plan.runs, traces):
         cols = traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
     if stochastic:
         cols = traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"),
@@ -395,9 +415,9 @@ def run_experiment(cfg: dict, out_dir: str, seed_offset: int = 0) -> dict:
                 found[name] = {"max_violation": diagnostics.squared_lyapunov_audit(traces[0])}
     if "rates" in audits:
         floor = diagnostics.value_floor(problem.f_star if problem.f_star is not None
-                                        else 0.0, rate_cfg["floor_scale"])
-        fit = _fit(cols["k"], cols[rate_cfg["column"]], rate_cfg, floor)
-        summary["rates"].append({**fit, "column": rate_cfg["column"]})
+                                        else 0.0, plan.rate["floor_scale"])
+        fit = _fit(cols["k"], cols[plan.rate["column"]], plan.rate, floor)
+        summary["rates"].append({**fit, "column": plan.rate["column"]})
 
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -411,16 +431,15 @@ def _write_json(path: str, obj) -> None:
 
 # -------------------------------------------------------------------- sweep
 
-def _sweep_worker(cfg_text: str, out_dir: str, seed_offset: int):
-    cfg = json.loads(cfg_text)
+def _sweep_point(plan: _Plan) -> str:
     try:
-        run_experiment(cfg, out_dir, seed_offset=seed_offset)
-        return out_dir, "ok"
+        _execute_run(plan)
+        return "ok"
     except (ConfigError, ContractViolation, DivergenceError, RunFailure, MemoryError) as exc:
-        return out_dir, f"error: {type(exc).__name__}: {exc}"
+        return f"error: {type(exc).__name__}: {exc}"
     except Exception as exc:  # unforeseen: log it, but finish the other points
         traceback.print_exc()
-        return out_dir, f"error: {type(exc).__name__}: {exc}"
+        return f"error: {type(exc).__name__}: {exc}"
 
 
 def _grid_label(v) -> str:
@@ -436,7 +455,8 @@ def _pool_size(workers: int, jobs: int) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
-    _check_keys(cfg, _RUN_KEYS, "config")
+    """Decode every grid point, then run them: a point's config error is the
+    sweep's, before anything runs or is written."""
     if "sweep" not in cfg:
         raise ConfigError("sweep", "sweep subcommand needs a sweep section")
     section = cfg["sweep"]
@@ -444,50 +464,38 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
     if "beta" in section and "theta" in section:
         raise ConfigError("sweep", "sweep beta and theta are mutually exclusive")
     base_sched = _get(cfg, "schedule", "config", dict, default={})
-    cs = section.get("c", [base_sched.get("c", 0.9)])
-    if not isinstance(cs, list) or not cs:
-        raise ConfigError("sweep.c", "expected a nonempty list")
-    inertia_key = next((key for key in ("beta", "theta") if key in section), None)
-    inertia_vals = section[inertia_key] if inertia_key else [None]
-    if not isinstance(inertia_vals, list) or not inertia_vals:
-        raise ConfigError(f"sweep.{inertia_key}", "expected a nonempty list")
-    for key, vals in (("c", cs), (inertia_key, inertia_vals)):
-        if key is None:
-            continue
+    grid = {"c": section.get("c", [base_sched.get("c", 0.9)])}
+    grid.update((key, section[key]) for key in ("beta", "theta") if key in section)
+    for key, vals in grid.items():
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError(f"sweep.{key}", "expected a nonempty list")
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
             raise ConfigError(f"sweep.{key}", "expected a list of numbers")
         if len(set(vals)) != len(vals):
             raise ConfigError(f"sweep.{key}", "duplicate grid value")
 
-    jobs = []
-    for c_val, b_val in itertools.product(cs, inertia_vals):
-        sub = json.loads(json.dumps(cfg))
-        sub.pop("sweep")
-        sched = dict(sub.get("schedule", {}))
-        sched["c"] = c_val
-        name = f"c{_grid_label(c_val)}"
-        if inertia_key is not None:
-            sched.pop("beta", None)
-            sched.pop("theta", None)
-            sched[inertia_key] = b_val
-            name += f"_{inertia_key}{_grid_label(b_val)}"
-        sub["schedule"] = sched
-        jobs.append((name, json.dumps(sub), os.path.join(out_dir, name)))
+    # a grid of beta or theta replaces the base schedule's inertia
+    base_sched = {key: val for key, val in base_sched.items()
+                  if len(grid) == 1 or key not in ("beta", "theta")}
+    plans = {}
+    for values in itertools.product(*grid.values()):
+        point = dict(zip(grid, values))
+        name = "_".join(f"{key}{_grid_label(v)}" for key, v in point.items())
+        point_cfg = {key: val for key, val in cfg.items() if key != "sweep"}
+        point_cfg["schedule"] = {**base_sched, **point}
+        try:
+            plans[name] = _decode_run(point_cfg, os.path.join(out_dir, name), seed_offset)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {name}", str(exc))
 
-    results = {}
-    workers = _pool_size(workers, len(jobs))
+    workers = _pool_size(workers, len(plans))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [(name, pool.submit(_sweep_worker, text, d, seed_offset))
-                    for name, text, d in jobs]
-            for name, fut in futs:
-                d, status = fut.result()
-                results[name] = {"dir": d, "status": status}
+            statuses = list(pool.map(_sweep_point, plans.values()))
     else:
-        for name, text, d in jobs:
-            _, status = _sweep_worker(text, d, seed_offset)
-            results[name] = {"dir": d, "status": status}
-
+        statuses = [_sweep_point(plan) for plan in plans.values()]
+    results = {name: {"dir": plan.out_dir, "status": status}
+               for (name, plan), status in zip(plans.items(), statuses)}
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep_summary.json"), {"runs": results})
     return 0 if all(v["status"] == "ok" for v in results.values()) else 3
@@ -569,7 +577,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "run":
-            run_experiment(cfg, args.out, seed_offset=args.seed_offset)
+            _execute_run(_decode_run(cfg, args.out, args.seed_offset))
             return 0
         if args.command == "sweep":
             if args.workers < 1:

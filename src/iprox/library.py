@@ -51,7 +51,6 @@ from .problems import CompositeProblem, SmoothModel, SolutionSet
 from .prox import ProxKind
 
 KINDS = ("quadratic", "quadratic_l1", "lasso", "logistic_l1", "noncoercive_quadratic")
-_QUAD_KINDS = ("quadratic", "quadratic_l1", "noncoercive_quadratic")
 _DATA_KINDS = ("lasso", "logistic_l1")
 _L_INFLATE = 1.0 + 1e-8
 _LANCZOS_TOL = 1e-14   # stop when the top Ritz value moves less than this, relative
@@ -285,29 +284,20 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
                         f_star=0.0, nu=lam_min / 2.0,
                         solution_set=SolutionSet(np.zeros(n), normal=Ur))
 
-    if spec.kind == "lasso":
-        p = spec.rows
-        A = rng.standard_normal((p, n))
-        x_true = np.zeros(n)
-        nnz = max(1, int(round(0.1 * n)))
-        support = rng.choice(n, size=nnz, replace=False)
-        x_true[support] = rng.standard_normal(nnz)
-        b = A @ x_true + 0.1 * rng.standard_normal(p)
-        L, L_blocks = _gram_constants(A, blocks, rng, 1.0)
-        return _problem(SmoothModel("squares", A, offset=b), blocks, L, L_blocks,
-                        spec.reg_lambda)
-
-    # logistic_l1
+    # lasso and logistic_l1: A, a planted 10%-sparse x_true, then the kind's noise
     p = spec.rows
     A = rng.standard_normal((p, n))
     x_true = np.zeros(n)
     nnz = max(1, int(round(0.1 * n)))
     support = rng.choice(n, size=nnz, replace=False)
     x_true[support] = rng.standard_normal(nnz)
-    y = np.where(A @ x_true + 0.5 * rng.standard_normal(p) >= 0, 1.0, -1.0)
-    L, L_blocks = _gram_constants(A, blocks, rng, 4.0 * p)
-    return _problem(SmoothModel("logistic", A, labels=y), blocks, L, L_blocks,
-                    spec.reg_lambda)
+    if spec.kind == "lasso":
+        model = SmoothModel("squares", A, offset=A @ x_true + 0.1 * rng.standard_normal(p))
+    else:
+        y = np.where(A @ x_true + 0.5 * rng.standard_normal(p) >= 0, 1.0, -1.0)
+        model = SmoothModel("logistic", A, labels=y)
+    L, L_blocks = _gram_constants(A, blocks, rng, 1.0 if spec.kind == "lasso" else 4.0 * p)
+    return _problem(model, blocks, L, L_blocks, spec.reg_lambda)
 
 
 def _problem(model, blocks, L, L_blocks, reg_lambda, **extra):

@@ -340,23 +340,22 @@ class ImageOracle:
     """Per-run oracle state: keeps the image u of the current iterate under
     the problem's SmoothModel.
 
-    refresh(x) starts a new image at x, whose shape the caller has checked;
-    read(x) is refresh(x) with (f(x), grad f(x)) read off the new image,
-    bit for bit and column for column what value and full_grad then give;
-    value(x) and full_grad(x) read f or grad f of that x; block_grad(i, x)
-    is block i of grad f(x), possibly a view of the gradient the state
-    keeps, so callers read it and never write it; move(i, d) tells the
-    state that block i of x moved by d.  The caller passes the x the state
-    currently describes.
+    read(x) starts a new image at x, whose shape the caller has checked, and
+    gives (f(x), grad f(x)) from it: the one way to read grad f whole.
+    refresh(x) starts a new image at x and reads nothing; value(x) then
+    reads f of that x; block_grad(i, x) is block i of grad f(x), possibly a
+    view of the gradient the state keeps, so callers read it and never
+    write it; move(i, d) tells the state that block i of x moved by d.  The
+    caller passes the x the state currently describes.
 
     A block gradient or a move reads only the block's columns of A
     through the problem's block selectors, so as views when the block is a
     contiguous range.  A move is applied when the image is next read, so
-    one followed by a refresh costs nothing.  Work is counted in
+    one followed by a refresh or a read costs nothing.  Work is counted in
     matvec-equivalents: a product with all of A
     counts 1, one with a block's columns |block|/n; a value from the
-    image is free.  A full gradient is computed once per image: it serves
-    every full and block gradient until the next move or refresh.
+    image is free.  The gradient of a read serves every block gradient
+    until the next move or refresh.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -391,15 +390,8 @@ class ImageOracle:
     def value(self, x: Vector) -> float:
         return self.model.value_at(x, self._image())
 
-    def full_grad(self, x: Vector) -> Vector:
-        if self.grad is None:
-            self.grad = self.model.grad_at(x, self._image())
-            if not self.grad_is_image:
-                self.columns += self.dim
-        return self.grad
-
     def read(self, x: Vector):
-        """refresh(x), then (f(x), grad f(x)) from the one new image."""
+        """A new image of x, then (f(x), grad f(x)) from it."""
         self.u, value = self.model.image_value(x)
         self.pending = None
         self.grad = self.model.grad_at(x, self.u)

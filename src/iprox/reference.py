@@ -7,15 +7,16 @@ adaptive restart) at stepsize 1/L, stopping on the prox-gradient residual
 hash of the instance spec and tolerance, with atomic replacement so
 concurrent sweep workers can share one cache directory.
 
-Each iteration refreshes the oracle state, an
-:class:`iprox.problems.ImageOracle`, at the new iterate and takes grad f
-there; it serves the stopping residual and the next step.  The step's
+Each iteration takes f and grad f of the new iterate from one read of
+the oracle state, an :class:`iprox.problems.ImageOracle`; grad f serves
+the stopping residual and the next step, and f gives min F at the
+returned iterate, the best one kept when the budget runs out.  The step's
 gradient at the extrapolated point y = x + c (x - x_prev) is that
 gradient when c = 0, and g + c (g - g_prev) when the SmoothModel's
 gradient is affine (the squares and quadratic losses): 2 products with A
 per lasso iteration, 1 for the quadratic kinds, 2 for the noncoercive
-kind (image and Gram product).  The logistic loss takes a second gradient
-at y when c > 0.  g is read as the runs read it, through the problem's
+kind (image and Gram product).  The logistic loss takes a second read at
+y when c > 0.  g is read as the runs read it, through the problem's
 prox_kind: one vector call for a coordinate-separable kind, one per block
 otherwise.  ``ReferenceSolution.matvec_equiv`` is the oracle state's
 count.  :func:`with_reference` attaches f_star and, for a unique
@@ -68,27 +69,21 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     state = ImageOracle(problem)
     affine = problem.smooth_model.loss != "logistic"
 
-    def grad(x):
-        state.refresh(x)
-        return state.full_grad(x)
-
     def residual(x, g):
         return float(np.linalg.norm(x - prox_full(problem, x - gam * g, gam)))
 
-    def solution(x, r, it, converged):
-        # F at x from the state, which describes x
-        f_star = state.value(x) + _g_value(problem, x)
+    def solution(x, f, r, it, converged):
         return ReferenceSolution(
-            x_star=x.copy(), f_star=f_star, residual=r, iterations_used=it,
-            converged=converged, matvec_equiv=state.matvec_equiv)
+            x_star=x.copy(), f_star=f + _g_value(problem, x), residual=r,
+            iterations_used=it, converged=converged, matvec_equiv=state.matvec_equiv)
 
     x = np.zeros(problem.dim) if x0 is None else _check_dim(problem, x0).copy()
-    g = grad(x)
+    f, g = state.read(x)
     g_prev = None
     y = x.copy()
     c = 0.0  # y = x + c (x - x_prev)
     t = 1.0
-    best_x = x.copy()
+    best_x, best_f = x.copy(), f
     best_r = residual(x, g)
     it = 0
     for it in range(1, max_iters + 1):
@@ -97,9 +92,9 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
         elif affine:
             g_y = g + c * (g - g_prev)
         else:
-            g_y = grad(y)
+            g_y = state.read(y)[1]
         x_new = prox_full(problem, y - gam * g_y, gam)
-        g_new = grad(x_new)
+        f, g_new = state.read(x_new)
         # restart when the momentum direction opposes the latest progress
         if float((y - x_new) @ (x_new - x)) > 0.0:
             t, c = 1.0, 0.0
@@ -113,11 +108,10 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
         r = residual(x, g)
         if r < best_r:
             best_r = r
-            best_x = x.copy()
+            best_x, best_f = x.copy(), f
         if r <= tol:
-            return solution(x, r, it, True)
-    state.refresh(best_x)
-    return solution(best_x, best_r, it, False)
+            return solution(x, f, r, it, True)
+    return solution(best_x, best_f, best_r, it, False)
 
 
 def with_reference(problem: CompositeProblem, ref: ReferenceSolution,

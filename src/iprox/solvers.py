@@ -13,8 +13,8 @@ state is refreshed, and the extra Trace fields.
 
 A run checks each thing once: x0, the problem and a constant (beta,
 gamma) before the loop, a diminishing (beta_k, gamma_k) at each k, and
-each gradient where it is read, by the loop at recorded entries and
-under stop_tol, else by the step that computed it.  Steps reach a block
+each gradient where it is read: a whole one by the loop, a block's by
+the block step that computed it.  Steps reach a block
 through the problem's block selectors (a slice for a contiguous block),
 and the stochastic order draws its blocks _DRAWS at a time with
 :meth:`iprox.rng.SplitMix64.randint_below_batch`.
@@ -41,13 +41,13 @@ audit stepsize 1/L throughout: S_gamma(x) vanishes exactly at minimizers of
 F for any gamma > 0, so the choice only rescales the stopping rule.
 
 The smooth part is read through a per-run oracle state, an
-:class:`iprox.problems.ImageOracle` over the problem's SmoothModel.  An
-entry (and every step under stop_tol) takes f and grad f of x in one read
-of a new image of x, and the loop also refreshes the image at the start of
-every epoch (every full step, each cyclic epoch, every m stochastic steps);
-this bounds the rounding drift of an image kept up to date by block moves,
-and with m = 1 every step refreshes.  meta["matvec_equiv"] holds the work
-the run's oracle state counted.
+:class:`iprox.problems.ImageOracle` over the problem's SmoothModel.  Every
+full step, entry and step under stop_tol reads f and grad f of x from one
+new image of x.  A block order's other steps read f off an image that the
+loop refreshes at every epoch start (each cyclic epoch, every m stochastic
+steps) and that block moves keep up to date; the refresh bounds its
+rounding drift, and with m = 1 every step refreshes.  meta["matvec_equiv"]
+holds the work the run's oracle state counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -56,6 +56,7 @@ inputs are immutable and per-run state is private.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -104,12 +105,21 @@ class RunConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
+        for name in ("max_iters", "record_every", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ContractViolation(f"{name} must be an integer")
         if not 1 <= self.max_iters <= np.iinfo(np.intp).max:
             raise ContractViolation("max_iters must be >= 1 and no larger than numpy's index type")
         if self.record_every < 1:
             raise ContractViolation("record_every must be >= 1")
-        if self.stop_tol < 0:
-            raise ContractViolation("stop_tol must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ContractViolation("seed must lie in [0, 2^64)")
+        # a NaN fails every comparison, so it fails this one
+        if not isinstance(self.stop_tol, numbers.Real) or not self.stop_tol >= 0:
+            raise ContractViolation("stop_tol must be a real number >= 0")
+        if not isinstance(self.keep_iterates, bool):
+            raise ContractViolation("keep_iterates must be a bool")
 
 
 @dataclass
@@ -240,8 +250,8 @@ class _FullOrder:
     gives (beta_k, gamma_k), checked; when ``constant`` holds they are the
     same for every k and the loop takes them once.  step is the order's
     update rule: it takes the pair (x^k, x^{k-1}) to x^{k+1}, using the
-    loop's checked gradient at x^k when there is one (grad, else None, and
-    the oracle state gives it), and returns x^{k+1} with its measure
+    loop's checked gradient at x^k (grad, else None and the oracle state
+    gives each block's), and returns x^{k+1} with its measure
     s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  stash
     gives the values of the Trace fields named in ``stashed`` that an
     entry records as they are.  entries takes a block of recorded rows as
@@ -249,14 +259,15 @@ class _FullOrder:
     step_sq and descent_slack columns, and the other Trace fields named in
     ``extra``.  A row at k = 0 has no previous iterate and stands in for
     it itself; its s = 0 makes its slack exactly 0.
-    The oracle state is refreshed at least every ``epoch`` steps; the full
-    step moves every block, so here that is every step.  The full formulas
-    are the stochastic ones at m = 1.
+    The oracle state is refreshed at least every ``epoch`` steps, and when
+    ``reads_grad`` holds every step gets grad: the full step needs all of
+    it.  The full formulas are the stochastic ones at m = 1.
     """
 
     variant = "full"
     extra = stashed = ()
     epoch = 1
+    reads_grad = True
     step_sq0 = 0.0
 
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
@@ -280,9 +291,6 @@ class _FullOrder:
         return beta, gamma_full(beta, self.c, self.L)
 
     def step(self, x, x_prev, k, beta, gamma, oracle, grad):
-        if grad is None:
-            grad = oracle.full_grad(x)
-            _check_grad(grad, k)
         # the momentum add is skipped when beta == 0.0, so a no-inertia run is
         # bit-identical to a plain forward-backward step
         v = x - gamma * grad
@@ -314,6 +322,7 @@ class _CyclicOrder(_FullOrder):
 
     variant = "cyclic"
     extra = ("block_step_sq",)
+    reads_grad = False
 
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
         super().__init__(problem, schedule)
@@ -359,6 +368,7 @@ class _StochasticOrder(_FullOrder):
 
     variant = "stochastic"
     extra = stashed = ("chosen_blocks", "step_sq_running_min")
+    reads_grad = False
 
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule,
                  seed: int, beta_fixed):
@@ -412,6 +422,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     stop_tol, record_every, max_iters = cfg.stop_tol, cfg.record_every, cfg.max_iters
     # a float ** raises OverflowError above about 1.3e154, where * gives inf
     stop_sq = stop_tol * stop_tol
+    always_read = order.reads_grad or stop_tol > 0.0
     # bound once: the lookups are a measurable share of a recorded block step
     read, refresh, value, add = oracle.read, oracle.refresh, oracle.value, rec.add
     params, step, stash, epoch = order.params, order.step, order.stash, order.epoch
@@ -424,7 +435,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     while True:
         beta, gamma = const or params(k)
         want_entry = (k % record_every == 0) or (k == max_iters)
-        need_grad = want_entry or stop_tol > 0.0
+        need_grad = want_entry or always_read
         if not need_grad and k % epoch == 0:
             refresh(x)
         F_val, grad = read(x) if need_grad else (value(x), None)

@@ -9,22 +9,18 @@ from iprox.problems import ImageOracle
 class FreshOracle(ImageOracle):
     """An ImageOracle that computes every value and gradient afresh from x.
 
-    A block gradient is block i of the full gradient at x, as a closure
-    grad f(x) gives it, so block moves never leave rounding in the image.
-    Runs with this state patched into the solvers are the exact-gradient
-    reference that runs over a kept image must agree with.
+    A block gradient is block i of the gradient of a read at x, as a
+    closure grad f(x) gives it, so block moves never leave rounding in the
+    image.  Runs with this state patched into the solvers are the
+    exact-gradient reference that runs over a kept image must agree with.
     """
 
     def value(self, x):
         self.refresh(x)
         return super().value(x)
 
-    def full_grad(self, x):
-        self.refresh(x)
-        return super().full_grad(x)
-
     def block_grad(self, i, x):
-        return self.full_grad(x)[self.cols[i]]
+        return self.read(x)[1][self.cols[i]]
 
 
 @pytest.fixture

@@ -230,17 +230,40 @@ def test_sweep_parallel_matches_serial(tmp_path):
                (par / name / "trace.csv").read_bytes()
 
 
-def test_sweep_with_invalid_combination_is_exit_3(tmp_path):
+def test_sweep_with_an_invalid_grid_point_is_exit_2_before_any_output(tmp_path, capsys):
+    # every point is decoded before any runs, so the valid beta 0.5 writes
+    # nothing either
     doc = lasso_cfg()
     doc["audits"] = []
     del doc["schedule"]["beta"]
     doc["sweep"] = {"beta": [0.5, 1.5]}  # 1.5 fails schedule validation
     cfg = write_cfg(tmp_path, doc)
     out = tmp_path / "sweep"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
-    summary = json.loads((out / "sweep_summary.json").read_text())
-    assert summary["runs"]["c0.9_beta0.5"]["status"] == "ok"
-    assert summary["runs"]["c0.9_beta1.5"]["status"].startswith("error")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error: sweep point c0.9_beta1.5: schedule: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_an_invalid_base_config_is_exit_2_before_any_output(tmp_path, capsys):
+    doc = lasso_cfg(audits=[], sweep={"c": [0.5, 0.9]})
+    doc["instance"]["kind"] = "bogus"
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "instance: kind must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_sweep_point_the_instance_rejects_is_a_per_point_status(tmp_path):
+    # a lasso has no nu, which only the built instance shows: the fixed_gamma
+    # regime fails at each point, after decoding, as a recorded status
+    doc = quad_stochastic_cfg(instance={"kind": "lasso", "n": 12, "rows": 30,
+                                        "reg_lambda": 0.2, "m": 4, "seed": 3},
+                              schedule={"fixed_gamma": 0.5}, sweep={"c": [0.8]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    runs = json.loads((out / "sweep_summary.json").read_text())["runs"]
+    assert runs["c0.8"]["status"].startswith("error: ConfigError: schedule.fixed_gamma: ")
+    assert not (out / "c0.8").exists()
 
 
 def test_sweep_sections_are_subcommand_scoped(tmp_path):
@@ -557,14 +580,14 @@ def test_a_sweep_point_out_of_memory_is_recorded_without_a_traceback(tmp_path, c
 
 
 def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):
-    real = cli.run_experiment
+    real = cli._execute_run
 
-    def flaky(cfg, out_dir, **kwargs):
-        if cfg["schedule"]["beta"] == 0.6:
+    def flaky(plan):
+        if plan.cfg["schedule"]["beta"] == 0.6:
             raise OSError("disk full")
-        return real(cfg, out_dir, **kwargs)
+        return real(plan)
 
-    monkeypatch.setattr(cli, "run_experiment", flaky)
+    monkeypatch.setattr(cli, "_execute_run", flaky)
     doc = lasso_cfg(audits=[], sweep={"beta": [0.3, 0.6]})
     del doc["schedule"]["beta"]
     doc["run"]["max_iters"] = 50
@@ -645,6 +668,15 @@ def test_stochastic_descent_audit_with_early_stopping_is_exit_2(tmp_path, capsys
     # and summary.json says so
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed_mean"] == {"entries": min(lengths), "entries_per_seed": lengths}
+
+
+def test_output_dir_is_an_unknown_key(tmp_path, capsys):
+    # the output directory is --out; the key once passed decoding and did nothing
+    out = tmp_path / "out"
+    doc = lasso_cfg(output_dir=str(tmp_path / "elsewhere"))
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: config.output_dir: unknown key" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "elsewhere").exists()
 
 
 def test_keep_iterates_is_an_unknown_run_key(tmp_path, capsys):

@@ -253,8 +253,9 @@ def test_a_closure_f_is_rejected_and_another_models_f_is_read():
 
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS) + ["quadratic-without-center"])
 def test_a_read_is_a_refresh_a_gradient_and_a_value(kind):
-    # read(x) is the run loop's one call at an entry: bit for bit what
-    # refresh(x), full_grad(x) and value(x) give, with the same columns
+    # read(x) is the one way to read grad f whole: bit for bit the model's
+    # f(x) and grad f(x), from one new image that costs n columns, and n
+    # more for the transposed product unless the loss is quadratic
     if kind == "quadratic-without-center":
         q, _ = instance("quadratic", 3)
         model = SmoothModel("quadratic", q.smooth_model.A)
@@ -262,23 +263,22 @@ def test_a_read_is_a_refresh_a_gradient_and_a_value(kind):
         assert p.smooth_model.center is None
     else:
         p, _ = instance(kind, 3)
+    model, n = p.smooth_model, p.dim
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(p.dim)
-    one, three = ImageOracle(p), ImageOracle(p)
-    stale = rng.standard_normal(len(p.blocks[0]))
-    for state in (one, three):  # a move still pending is dropped by both
-        state.refresh(np.zeros(p.dim))
-        state.move(0, stale)
-    value, grad = one.read(x)
-    three.refresh(x)
-    want_grad = three.full_grad(x)
-    assert value == three.value(x) == p.smooth_model.value(x)
-    assert np.array_equal(grad, want_grad) and np.array_equal(one.u, three.u)
-    assert one.columns == three.columns
-    # the state then serves block gradients and moves as after a refresh
+    x = rng.standard_normal(n)
+    state = ImageOracle(p)
+    state.refresh(np.zeros(n))
+    state.move(0, rng.standard_normal(len(p.blocks[0])))  # a pending move is dropped
+    value, grad = state.read(x)
+    assert value == model.value(x)
+    assert np.array_equal(grad, model.grad(x)) and np.array_equal(state.u, model.image(x))
+    per_read = n if model.loss == "quadratic" else 2 * n
+    assert state.columns == n + per_read
+    # the state then serves block gradients free, and a move and a value
+    # cost the block's columns
     d = np.full(len(p.blocks[1]), 0.25)
-    for state in (one, three):
-        assert np.array_equal(state.block_grad(1, x), want_grad[p.block_selectors[1]])
-        state.move(1, d)
+    assert np.array_equal(state.block_grad(1, x), grad[p.block_selectors[1]])
+    state.move(1, d)
     x[p.block_selectors[1]] += d
-    assert one.value(x) == three.value(x) and one.columns == three.columns
+    assert state.value(x) == pytest.approx(model.value(x), rel=1e-12)
+    assert state.columns == n + per_read + len(d)

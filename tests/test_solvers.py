@@ -150,7 +150,7 @@ def fold_id(case):
 def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
     """x^{k+1} by the order's update rule, coded apart from the solvers.
 
-    Gradients come from the oracle state (full_grad, block_grad, and each
+    Gradients come from the oracle state (read, block_grad, and each
     block move told to it by move), or from grad_f without one.  The full
     step is prox_full(x - gamma*grad f(x) + beta*(x - x_prev)).  The cyclic
     step moves every block in turn, block i with gamma[i] and its gradient
@@ -158,7 +158,7 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
     alone.  A block moves by the same rule with the prox of its own g_i.
     """
     if variant == "full":
-        grad = grad_f(p, x) if oracle is None else oracle.full_grad(x)
+        grad = grad_f(p, x) if oracle is None else oracle.read(x)[1]
         return prox_full(p, x - gamma * grad + beta * (x - x_prev), gamma)
     x = x.copy()
     for i in (range(p.n_blocks) if variant == "cyclic" else (block,)):
@@ -177,10 +177,10 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
 def test_run_matches_manual_fold(variant, problem, record_every, rule, with_oracle,
                                  fresh_reads):
     # a run equals, bit for bit, a fold of reference_step.  Without an
-    # oracle state it reads grad_f; with one, the state is refreshed at the
-    # documented cadence: at every recorded entry, where the full gradient
-    # is read, and at every epoch start (every full or cyclic step, every m
-    # stochastic steps)
+    # oracle state it reads grad_f; with one, the state takes a new image at
+    # the documented cadence: a read of f and grad f at every recorded entry
+    # and every full step, and a refresh at every other epoch start (every
+    # cyclic step, every m stochastic steps)
     beta_rule = FOLD_RULES[rule]
     p, x0 = fold_problem(problem)
     if problem != "library":
@@ -198,8 +198,7 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     F, blocks = {0: objective(p, x)}, []
     for k in range(iters):
         if with_oracle and k % record_every == 0:
-            oracle.refresh(x)
-            oracle.full_grad(x)
+            oracle.read(x)
         elif with_oracle and k % epoch == 0:
             oracle.refresh(x)
         beta = beta_at(sched, k)
@@ -488,6 +487,27 @@ def test_a_max_iters_numpy_cannot_index_is_rejected():
         RunConfig(max_iters=10 ** 30)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 10.5), ("max_iters", True), ("record_every", 2.5), ("record_every", True),
+    ("seed", 1.5), ("seed", False), ("seed", -1), ("seed", 2 ** 64),
+    ("stop_tol", float("nan")), ("stop_tol", "0.1"), ("keep_iterates", 1)],
+    ids=["float-max-iters", "bool-max-iters", "float-record-every", "bool-record-every",
+         "float-seed", "bool-seed", "negative-seed", "seed-2^64", "nan-stop-tol",
+         "str-stop-tol", "int-keep-iterates"])
+def test_a_run_config_checks_its_types(field, value):
+    # only the config is built, never a run: max_iters = 10.5 once made
+    # run_inertial loop forever, record_every = 2.5 recorded k = 0, 5, 10,
+    # and max_iters = True ran one step
+    with pytest.raises(ContractViolation, match=field):
+        RunConfig(**{"max_iters": 10, field: value})
+
+
+def test_a_run_config_takes_numpy_numbers():
+    cfg = RunConfig(max_iters=np.int64(10), record_every=np.int32(2), seed=np.uint64(2 ** 64 - 1),
+                    stop_tol=np.float64(1e-6), keep_iterates=True)
+    assert cfg.max_iters == 10 and cfg.seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
 def test_dist_sq_column_records_distance_to_solution_set(variant):
     spec = iprox.InstanceSpec(kind="quadratic", n=12, conditioning=8.0, m=3, seed=4)
@@ -589,7 +609,7 @@ def per_entry_run(p, sched, x0, cfg, variant):
                 f"objective blew up at iteration {k}: F={F!r} from F0={F0!r}", k=k, value=F)
         rsq = None
         if want or cfg.stop_tol > 0:
-            v = x - prox_full(p, x - g * oracle.full_grad(x), g)
+            v = x - prox_full(p, x - g * oracle.read(x)[1], g)
             rsq = float(v.dot(v))
         stop = cfg.stop_tol > 0 and rsq <= cfg.stop_tol ** 2
         if want or stop:
