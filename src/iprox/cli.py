@@ -41,6 +41,7 @@ stochastic runs write trace_seed<S>.csv per seed plus trace_mean.csv.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import itertools
@@ -56,15 +57,12 @@ import numpy as np
 from . import diagnostics, library, reference, solvers, traceio
 from .errors import ConfigError, ContractViolation, DivergenceError, RunFailure
 from .ode import ode_audit, simulate_heavy_ball
-from .schedules import ConstantBeta, DiminishingBeta, ParamSchedule
+from .schedules import VARIANTS, ConstantBeta, DiminishingBeta, ParamSchedule
 
 # algorithm -> (schedule variant, runner in solvers)
 ALGORITHMS = {"inertial": ("full", "run_inertial"), "prox_grad": ("full", "run_inertial"),
               "cyclic": ("cyclic", "run_cyclic"), "stochastic": ("stochastic", "run_stochastic")}
-AUDITS = ("descent", "squared_lyapunov", "lyapunov", "rates")
 RATE_COLUMNS = ("lyapunov", "F", "step_sq", "residual_sq")
-# audits whose result depends on min F (or the minimizer) from the reference
-_F_STAR_AUDITS = ("squared_lyapunov", "rates")
 # the largest integer a config float may be given as
 _MAX_FLOAT_INT = int(np.finfo(float).max)
 
@@ -171,6 +169,45 @@ def _validate_schedule(cfg: dict, algorithm: str, m: int) -> ParamSchedule:
                              fixed_gamma=fixed_gamma)
 
 
+# ------------------------------------------------------------------- audits
+
+# A row of AUDITS: whether the audit needs min F, argmin F as a solution set
+# and record_every = 1, and per order (schedule variant) it applies to, its
+# summary.json key and its call on a _Ran.  cols are the written columns:
+# the trace's, or the seed means.
+_Audit = collections.namedtuple("_Audit", "min_f solution_set every_step calls")
+_Ran = collections.namedtuple("_Ran", "traces cols rate f_star")
+
+
+def _rate_fit(ran: _Ran) -> dict:
+    floor = diagnostics.value_floor(ran.f_star, ran.rate["floor_scale"])
+    column = ran.rate["column"]
+    return {**_fit(ran.cols["k"], ran.cols[column], ran.rate, floor), "column": column}
+
+
+def _per_order(orders, key, call) -> dict:
+    return {order: (key, call) for order in orders}
+
+
+# the audits in the order they run; each is summary["audits"][name][key],
+# but the rate fit is appended to summary["rates"]
+AUDITS = {
+    "descent": _Audit(False, False, True, {
+        **_per_order(("full", "cyclic"), "max_violation",
+                     lambda ran: diagnostics.descent_audit(ran.traces[0])),
+        "stochastic": ("min_seed_mean_slack",
+                       lambda ran: diagnostics.expectation_descent_audit(ran.traces))}),
+    "squared_lyapunov": _Audit(True, True, True, _per_order(
+        ("full", "cyclic"), "max_violation",
+        lambda ran: diagnostics.squared_lyapunov_audit(ran.traces[0]))),
+    "lyapunov": _Audit(False, False, True, {
+        order: (key, lambda ran: diagnostics.max_lyapunov_increase(ran.cols["lyapunov"]))
+        for order, key in (("full", "max_increase"), ("cyclic", "max_increase"),
+                           ("stochastic", "max_increase_of_mean"))}),
+    "rates": _Audit(True, False, False, _per_order(VARIANTS, "rates", _rate_fit)),
+}
+
+
 def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
     section = _get(cfg, "run", "config", dict)
     _check_keys(section, ("max_iters", "record_every", "stop_tol"), "run")
@@ -179,7 +216,7 @@ def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
             max_iters=_get(section, "max_iters", "run", int),
             record_every=_get(section, "record_every", "run", int, default=1),
             stop_tol=_get(section, "stop_tol", "run", float, default=0.0))
-    if audits and set(audits) != {"rates"} and run_cfg.record_every != 1:
+    if any(AUDITS[a].every_step for a in audits) and run_cfg.record_every != 1:
         raise ConfigError("run.record_every", "inequality audits need record_every = 1")
     return run_cfg
 
@@ -197,14 +234,15 @@ def _no_solution_set(spec):
 def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
     audits = _get(cfg, "audits", "config", list, default=[])
     for i, a in enumerate(audits):
-        if a not in AUDITS:
-            raise ConfigError(f"audits[{i}]", f"must be one of {AUDITS}")
-    if "squared_lyapunov" in audits:
-        if algorithm == "stochastic":
-            raise ConfigError("audits", "squared_lyapunov applies to inertial/cyclic runs")
-        why = _no_solution_set(spec)
+        if not isinstance(a, str) or a not in AUDITS:
+            raise ConfigError(f"audits[{i}]", f"must be one of {tuple(AUDITS)}")
+        audit = AUDITS[a]
+        if ALGORITHMS[algorithm][0] not in audit.calls:
+            runs = [name for name, (order, _) in ALGORITHMS.items() if order in audit.calls]
+            raise ConfigError("audits", f"{a} applies to {'/'.join(runs)} runs")
+        why = _no_solution_set(spec) if audit.solution_set else None
         if why is not None:
-            raise ConfigError("audits", f"squared_lyapunov needs a solution set; {why}")
+            raise ConfigError("audits", f"{a} needs a solution set; {why}")
     return list(audits)
 
 
@@ -354,7 +392,7 @@ def _execute_run(plan: _Plan) -> dict:
     ref = None
     if problem.solution_set is None:
         ref_key, ref, store = _reference_solution(problem, spec, plan.ref)
-        needs = [a for a in audits if a in _F_STAR_AUDITS]
+        needs = [a for a in audits if AUDITS[a].min_f]
         if not ref.converged and needs:
             raise RunFailure(
                 f"reference solve did not converge (residual {ref.residual:.3g} "
@@ -388,36 +426,31 @@ def _execute_run(plan: _Plan) -> dict:
         "rates": [],
         "trace_files": [fname for fname, _ in plan.runs],
     }
-    # one trace.csv, or one trace_seed<S>.csv per seed and their mean
-    for (fname, _), trace in zip(plan.runs, traces):
-        cols = traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
-    if stochastic:
-        cols = traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"),
-                                            traces)
-        summary["trace_files"].append("trace_mean.csv")
-        entries = [len(t.ks) for t in traces]
-        if len(set(entries)) > 1:  # seeds stopped apart under stop_tol
-            summary["seed_mean"] = {"entries": len(cols["k"]), "entries_per_seed": entries}
+    # one trace.csv, or one trace_seed<S>.csv per seed and their mean; a column
+    # the CSV refuses (a lyapunov of 0*inf when 1/gamma overflows) fails the run
+    with _on_trace("trace CSV"):
+        for (fname, _), trace in zip(plan.runs, traces):
+            cols = traceio.write_trace_csv(os.path.join(out_dir, fname), trace)
+        if stochastic:
+            cols = traceio.write_mean_trace_csv(os.path.join(out_dir, "trace_mean.csv"),
+                                                traces)
+            summary["trace_files"].append("trace_mean.csv")
+            entries = [len(t.ks) for t in traces]
+            if len(set(entries)) > 1:  # seeds stopped apart under stop_tol
+                summary["seed_mean"] = {"entries": len(cols["k"]),
+                                        "entries_per_seed": entries}
 
-    # the audits and the rate fit read one set of columns: the trace's or
-    # the seed means
-    found = summary["audits"]
-    for name in [a for a in AUDITS if a in audits and a != "rates"]:
-        with _on_trace(f"audit {name}"):
-            if name == "descent":
-                found[name] = (
-                    {"min_seed_mean_slack": diagnostics.expectation_descent_audit(traces)}
-                    if stochastic else {"max_violation": diagnostics.descent_audit(traces[0])})
-            elif name == "lyapunov":
-                inc = diagnostics.max_lyapunov_increase(cols["lyapunov"])
-                found[name] = {"max_increase_of_mean" if stochastic else "max_increase": inc}
+    # every problem here has f_star: a library quadratic's own, or the reference's
+    ran = _Ran(traces, cols, plan.rate, problem.f_star)
+    for name, audit in AUDITS.items():
+        if name in audits:
+            key, call = audit.calls[schedule.variant]
+            with _on_trace(f"audit {name}"):
+                value = call(ran)
+            if name == "rates":
+                summary["rates"].append(value)
             else:
-                found[name] = {"max_violation": diagnostics.squared_lyapunov_audit(traces[0])}
-    if "rates" in audits:
-        floor = diagnostics.value_floor(problem.f_star if problem.f_star is not None
-                                        else 0.0, plan.rate["floor_scale"])
-        fit = _fit(cols["k"], cols[plan.rate["column"]], plan.rate, floor)
-        summary["rates"].append({**fit, "column": plan.rate["column"]})
+                summary["audits"][name] = {key: value}
 
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
@@ -589,16 +622,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ContractViolation as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
     except (RunFailure, MemoryError) as exc:  # an allocation no machine can hold
         print(f"run failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -203,14 +203,11 @@ def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e
     ell = float(np.max(eps * (1.0 / delta_next + 2.0 / problem.nu)))
     omega = 2.0 * ell / (math.sqrt(ell * ell + 4.0 * ell) + ell)
 
-    max_ratio = -math.inf
-    n_checked = 0
-    for j in range(len(xi) - 1):
-        if xi[j] > floor:
-            max_ratio = max(max_ratio, xi[j + 1] / xi[j])
-            n_checked += 1
+    above = xi[:-1] > floor
+    n_checked = int(np.count_nonzero(above))
     if n_checked == 0:
         raise ContractViolation("no steps above the rounding floor to check")
+    max_ratio = np.max(xi[1:][above] / xi[:-1][above])
     return {
         "ell": float(ell),
         "omega_bound": float(omega),

@@ -64,6 +64,8 @@ class InstanceSpec:
     rows is the data-matrix row count for lasso/logistic and the rank of P
     for noncoercive_quadratic; conditioning is the target L/nu for the
     quadratic family (>= 2 since lam_min = 2/conditioning <= lam_max = 1).
+    n, rows, m and seed take any integer but a bool, a numpy one included,
+    and hold it as a Python int.
     """
 
     kind: str
@@ -77,8 +79,12 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ContractViolation(f"kind must be one of {KINDS}")
-        if any(not isinstance(v, int) or isinstance(v, bool) or v > np.iinfo(np.intp).max
-               for v in (self.n, self.rows, self.m)):
+        for name in ("n", "rows", "m", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ContractViolation("n, rows, m and seed must be integers")
+            object.__setattr__(self, name, int(value))  # the same dict for a numpy int
+        if any(v > np.iinfo(np.intp).max for v in (self.n, self.rows, self.m)):
             raise ContractViolation("n, rows and m must be integers numpy can index with")
         if any(not isinstance(v, numbers.Real) or isinstance(v, bool)
                for v in (self.reg_lambda, self.conditioning)):
@@ -89,8 +95,7 @@ class InstanceSpec:
             raise ContractViolation("m must divide n (equal-size blocks)")
         if self.reg_lambda < 0:
             raise ContractViolation("reg_lambda must be >= 0")
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or not (0 <= self.seed < 2 ** 64)):
+        if not 0 <= self.seed < 2 ** 64:
             raise ContractViolation("seed must be an integer in [0, 2^64)")
         if self.kind in ("quadratic", "quadratic_l1"):
             if self.n < 2 or self.conditioning < 2:

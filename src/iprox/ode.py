@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import max_lyapunov_increase
 from .errors import ContractViolation, DivergenceError
 from .problems import CompositeProblem, grad_f
 
@@ -136,9 +137,6 @@ def ode_audit(trace: OdeTrace, theta: float, x_star) -> dict:
     acc_norms = np.linalg.norm(trace.accs, axis=1)
 
     R = float(np.max(np.maximum((alpha + theta) * dist, 0.5 * speeds)))
-    max_inc = 0.0
-    if len(xi) > 1:
-        max_inc = float(max(0.0, np.max(np.diff(xi))))
     violations = acc_norms > theta * speeds
     frac = float(np.mean(violations))
 
@@ -158,7 +156,7 @@ def ode_audit(trace: OdeTrace, theta: float, x_star) -> dict:
     margins = bound - xi
     margins_unc = bound_unc - xi
     return {
-        "max_xi_increase": max_inc,
+        "max_xi_increase": max_lyapunov_increase(xi),
         "R": R,
         "accel_violation_fraction": frac,
         "bound_ok": bool(np.all(xi <= bound + tol)),

@@ -20,6 +20,7 @@ dist(x, argmin F)^2 for a whole block of rows at once.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -172,7 +173,7 @@ class CompositeProblem:
     smooth_grad : callable x -> ndarray
         grad f(x): the same model's grad method, or a wrapper naming it.
     lipschitz_L : float
-        Global Lipschitz constant of grad f (must be > 0).
+        Global Lipschitz constant of grad f (finite and > 0, as are L_i, nu).
     block_lipschitz : tuple of float
         Per-block constants L_i of the partial gradients; for library
         problems these are enforced <= lipschitz_L at construction.
@@ -220,24 +221,22 @@ class CompositeProblem:
             raise ContractViolation("f must be a SmoothModel's value and grad")
         object.__setattr__(self, "smooth_model", model)
         object.__setattr__(self, "dim", model.dim)
-        if self.lipschitz_L <= 0:
-            raise ContractViolation("lipschitz_L must be > 0")
+        # NaN fails every comparison, so "L <= 0" would let it through
+        if not (math.isfinite(self.lipschitz_L) and self.lipschitz_L > 0):
+            raise ContractViolation("lipschitz_L must be finite and > 0")
         blocks = tuple(tuple(int(j) for j in blk) for blk in self.blocks)
-        if len(blocks) == 0:
-            raise ContractViolation("need at least one block")
+        if not blocks or not all(blocks):
+            raise ContractViolation("need at least one block, and every block nonempty")
         flat = [j for blk in blocks for j in blk]
-        if any(len(blk) == 0 for blk in blocks):
-            raise ContractViolation("blocks must be nonempty")
         if sorted(flat) != list(range(self.dim)):
             raise ContractViolation(
-                "blocks must partition {0..dim-1}: disjoint, covering, in range"
-            )
+                "blocks must partition {0..dim-1}: disjoint, covering, in range")
         if len(self.block_lipschitz) != len(blocks):
             raise ContractViolation("need one block_lipschitz entry per block")
-        if any(L_i <= 0 for L_i in self.block_lipschitz):
-            raise ContractViolation("block Lipschitz constants must be > 0")
-        if self.nu is not None and self.nu <= 0:
-            raise ContractViolation("nu must be > 0 when given")
+        if not all(math.isfinite(L_i) and L_i > 0 for L_i in self.block_lipschitz):
+            raise ContractViolation("block Lipschitz constants must be finite and > 0")
+        if self.nu is not None and not (math.isfinite(self.nu) and self.nu > 0):
+            raise ContractViolation("nu must be finite and > 0 when given")
         sol = self.solution_set
         if sol is not None and (not isinstance(sol, SolutionSet) or len(sol.point) != self.dim):
             raise ContractViolation("solution_set must be a SolutionSet of the problem's dimension")
@@ -249,11 +248,8 @@ class CompositeProblem:
             raise ContractViolation("box bounds must be scalars or have every block's length")
         object.__setattr__(self, "prox_kind", kind)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(
-            self,
-            "block_lipschitz",
-            tuple(float(L_i) for L_i in self.block_lipschitz),
-        )
+        object.__setattr__(self, "block_lipschitz",
+                           tuple(float(L_i) for L_i in self.block_lipschitz))
         object.__setattr__(self, "block_selectors", tuple(
             _selector(np.asarray(blk, dtype=np.intp)) for blk in blocks))
 

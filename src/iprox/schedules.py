@@ -2,11 +2,17 @@
 
 Everything here is a pure function, so schedules can be shared across
 threads and runs; gamma_full, delta_coeff and epsilon_coeff also act
-elementwise on arrays (per-block constants, or a trace's columns).  The stepsize rules keep the per-step decrease
-coefficient at L(1-c)/(2c) > 0 for every admissible (beta, c):
+elementwise on arrays (per-block constants, or a trace's columns).  The
+stepsize rules keep the per-step decrease coefficient at L(1-c)/(2c) > 0
+for every admissible (beta, c):
 
     full/cyclic  gamma = 2(1-beta)c/L      so (1-beta)/gamma - L/2 = L(1-c)/(2c)
     stochastic   gamma = 2(1-beta/sqrt(m))c/L, beta in [0, sqrt(m))
+
+The stepsize formulas take values their owners checked: beta_k < 1 <=
+sqrt(m) by ConstantBeta or DiminishingBeta, c and m by ParamSchedule, L
+and L_i by CompositeProblem.  delta_coeff and epsilon_coeff, which the
+audits apply to a Trace's columns, and gamma0_root check their arguments.
 """
 
 from __future__ import annotations
@@ -80,14 +86,12 @@ class ParamSchedule:
         if self.fixed_gamma is not None:
             if self.variant != "stochastic":
                 raise ContractViolation("fixed_gamma applies to the stochastic variant only")
-            if self.fixed_gamma <= 0:
-                raise ContractViolation("fixed_gamma must be > 0")
+            if not (math.isfinite(self.fixed_gamma) and self.fixed_gamma > 0):
+                raise ContractViolation("fixed_gamma must be finite and > 0")
 
 
 def beta_at(schedule: ParamSchedule, k: int) -> float:
-    """Inertia beta_k; non-increasing in k by construction."""
-    if k < 0:
-        raise ContractViolation("iteration index must be >= 0")
+    """Inertia beta_k at k >= 0; non-increasing in k by construction."""
     rule = schedule.beta_rule
     if isinstance(rule, ConstantBeta):
         return rule.beta0
@@ -99,32 +103,17 @@ def beta_at(schedule: ParamSchedule, k: int) -> float:
 
 def gamma_full(beta: float, c: float, L_val: float) -> float:
     """Stepsize 2(1-beta)c/L for the full and cyclic (per-block L_i) schemes."""
-    if not (0.0 <= beta < 1.0):
-        raise ContractViolation("gamma_full needs beta in [0, 1)")
-    if not (0.0 < c < 1.0):
-        raise ContractViolation("gamma_full needs c in (0, 1)")
-    if np.any(L_val <= 0):
-        raise ContractViolation("gamma_full needs L > 0")
     return 2.0 * (1.0 - beta) * c / L_val
 
 
 def gamma_stochastic(beta: float, c: float, L_val: float, m: int) -> float:
     """Stepsize 2(1-beta/sqrt(m))c/L for the stochastic scheme."""
-    if m < 1:
-        raise ContractViolation("gamma_stochastic needs m >= 1")
-    root_m = math.sqrt(m)
-    if not (0.0 <= beta < root_m):
-        raise ContractViolation("gamma_stochastic needs beta in [0, sqrt(m))")
-    if not (0.0 < c < 1.0):
-        raise ContractViolation("gamma_stochastic needs c in (0, 1)")
-    if L_val <= 0:
-        raise ContractViolation("gamma_stochastic needs L > 0")
-    return 2.0 * (1.0 - beta / root_m) * c / L_val
+    return 2.0 * (1.0 - beta / math.sqrt(m)) * c / L_val
 
 
 def delta_coeff(gamma: float, L_val: float) -> float:
     """Lyapunov weight delta = (1/gamma - L/2)/2; > 0 whenever gamma < 2/L."""
-    if np.any(gamma <= 0):
+    if not np.all(gamma > 0):
         raise ContractViolation("delta_coeff needs gamma > 0")
     return 0.5 * (1.0 / gamma - L_val / 2.0)
 
@@ -134,11 +123,11 @@ def epsilon_coeff(gamma: float, delta_next: float, c: float, L_val: float) -> fl
 
     eps = 4c*delta_next^2/((1-c)L) + 4c/((1-c)L*gamma^2).
     """
-    if np.any(gamma <= 0):
+    if not np.all(gamma > 0):
         raise ContractViolation("epsilon_coeff needs gamma > 0")
     if not (0.0 < c < 1.0):
         raise ContractViolation("epsilon_coeff needs c in (0, 1)")
-    if L_val <= 0:
+    if not L_val > 0:
         raise ContractViolation("epsilon_coeff needs L > 0")
     scale = 4.0 * c / ((1.0 - c) * L_val)
     return scale * delta_next * delta_next + scale / (gamma * gamma)
@@ -153,10 +142,10 @@ def gamma0_root(m: int, nu: float, L_val: float) -> float:
     """
     if m < 1:
         raise ContractViolation("gamma0_root needs m >= 1")
-    if nu <= 0:
-        raise ContractViolation("gamma0_root needs nu > 0")
-    if L_val <= 0:
-        raise ContractViolation("gamma0_root needs L > 0")
+    if not (math.isfinite(nu) and nu > 0):
+        raise ContractViolation("gamma0_root needs a finite nu > 0")
+    if not (math.isfinite(L_val) and L_val > 0):
+        raise ContractViolation("gamma0_root needs a finite L > 0")
     a = min(nu, 1.0) * nu / (8.0 * m**3)
     b = L_val + nu / (2.0 * m) - nu / (4.0 * m * m)
     return 2.0 / (b + math.sqrt(b * b + 4.0 * a))
@@ -164,10 +153,4 @@ def gamma0_root(m: int, nu: float, L_val: float) -> float:
 
 def linear_stochastic_beta(gamma: float, nu: float, m: int) -> float:
     """Constant inertia beta = gamma*nu/(4m) paired with a fixed stepsize."""
-    if gamma <= 0:
-        raise ContractViolation("linear_stochastic_beta needs gamma > 0")
-    if nu <= 0:
-        raise ContractViolation("linear_stochastic_beta needs nu > 0")
-    if m < 1:
-        raise ContractViolation("linear_stochastic_beta needs m >= 1")
     return gamma * nu / (4.0 * m)

@@ -11,10 +11,12 @@ with beta from nu), the weights in the slack and Lyapunov formulas (the
 full order is the stochastic formula at m = 1), how often the oracle
 state is refreshed, and the extra Trace fields.
 
-A run checks each thing once: x0, the problem and a constant (beta,
-gamma) before the loop, a diminishing (beta_k, gamma_k) at each k, and
-each gradient where it is read: a whole one by the loop, a block's by
-the block step that computed it.  Steps reach a block
+A run checks each thing once: x0 before the loop, each gradient where
+it is read (a whole one by the loop, a block's by the block step that
+computed it), and the fixed-gamma beta = gamma*nu/(4m) < sqrt(m) when
+the stochastic order is set up.  The schedule's other rules are its
+constructors', so (beta_k, gamma_k) come from unchecked formulas, once
+per run for a constant beta.  Steps reach a block
 through the problem's block selectors (a slice for a contiguous block),
 and the stochastic order draws its blocks _DRAWS at a time with
 :meth:`iprox.rng.SplitMix64.randint_below_batch`.
@@ -247,7 +249,7 @@ class _FullOrder:
     """The policy of the full order, gamma_k = 2(1-beta_k)c/L.
 
     A policy gives the run loop what differs between orders.  params(k)
-    gives (beta_k, gamma_k), checked; when ``constant`` holds they are the
+    gives (beta_k, gamma_k); when ``constant`` holds they are the
     same for every k and the loop takes them once.  step is the order's
     update rule: it takes the pair (x^k, x^{k-1}) to x^{k+1}, using the
     loop's checked gradient at x^k (grad, else None and the oracle state
@@ -271,6 +273,9 @@ class _FullOrder:
     step_sq0 = 0.0
 
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
+        if schedule.variant != self.variant:
+            raise ContractViolation(
+                f"the {self.variant} order needs schedule.variant == {self.variant!r}")
         self.problem = problem
         self.schedule = schedule
         # a block move's selectors and kind; the zero kind's prox is v itself
@@ -363,22 +368,27 @@ class _CyclicOrder(_FullOrder):
 class _StochasticOrder(_FullOrder):
     """Step k moves one uniformly drawn block with
     gamma_k = 2(1-beta_k/sqrt(m))c/L, or in the fixed-gamma regime with
-    (beta_fixed, fixed_gamma); m steps make one epoch.  Blocks are drawn
-    _DRAWS at a time."""
+    (beta_fixed, fixed_gamma), beta_fixed = gamma*nu/(4m) from the
+    problem's nu; m steps make one epoch.  Blocks are drawn _DRAWS at a
+    time."""
 
     variant = "stochastic"
     extra = stashed = ("chosen_blocks", "step_sq_running_min")
     reads_grad = False
 
-    def __init__(self, problem: CompositeProblem, schedule: ParamSchedule,
-                 seed: int, beta_fixed):
+    def __init__(self, problem: CompositeProblem, schedule: ParamSchedule, seed: int):
         super().__init__(problem, schedule)
         self.m = self.epoch = problem.n_blocks
+        if schedule.m != self.m:
+            raise ContractViolation(
+                f"schedule.m={schedule.m} disagrees with problem blocks m={self.m}")
         self.root_m = math.sqrt(self.m)
         self.fixed = schedule.fixed_gamma
-        self.beta_fixed = beta_fixed
         if self.fixed is not None:
-            if not (0.0 <= beta_fixed < self.root_m):
+            if problem.nu is None:
+                raise ContractViolation("fixed_gamma regime needs problem.nu")
+            self.beta_fixed = linear_stochastic_beta(self.fixed, problem.nu, self.m)
+            if not (0.0 <= self.beta_fixed < self.root_m):
                 raise ContractViolation(
                     "fixed_gamma regime needs beta = gamma*nu/(4m) below sqrt(m)")
             self.constant = True
@@ -411,9 +421,9 @@ class _StochasticOrder(_FullOrder):
 
 def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     # The one run loop: F, the divergence guard, the stopping residual and
-    # the entry at x^k, then the order's step into x^{k+1}.  x0 and the
-    # schedule are checked here and by the policy, once; the loop then calls
-    # the order's step and refreshes the oracle state without checking again.
+    # the entry at x^k, then the order's step into x^{k+1}.  x0 is checked
+    # here, once; the loop then calls the order's step and refreshes the
+    # oracle state without checking again.
     x0 = _check_dim(problem, x0)
     g_audit = 1.0 / problem.lipschitz_L
     rec = _Recorder(problem, order, cfg)
@@ -476,8 +486,6 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
 def run_inertial(problem: CompositeProblem, schedule: ParamSchedule,
                  x0, cfg: RunConfig) -> Trace:
     """Full-vector inertial prox-gradient run with gamma_k = 2(1-beta_k)c/L."""
-    if schedule.variant != "full":
-        raise ContractViolation("run_inertial needs schedule.variant == 'full'")
     return _run(problem, x0, cfg, _FullOrder(problem, schedule))
 
 
@@ -489,8 +497,6 @@ def run_cyclic(problem: CompositeProblem, schedule: ParamSchedule,
     F(x^k) + sum_i delta_{k,i}*||x_i^k - x_i^{k-1}||^2 - min F with
     delta_{k,i} = (1/gamma_{k,i} - L_i/2)/2.
     """
-    if schedule.variant != "cyclic":
-        raise ContractViolation("run_cyclic needs schedule.variant == 'cyclic'")
     return _run(problem, x0, cfg, _CyclicOrder(problem, schedule))
 
 
@@ -507,16 +513,4 @@ def run_stochastic(problem: CompositeProblem, schedule: ParamSchedule,
     expectation-level descent inequality; it is only meaningful after
     averaging traces over seeds.
     """
-    if schedule.variant != "stochastic":
-        raise ContractViolation("run_stochastic needs schedule.variant == 'stochastic'")
-    m = problem.n_blocks
-    if schedule.m != m:
-        raise ContractViolation(
-            f"schedule.m={schedule.m} disagrees with problem blocks m={m}")
-    beta_fixed = None
-    if schedule.fixed_gamma is not None:
-        if problem.nu is None:
-            raise ContractViolation("fixed_gamma regime needs problem.nu")
-        beta_fixed = linear_stochastic_beta(schedule.fixed_gamma, problem.nu, m)
-    return _run(problem, x0, cfg,
-                _StochasticOrder(problem, schedule, cfg.seed, beta_fixed))
+    return _run(problem, x0, cfg, _StochasticOrder(problem, schedule, cfg.seed))

@@ -3,6 +3,7 @@ import glob
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -167,6 +168,82 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     assert "record_every" in capsys.readouterr().err
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--out", out]) == 2
+
+
+@pytest.mark.parametrize("command, text, flags, message", [
+    ("run", "{not json", [], "config: invalid JSON in "),
+    ("run", "[1]", [], "config: top level must be a JSON object"),
+    ("run", json.dumps(lasso_cfg(algorithm="prox_grad")), [],
+     "schedule.beta: fixed_gamma and prox_grad set beta themselves"),
+    ("run", json.dumps(quad_stochastic_cfg(audits=["squared_lyapunov"])), [],
+     "audits: squared_lyapunov applies to inertial/prox_grad/cyclic runs"),
+    ("sweep", json.dumps(lasso_cfg(sweep={"beta": [0.3], "theta": [2.0]})), [],
+     "sweep: sweep beta and theta are mutually exclusive"),
+    ("sweep", json.dumps(lasso_cfg(sweep=[0.5])), [], "sweep: expected a JSON object"),
+    ("sweep", json.dumps(lasso_cfg(sweep={"c": [0.5]})), ["--workers", "0"],
+     "workers: must be >= 1"),
+], ids=["invalid-json", "top-level-list", "prox-grad-with-beta", "stochastic-squared-lyapunov",
+        "sweep-beta-and-theta", "sweep-list", "no-workers"])
+def test_malformed_configs_are_exit_2_before_any_output(tmp_path, capsys, command, text,
+                                                         flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_stepsize_whose_reciprocal_overflows_fails_the_run(tmp_path, capsys):
+    # c = 1e-310 lies in (0, 1), but gamma = 2(1-beta)c/L is subnormal and
+    # 1/gamma is inf, so lyapunov at k = 0 is F + inf*0 = NaN.  The CSV
+    # writer refused it, and main answered "invalid request" with exit 2
+    # after it had made the output directory
+    doc = lasso_cfg(instance={"kind": "quadratic", "n": 4, "conditioning": 4.0, "seed": 1},
+                    schedule={"c": 1e-310, "beta": 0.5}, run={"max_iters": 5}, audits=[])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        # numpy's overflow warnings, which the test settings make errors,
+        # are printed and not raised when iprox runs as a program
+        warnings.simplefilter("ignore")
+        code = main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)])
+    assert code == 3
+    assert "run failed: trace CSV: non-finite value in CSV column" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    # python -m iprox runs iprox/__main__.py, here in this process
+    monkeypatch.setattr(sys, "argv", ["iprox", "run", "--config", str(tmp_path / "none.json"),
+                                      "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("iprox", run_name="__main__")
+    assert exc.value.code == 2
+    assert "config error: config: cannot read" in capsys.readouterr().err
+
+
+def test_readme_audit_table_is_the_cli_table():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    table = text[text.index("| audit | orders: `summary.json` key |"):]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        name, keys, *needs = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[name.strip("`")] = (keys, needs)
+    want = {}
+    for name, audit in cli.AUDITS.items():
+        by_key = {}
+        for order, (key, _) in audit.calls.items():
+            by_key.setdefault("rates" if name == "rates" else f"audits.{name}.{key}",
+                              []).append(order)
+        keys = "; ".join(f"{', '.join(orders)}: `{key}`" for key, orders in by_key.items())
+        needs = ["yes" if flag else "no"
+                 for flag in (audit.min_f, audit.solution_set, audit.every_step)]
+        want[name] = (keys, needs)
+    assert rows == want
 
 
 # a number too large for a double parses to inf unless the loader rejects it;

@@ -87,6 +87,37 @@ def test_recomputed_slacks_match_recorded_column():
         assert np.max(np.abs(rec - tr.descent_slack[1:])) < 1e-9 * scale
 
 
+def test_descent_audit_refuses_a_trace_no_run_records():
+    full, cyc, _ = real_runs()
+    with pytest.raises(ContractViolation, match="block_step_sq"):
+        diagnostics.descent_audit(dataclasses.replace(cyc, block_step_sq=None))
+    with pytest.raises(ContractViolation, match="unknown variant"):
+        diagnostics.descent_audit(
+            dataclasses.replace(full, meta={**full.meta, "variant": "bogus"}))
+
+
+def test_lyapunov_weights_check_a_traces_hand_set_gammas_and_meta():
+    # the audits hand a Trace's gammas, c and L to delta_coeff and
+    # epsilon_coeff, and no constructor checked a Trace
+    spec = iprox.InstanceSpec(kind="quadratic", n=8, conditioning=4.0, seed=2)
+    p = library.make_instance(spec)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8, variant="full")
+    tr = iprox.run_inertial(p, sched, library.start_point(spec, "gaussian", 1.0),
+                            iprox.RunConfig(max_iters=20))
+    first, last = tr.gammas.copy(), tr.gammas.copy()
+    first[0] = last[-1] = 0.0
+    for fields, message in (({"gammas": last}, "delta_coeff needs gamma > 0"),
+                            ({"gammas": first}, "epsilon_coeff needs gamma > 0"),
+                            ({"meta": {**tr.meta, "c": 1.0}}, "epsilon_coeff needs c"),
+                            ({"meta": {**tr.meta, "L": 0.0}}, "epsilon_coeff needs L")):
+        with pytest.raises(ContractViolation, match=message):
+            diagnostics.squared_lyapunov_audit(dataclasses.replace(tr, **fields))
+    # gamma = 2/L makes delta_{k+1} = 0, which the ratio bound divides by
+    with pytest.raises(ContractViolation, match="delta_"):
+        diagnostics.linear_ratio_audit(
+            dataclasses.replace(tr, gammas=np.full(len(tr.ks), 2.0 / p.lipschitz_L)), p)
+
+
 def test_expectation_audit_needs_matching_grids():
     spec = iprox.InstanceSpec(kind="quadratic", n=8, conditioning=4.0, seed=1, m=2)
     p = library.make_instance(spec)
@@ -292,6 +323,27 @@ def test_linear_ratio_audit_needs_nu():
         diagnostics.linear_ratio_audit(tr, pr)
 
 
+def test_linear_ratio_audit_needs_a_full_run_with_f_star_above_the_floor():
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="full")
+    _, cyc, _ = real_runs()
+    spec = iprox.InstanceSpec(kind="quadratic", n=8, conditioning=4.0, seed=6)
+    p = library.make_instance(spec)
+    with pytest.raises(ContractViolation, match="full-variant"):
+        diagnostics.linear_ratio_audit(cyc, p)
+    # quadratic_l1 has nu but no closed-form min F
+    spec_l1 = iprox.InstanceSpec(kind="quadratic_l1", n=8, conditioning=4.0,
+                                 reg_lambda=0.1, seed=6)
+    p_l1 = library.make_instance(spec_l1)
+    tr = iprox.run_inertial(p_l1, sched, library.start_point(spec_l1, "gaussian", 1.0),
+                            iprox.RunConfig(max_iters=20))
+    with pytest.raises(ContractViolation, match="known f_star"):
+        diagnostics.linear_ratio_audit(tr, p_l1)
+    # a run started at the minimizer has every xi_k at 0, below the floor
+    at_min = iprox.run_inertial(p, sched, p.solution_set.point, iprox.RunConfig(max_iters=20))
+    with pytest.raises(ContractViolation, match="no steps above the rounding floor"):
+        diagnostics.linear_ratio_audit(at_min, p)
+
+
 def test_value_floor():
     assert diagnostics.value_floor(0.0) == pytest.approx(1e-14)
     assert diagnostics.value_floor(-9.0) == pytest.approx(1e-13)
@@ -343,6 +395,13 @@ def test_fit_rate_validation():
         diagnostics.fit_rate(ks, 1.0 / ks, "bogus_model")
     with pytest.raises(ContractViolation):
         diagnostics.fit_rate(np.zeros(29, dtype=int), np.ones(29), "sublinear_power")
+    with pytest.raises(ContractViolation, match="equal length"):
+        diagnostics.fit_rate(ks, np.ones(28), "geometric")
+    for frac in (-0.1, 1.0):
+        with pytest.raises(ContractViolation, match="burn_in_frac"):
+            diagnostics.fit_rate(ks, 1.0 / ks, "geometric", burn_in_frac=frac)
+    with pytest.raises(ContractViolation, match="k >= 1"):
+        diagnostics.fit_rate(np.arange(0, 29), np.ones(29), "sublinear_power")
 
 
 def test_lyapunov_xi_and_residual_helpers():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iprox import library
+from iprox import library, reference
 from iprox.errors import ContractViolation
 from iprox.library import InstanceSpec, make_instance, spec_from_dict, spec_to_dict, start_point
 from iprox.problems import grad_f, objective
@@ -309,6 +309,8 @@ def test_spec_validation():
         InstanceSpec(kind="noncoercive_quadratic", n=10, rows=10, conditioning=4.0)
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="noncoercive_quadratic", n=10, rows=0, conditioning=4.0)
+    with pytest.raises(ContractViolation, match="conditioning >= 2"):
+        InstanceSpec(kind="noncoercive_quadratic", n=10, rows=5, conditioning=1.5)
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="quadratic", n=10, conditioning=4.0, seed=-1)
     with pytest.raises(ContractViolation):
@@ -334,6 +336,24 @@ def test_spec_dict_round_trip():
 def test_spec_reals_must_be_numbers_and_not_bools(kind, field):
     with pytest.raises(ContractViolation):
         InstanceSpec(kind=kind, n=4, **({"rows": 6} if kind == "lasso" else {}), **field)
+
+
+def test_spec_sizes_and_seed_take_numpy_integers_as_ints():
+    # RunConfig took numpy integers while the spec refused them, naming indexing
+    spec = InstanceSpec(kind="lasso", n=np.int64(10), rows=np.int32(20), m=np.int64(2),
+                        seed=np.uint64(7))
+    plain = InstanceSpec(kind="lasso", n=10, rows=20, m=2, seed=7)
+    assert spec == plain
+    assert all(type(getattr(spec, name)) is int for name in ("n", "rows", "m", "seed"))
+    with pytest.raises(ContractViolation, match="integers"):
+        InstanceSpec(kind="lasso", n=np.float64(10.0), rows=20)
+
+
+def test_a_numpy_integer_spec_has_the_plain_specs_cache_key():
+    key = lambda spec: reference.spec_cache_key(spec_to_dict(spec), 1e-12)  # noqa: E731
+    spec = InstanceSpec(kind="quadratic", n=np.int16(8), conditioning=4.0, m=np.int8(2),
+                        seed=np.int64(3))
+    assert key(spec) == key(InstanceSpec(kind="quadratic", n=8, conditioning=4.0, m=2, seed=3))
 
 
 def test_spec_from_dict_without_kind_or_n_is_a_contract_violation():

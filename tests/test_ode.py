@@ -133,6 +133,8 @@ def test_simulation_validation():
         ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=0.0, t_end=1.0)
     with pytest.raises(ContractViolation):
         ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=0.0)
+    with pytest.raises(ContractViolation, match="shorter than one step"):
+        ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=4e-4)
     with pytest.raises(ContractViolation):
         ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=0.2, t_end=1.0)
     with pytest.raises(ContractViolation):

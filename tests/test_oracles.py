@@ -194,6 +194,12 @@ def test_model_validation():
         SmoothModel("logistic", A)
     with pytest.raises(ContractViolation):
         SmoothModel("squares", A, labels=np.ones(3))
+    with pytest.raises(ContractViolation, match="A must be a matrix"):
+        SmoothModel("squares", np.ones(3))
+    with pytest.raises(ContractViolation, match="offset belongs to the squares loss"):
+        SmoothModel("quadratic", np.eye(2), offset=np.zeros(2))
+    with pytest.raises(ContractViolation, match="center belongs to the quadratic loss"):
+        SmoothModel("squares", np.eye(2), center=np.zeros(2))
     p, _ = instance("lasso", 1)
     other = SmoothModel("squares", A)
     # another model's f acts on its own 2 coordinates, which the lasso's

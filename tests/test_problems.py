@@ -261,6 +261,8 @@ def test_fd_check_quadratic_tight():
     p = make_instance(InstanceSpec(kind="quadratic", n=10, conditioning=6.0, seed=4))
     rng = np.random.Generator(np.random.PCG64(8))
     assert check_gradient_fd(p, rng.standard_normal(10), 1e-5) < 1e-8
+    with pytest.raises(ContractViolation, match="h must be > 0"):
+        check_gradient_fd(p, np.zeros(10), 0.0)
 
 
 def test_fd_check_all_library_kinds():
@@ -350,6 +352,25 @@ def test_partition_validation():
         with pytest.raises(ContractViolation, match="partition"):
             model_problem(half_norm_sq(3), blocks, ProxKind.zero())
     assert model_problem(half_norm_sq(3), ((2,), (0, 1)), ProxKind.zero()).dim == 3
+    for blocks in ((), ((0, 1, 2), ())):
+        with pytest.raises(ContractViolation, match="every block nonempty"):
+            model_problem(half_norm_sq(3), blocks, ProxKind.zero())
+    with pytest.raises(ContractViolation, match="one block_lipschitz entry per block"):
+        dataclasses.replace(model_problem(half_norm_sq(3), ((2,), (0, 1)), ProxKind.zero()),
+                            block_lipschitz=(1.0,))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lipschitz_L", math.nan), ("lipschitz_L", math.inf), ("lipschitz_L", 0.0),
+    ("block_lipschitz", (1.0, math.nan)), ("block_lipschitz", (math.inf, 1.0)),
+    ("block_lipschitz", (1.0, -1.0)),
+    ("nu", math.nan), ("nu", math.inf), ("nu", 0.0)])
+def test_constants_must_be_finite_and_positive(field, value):
+    # a NaN passed the old "<= 0" checks, and the run then failed naming
+    # another cause: a blown-up objective, a non-finite gradient, or beta
+    p = two_block_problem(ProxKind.zero())
+    with pytest.raises(ContractViolation, match="finite and > 0"):
+        dataclasses.replace(p, **{field: value})
 
 
 def test_solution_set_gate():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -91,6 +92,22 @@ def test_with_reference_fills_only_missing_fields():
     nop = reference.with_reference(p, ref, unique_minimizer=False)
     assert nop.solution_set is None
     assert nop.f_star == ref.f_star
+    # a problem with both fields comes back as it is
+    assert reference.with_reference(filled, ref) is filled
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    p, _, _ = quadratic_with_linear_term()
+    ref = reference.solve_reference(p, tol=1e-12)
+    key = reference.spec_cache_key({"kind": "adhoc"}, 1e-12)
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(reference.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        reference.store_cached(tmp_path, key, ref)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cache_round_trip(tmp_path):

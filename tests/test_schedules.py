@@ -64,6 +64,27 @@ def test_rule_validation():
     with pytest.raises(ContractViolation):
         ParamSchedule(beta_rule=ConstantBeta(0.5), c=0.9, variant="stochastic",
                       m=4, fixed_gamma=-1.0)
+    with pytest.raises(ContractViolation, match="beta_rule"):
+        ParamSchedule(beta_rule=0.5, c=0.9, variant="full")
+    with pytest.raises(ContractViolation, match="m must be"):
+        ParamSchedule(beta_rule=ConstantBeta(0.5), c=0.9, variant="stochastic", m=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fixed_gamma_must_be_finite(value):
+    # NaN passed "fixed_gamma <= 0", and the stochastic runner then blamed beta
+    with pytest.raises(ContractViolation, match="fixed_gamma must be finite"):
+        ParamSchedule(beta_rule=ConstantBeta(0.0), c=0.9, variant="stochastic", m=4,
+                      fixed_gamma=value)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((0, 1.0, 1.0), "m >= 1"), ((1, 0.0, 1.0), "nu"), ((1, math.nan, 1.0), "nu"),
+    ((1, 1.0, -1.0), "L"), ((1, 1.0, math.inf), "L")])
+def test_gamma0_root_checks_its_own_arguments(args, field):
+    # no constructor stands between a caller and this function
+    with pytest.raises(ContractViolation, match=field):
+        gamma0_root(*args)
 
 
 @given(beta=st.floats(0.0, 0.999), c=st.floats(0.01, 0.99),
@@ -93,8 +114,10 @@ def test_delta_minus_momentum_weight_margin(beta, c, L):
        m=st.integers(1, 64))
 def test_stochastic_stepsize_identity(beta, c, L, m):
     if beta >= math.sqrt(m):
+        # the formula takes checked values: such a beta is refused where it
+        # enters, by the inertia rule (beta_k < 1 <= sqrt(m) for both rules)
         with pytest.raises(ContractViolation):
-            gamma_stochastic(beta, c, L, m)
+            ConstantBeta(beta)
         return
     gamma = gamma_stochastic(beta, c, L, m)
     lhs = (1.0 - beta / math.sqrt(m)) / gamma - L / 2.0

@@ -355,6 +355,9 @@ def test_variant_mismatch_rejected():
         run_cyclic(p, full, x0, RunConfig(max_iters=5))
     with pytest.raises(ContractViolation):
         run_stochastic(p, full, x0, RunConfig(max_iters=5))
+    cyclic = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9, variant="cyclic")
+    with pytest.raises(ContractViolation, match="full order needs"):
+        run_inertial(p, cyclic, x0, RunConfig(max_iters=5))
     sto_wrong_m = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9,
                                       variant="stochastic", m=3)
     with pytest.raises(ContractViolation):

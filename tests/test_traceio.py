@@ -85,6 +85,31 @@ def test_mean_trace_truncates_to_common_length(tmp_path):
     assert len(cols["k"]) == 26
 
 
+def test_mean_trace_needs_traces_on_one_grid(tmp_path):
+    with pytest.raises(ContractViolation, match="at least one trace"):
+        traceio.write_mean_trace_csv(tmp_path / "mean.csv", [])
+    spec = iprox.InstanceSpec(kind="quadratic", n=6, conditioning=4.0, seed=0)
+    p = library.make_instance(spec)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8, variant="full")
+    every3 = iprox.run_inertial(p, sched, library.start_point(spec, "gaussian", 1.0),
+                                iprox.RunConfig(max_iters=40, record_every=3))
+    with pytest.raises(ContractViolation, match="iteration grid"):
+        traceio.write_mean_trace_csv(tmp_path / "mean.csv", [small_trace(), every3])
+    assert not (tmp_path / "mean.csv").exists()
+
+
+def test_ragged_columns_are_rejected_both_ways(tmp_path):
+    tr = small_trace()
+    tr.F = tr.F[:-1]
+    with pytest.raises(ContractViolation, match="ragged columns"):
+        traceio.write_trace_csv(tmp_path / "bad.csv", tr)
+    path = tmp_path / "trace.csv"
+    for text, match in (("", "empty CSV"), ("k,F\n0,1.0\n1\n", "ragged CSV")):
+        path.write_text(text)
+        with pytest.raises(ContractViolation, match=match):
+            traceio.read_csv(path)
+
+
 def test_nonfinite_rejected(tmp_path):
     tr = small_trace()
     tr.F[3] = np.nan
