@@ -6,7 +6,8 @@ The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
 iterates, diminishing inertia, the stochastic fixed-gamma regime, two
 non-separable proxes applied block by block (group l2, and a box with
-bounds of one block's shape) and a lasso whose blocks are not contiguous.
+bounds of one block's shape), also under early stopping, and a lasso
+whose blocks are not contiguous.
 Every run of the quadratic and noncoercive_quadratic kinds, whose argmin F
 is known, records dist^2.  Runs record their entries in blocks of 256 rows
 at n = 24, so 600-iteration runs of each order at record_every 1 (on the
@@ -150,6 +151,11 @@ def runs():
                               m=4 if order == "stochastic" else 1)
         yield (f"lasso-box-m4-{order}", box, sched, xb,
                RunConfig(max_iters=ITERS, seed=7), order)
+        # the stop rule's residual through a prox applied block by block
+        for name, p, x0 in (("lasso-group-l2-m4", group, xl), ("lasso-box-m4", box, xb)):
+            yield (f"{name}-{order}-stop", p, sched, x0,
+                   RunConfig(max_iters=4 * ITERS, record_every=5, seed=7,
+                             stop_tol=1e-3), order)
     quad = InstanceSpec(kind="quadratic", n=N, m=4, seed=3, **SPECS["quadratic"])
     for name, p, x0 in (("lasso-m4", lasso, xl), ("lasso-group-l2-m4", group, xl),
                         ("quadratic-m4", make_instance(quad), start_point(quad, "gaussian", 1.0))):

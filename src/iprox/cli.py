@@ -57,7 +57,8 @@ import numpy as np
 from . import diagnostics, library, reference, solvers, traceio
 from .errors import ConfigError, ContractViolation, DivergenceError, RunFailure
 from .ode import ode_audit, simulate_heavy_ball
-from .schedules import VARIANTS, ConstantBeta, DiminishingBeta, ParamSchedule
+from .schedules import (VARIANTS, ConstantBeta, DiminishingBeta, ParamSchedule,
+                        linear_stochastic_beta)
 
 # algorithm -> (schedule variant, runner in solvers)
 ALGORITHMS = {"inertial": ("full", "run_inertial"), "prox_grad": ("full", "run_inertial"),
@@ -146,7 +147,7 @@ def _validate_instance(cfg: dict) -> library.InstanceSpec:
         return library.spec_from_dict(_get(cfg, "instance", "config", dict))
 
 
-def _validate_schedule(cfg: dict, algorithm: str, m: int) -> ParamSchedule:
+def _validate_schedule(cfg: dict, algorithm: str, spec) -> ParamSchedule:
     sched = _get(cfg, "schedule", "config", dict)
     _check_keys(sched, ("c", "beta", "theta", "fixed_gamma"), "schedule")
     c = _get(sched, "c", "schedule", float, default=0.9)
@@ -164,9 +165,13 @@ def _validate_schedule(cfg: dict, algorithm: str, m: int) -> ParamSchedule:
             rule = DiminishingBeta(_get(sched, "theta", "schedule", float))
         else:  # beta = 0 for prox_grad; under fixed_gamma the solver derives beta from nu
             rule = ConstantBeta(_get(sched, "beta", "schedule", float, default=0.0))
-        return ParamSchedule(beta_rule=rule, c=c, variant=variant,
-                             m=m if variant == "stochastic" else 1,
-                             fixed_gamma=fixed_gamma)
+        schedule = ParamSchedule(beta_rule=rule, c=c, variant=variant,
+                                 m=spec.m if variant == "stochastic" else 1,
+                                 fixed_gamma=fixed_gamma)
+    if fixed_gamma is not None:  # the regime's rules on the instance, by the spec's nu
+        with _section("schedule.fixed_gamma"):
+            linear_stochastic_beta(fixed_gamma, spec.nu, spec.m)
+    return schedule
 
 
 # ------------------------------------------------------------------- audits
@@ -329,7 +334,7 @@ def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
                      pred=lambda v: v in ALGORITHMS,
                      predmsg=f"must be one of {tuple(ALGORITHMS)}")
     audits = _validate_audits(cfg, algorithm, spec)
-    schedule = _validate_schedule(cfg, algorithm, spec.m)
+    schedule = _validate_schedule(cfg, algorithm, spec)
     run_cfg = _validate_run(cfg, audits)
     rate_cfg = _validate_rate(cfg)
     ref_cfg = _validate_reference(cfg, out_dir)
@@ -380,14 +385,10 @@ def _fit(ks, values, fit: dict, floor: float) -> dict:
 
 def _execute_run(plan: _Plan) -> dict:
     """Build a plan's instance, make its runs and write them; returns the
-    summary dict.  Nothing is written until every run is made, so what only
-    the instance shows wrong (a fixed_gamma without nu, a schedule a runner
-    refuses) leaves no output."""
+    summary dict.  Nothing is written until every run is made."""
     spec, audits, schedule, out_dir = plan.spec, plan.audits, plan.schedule, plan.out_dir
     stochastic = plan.algorithm == "stochastic"
     problem = library.make_instance(spec)
-    if schedule.fixed_gamma is not None and problem.nu is None:
-        raise ConfigError("schedule.fixed_gamma", "the linear regime needs an instance with nu")
 
     ref = None
     if problem.solution_set is None:
@@ -402,10 +403,7 @@ def _execute_run(plan: _Plan) -> dict:
             problem, ref, unique_minimizer=_no_solution_set(spec) is None)
 
     runner = getattr(solvers, ALGORITHMS[plan.algorithm][1])
-    # what a runner rejects in a decoded config is the schedule on this
-    # problem, such as a fixed_gamma whose beta reaches sqrt(m)
-    with _section("schedule"):
-        traces = [runner(problem, schedule, plan.x0, cfg_s) for _, cfg_s in plan.runs]
+    traces = [runner(problem, schedule, plan.x0, cfg_s) for _, cfg_s in plan.runs]
     # a run below a converged reference's F shows that F is not min F
     if ref is not None and ref.converged and any(
             t.F.min() < ref.f_star - 1e-9 * (1.0 + abs(t.F[0])) for t in traces):
@@ -468,7 +466,7 @@ def _sweep_point(plan: _Plan) -> str:
     try:
         _execute_run(plan)
         return "ok"
-    except (ConfigError, ContractViolation, DivergenceError, RunFailure, MemoryError) as exc:
+    except (ContractViolation, DivergenceError, RunFailure, MemoryError) as exc:
         return f"error: {type(exc).__name__}: {exc}"
     except Exception as exc:  # unforeseen: log it, but finish the other points
         traceback.print_exc()

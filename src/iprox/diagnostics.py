@@ -249,7 +249,7 @@ def fit_rate(ks, values, model: str, burn_in_frac: float = 0.0) -> RateEstimate:
     values = np.asarray(values, dtype=float)
     if len(ks) != len(values):
         raise ContractViolation("ks and values must have equal length")
-    if burn_in_frac < 0 or burn_in_frac >= 1:
+    if not 0 <= burn_in_frac < 1:  # NaN included
         raise ContractViolation("burn_in_frac must lie in [0, 1)")
     if burn_in_frac > 0 and len(ks):
         keep = ks >= burn_in_frac * ks[-1]

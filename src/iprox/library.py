@@ -93,12 +93,12 @@ class InstanceSpec:
             raise ContractViolation("n must be >= 1")
         if self.m < 1 or self.n % self.m != 0:
             raise ContractViolation("m must divide n (equal-size blocks)")
-        if self.reg_lambda < 0:
+        if not self.reg_lambda >= 0:  # NaN included
             raise ContractViolation("reg_lambda must be >= 0")
         if not 0 <= self.seed < 2 ** 64:
             raise ContractViolation("seed must be an integer in [0, 2^64)")
         if self.kind in ("quadratic", "quadratic_l1"):
-            if self.n < 2 or self.conditioning < 2:
+            if self.n < 2 or not self.conditioning >= 2:
                 raise ContractViolation(
                     f"{self.kind} needs n >= 2 and conditioning >= 2")
             if self.rows != 0:
@@ -107,7 +107,7 @@ class InstanceSpec:
             if not (1 <= self.rows < self.n):
                 raise ContractViolation(
                     "noncoercive_quadratic needs rank rows in [1, n)")
-            if self.conditioning < 2:
+            if not self.conditioning >= 2:
                 raise ContractViolation("noncoercive_quadratic needs conditioning >= 2")
         if self.kind in ("quadratic", "noncoercive_quadratic") and self.reg_lambda != 0:
             raise ContractViolation(f"{self.kind} is smooth-only; reg_lambda must be 0")
@@ -116,6 +116,11 @@ class InstanceSpec:
                 raise ContractViolation(f"{self.kind} needs rows >= 1")
             if self.conditioning != 0:
                 raise ContractViolation(f"{self.kind} does not take conditioning")
+
+    @property
+    def nu(self):
+        """nu = lam_min/2, lam_min = 2/conditioning, of a quadratic kind; None for data."""
+        return None if self.kind in _DATA_KINDS else 2.0 / self.conditioning / 2.0
 
 
 def spec_to_dict(spec: InstanceSpec) -> dict:
@@ -268,9 +273,8 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
 
         if spec.kind == "quadratic":
             return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
-                            f_star=0.0, nu=lam_min / 2.0, solution_set=SolutionSet(z))
-        return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
-                        nu=lam_min / 2.0)
+                            f_star=0.0, nu=spec.nu, solution_set=SolutionSet(z))
+        return _problem(model, blocks, L, L_blocks, spec.reg_lambda, nu=spec.nu)
 
     if spec.kind == "noncoercive_quadratic":
         r = spec.rows
@@ -286,7 +290,7 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(H, blocks, L)
         # argmin F = null(P) = null(Ur')
         return _problem(SmoothModel("squares", P), blocks, L, L_blocks, 0.0,
-                        f_star=0.0, nu=lam_min / 2.0,
+                        f_star=0.0, nu=spec.nu,
                         solution_set=SolutionSet(np.zeros(n), normal=Ur))
 
     # lasso and logistic_l1: A, a planted 10%-sparse x_true, then the kind's noise

@@ -24,7 +24,7 @@ import numpy as np
 
 from .diagnostics import max_lyapunov_increase
 from .errors import ContractViolation, DivergenceError
-from .problems import CompositeProblem, grad_f
+from .problems import CompositeProblem
 
 
 @dataclass
@@ -51,9 +51,10 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     A non-finite state, or a sample whose energy, speed or acceleration
     ratio is not finite, raises DivergenceError with the sample index k.
     """
-    if alpha <= 0:
+    # written as "not > 0", which NaN fails too
+    if not alpha > 0:
         raise ContractViolation("alpha must be > 0")
-    if h <= 0 or t_end <= 0:
+    if not (h > 0 and t_end > 0):
         raise ContractViolation("h and t_end must be > 0")
     if h > 0.1 / math.sqrt(problem.lipschitz_L):
         raise ContractViolation("h exceeds the stability guard 0.1/sqrt(L)")
@@ -73,11 +74,12 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     if n_steps < 1:
         raise ContractViolation("t_end shorter than one step")
     f_star = problem.f_star
-    grad = lambda x: grad_f(problem, x)
+    grad = problem.smooth_grad  # every x here is the integrator's own
 
     ts = np.arange(n_steps + 1) * h
     xs = np.empty((n_steps + 1, problem.dim))
     vs = np.empty_like(xs)
+    accs = np.empty_like(xs)  # sample i's acceleration is step i+1's k1v
     x = x0.copy()
     v = v0.copy()
     xs[0] = x
@@ -86,7 +88,7 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(1, n_steps + 1):
             k1x = v
-            k1v = -alpha * v - grad(x)
+            k1v = accs[i - 1] = -alpha * v - grad(x)
             k2x = v + 0.5 * h * k1v
             k2v = -alpha * k2x - grad(x + 0.5 * h * k1x)
             k3x = v + 0.5 * h * k2v
@@ -100,7 +102,7 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
             xs[i] = x
             vs[i] = v
 
-        accs = -alpha * vs - np.stack([grad(xs[i]) for i in range(n_steps + 1)])
+        accs[n_steps] = -alpha * v - grad(x)
         speeds = np.linalg.norm(vs, axis=1)
         xi = np.array([problem.smooth_value(xs[i]) for i in range(n_steps + 1)])
         xi += 0.5 * speeds ** 2 - f_star
@@ -127,7 +129,7 @@ def ode_audit(trace: OdeTrace, theta: float, x_star) -> dict:
                                (reported for comparison; dimensionally
                                inconsistent form)
     """
-    if theta <= 0:
+    if not theta > 0:  # NaN included
         raise ContractViolation("theta must be > 0")
     x_star = np.asarray(x_star, dtype=float)
     xi = trace.xi_f

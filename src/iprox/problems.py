@@ -316,20 +316,30 @@ def prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
     or by the kind.
     """
     v = _check_dim(problem, v)
-    if gamma <= 0:
+    if not gamma > 0:  # NaN included
         raise ContractViolation("prox stepsize must be > 0")
     return _prox_full(problem, v, gamma)
 
 
 def _prox_full(problem: CompositeProblem, v: Vector, gamma: float) -> Vector:
-    # prox_full once v and gamma are checked
+    # prox_full once v and gamma are checked; v is a vector or a (rows, n)
+    # stack of them, and the kind acts along the last axis
     kind = problem.prox_kind
     if kind.separable:
         return _apply_kind(kind, v, gamma)
     out = np.empty_like(v)
     for sel in problem.block_selectors:
-        out[sel] = _apply_kind(kind, v[sel], gamma)
+        out[..., sel] = _apply_kind(kind, v[..., sel], gamma)
     return out
+
+
+def _residual_sq(problem: CompositeProblem, x: Vector, grad: Vector):
+    """||S_{1/L}(x)||^2, S_g(x) = x - prox_{g*g}(x - g*grad f(x)), of a checked
+    x and its gradient, or of each row of a (rows, n) stack in one prox call;
+    np.vecdot gives each row's s.dot(s) bit for bit."""
+    g = 1.0 / problem.lipschitz_L
+    s = x - _prox_full(problem, x - g * grad, g)
+    return np.vecdot(s, s)
 
 
 class ImageOracle:
@@ -339,10 +349,10 @@ class ImageOracle:
     read(x) starts a new image at x, whose shape the caller has checked, and
     gives (f(x), grad f(x)) from it: the one way to read grad f whole.
     refresh(x) starts a new image at x and reads nothing; value(x) then
-    reads f of that x; block_grad(i, x) is block i of grad f(x), possibly a
-    view of the gradient the state keeps, so callers read it and never
-    write it; move(i, d) tells the state that block i of x moved by d.  The
-    caller passes the x the state currently describes.
+    reads f of that x; block_grad(i, x) computes block i of grad f(x) from
+    the image (the state keeps no gradient); move(i, d) tells the state
+    that block i of x moved by d.  The caller passes the x the state
+    currently describes.
 
     A block gradient or a move reads only the block's columns of A
     through the problem's block selectors, so as views when the block is a
@@ -350,8 +360,7 @@ class ImageOracle:
     one followed by a refresh or a read costs nothing.  Work is counted in
     matvec-equivalents: a product with all of A
     counts 1, one with a block's columns |block|/n; a value from the
-    image is free.  The gradient of a read serves every block gradient
-    until the next move or refresh.
+    image is free.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -361,7 +370,6 @@ class ImageOracle:
         self.cols = problem.block_selectors
         self.grad_is_image = self.model.loss == "quadratic"
         self.u = None
-        self.grad = None
         self.pending = None  # (block, step) of a move not yet applied to u
         self.columns = 0  # columns of A touched; matvec_equiv = columns / n
 
@@ -371,7 +379,6 @@ class ImageOracle:
 
     def refresh(self, x: Vector) -> None:
         self.u = self.model.image(x)
-        self.grad = None
         self.pending = None
         self.columns += self.dim
 
@@ -390,13 +397,10 @@ class ImageOracle:
         """A new image of x, then (f(x), grad f(x)) from it."""
         self.u, value = self.model.image_value(x)
         self.pending = None
-        self.grad = self.model.grad_at(x, self.u)
         self.columns += self.dim if self.grad_is_image else 2 * self.dim
-        return value, self.grad
+        return value, self.model.grad_at(x, self.u)
 
     def block_grad(self, i: int, x: Vector) -> Vector:
-        if self.grad is not None:
-            return self.grad[self.cols[i]]
         if not self.grad_is_image:
             self.columns += self.sizes[i]
         return self.model.grad_at(x, self._image(), self.cols[i])
@@ -404,7 +408,6 @@ class ImageOracle:
     def move(self, i: int, d: Vector) -> None:
         self._image()
         self.pending = (i, d)
-        self.grad = None
 
 
 def check_gradient_fd(problem: CompositeProblem, x: Vector, h: float) -> float:
@@ -413,7 +416,7 @@ def check_gradient_fd(problem: CompositeProblem, x: Vector, h: float) -> float:
     The denominator is max(1, |analytic_j|, |fd_j|), so coordinates where
     both routes are tiny contribute ~absolute error rather than 0/0 noise.
     """
-    if h <= 0:
+    if not h > 0:  # NaN included
         raise ContractViolation("h must be > 0")
     x = _check_dim(problem, x)
     g = grad_f(problem, x)

@@ -13,12 +13,13 @@ from .errors import ContractViolation
 
 
 def _group_shrink(v: np.ndarray, tau: float) -> np.ndarray:
-    # prox of tau*||.||_2 on one block: v*max(1 - tau/||v||, 0), 0 at v = 0
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        # removable singularity: the prox objective's unique minimizer is 0
-        return np.zeros_like(v)
-    return v * max(1.0 - tau / nrm, 0.0)
+    # prox of tau*||.||_2 on each row r of v: r*max(1 - tau/||r||, 0), with the
+    # quotient taken only where ||r|| > tau, and +0.0 on a zero row, the
+    # removable singularity.  sqrt(vecdot) is np.linalg.norm bit for bit
+    nrm = np.sqrt(np.vecdot(v, v))[..., None]
+    small = nrm <= tau
+    scale = np.where(small, 0.0, 1.0 - tau / np.where(small, 1.0, nrm))
+    return np.where(nrm == 0.0, 0.0, v * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +80,16 @@ class ProxKind:
 
 def prox_apply(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
     """Evaluate prox_{gamma*g}(v) for the tagged g."""
-    if gamma <= 0:
+    if not gamma > 0:  # NaN included
         raise ContractViolation("prox stepsize must be > 0")
     return _apply_kind(kind, np.asarray(v, dtype=float), gamma)
 
 
 def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
     """prox_apply for a caller that has already checked its input: v a
-    float vector and gamma > 0.  The kind checked itself when it was built,
-    so nothing is validated again."""
+    float vector, or a stack of them that the kind acts on along the last
+    axis, and gamma > 0.  The kind checked itself when it was built, so
+    nothing is validated again."""
     if kind.tag == "zero":
         return v.copy()
     if kind.tag == "l1":

@@ -17,10 +17,10 @@ gradient is affine (the squares and quadratic losses): 2 products with A
 per lasso iteration, 1 for the quadratic kinds, 2 for the noncoercive
 kind (image and Gram product).  The logistic loss takes a second read at
 y when c > 0.  g is read as the runs read it, through the problem's
-prox_kind: one vector call for a coordinate-separable kind, one per block
-otherwise.  ``ReferenceSolution.matvec_equiv`` is the oracle state's
-count.  :func:`with_reference` attaches f_star and, for a unique
-minimizer, the solution set SolutionSet(x*) to the problem.
+prox_kind, and the stopping residual is the runs' own.
+``ReferenceSolution.matvec_equiv`` is the oracle state's count.
+:func:`with_reference` attaches f_star and, for a unique minimizer, the
+solution set SolutionSet(x*) to the problem.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .problems import CompositeProblem, ImageOracle, SolutionSet, _check_dim, _g_value, prox_full
+from .problems import (CompositeProblem, ImageOracle, SolutionSet, _check_dim, _g_value,
+                       _prox_full, _residual_sq)
 
 
 @dataclass(frozen=True)
@@ -61,16 +63,17 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     Returns the first iterate with ||S_{1/L}(x)|| <= tol, or the
     best-residual iterate flagged unconverged when the budget runs out.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ContractViolation("tol must be > 0")
-    if max_iters < 1:
+    if not max_iters >= 1:
         raise ContractViolation("max_iters must be >= 1")
     gam = 1.0 / problem.lipschitz_L
     state = ImageOracle(problem)
     affine = problem.smooth_model.loss != "logistic"
 
     def residual(x, g):
-        return float(np.linalg.norm(x - prox_full(problem, x - gam * g, gam)))
+        # sqrt(s.dot(s)) is np.linalg.norm(s) bit for bit
+        return math.sqrt(_residual_sq(problem, x, g))
 
     def solution(x, f, r, it, converged):
         return ReferenceSolution(
@@ -93,7 +96,7 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
             g_y = g + c * (g - g_prev)
         else:
             g_y = state.read(y)[1]
-        x_new = prox_full(problem, y - gam * g_y, gam)
+        x_new = _prox_full(problem, y - gam * g_y, gam)
         f, g_new = state.read(x_new)
         # restart when the momentum direction opposes the latest progress
         if float((y - x_new) @ (x_new - x)) > 0.0:

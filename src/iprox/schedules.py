@@ -1,18 +1,20 @@
 """Inertia sequences, stepsize rules, and Lyapunov coefficients.
 
 Everything here is a pure function, so schedules can be shared across
-threads and runs; gamma_full, delta_coeff and epsilon_coeff also act
-elementwise on arrays (per-block constants, or a trace's columns).  The
-stepsize rules keep the per-step decrease coefficient at L(1-c)/(2c) > 0
-for every admissible (beta, c):
+threads and runs; stepsize, delta_coeff and epsilon_coeff also act
+elementwise on arrays (per-block constants, or a trace's columns).  One
+stepsize rule, for every order, keeps the per-step decrease coefficient
+(1-beta/r)/gamma - L/2 at L(1-c)/(2c) > 0 for every admissible (beta, c):
 
-    full/cyclic  gamma = 2(1-beta)c/L      so (1-beta)/gamma - L/2 = L(1-c)/(2c)
-    stochastic   gamma = 2(1-beta/sqrt(m))c/L, beta in [0, sqrt(m))
+    gamma = 2(1-beta/r)c/L, beta in [0, r); r = sqrt(m) stochastic, 1 else
 
-The stepsize formulas take values their owners checked: beta_k < 1 <=
+The full and cyclic (per-block L_i) orders are the rule at m = 1.
+
+The stepsize formula takes values their owners checked: beta_k < 1 <=
 sqrt(m) by ConstantBeta or DiminishingBeta, c and m by ParamSchedule, L
 and L_i by CompositeProblem.  delta_coeff and epsilon_coeff, which the
-audits apply to a Trace's columns, and gamma0_root check their arguments.
+audits apply to a Trace's columns, gamma0_root and the fixed-gamma
+inertia linear_stochastic_beta check their arguments.
 """
 
 from __future__ import annotations
@@ -101,14 +103,10 @@ def beta_at(schedule: ParamSchedule, k: int) -> float:
         return 0.0
 
 
-def gamma_full(beta: float, c: float, L_val: float) -> float:
-    """Stepsize 2(1-beta)c/L for the full and cyclic (per-block L_i) schemes."""
-    return 2.0 * (1.0 - beta) * c / L_val
-
-
-def gamma_stochastic(beta: float, c: float, L_val: float, m: int) -> float:
-    """Stepsize 2(1-beta/sqrt(m))c/L for the stochastic scheme."""
-    return 2.0 * (1.0 - beta / math.sqrt(m)) * c / L_val
+def stepsize(beta: float, c: float, L_val: float, root_m: float) -> float:
+    """Stepsize 2(1-beta/root_m)c/L: root_m = sqrt(m) for the stochastic
+    scheme, 1.0 for the full and cyclic (per-block L_i) schemes."""
+    return 2.0 * (1.0 - beta / root_m) * c / L_val
 
 
 def delta_coeff(gamma: float, L_val: float) -> float:
@@ -151,6 +149,12 @@ def gamma0_root(m: int, nu: float, L_val: float) -> float:
     return 2.0 / (b + math.sqrt(b * b + 4.0 * a))
 
 
-def linear_stochastic_beta(gamma: float, nu: float, m: int) -> float:
-    """Constant inertia beta = gamma*nu/(4m) paired with a fixed stepsize."""
-    return gamma * nu / (4.0 * m)
+def linear_stochastic_beta(gamma: float, nu, m: int) -> float:
+    """Constant inertia beta = gamma*nu/(4m) paired with a fixed stepsize,
+    under the regime's rules on a problem: nu is known, and beta < sqrt(m)."""
+    if nu is None:
+        raise ContractViolation("fixed_gamma regime needs an instance with nu")
+    beta = gamma * nu / (4.0 * m)
+    if not beta < math.sqrt(m):
+        raise ContractViolation("fixed_gamma regime needs beta = gamma*nu/(4m) below sqrt(m)")
+    return beta

@@ -6,10 +6,11 @@ x^{k+1} by the step of a small per-order policy, the one copy of the
 order's update rule: x^{k+1} = prox_{gamma*g}(x - gamma*grad f(x) +
 beta*(x - x_prev)) in the full order, that move on each block in turn in
 the cyclic order, and on one uniformly drawn block in the stochastic one.
-The policy also supplies the stepsize (scalar, one per block, or fixed
-with beta from nu), the weights in the slack and Lyapunov formulas (the
-full order is the stochastic formula at m = 1), how often the oracle
-state is refreshed, and the extra Trace fields.
+The policy also supplies the stepsize (the one rule 2(1-beta/r)c/L with
+r = sqrt(m) or 1, per block in the cyclic order, or fixed with beta from
+nu), the weights in the slack and Lyapunov formulas (the full order is
+the stochastic formula at m = 1), how often the oracle state is
+refreshed, and the extra Trace fields.
 
 A run checks each thing once: x0 before the loop, each gradient where
 it is read (a whole one by the loop, a block's by the block step that
@@ -24,12 +25,12 @@ and the stochastic order draws its blocks _DRAWS at a time with
 Entries are recorded in blocks.  At an entry the loop copies x^k and
 grad f(x^k) into two per-run (rows, n) buffers of at most 8,192 floats
 (64 KiB) each, and appends the entry's scalars; when the buffers are full,
-and at the run's end, the residuals, the Lyapunov and slack values and,
-on a problem with a solution_set, dist(x^k, argmin F)^2 of the whole
-block are computed as numpy columns, in the operation order of a
-per-entry computation, so the trace is the same bit for bit.  Under
-stop_tol the loop also computes the residual at every step, only to
-decide when to stop; its entries are recorded like any other.
+and at the run's end, the residuals (one prox call), the Lyapunov and
+slack values and, on a problem with a solution_set, dist(x^k, argmin F)^2
+of the whole block are computed as numpy columns, in the operation order
+of a per-entry computation, so the trace is the same bit for bit.  Under
+stop_tol the loop also computes the residual of every step's x, by the
+same function, only to decide when to stop.
 
 Each run produces a Trace whose per-entry columns are enough to replay the
 convergence audits in :mod:`iprox.diagnostics` without re-running:
@@ -48,8 +49,9 @@ full step, entry and step under stop_tol reads f and grad f of x from one
 new image of x.  A block order's other steps read f off an image that the
 loop refreshes at every epoch start (each cyclic epoch, every m stochastic
 steps) and that block moves keep up to date; the refresh bounds its
-rounding drift, and with m = 1 every step refreshes.  meta["matvec_equiv"]
-holds the work the run's oracle state counted.
+rounding drift, and with m = 1 every step refreshes.  A gradient the loop
+read serves the step's first block move.  meta["matvec_equiv"] holds the
+work the run's oracle state counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -72,6 +74,7 @@ from .problems import (
     _check_dim,
     _g_value,
     _prox_full,
+    _residual_sq,
     grad_f,  # read as solvers.grad_f by perfbench's test_tracer_restores_the_package
 )
 from .prox import _apply_kind
@@ -81,9 +84,8 @@ from .schedules import (
     ParamSchedule,
     beta_at,
     delta_coeff,
-    gamma_full,
-    gamma_stochastic,
     linear_stochastic_beta,
+    stepsize,
 )
 
 DIVERGENCE_FACTOR = 1e10
@@ -195,15 +197,7 @@ class _Recorder:
         a = {name: np.array(self.values[i::w]) for i, name in enumerate(self.names)}
         self.values.clear()
         X = self.X[:len(a["ks"])]
-        # np.vecdot gives each row's s.dot(s) bit for bit; einsum and
-        # (S*S).sum(1) do not
-        g, kind = 1.0 / self.problem.lipschitz_L, self.problem.prox_kind
-        V = X - g * self.G[:len(X)]
-        if kind.separable:
-            S = X - _apply_kind(kind, V, g)
-        else:
-            S = X - np.array([_prox_full(self.problem, v, g) for v in V])
-        a["residual_sq"] = np.vecdot(S, S)
+        a["residual_sq"] = _residual_sq(self.problem, X, self.G[:len(X)])
         a.update(self.order.entries(a))
         if self.problem.solution_set is not None:
             a["dist_sq"] = self.problem.solution_set.dist_sq(X)
@@ -249,7 +243,8 @@ class _FullOrder:
     """The policy of the full order, gamma_k = 2(1-beta_k)c/L.
 
     A policy gives the run loop what differs between orders.  params(k)
-    gives (beta_k, gamma_k); when ``constant`` holds they are the
+    gives (beta_k, gamma_k), gamma_k by the one stepsize rule with the
+    order's root_m and L_gamma; when ``constant`` holds they are the
     same for every k and the loop takes them once.  step is the order's
     update rule: it takes the pair (x^k, x^{k-1}) to x^{k+1}, using the
     loop's checked gradient at x^k (grad, else None and the oracle state
@@ -283,7 +278,7 @@ class _FullOrder:
         self.kind = None if problem.prox_kind.tag == "zero" else problem.prox_kind
         self.constant = isinstance(schedule.beta_rule, ConstantBeta)
         self.c = schedule.c
-        self.L = problem.lipschitz_L
+        self.L = self.L_gamma = problem.lipschitz_L
         # lyapunov values are reported relative to min F when it is known;
         # otherwise the column is left unshifted and meta records that
         self.f_star = problem.f_star if problem.f_star is not None else 0.0
@@ -293,7 +288,7 @@ class _FullOrder:
 
     def params(self, k: int):
         beta = beta_at(self.schedule, k)
-        return beta, gamma_full(beta, self.c, self.L)
+        return beta, stepsize(beta, self.c, self.L_gamma, self.root_m)
 
     def step(self, x, x_prev, k, beta, gamma, oracle, grad):
         # the momentum add is skipped when beta == 0.0, so a no-inertia run is
@@ -332,13 +327,9 @@ class _CyclicOrder(_FullOrder):
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule):
         super().__init__(problem, schedule)
         self.m = problem.n_blocks
-        self.L_blocks = np.asarray(problem.block_lipschitz, dtype=float)
+        self.L_blocks = self.L_gamma = np.asarray(problem.block_lipschitz, dtype=float)
         self.L_min = float(self.L_blocks.min())
         self.step_sq0 = np.zeros(self.m)
-
-    def params(self, k: int):
-        beta = beta_at(self.schedule, k)
-        return beta, gamma_full(beta, self.c, self.L_blocks)
 
     def step(self, x, x_prev, k, beta, gammas, oracle, grad):
         # block i's gradient is read after blocks 0..i-1 moved (Gauss-Seidel
@@ -385,12 +376,7 @@ class _StochasticOrder(_FullOrder):
         self.root_m = math.sqrt(self.m)
         self.fixed = schedule.fixed_gamma
         if self.fixed is not None:
-            if problem.nu is None:
-                raise ContractViolation("fixed_gamma regime needs problem.nu")
             self.beta_fixed = linear_stochastic_beta(self.fixed, problem.nu, self.m)
-            if not (0.0 <= self.beta_fixed < self.root_m):
-                raise ContractViolation(
-                    "fixed_gamma regime needs beta = gamma*nu/(4m) below sqrt(m)")
             self.constant = True
         self.rng = SplitMix64(seed)
         self.draws = []  # drawn blocks not yet used, the next one last
@@ -401,8 +387,7 @@ class _StochasticOrder(_FullOrder):
     def params(self, k: int):
         if self.fixed is not None:
             return self.beta_fixed, self.fixed
-        beta = beta_at(self.schedule, k)
-        return beta, gamma_stochastic(beta, self.c, self.L, self.m)
+        return super().params(k)
 
     def step(self, x, x_prev, k, beta, gamma, oracle, grad):
         if not self.draws:
@@ -425,7 +410,6 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     # here, once; the loop then calls the order's step and refreshes the
     # oracle state without checking again.
     x0 = _check_dim(problem, x0)
-    g_audit = 1.0 / problem.lipschitz_L
     rec = _Recorder(problem, order, cfg)
 
     oracle = ImageOracle(problem)
@@ -459,9 +443,8 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
 
         if need_grad:
             _check_grad(grad, k)
-        # r.dot(r) is, bit for bit, the residual_sq recorded for x
-        r = x - _prox_full(problem, x - g_audit * grad, g_audit) if stop_tol > 0.0 else None
-        stopping = r is not None and float(r.dot(r)) <= stop_sq
+        # bit for bit the residual_sq recorded for x
+        stopping = stop_tol > 0.0 and _residual_sq(problem, x, grad) <= stop_sq
         cur = (F_val, s, beta, gamma)
         if want_entry or stopping:
             add(x, grad, k, *cur, *(prev or cur), *stash())

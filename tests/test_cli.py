@@ -8,13 +8,14 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import iprox
-from iprox import cli, reference, traceio
+from iprox import cli, library, reference, traceio
 from iprox.cli import main
 from iprox.problems import objective
 
@@ -180,10 +181,11 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     ("sweep", json.dumps(lasso_cfg(sweep={"beta": [0.3], "theta": [2.0]})), [],
      "sweep: sweep beta and theta are mutually exclusive"),
     ("sweep", json.dumps(lasso_cfg(sweep=[0.5])), [], "sweep: expected a JSON object"),
+    ("sweep", json.dumps(lasso_cfg(sweep={"c": []})), [], "sweep.c: expected a nonempty list"),
     ("sweep", json.dumps(lasso_cfg(sweep={"c": [0.5]})), ["--workers", "0"],
      "workers: must be >= 1"),
 ], ids=["invalid-json", "top-level-list", "prox-grad-with-beta", "stochastic-squared-lyapunov",
-        "sweep-beta-and-theta", "sweep-list", "no-workers"])
+        "sweep-beta-and-theta", "sweep-list", "sweep-empty-grid", "no-workers"])
 def test_malformed_configs_are_exit_2_before_any_output(tmp_path, capsys, command, text,
                                                          flags, message):
     cfg = tmp_path / "cfg.json"
@@ -330,17 +332,18 @@ def test_sweep_with_an_invalid_base_config_is_exit_2_before_any_output(tmp_path,
     assert not out.exists()
 
 
-def test_a_sweep_point_the_instance_rejects_is_a_per_point_status(tmp_path):
-    # a lasso has no nu, which only the built instance shows: the fixed_gamma
-    # regime fails at each point, after decoding, as a recorded status
+def test_a_sweep_of_fixed_gamma_without_nu_is_exit_2_before_any_output(tmp_path, capsys):
+    # a lasso has no nu, which the spec shows: the sweep refuses the
+    # fixed_gamma regime at decoding, as run does, and writes nothing
     doc = quad_stochastic_cfg(instance={"kind": "lasso", "n": 12, "rows": 30,
-                                        "reg_lambda": 0.2, "m": 4, "seed": 3},
-                              schedule={"fixed_gamma": 0.5}, sweep={"c": [0.8]})
+                                        "reg_lambda": 0.2, "m": 2, "seed": 3},
+                              schedule={"fixed_gamma": 0.5}, sweep={"c": [0.5, 0.9]})
     out = tmp_path / "sweep"
-    assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
-    runs = json.loads((out / "sweep_summary.json").read_text())["runs"]
-    assert runs["c0.8"]["status"].startswith("error: ConfigError: schedule.fixed_gamma: ")
-    assert not (out / "c0.8").exists()
+    with mock.patch.object(library, "make_instance", wraps=library.make_instance) as make:
+        assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert ("config error: sweep point c0.5: schedule.fixed_gamma: "
+            in capsys.readouterr().err)
+    assert not out.exists() and not make.called
 
 
 def test_sweep_sections_are_subcommand_scoped(tmp_path):
@@ -845,7 +848,8 @@ def test_fixed_gamma_past_the_beta_ceiling_is_exit_2_before_any_output(tmp_path,
     doc = quad_stochastic_cfg(instance=instance, schedule={"c": 0.8, "fixed_gamma": 1e300})
     out = tmp_path / "out"
     assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
-    assert "config error: schedule: fixed_gamma regime needs beta" in capsys.readouterr().err
+    assert ("config error: schedule.fixed_gamma: fixed_gamma regime needs beta"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -1015,7 +1019,8 @@ def test_generated_configs_keep_the_exit_code_contract(fuzz_root, case):
     cwd = os.getcwd()
     os.chdir(fuzz_root)  # the rates base reads trace.csv here
     try:
-        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(), mock.patch.object(
+                library, "make_instance", wraps=library.make_instance) as make:
             # numpy's overflow warnings, which the test settings make errors,
             # are printed and not raised when iprox runs as a program
             warnings.simplefilter("ignore")
@@ -1026,3 +1031,5 @@ def test_generated_configs_keep_the_exit_code_contract(fuzz_root, case):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert not os.path.exists(out), err.getvalue()
+        # a run's config errors are all found in decoding, before any build
+        assert command != "run" or not make.called, err.getvalue()

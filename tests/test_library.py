@@ -295,12 +295,14 @@ def test_spec_validation():
         InstanceSpec(kind="lasso", n=10, rows=5, m=3)  # m must divide n
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="lasso", n=10, rows=0)
-    with pytest.raises(ContractViolation):
-        InstanceSpec(kind="lasso", n=10, rows=5, reg_lambda=-0.1)
+    for lam in (-0.1, float("nan")):  # a NaN lambda built a lasso without g
+        with pytest.raises(ContractViolation):
+            InstanceSpec(kind="lasso", n=10, rows=5, reg_lambda=lam)
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="lasso", n=10, rows=5, conditioning=3.0)
-    with pytest.raises(ContractViolation):
-        InstanceSpec(kind="quadratic", n=10, conditioning=1.5)
+    for cond in (1.5, float("nan")):  # a NaN conditioning gave a NaN nu
+        with pytest.raises(ContractViolation):
+            InstanceSpec(kind="quadratic", n=10, conditioning=cond)
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="quadratic", n=10, conditioning=4.0, rows=2)
     with pytest.raises(ContractViolation):
@@ -309,8 +311,9 @@ def test_spec_validation():
         InstanceSpec(kind="noncoercive_quadratic", n=10, rows=10, conditioning=4.0)
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="noncoercive_quadratic", n=10, rows=0, conditioning=4.0)
-    with pytest.raises(ContractViolation, match="conditioning >= 2"):
-        InstanceSpec(kind="noncoercive_quadratic", n=10, rows=5, conditioning=1.5)
+    for cond in (1.5, float("nan")):
+        with pytest.raises(ContractViolation, match="conditioning >= 2"):
+            InstanceSpec(kind="noncoercive_quadratic", n=10, rows=5, conditioning=cond)
     with pytest.raises(ContractViolation):
         InstanceSpec(kind="quadratic", n=10, conditioning=4.0, seed=-1)
     with pytest.raises(ContractViolation):
@@ -354,6 +357,20 @@ def test_a_numpy_integer_spec_has_the_plain_specs_cache_key():
     spec = InstanceSpec(kind="quadratic", n=np.int16(8), conditioning=4.0, m=np.int8(2),
                         seed=np.int64(3))
     assert key(spec) == key(InstanceSpec(kind="quadratic", n=8, conditioning=4.0, m=2, seed=3))
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("quadratic", {}), ("quadratic_l1", {"reg_lambda": 0.1}),
+    ("noncoercive_quadratic", {"rows": 3}), ("lasso", {"rows": 10, "reg_lambda": 0.1}),
+    ("logistic_l1", {"rows": 10, "reg_lambda": 0.1})])
+def test_the_spec_gives_the_instances_nu(kind, extra):
+    # a config is checked against nu before any instance is built, so the
+    # spec's nu must be the built problem's, bit for bit
+    data = kind in ("lasso", "logistic_l1")
+    for conditioning in ([0.0] if data else [2.0, 3.0, 6.0, 7.3, 25.0, 1e5]):
+        spec = InstanceSpec(kind=kind, n=6, m=2, seed=1, conditioning=conditioning, **extra)
+        assert make_instance(spec).nu == spec.nu
+        assert spec.nu is None if data else spec.nu == 2.0 / conditioning / 2.0
 
 
 def test_spec_from_dict_without_kind_or_n_is_a_contract_violation():

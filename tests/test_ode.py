@@ -127,12 +127,14 @@ def test_negative_curvature_blows_up():
 
 def test_simulation_validation():
     p = spring_problem()
-    with pytest.raises(ContractViolation):
-        ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=0.0, h=1e-3, t_end=1.0)
-    with pytest.raises(ContractViolation):
-        ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=0.0, t_end=1.0)
-    with pytest.raises(ContractViolation):
-        ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=0.0)
+    # NaN fails "<= 0": alpha NaN diverged, and h or t_end NaN failed the sample count
+    for bad in (0.0, math.nan):
+        with pytest.raises(ContractViolation, match="alpha must be > 0"):
+            ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=bad, h=1e-3, t_end=1.0)
+        with pytest.raises(ContractViolation, match="h and t_end must be > 0"):
+            ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=bad, t_end=1.0)
+        with pytest.raises(ContractViolation, match="h and t_end must be > 0"):
+            ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=bad)
     with pytest.raises(ContractViolation, match="shorter than one step"):
         ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-3, t_end=4e-4)
     with pytest.raises(ContractViolation):
@@ -155,8 +157,9 @@ def test_more_samples_than_numpy_can_index_is_rejected():
 def test_audit_validation():
     p = spring_problem()
     tr = ode.simulate_heavy_ball(p, [1.0], [0.0], alpha=1.0, h=1e-2, t_end=0.5)
-    with pytest.raises(ContractViolation):
-        ode.ode_audit(tr, theta=0.0, x_star=[0.0])
+    for theta in (0.0, math.nan):  # a NaN theta reported no violations
+        with pytest.raises(ContractViolation, match="theta must be > 0"):
+            ode.ode_audit(tr, theta=theta, x_star=[0.0])
 
 
 @pytest.mark.parametrize("kind, zero", [

@@ -192,6 +192,49 @@ def test_group_l2_prox_full_shrinks_each_block_by_its_own_norm():
     assert np.allclose(out, [1.8, 2.4, 0.0, 0.0], rtol=0, atol=1e-15)
 
 
+RESIDUAL_KINDS = {
+    "zero": ProxKind.zero(), "l1": ProxKind.l1(0.3), "box": ProxKind.box(-0.4, 0.5),
+    "box-block-bounds": ProxKind.box(-np.linspace(0.1, 0.6, 4), np.linspace(0.2, 0.9, 4)),
+    "group_l2": ProxKind.group_l2(0.3), "group_l2-weight0": ProxKind.group_l2(0.0)}
+
+
+def group_shrink_of_one_block(v, tau):
+    # the group-l2 prox of one block, coded apart: v*max(1 - tau/||v||, 0), 0 at v = 0
+    nrm = float(np.linalg.norm(v))
+    return np.zeros_like(v) if nrm == 0.0 else v * max(1.0 - tau / nrm, 0.0)
+
+
+@pytest.mark.parametrize("blocks", ["contiguous", "scattered"])
+@pytest.mark.parametrize("name", sorted(RESIDUAL_KINDS))
+def test_the_residual_of_a_stack_is_each_rows_residual(name, blocks):
+    # one prox call on a (rows, n) stack gives each row's prox and residual
+    # bit for bit; for group l2, a block that is +0.0 or -0.0 maps to +0.0
+    spec = InstanceSpec(kind="lasso", n=12, rows=30, reg_lambda=0.3, m=3, seed=5)
+    p = dataclasses.replace(make_instance(spec), prox=RESIDUAL_KINDS[name])
+    if blocks == "scattered":
+        p = dataclasses.replace(p, blocks=((4, 0, 2, 11), (1, 5, 3, 10), (6, 9, 7, 8)))
+    rng = np.random.Generator(np.random.PCG64(7))
+    X, G = rng.standard_normal((6, 12)), rng.standard_normal((6, 12))
+    X[1], G[1] = 0.0, 0.0
+    X[2], G[2] = -0.0, 0.0
+    X[3][p.block_selectors[1]] = G[3][p.block_selectors[1]] = 0.0
+    g = 1.0 / p.lipschitz_L
+    V = X - g * G
+    P, got = problems._prox_full(p, V, g), problems._residual_sq(p, X, G)
+    kind = p.prox_kind
+    for j in range(len(X)):
+        want = prox_full(p, V[j], g)
+        assert P[j].tobytes() == want.tobytes()
+        s = X[j] - want
+        assert got[j] == float(s.dot(s)) == problems._residual_sq(p, X[j], G[j])
+        if kind.tag == "group_l2":
+            for sel in p.block_selectors:
+                assert want[sel].tobytes() == group_shrink_of_one_block(
+                    V[j][sel], g * kind.lam).tobytes()
+    if kind.tag == "group_l2":
+        assert not np.signbit(P[1:3]).any() and not np.signbit(P[3][p.block_selectors[1]]).any()
+
+
 def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
     p = make_instance(InstanceSpec(kind="lasso", n=6, rows=10, reg_lambda=1.0,
                                    m=3, seed=1))
@@ -261,8 +304,9 @@ def test_fd_check_quadratic_tight():
     p = make_instance(InstanceSpec(kind="quadratic", n=10, conditioning=6.0, seed=4))
     rng = np.random.Generator(np.random.PCG64(8))
     assert check_gradient_fd(p, rng.standard_normal(10), 1e-5) < 1e-8
-    with pytest.raises(ContractViolation, match="h must be > 0"):
-        check_gradient_fd(p, np.zeros(10), 0.0)
+    for h in (0.0, math.nan):  # a NaN step reported an error of 0.0
+        with pytest.raises(ContractViolation, match="h must be > 0"):
+            check_gradient_fd(p, np.zeros(10), h)
 
 
 def test_fd_check_all_library_kinds():
@@ -432,7 +476,8 @@ def test_every_prox_entry_point_rejects_bad_input(prox):
     p = two_block_problem(prox)
     kind = p.prox_kind
     v = np.array([2.0, -0.5, 0.3, 0.0])
-    for gamma in (0.0, -1.0):
+    # a NaN stepsize gave v back on the zero kind, and NaNs on l1
+    for gamma in (0.0, -1.0, math.nan):
         with pytest.raises(ContractViolation):
             prox_full(p, v, gamma)
         with pytest.raises(ContractViolation):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -63,10 +64,13 @@ def test_tighter_tol_never_raises_value():
 
 def test_solver_input_validation():
     p, _, _ = quadratic_with_linear_term()
-    with pytest.raises(ContractViolation):
-        reference.solve_reference(p, tol=0.0)
-    with pytest.raises(ContractViolation):
-        reference.solve_reference(p, max_iters=0)
+    # NaN fails "<= 0": a NaN tol ran the whole budget, a NaN budget raised TypeError
+    for tol in (0.0, math.nan):
+        with pytest.raises(ContractViolation, match="tol must be > 0"):
+            reference.solve_reference(p, tol=tol, max_iters=50)
+    for budget in (0, math.nan):
+        with pytest.raises(ContractViolation, match="max_iters must be >= 1"):
+            reference.solve_reference(p, max_iters=budget)
 
 
 def test_unconverged_flag_on_tiny_budget():

@@ -12,9 +12,8 @@ from iprox.schedules import (
     delta_coeff,
     epsilon_coeff,
     gamma0_root,
-    gamma_full,
-    gamma_stochastic,
     linear_stochastic_beta,
+    stepsize,
 )
 
 
@@ -92,7 +91,7 @@ def test_gamma0_root_checks_its_own_arguments(args, field):
 def test_full_stepsize_decrease_identity(beta, c, L):
     # the sufficient-decrease coefficient (1-beta)/gamma - L/2 collapses to
     # L(1-c)/(2c), independent of beta
-    gamma = gamma_full(beta, c, L)
+    gamma = stepsize(beta, c, L, 1.0)
     lhs = (1.0 - beta) / gamma - L / 2.0
     want = L * (1.0 - c) / (2.0 * c)
     assert lhs == pytest.approx(want, rel=1e-12)
@@ -105,7 +104,7 @@ def test_full_stepsize_decrease_identity(beta, c, L):
 def test_delta_minus_momentum_weight_margin(beta, c, L):
     # delta - beta/(2 gamma) = L(1-c)/(4c) > 0: the Lyapunov weight exceeds
     # the momentum weight by a c-controlled margin
-    gamma = gamma_full(beta, c, L)
+    gamma = stepsize(beta, c, L, 1.0)
     delta = delta_coeff(gamma, L)
     assert delta - beta / (2.0 * gamma) == pytest.approx(L * (1.0 - c) / (4.0 * c), rel=1e-9)
 
@@ -119,13 +118,14 @@ def test_stochastic_stepsize_identity(beta, c, L, m):
         with pytest.raises(ContractViolation):
             ConstantBeta(beta)
         return
-    gamma = gamma_stochastic(beta, c, L, m)
+    gamma = stepsize(beta, c, L, math.sqrt(m))
     lhs = (1.0 - beta / math.sqrt(m)) / gamma - L / 2.0
     assert lhs == pytest.approx(L * (1.0 - c) / (2.0 * c), rel=1e-12)
 
 
 def test_stochastic_m1_equals_full():
-    assert gamma_stochastic(0.4, 0.8, 2.0, 1) == gamma_full(0.4, 0.8, 2.0)
+    # the rule at m = 1 is the full order's 2(1-beta)c/L: beta/1.0 is beta
+    assert stepsize(0.4, 0.8, 2.0, math.sqrt(1)) == 2.0 * (1.0 - 0.4) * 0.8 / 2.0
 
 
 @given(theta=st.floats(1.01, 4.0), c=st.floats(0.1, 0.9), L=st.floats(0.1, 10.0))
@@ -135,7 +135,7 @@ def test_diminishing_momentum_weight_monotone(theta, c, L):
     prev = math.inf
     for k in range(200):
         b = beta_at(s, k)
-        w = b / (2.0 * gamma_full(b, c, L))
+        w = b / (2.0 * stepsize(b, c, L, 1.0))
         assert w <= prev + 1e-15
         prev = w
 

@@ -18,7 +18,7 @@ from iprox.problems import (
 from iprox.prox import prox_apply
 from iprox.rng import SplitMix64
 from iprox import solvers
-from iprox.schedules import beta_at, delta_coeff, gamma_full, gamma_stochastic
+from iprox.schedules import beta_at, delta_coeff, stepsize
 from iprox.solvers import RunConfig, Trace, run_cyclic, run_inertial, run_stochastic
 
 
@@ -147,23 +147,30 @@ def fold_id(case):
     return f"{variant}-{problem}-every{every}-{rule}" + ("-oracle" if with_oracle else "")
 
 
-def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None):
+def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None, grad=None):
     """x^{k+1} by the order's update rule, coded apart from the solvers.
 
     Gradients come from the oracle state (read, block_grad, and each
-    block move told to it by move), or from grad_f without one.  The full
-    step is prox_full(x - gamma*grad f(x) + beta*(x - x_prev)).  The cyclic
-    step moves every block in turn, block i with gamma[i] and its gradient
-    read after blocks 0..i-1 moved; the stochastic step moves ``block``
-    alone.  A block moves by the same rule with the prox of its own g_i.
+    block move told to it by move), or from grad_f without one.  grad,
+    when given, is grad f(x) as the caller read it at x, and serves the
+    first block move, as the run loop hands its read to the step.  The
+    full step is prox_full(x - gamma*grad f(x) + beta*(x - x_prev)).  The
+    cyclic step moves every block in turn, block i with gamma[i] and its
+    gradient read after blocks 0..i-1 moved; the stochastic step moves
+    ``block`` alone.  A block moves by the same rule with the prox of its
+    own g_i.
     """
     if variant == "full":
-        grad = grad_f(p, x) if oracle is None else oracle.read(x)[1]
+        if grad is None:
+            grad = grad_f(p, x) if oracle is None else oracle.read(x)[1]
         return prox_full(p, x - gamma * grad + beta * (x - x_prev), gamma)
     x = x.copy()
     for i in (range(p.n_blocks) if variant == "cyclic" else (block,)):
         ix = list(p.blocks[i])
-        g_i = grad_f(p, x)[ix] if oracle is None else oracle.block_grad(i, x)
+        if grad is not None:
+            g_i, grad = grad[ix], None  # x moves with this block
+        else:
+            g_i = grad_f(p, x)[ix] if oracle is None else oracle.block_grad(i, x)
         gam = gamma[i] if variant == "cyclic" else gamma
         x_i = prox_apply(p.prox_kind, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
         if oracle is not None:
@@ -179,8 +186,8 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     # a run equals, bit for bit, a fold of reference_step.  Without an
     # oracle state it reads grad_f; with one, the state takes a new image at
     # the documented cadence: a read of f and grad f at every recorded entry
-    # and every full step, and a refresh at every other epoch start (every
-    # cyclic step, every m stochastic steps)
+    # and every full step, whose gradient the step takes, and a refresh at
+    # every other epoch start (every cyclic step, every m stochastic steps)
     beta_rule = FOLD_RULES[rule]
     p, x0 = fold_problem(problem)
     if problem != "library":
@@ -197,20 +204,21 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     x_prev, x = x0.copy(), x0.copy()
     F, blocks = {0: objective(p, x)}, []
     for k in range(iters):
+        grad = None
         if with_oracle and k % record_every == 0:
-            oracle.read(x)
+            grad = oracle.read(x)[1]
         elif with_oracle and k % epoch == 0:
             oracle.refresh(x)
         beta = beta_at(sched, k)
         if variant == "full":
-            gamma = gamma_full(beta, c, p.lipschitz_L)
+            gamma = 2.0 * (1.0 - beta) * c / p.lipschitz_L
         elif variant == "cyclic":
             gamma = 2.0 * (1.0 - beta) * c / np.asarray(p.block_lipschitz)
         else:
-            gamma = gamma_stochastic(beta, c, p.lipschitz_L, m)
+            gamma = 2.0 * (1.0 - beta / math.sqrt(m)) * c / p.lipschitz_L
             blocks.append(rng.randint_below(m))
         x_next = reference_step(p, variant, x, x_prev, beta, gamma, oracle,
-                                blocks[-1] if blocks else None)
+                                blocks[-1] if blocks else None, grad)
         x, x_prev = x_next, x
         F[k + 1] = objective(p, x)
     assert np.array_equal(tr.final_state.x_curr, x)
@@ -276,7 +284,7 @@ def test_first_step_has_no_momentum():
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.9), c=0.5,
                                 variant="full")
     tr = run_inertial(p, sched, x0, RunConfig(max_iters=1, keep_iterates=True))
-    gamma0 = gamma_full(0.9, 0.5, p.lipschitz_L)
+    gamma0 = stepsize(0.9, 0.5, p.lipschitz_L, 1.0)
     want = prox_full(p, x0 - gamma0 * grad_f(p, x0), gamma0)
     assert np.array_equal(tr.iterates[1], want)
 
@@ -595,12 +603,10 @@ def per_entry_run(p, sched, x0, cfg, variant):
     rows, k = [], 0
     while True:
         beta = beta_at(sched, k)
-        if variant == "full":
-            gamma = gamma_full(beta, c, L)
-        elif variant == "cyclic":
+        if variant == "cyclic":
             gamma = 2.0 * (1.0 - beta) * c / L_blocks
         else:
-            gamma = gamma_stochastic(beta, c, L, m)
+            gamma = 2.0 * (1.0 - beta / r) * c / L
         want = k % cfg.record_every == 0 or k == cfg.max_iters
         if want or cfg.stop_tol > 0 or k % epoch == 0:
             oracle.refresh(x)
@@ -610,9 +616,10 @@ def per_entry_run(p, sched, x0, cfg, variant):
         if not math.isfinite(F) or F > cap:
             raise DivergenceError(
                 f"objective blew up at iteration {k}: F={F!r} from F0={F0!r}", k=k, value=F)
-        rsq = None
+        rsq = grad = None
         if want or cfg.stop_tol > 0:
-            v = x - prox_full(p, x - g * oracle.read(x)[1], g)
+            grad = oracle.read(x)[1]
+            v = x - prox_full(p, x - g * grad, g)
             rsq = float(v.dot(v))
         stop = cfg.stop_tol > 0 and rsq <= cfg.stop_tol ** 2
         if want or stop:
@@ -646,7 +653,7 @@ def per_entry_run(p, sched, x0, cfg, variant):
         prev = (F, s, beta, gamma)
         if variant == "stochastic":
             chosen = rng.randint_below(m)
-        x_next = reference_step(p, variant, x, x_prev, beta, gamma, oracle, chosen)
+        x_next = reference_step(p, variant, x, x_prev, beta, gamma, oracle, chosen, grad)
         d = x_next - x
         if variant == "cyclic":
             s = np.array([float(d[sel].dot(d[sel])) for sel in p.block_selectors])
