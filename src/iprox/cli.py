@@ -70,16 +70,43 @@ _MAX_FLOAT_INT = int(np.finfo(float).max)
 
 # ---------------------------------------------------------------- validation
 
-def _check_keys(d: dict, allowed, path: str) -> None:
+# A schema maps each key of a config section to its (type, default); a
+# default of KeyError makes the key required, and the type object takes any
+# value, which the section's own rules check where it is read.
+_VERSION = {"version": (object, KeyError)}  # load_config checks it is 1
+_RUN = {**_VERSION, "instance": (dict, KeyError), "algorithm": (str, KeyError),
+        "schedule": (dict, KeyError), "run": (dict, KeyError), "seeds": (list, None),
+        "audits": (list, []), "rate": (dict, {}), "reference": (dict, {}), "x0": (dict, {}),
+        "sweep": (object, None)}
+_SCHEDULE = {"c": (float, 0.9), "beta": (float, 0.0), "theta": (float, None),
+             "fixed_gamma": (float, None)}
+_RUN_SECTION = {"max_iters": (int, KeyError), "record_every": (int, 1),
+                "stop_tol": (float, 0.0)}
+_RATE = {"model": (str, "sublinear_power"), "column": (str, "lyapunov"),
+         "k_lo": (int, None), "k_hi": (int, None), "burn_in": (float, 0.1)}
+_REFERENCE = {"tol": (float, 1e-12), "max_iters": (int, 10 ** 6), "cache_dir": (str, None)}
+_X0 = {"mode": (str, "zeros"), "scale": (float, 1.0)}
+_SWEEP = dict.fromkeys(("c", "beta", "theta"), (object, None))
+_ODE_CONFIG = {**_VERSION, "ode": (dict, KeyError)}
+_ODE = {"n": (int, KeyError), "conditioning": (float, 4.0), "seed": (int, 0),
+        **dict.fromkeys(("alpha", "theta", "h", "t_end"), (float, KeyError)),
+        "x0_scale": (float, 1.0), "v0_scale": (float, 0.0)}
+_RATES_CONFIG = {**_VERSION, "fit": (dict, KeyError)}
+_FIT = {"csv": (str, KeyError), **_RATE, "floor": (float, 0.0)}
+
+
+def _read(d, path: str, schema: dict) -> dict:
+    """Section d at path as {key: value} by its schema; an unknown key is
+    reported before any value."""
     if not isinstance(d, dict):
         raise ConfigError(path, "expected a JSON object")
-    unknown = sorted(set(d) - set(allowed))
+    unknown = sorted(set(d) - set(schema))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+    return {key: _get(d, key, path, *entry) for key, entry in schema.items()}
 
 
-def _get(d: dict, key: str, path: str, types, default=KeyError, pred=None,
-         predmsg: str = "invalid value"):
+def _get(d: dict, key: str, path: str, types, default=KeyError):
     if key not in d:
         if default is KeyError:
             raise ConfigError(f"{path}.{key}", "missing required key")
@@ -89,10 +116,8 @@ def _get(d: dict, key: str, path: str, types, default=KeyError, pred=None,
         if abs(val) > _MAX_FLOAT_INT:
             raise ConfigError(f"{path}.{key}", "integer too large for a double")
         val = float(val)
-    if not isinstance(val, types) or isinstance(val, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}", f"expected {getattr(types, '__name__', types)}")
-    if pred is not None and not pred(val):
-        raise ConfigError(f"{path}.{key}", predmsg)
+    if not isinstance(val, types) or isinstance(val, bool) and types is int:
+        raise ConfigError(f"{path}.{key}", f"expected {types.__name__}")
     return val
 
 
@@ -142,17 +167,10 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _validate_instance(cfg: dict) -> library.InstanceSpec:
-    with _section("instance"):
-        return library.spec_from_dict(_get(cfg, "instance", "config", dict))
-
-
-def _validate_schedule(cfg: dict, algorithm: str, spec) -> ParamSchedule:
-    sched = _get(cfg, "schedule", "config", dict)
-    _check_keys(sched, ("c", "beta", "theta", "fixed_gamma"), "schedule")
-    c = _get(sched, "c", "schedule", float, default=0.9)
-    fixed_gamma = _get(sched, "fixed_gamma", "schedule", float, default=None)
-    inertia = [key for key in ("beta", "theta") if key in sched]
+def _validate_schedule(section: dict, algorithm: str, spec) -> ParamSchedule:
+    sched = _read(section, "schedule", _SCHEDULE)
+    fixed_gamma = sched["fixed_gamma"]
+    inertia = [key for key in ("beta", "theta") if key in section]
     if fixed_gamma is not None or algorithm == "prox_grad":
         if inertia:
             raise ConfigError(f"schedule.{inertia[0]}",
@@ -162,10 +180,10 @@ def _validate_schedule(cfg: dict, algorithm: str, spec) -> ParamSchedule:
     variant = ALGORITHMS[algorithm][0]
     with _section("schedule"):
         if inertia == ["theta"]:
-            rule = DiminishingBeta(_get(sched, "theta", "schedule", float))
+            rule = DiminishingBeta(sched["theta"])
         else:  # beta = 0 for prox_grad; under fixed_gamma the solver derives beta from nu
-            rule = ConstantBeta(_get(sched, "beta", "schedule", float, default=0.0))
-        schedule = ParamSchedule(beta_rule=rule, c=c, variant=variant,
+            rule = ConstantBeta(sched["beta"])
+        schedule = ParamSchedule(beta_rule=rule, c=sched["c"], variant=variant,
                                  m=spec.m if variant == "stochastic" else 1,
                                  fixed_gamma=fixed_gamma)
     if fixed_gamma is not None:  # the regime's rules on the instance, by the spec's nu
@@ -185,9 +203,9 @@ _Ran = collections.namedtuple("_Ran", "traces cols rate f_star")
 
 
 def _rate_fit(ran: _Ran) -> dict:
-    floor = diagnostics.value_floor(ran.f_star, ran.rate["floor_scale"])
     column = ran.rate["column"]
-    return {**_fit(ran.cols["k"], ran.cols[column], ran.rate, floor), "column": column}
+    return {**_fit(ran.cols["k"], ran.cols[column], ran.rate,
+                   diagnostics.value_floor(ran.f_star)), "column": column}
 
 
 def _per_order(orders, key, call) -> dict:
@@ -213,19 +231,6 @@ AUDITS = {
 }
 
 
-def _validate_run(cfg: dict, audits) -> solvers.RunConfig:
-    section = _get(cfg, "run", "config", dict)
-    _check_keys(section, ("max_iters", "record_every", "stop_tol"), "run")
-    with _section("run"):
-        run_cfg = solvers.RunConfig(
-            max_iters=_get(section, "max_iters", "run", int),
-            record_every=_get(section, "record_every", "run", int, default=1),
-            stop_tol=_get(section, "stop_tol", "run", float, default=0.0))
-    if any(AUDITS[a].every_step for a in audits) and run_cfg.record_every != 1:
-        raise ConfigError("run.record_every", "inequality audits need record_every = 1")
-    return run_cfg
-
-
 def _no_solution_set(spec):
     """Why a reference point x* is not all of argmin F, or None; a lasso with
     reg_lambda > 0 has one minimizer for Gaussian A (Tibshirani 2013)."""
@@ -236,8 +241,7 @@ def _no_solution_set(spec):
     return None
 
 
-def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
-    audits = _get(cfg, "audits", "config", list, default=[])
+def _validate_audits(audits: list, algorithm: str, spec) -> list:
     for i, a in enumerate(audits):
         if not isinstance(a, str) or a not in AUDITS:
             raise ConfigError(f"audits[{i}]", f"must be one of {tuple(AUDITS)}")
@@ -251,58 +255,21 @@ def _validate_audits(cfg: dict, algorithm: str, spec) -> list:
     return list(audits)
 
 
-def _validate_fit(section: dict, path: str, columns=None) -> dict:
-    """The model, column and k window of a rate fit (run's rate, rates' fit)."""
-    fit = {"model": _get(section, "model", path, str, default="sublinear_power",
-                         pred=lambda v: v in ("sublinear_power", "geometric"),
-                         predmsg="model must be sublinear_power or geometric")}
-    fit["column"] = _get(section, "column", path, str, default="lyapunov",
-                         pred=lambda v: columns is None or v in columns,
-                         predmsg=f"column must be one of {columns}")
+def _validate_fit(section: dict, path: str, schema: dict) -> dict:
+    """A rate fit's keys, with its k window and burn-in (run's rate, rates' fit)."""
+    fit = _read(section, path, schema)
     for key in ("k_lo", "k_hi"):
-        fit[key] = _get(section, key, path, int, default=None, pred=lambda v: v >= 0,
-                        predmsg=f"{key} must be >= 0")
+        if fit[key] is not None and fit[key] < 0:
+            raise ConfigError(f"{path}.{key}", f"{key} must be >= 0")
     if fit["k_lo"] is not None and fit["k_hi"] is not None and fit["k_lo"] > fit["k_hi"]:
         raise ConfigError(f"{path}.k_lo", "the window k_lo..k_hi is empty: k_lo > k_hi")
-    fit["burn_in"] = _get(section, "burn_in", path, float,
-                          default=0.0 if fit["k_lo"] is not None else 0.1,
-                          pred=lambda v: 0 <= v < 1, predmsg="burn_in must lie in [0, 1)")
+    if fit["k_lo"] is not None and "burn_in" not in section:
+        fit["burn_in"] = 0.0  # a window that starts at k_lo has no burn-in by default
+    for key, check in (("model", diagnostics.check_rate_model),
+                       ("burn_in", diagnostics.check_burn_in)):
+        with _section(f"{path}.{key}"):
+            check(fit[key])
     return fit
-
-
-def _validate_rate(cfg: dict) -> dict:
-    section = _get(cfg, "rate", "config", dict, default={})
-    _check_keys(section, ("model", "column", "k_lo", "k_hi", "burn_in", "floor_scale"),
-                "rate")
-    fit = _validate_fit(section, "rate", RATE_COLUMNS)
-    fit["floor_scale"] = _get(section, "floor_scale", "rate", float, default=1e-14,
-                              pred=lambda v: v >= 0, predmsg="floor_scale must be >= 0")
-    return fit
-
-
-def _validate_reference(cfg: dict, out_dir: str) -> dict:
-    section = _get(cfg, "reference", "config", dict, default={})
-    _check_keys(section, ("tol", "max_iters", "cache_dir"), "reference")
-    return {
-        "tol": _get(section, "tol", "reference", float, default=1e-12,
-                    pred=lambda v: v > 0, predmsg="tol must be > 0"),
-        "max_iters": _get(section, "max_iters", "reference", int, default=10 ** 6,
-                          pred=lambda v: v >= 1, predmsg="max_iters must be >= 1"),
-        "cache_dir": _get(section, "cache_dir", "reference", str,
-                          default=os.path.join(out_dir, "reference_cache")),
-    }
-
-
-def _validate_x0(cfg: dict, spec) -> np.ndarray:
-    section = _get(cfg, "x0", "config", dict, default={})
-    _check_keys(section, ("mode", "scale"), "x0")
-    with _section("x0"):
-        return library.start_point(spec, _get(section, "mode", "x0", str, default="zeros"),
-                                   _get(section, "scale", "x0", float, default=1.0))
-
-
-_RUN_KEYS = ("version", "instance", "algorithm", "schedule", "run", "seeds",
-             "audits", "rate", "reference", "x0", "sweep")
 
 
 # ---------------------------------------------------------------- experiment
@@ -326,20 +293,32 @@ class _Plan:
 
 def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
     """Validate one run config into a _Plan, building no instance and writing nothing."""
-    _check_keys(cfg, _RUN_KEYS, "config")
+    top = _read(cfg, "config", _RUN)
     if "sweep" in cfg:
         raise ConfigError("sweep", "grid section requires the sweep subcommand")
-    spec = _validate_instance(cfg)
-    algorithm = _get(cfg, "algorithm", "config", str,
-                     pred=lambda v: v in ALGORITHMS,
-                     predmsg=f"must be one of {tuple(ALGORITHMS)}")
-    audits = _validate_audits(cfg, algorithm, spec)
-    schedule = _validate_schedule(cfg, algorithm, spec)
-    run_cfg = _validate_run(cfg, audits)
-    rate_cfg = _validate_rate(cfg)
-    ref_cfg = _validate_reference(cfg, out_dir)
-    x0 = _validate_x0(cfg, spec)
-    seeds = _get(cfg, "seeds", "config", list, default=None)
+    with _section("instance"):
+        spec = library.spec_from_dict(top["instance"])
+    algorithm = top["algorithm"]
+    if algorithm not in ALGORITHMS:
+        raise ConfigError("config.algorithm", f"must be one of {tuple(ALGORITHMS)}")
+    audits = _validate_audits(top["audits"], algorithm, spec)
+    schedule = _validate_schedule(top["schedule"], algorithm, spec)
+    with _section("run"):
+        run_cfg = solvers.RunConfig(**_read(top["run"], "run", _RUN_SECTION))
+    if any(AUDITS[a].every_step for a in audits) and run_cfg.record_every != 1:
+        raise ConfigError("run.record_every", "inequality audits need record_every = 1")
+    rate_cfg = _validate_fit(top["rate"], "rate", _RATE)
+    if rate_cfg["column"] not in RATE_COLUMNS:
+        raise ConfigError("rate.column", f"column must be one of {RATE_COLUMNS}")
+    ref_cfg = _read(top["reference"], "reference", _REFERENCE)
+    for key, check in (("tol", reference.check_tol), ("max_iters", reference.check_max_iters)):
+        with _section(f"reference.{key}"):
+            check(ref_cfg[key])
+    if ref_cfg["cache_dir"] is None:
+        ref_cfg["cache_dir"] = os.path.join(out_dir, "reference_cache")
+    with _section("x0"):
+        x0 = library.start_point(spec, **_read(top["x0"], "x0", _X0))
+    seeds = top["seeds"]
     runs = [("trace.csv", run_cfg)]
     if algorithm == "stochastic":
         if not seeds:
@@ -362,15 +341,15 @@ def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
 
 
 def _reference_solution(problem, spec, ref_cfg):
-    """Load or solve the reference; returns (key, reference, whether to cache
-    it): only a converged solution that was not loaded is cached."""
+    """Load or solve the reference; returns (key, reference, whether it was
+    loaded from the cache)."""
     key = reference.spec_cache_key(library.spec_to_dict(spec), ref_cfg["tol"])
     ref = reference.load_cached(ref_cfg["cache_dir"], key, dim=spec.n)
     if ref is not None and ref.converged:
-        return key, ref, False
+        return key, ref, True
     ref = reference.solve_reference(problem, tol=ref_cfg["tol"],
                                     max_iters=ref_cfg["max_iters"])
-    return key, ref, ref.converged
+    return key, ref, False
 
 
 def _fit(ks, values, fit: dict, floor: float) -> dict:
@@ -380,7 +359,7 @@ def _fit(ks, values, fit: dict, floor: float) -> dict:
         est = diagnostics.fit_rate(ks_w, vals_w, fit["model"], burn_in_frac=fit["burn_in"])
     return {"model": est.model, "value": est.exponent_or_ratio,
             "fit_residual": est.fit_residual,
-            "window": [est.window[0], est.window[1]], "points": int(len(ks_w))}
+            "window": [est.window[0], est.window[1]], "points": est.points}
 
 
 def _execute_run(plan: _Plan) -> dict:
@@ -392,7 +371,7 @@ def _execute_run(plan: _Plan) -> dict:
 
     ref = None
     if problem.solution_set is None:
-        ref_key, ref, store = _reference_solution(problem, spec, plan.ref)
+        ref_key, ref, cached = _reference_solution(problem, spec, plan.ref)
         needs = [a for a in audits if AUDITS[a].min_f]
         if not ref.converged and needs:
             raise RunFailure(
@@ -407,10 +386,13 @@ def _execute_run(plan: _Plan) -> dict:
     # a run below a converged reference's F shows that F is not min F
     if ref is not None and ref.converged and any(
             t.F.min() < ref.f_star - 1e-9 * (1.0 + abs(t.F[0])) for t in traces):
-        raise RunFailure(f"a run fell below reference min F {ref.f_star!r}: lower reference.tol")
+        if cached:  # so the next run solves the reference again
+            reference.drop_cached(plan.ref["cache_dir"], ref_key)
+        raise RunFailure(f"a run fell below reference min F {ref.f_star!r}: " + (
+            "deleted the cached reference" if cached else "lower reference.tol"))
 
     os.makedirs(out_dir, exist_ok=True)
-    if ref is not None and store:
+    if ref is not None and ref.converged and not cached:  # only a fresh converged solve
         reference.store_cached(plan.ref["cache_dir"], ref_key, ref)
     summary = {
         "config": plan.cfg,
@@ -491,11 +473,13 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
     if "sweep" not in cfg:
         raise ConfigError("sweep", "sweep subcommand needs a sweep section")
     section = cfg["sweep"]
-    _check_keys(section, ("c", "beta", "theta"), "sweep")
+    _read(section, "sweep", _SWEEP)  # the grid lists are checked below
     if "beta" in section and "theta" in section:
         raise ConfigError("sweep", "sweep beta and theta are mutually exclusive")
     base_sched = _get(cfg, "schedule", "config", dict, default={})
-    grid = {"c": section.get("c", [base_sched.get("c", 0.9)])}
+    # a grid without c sweeps the base c: read by its schema, kept as written
+    grid = {"c": section["c"] if "c" in section else
+            [base_sched.get("c", _get(base_sched, "c", "schedule", *_SCHEDULE["c"]))]}
     grid.update((key, section[key]) for key in ("beta", "theta") if key in section)
     for key, vals in grid.items():
         if not isinstance(vals, list) or not vals:
@@ -535,29 +519,18 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
 # ---------------------------------------------------------------------- ode
 
 def cmd_ode(cfg: dict, out_dir: str) -> int:
-    _check_keys(cfg, ("version", "ode"), "config")
-    section = _get(cfg, "ode", "config", dict)
-    _check_keys(section, ("n", "conditioning", "seed", "alpha", "theta", "h",
-                          "t_end", "x0_scale", "v0_scale"), "ode")
-    n = _get(section, "n", "ode", int)
-    conditioning = _get(section, "conditioning", "ode", float, default=4.0)
-    seed = _get(section, "seed", "ode", int, default=0)
-    alpha, theta, h, t_end = (_get(section, key, "ode", float)
-                              for key in ("alpha", "theta", "h", "t_end"))
-    x0_scale = _get(section, "x0_scale", "ode", float, default=1.0)
-    v0_scale = _get(section, "v0_scale", "ode", float, default=0.0)
-
+    ode = _read(_read(cfg, "config", _ODE_CONFIG)["ode"], "ode", _ODE)
     with _section("ode"):
-        spec = library.InstanceSpec(kind="quadratic", n=n, conditioning=conditioning,
-                                    seed=seed)
+        spec = library.InstanceSpec(kind="quadratic", n=ode["n"],
+                                    conditioning=ode["conditioning"], seed=ode["seed"])
         problem = library.make_instance(spec)
         x_star = problem.solution_set.point
-        rng = np.random.Generator(np.random.PCG64([seed, 0x0DE]))
+        rng = np.random.Generator(np.random.PCG64([ode["seed"], 0x0DE]))
         with np.errstate(over="ignore"):  # the integrator's guard rejects an inf start
-            x0 = x_star + x0_scale * rng.standard_normal(n)
-            v0 = v0_scale * rng.standard_normal(n)
-        trace = simulate_heavy_ball(problem, x0, v0, alpha, h, t_end)
-        report = ode_audit(trace, theta, x_star)
+            x0 = x_star + ode["x0_scale"] * rng.standard_normal(ode["n"])
+            v0 = ode["v0_scale"] * rng.standard_normal(ode["n"])
+        trace = simulate_heavy_ball(problem, x0, v0, ode["alpha"], ode["h"], ode["t_end"])
+        report = ode_audit(trace, ode["theta"], x_star)
     os.makedirs(out_dir, exist_ok=True)
     traceio.write_ode_csv(os.path.join(out_dir, "ode_trace.csv"), trace)
     _write_json(os.path.join(out_dir, "ode_summary.json"), {
@@ -569,14 +542,10 @@ def cmd_ode(cfg: dict, out_dir: str) -> int:
 # -------------------------------------------------------------------- rates
 
 def cmd_rates(cfg: dict, out_dir: str) -> int:
-    _check_keys(cfg, ("version", "fit"), "config")
-    section = _get(cfg, "fit", "config", dict)
-    _check_keys(section, ("csv", "column", "model", "k_lo", "k_hi", "floor",
-                          "burn_in"), "fit")
-    csv_path = _get(section, "csv", "fit", str)
-    fit = _validate_fit(section, "fit")
-    floor = _get(section, "floor", "fit", float, default=0.0,
-                 pred=lambda v: v >= 0, predmsg="floor must be >= 0")
+    fit = _validate_fit(_read(cfg, "config", _RATES_CONFIG)["fit"], "fit", _FIT)
+    csv_path, floor = fit["csv"], fit["floor"]
+    if floor < 0:
+        raise ConfigError("fit.floor", "floor must be >= 0")
     try:
         cols = traceio.read_csv(csv_path)
     except (OSError, ContractViolation) as exc:

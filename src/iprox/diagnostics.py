@@ -29,12 +29,13 @@ from .schedules import delta_coeff, epsilon_coeff
 class RateEstimate:
     """Fitted decay model: value ~ C*k^-p (sublinear_power, p stored) or
     value ~ C*omega^k (geometric, omega stored); fit_residual is the RMS
-    misfit in log space over the fitted window."""
+    misfit in log space over the points fitted, from window[0] to window[1]."""
 
     model: str
     exponent_or_ratio: float
     fit_residual: float
     window: tuple
+    points: int
 
 
 def _require_contiguous(trace):
@@ -174,13 +175,13 @@ def squared_lyapunov_audit(trace) -> float:
     return worst if worst < 0.0 else 0.0
 
 
-def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e-14) -> dict:
+def linear_ratio_audit(trace, problem: CompositeProblem) -> dict:
     """Per-step geometric contraction check under optimal strong convexity.
 
     Computes ell = sup_k eps_k*(1/delta_{k+1} + 2/nu) over the trace and the
     implied ratio bound omega = 2*ell/(sqrt(ell^2 + 4*ell) + ell) < 1, then
     verifies xi_{k+1}/xi_k <= omega on every step whose xi_k sits above the
-    rounding floor floor_scale*(1 + |min F|).
+    rounding floor value_floor(min F).
     """
     _require_contiguous(trace)
     if trace.meta["variant"] != "full":
@@ -194,7 +195,7 @@ def linear_ratio_audit(trace, problem: CompositeProblem, floor_scale: float = 1e
     L = trace.meta["L"]
     xi = np.asarray(trace.lyapunov)
     g = np.asarray(trace.gammas)
-    floor = floor_scale * (1.0 + abs(f_star))
+    floor = value_floor(f_star)
 
     delta_next = delta_coeff(g[1:], L)
     if np.any(delta_next <= 0):
@@ -235,6 +236,18 @@ def select_window(ks, values, k_lo=None, k_hi=None, floor: float = 0.0):
     return ks[mask], values[mask]
 
 
+def check_rate_model(model: str) -> None:
+    """A rate model is sublinear_power or geometric."""
+    if model not in ("sublinear_power", "geometric"):
+        raise ContractViolation("model must be sublinear_power or geometric")
+
+
+def check_burn_in(frac: float) -> None:
+    """A burn-in fraction lies in [0, 1)."""
+    if not 0 <= frac < 1:  # NaN included
+        raise ContractViolation("burn_in must lie in [0, 1)")
+
+
 def fit_rate(ks, values, model: str, burn_in_frac: float = 0.0) -> RateEstimate:
     """Least-squares decay fit in log space.
 
@@ -243,14 +256,12 @@ def fit_rate(ks, values, model: str, burn_in_frac: float = 0.0) -> RateEstimate:
     omega = exp(slope).  A burn-in fraction drops iterations below
     burn_in_frac*max(k) before fitting (the guarantees are asymptotic).
     """
-    if model not in ("sublinear_power", "geometric"):
-        raise ContractViolation(f"unknown rate model {model!r}")
+    check_rate_model(model)
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(ks) != len(values):
         raise ContractViolation("ks and values must have equal length")
-    if not 0 <= burn_in_frac < 1:  # NaN included
-        raise ContractViolation("burn_in_frac must lie in [0, 1)")
+    check_burn_in(burn_in_frac)
     if burn_in_frac > 0 and len(ks):
         keep = ks >= burn_in_frac * ks[-1]
         ks, values = ks[keep], values[keep]
@@ -273,4 +284,4 @@ def fit_rate(ks, values, model: str, burn_in_frac: float = 0.0) -> RateEstimate:
     rms = float(np.sqrt(np.mean(resid ** 2)))
     value = -slope if model == "sublinear_power" else math.exp(slope)
     return RateEstimate(model=model, exponent_or_ratio=float(value),
-                        fit_residual=rms, window=(int(ks[0]), int(ks[-1])))
+                        fit_residual=rms, window=(int(ks[0]), int(ks[-1])), points=len(ks))

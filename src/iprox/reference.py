@@ -25,6 +25,7 @@ solution set SolutionSet(x*) to the problem.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -63,10 +64,8 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     Returns the first iterate with ||S_{1/L}(x)|| <= tol, or the
     best-residual iterate flagged unconverged when the budget runs out.
     """
-    if not tol > 0:  # NaN included
-        raise ContractViolation("tol must be > 0")
-    if not max_iters >= 1:
-        raise ContractViolation("max_iters must be >= 1")
+    check_tol(tol)
+    check_max_iters(max_iters)
     gam = 1.0 / problem.lipschitz_L
     state = ImageOracle(problem)
     affine = problem.smooth_model.loss != "logistic"
@@ -115,6 +114,18 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
         if r <= tol:
             return solution(x, f, r, it, True)
     return solution(best_x, best_f, best_r, it, False)
+
+
+def check_tol(tol: float) -> None:
+    """A reference tolerance is > 0."""
+    if not tol > 0:  # NaN included
+        raise ContractViolation("tol must be > 0")
+
+
+def check_max_iters(max_iters: int) -> None:
+    """A reference budget is at least one iteration."""
+    if not max_iters >= 1:
+        raise ContractViolation("max_iters must be >= 1")
 
 
 def with_reference(problem: CompositeProblem, ref: ReferenceSolution,
@@ -170,6 +181,12 @@ def load_cached(cache_dir, key: str, dim=None):
         )
     except (OSError, ValueError, KeyError, TypeError):
         return None
+
+
+def drop_cached(cache_dir, key: str) -> None:
+    """Delete one cache entry, if it is there."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(cache_dir, key + ".json"))
 
 
 def store_cached(cache_dir, key: str, ref: ReferenceSolution) -> None:

@@ -248,6 +248,31 @@ def test_readme_audit_table_is_the_cli_table():
     assert rows == want
 
 
+def test_readme_config_tables_are_the_cli_schemas():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    text = text[text.index("### Config keys"):text.index("## Example configs")]
+    tables, heading = {}, None
+    for line in text.splitlines():
+        if line.startswith("#### "):
+            heading = line[5:]
+            tables[heading] = {}
+        elif line.startswith("| `"):
+            key, kind, default = [cell.strip() for cell in line.strip("|").split("|")]
+            tables[heading][key.strip("`")] = (kind, default)
+    schemas = {"`run` config, top level": cli._RUN, "`schedule`": cli._SCHEDULE,
+               "`run`": cli._RUN_SECTION, "`rate`": cli._RATE, "`reference`": cli._REFERENCE,
+               "`x0`": cli._X0, "`sweep`": cli._SWEEP, "`ode` config, top level": cli._ODE_CONFIG,
+               "`ode`": cli._ODE, "`rates` config, top level": cli._RATES_CONFIG,
+               "`fit`": cli._FIT}
+    want = {heading: {key: ("any" if kind is object else kind.__name__,
+                            "required" if default is KeyError else f"`{json.dumps(default)}`")
+                      for key, (kind, default) in schema.items()}
+            for heading, schema in schemas.items()}
+    assert tables == want
+
+
 # a number too large for a double parses to inf unless the loader rejects it;
 # RAW marks where the raw text of such a number goes into the written config
 RAW = 0.123456789
@@ -411,7 +436,23 @@ def test_rates_refit_from_csv(tmp_path):
                  "--out", str(fit_out)]) == 2
 
 
-@pytest.mark.parametrize("row", ["1,abc,1,1,1,1", "1.5,1,1,1,1,1"])
+def test_rate_fit_points_are_the_points_fitted(tmp_path):
+    # without k_lo the burn-in of 0.1 drops k < 4 from the window 0..40
+    # before the fit, and a rates burn-in of 0.5 drops k < 20
+    doc = lasso_cfg(audits=["rates"], rate={"model": "geometric", "k_hi": 40})
+    out = tmp_path / "run"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    fit = json.loads((out / "summary.json").read_text())["rates"][0]
+    assert (fit["window"], fit["points"]) == ([4, 40], 37)
+    refit = {"version": 1, "fit": {"csv": str(out / "trace.csv"), "model": "geometric",
+                                   "k_hi": 40, "burn_in": 0.5}}
+    assert main(["rates", "--config", write_cfg(tmp_path, refit, "f.json"),
+                 "--out", str(tmp_path / "fit")]) == 0
+    fit = json.loads((tmp_path / "fit" / "rates.json").read_text())["fit"]
+    assert (fit["window"], fit["points"]) == ([20, 40], 21)
+
+
+@pytest.mark.parametrize("row",["1,abc,1,1,1,1", "1.5,1,1,1,1,1"])
 def test_rates_on_a_malformed_csv_is_exit_2(tmp_path, capsys, row):
     # a non-numeric cell, or a k that is not an integer, is a config error
     csv = tmp_path / "trace.csv"
@@ -623,9 +664,16 @@ def test_a_cached_reference_above_min_f_is_exit_3_before_any_output(tmp_path, ca
         iterations_used=1, converged=True)
     reference.store_cached(str(tmp_path / "cache"), key, bogus)
     out = tmp_path / "out"
-    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
-    assert "below reference min F" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "below reference min F" in err and "deleted the cached reference" in err
     assert not out.exists()
+    # the stale entry is gone, so the next run solves the reference again
+    assert not (tmp_path / "cache" / (key + ".json")).exists()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reference"]["converged"] and summary["reference"]["f_star"] < bogus.f_star
 
 
 @pytest.mark.parametrize("command, target", [("run", (iprox.library, "make_instance")),
@@ -861,6 +909,58 @@ def test_fixed_gamma_without_nu_is_exit_2_before_any_output(tmp_path, capsys):
     assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 2
     assert "config error: schedule.fixed_gamma: " in capsys.readouterr().err
     assert not out.exists()
+
+
+_LASSO_M4 = {"kind": "lasso", "n": 12, "rows": 30, "reg_lambda": 0.2, "m": 4, "seed": 3}
+_QUAD_M4 = {"kind": "quadratic", "n": 12, "conditioning": 6.0, "m": 4, "seed": 2}
+_SWEEP_BASE_C = lasso_cfg(schedule={"c": "0.9", "beta": 0.5}, sweep={"beta": [0.3, 0.6]})
+
+
+def _fit_cfg(**fit):
+    return {"version": 1, "fit": {"csv": "trace.csv", **fit}}
+
+
+# one invalid config per decode rule: the command, the config and the path
+# its error names; each config has that one fault
+@pytest.mark.parametrize("command, doc, path", [
+    ("run", lasso_cfg(bogus=1), "config.bogus"),
+    ("run", lasso_cfg(run={}), "run.max_iters"),
+    ("run", lasso_cfg(run={"max_iters": "300"}), "run.max_iters"),
+    ("run", lasso_cfg(algorithm="bogus"), "config.algorithm"),
+    ("run", lasso_cfg(rate={"column": "dist_sq"}), "rate.column"),
+    ("run", lasso_cfg(rate={"model": "bogus"}), "rate.model"),
+    ("run", lasso_cfg(rate={"burn_in": 1.0}), "rate.burn_in"),
+    ("run", lasso_cfg(rate={"k_hi": -1}), "rate.k_hi"),
+    ("run", lasso_cfg(rate={"floor_scale": 1e-14}), "rate.floor_scale"),
+    ("run", lasso_cfg(reference={"tol": 0}), "reference.tol"),
+    ("run", lasso_cfg(reference={"max_iters": 0}), "reference.max_iters"),
+    ("run", lasso_cfg(x0={"mode": "bogus"}), "x0"),
+    ("run", quad_stochastic_cfg(instance=_LASSO_M4, schedule={"c": 0.8, "fixed_gamma": 0.5}),
+     "schedule.fixed_gamma"),
+    ("run", quad_stochastic_cfg(instance=_QUAD_M4, schedule={"c": 0.8, "fixed_gamma": 1e300}),
+     "schedule.fixed_gamma"),
+    ("sweep", _SWEEP_BASE_C, "schedule.c"),
+    ("rates", _fit_cfg(model="bogus"), "fit.model"),
+    ("rates", _fit_cfg(burn_in=-0.1), "fit.burn_in"),
+    ("rates", _fit_cfg(floor=-1.0), "fit.floor"),
+    ("rates", _fit_cfg(column="no_such"), "fit.column"),
+    ("rates", {"version": 1, "fit": {}}, "fit.csv"),
+    ("ode", {"version": 1, "ode": {"n": 4, "alpha": 1.0, "theta": 2.0, "h": 0.001,
+                                   "t_end": 0.01, "x0": 1.0}}, "ode.x0"),
+], ids=["unknown-key", "missing-key", "wrong-type", "algorithm", "rate-column", "rate-model",
+        "rate-burn-in", "rate-k-hi", "floor-scale", "reference-tol", "reference-max-iters",
+        "x0-mode", "fixed-gamma-on-a-lasso", "fixed-gamma-past-the-beta-ceiling",
+        "sweep-base-c", "fit-model", "fit-burn-in", "fit-floor", "fit-column", "fit-csv",
+        "ode-unknown-key"])
+def test_each_decode_rule_is_exit_2_naming_its_path_before_any_build(tmp_path, monkeypatch,
+                                                                     capsys, command, doc,
+                                                                     path):
+    (tmp_path / "trace.csv").write_text(_fuzz_csv())
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(library, "make_instance", wraps=library.make_instance) as make:
+        assert main([command, "--config", write_cfg(tmp_path, doc), "--out", "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not (tmp_path / "out").exists() and not make.called
 
 
 def test_an_audit_of_a_run_stopped_at_k0_is_exit_3_with_the_trace_on_disk(tmp_path, capsys):

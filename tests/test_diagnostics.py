@@ -398,7 +398,7 @@ def test_fit_rate_validation():
     with pytest.raises(ContractViolation, match="equal length"):
         diagnostics.fit_rate(ks, np.ones(28), "geometric")
     for frac in (-0.1, 1.0, float("nan")):  # NaN fitted with no burn-in
-        with pytest.raises(ContractViolation, match="burn_in_frac"):
+        with pytest.raises(ContractViolation, match=r"burn_in must lie in \[0, 1\)"):
             diagnostics.fit_rate(ks, 1.0 / ks, "geometric", burn_in_frac=frac)
     with pytest.raises(ContractViolation, match="k >= 1"):
         diagnostics.fit_rate(np.arange(0, 29), np.ones(29), "sublinear_power")
