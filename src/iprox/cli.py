@@ -162,7 +162,8 @@ def load_config(path: str) -> dict:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config", "top level must be a JSON object")
-    if cfg.get("version") != 1:
+    version = cfg.get("version")
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
         raise ConfigError("version", "config version must be 1")
     return cfg
 
@@ -477,9 +478,10 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
     if "beta" in section and "theta" in section:
         raise ConfigError("sweep", "sweep beta and theta are mutually exclusive")
     base_sched = _get(cfg, "schedule", "config", dict, default={})
-    # a grid without c sweeps the base c: read by its schema, kept as written
-    grid = {"c": section["c"] if "c" in section else
-            [base_sched.get("c", _get(base_sched, "c", "schedule", *_SCHEDULE["c"]))]}
+    # read whole, so a key the grid replaces is checked too; a grid without
+    # c sweeps the base c, kept as written
+    base_c = _read(base_sched, "schedule", _SCHEDULE)["c"]
+    grid = {"c": section["c"] if "c" in section else [base_sched.get("c", base_c)]}
     grid.update((key, section[key]) for key in ("beta", "theta") if key in section)
     for key, vals in grid.items():
         if not isinstance(vals, list) or not vals:

@@ -218,9 +218,9 @@ def linear_ratio_audit(trace, problem: CompositeProblem) -> dict:
     }
 
 
-def value_floor(f_star: float, scale: float = 1e-14) -> float:
+def value_floor(f_star: float) -> float:
     """Truncation level below which log-fits would model rounding noise."""
-    return scale * (1.0 + abs(f_star))
+    return 1e-14 * (1.0 + abs(f_star))
 
 
 def select_window(ks, values, k_lo=None, k_hi=None, floor: float = 0.0):

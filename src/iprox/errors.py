@@ -8,10 +8,9 @@ class ContractViolation(ValueError):
 class DivergenceError(RuntimeError):
     """A solver run or ODE integration diverged; k is the iteration or sample."""
 
-    def __init__(self, message, k=None, value=None):
+    def __init__(self, message, k=None):
         super().__init__(message)
         self.k = k
-        self.value = value
 
 
 class RunFailure(RuntimeError):

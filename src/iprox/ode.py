@@ -39,7 +39,6 @@ class OdeTrace:
     xi_f: np.ndarray
     accel_ratio: np.ndarray
     alpha: float
-    step_h: float
 
 
 def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
@@ -113,7 +112,7 @@ def simulate_heavy_ball(problem: CompositeProblem, x0, v0, alpha: float,
         i = int(np.argmax(bad))
         raise DivergenceError(f"non-finite energy at t={ts[i]:.6g}", k=i)
     return OdeTrace(ts=ts, xs=xs, vs=vs, accs=accs, xi_f=xi,
-                    accel_ratio=ratio, alpha=alpha, step_h=h)
+                    accel_ratio=ratio, alpha=alpha)
 
 
 def ode_audit(trace: OdeTrace, theta: float, x_star) -> dict:

@@ -131,14 +131,12 @@ class Trace:
     """Columnar record of one run; arrays share the same length.
 
     gammas has shape (entries,) for full/stochastic runs and (entries, m)
-    for cyclic runs; block_step_sq is cyclic-only, chosen_blocks and
-    step_sq_running_min are stochastic-only (block/-1 and running minimum
-    over all steps taken so far; +inf in the k=0 slot where no step
-    exists).  descent_slack[j] is the slack of the descent inequality for
-    the transition into iterate ks[j] (0.0 at k=0).  dist_sq holds
-    dist(x^k, argmin F)^2 per entry when the problem has a solution_set,
-    the one quantity of the iterates the squared-Lyapunov audit reads,
-    else None; like block_step_sq it is not written to the trace CSVs.
+    for cyclic runs; block_step_sq is cyclic-only.  descent_slack[j] is
+    the slack of the descent inequality for the transition into iterate
+    ks[j] (0.0 at k=0).  dist_sq holds dist(x^k, argmin F)^2 per entry
+    when the problem has a solution_set, the one quantity of the iterates
+    the squared-Lyapunov audit reads, else None; like block_step_sq it is
+    not written to the trace CSVs.
     """
 
     ks: np.ndarray
@@ -152,8 +150,6 @@ class Trace:
     final_state: IterateState
     meta: dict
     block_step_sq: Optional[np.ndarray] = None
-    chosen_blocks: Optional[np.ndarray] = None
-    step_sq_running_min: Optional[np.ndarray] = None
     dist_sq: Optional[np.ndarray] = None
     iterates: Optional[list] = field(default=None, repr=False)
 
@@ -168,7 +164,7 @@ _BLOCK_VALUES = 8192  # floats per block buffer of x^k or grad f(x^k): 64 KiB
 class _Recorder:
     """Collects a run's entries and computes them a block of rows at a time,
     as the module docstring describes.  An entry appends its values, one
-    per name of _ROW and order.stashed, to one flat list in one call."""
+    per name of _ROW, to one flat list in one call."""
 
     def __init__(self, problem, order, cfg: RunConfig):
         rows = max(1, min(256, _BLOCK_VALUES // problem.dim))
@@ -177,14 +173,13 @@ class _Recorder:
         self.G = np.empty((rows, problem.dim))
         # row views: writing one copies a vector in half the time X[j] = x takes
         self.x_rows, self.g_rows = list(self.X), list(self.G)
-        self.names = _ROW + order.stashed
         self.values = []
         self.columns = {name: [] for name in _COLUMNS + order.extra
                         + (("dist_sq",) if problem.solution_set is not None else ())}
         self.iterates = [] if cfg.keep_iterates else None
 
     def add(self, x, grad, *values):
-        j = len(self.values) // len(self.names)
+        j = len(self.values) // len(_ROW)
         if j == len(self.X):
             self.flush()
             j = 0
@@ -193,8 +188,8 @@ class _Recorder:
         self.values.extend(values)
 
     def flush(self):
-        w = len(self.names)
-        a = {name: np.array(self.values[i::w]) for i, name in enumerate(self.names)}
+        w = len(_ROW)
+        a = {name: np.array(self.values[i::w]) for i, name in enumerate(_ROW)}
         self.values.clear()
         X = self.X[:len(a["ks"])]
         a["residual_sq"] = _residual_sq(self.problem, X, self.G[:len(X)])
@@ -249,20 +244,19 @@ class _FullOrder:
     update rule: it takes the pair (x^k, x^{k-1}) to x^{k+1}, using the
     loop's checked gradient at x^k (grad, else None and the oracle state
     gives each block's), and returns x^{k+1} with its measure
-    s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  stash
-    gives the values of the Trace fields named in ``stashed`` that an
-    entry records as they are.  entries takes a block of recorded rows as
-    columns named as in _Recorder and gives their lyapunov (xi_k - min F),
-    step_sq and descent_slack columns, and the other Trace fields named in
-    ``extra``.  A row at k = 0 has no previous iterate and stands in for
-    it itself; its s = 0 makes its slack exactly 0.
+    s_{k+1} = ||x^{k+1} - x^k||^2, per block in the cyclic order.  entries
+    takes a block of recorded rows as columns named as in _Recorder and
+    gives their lyapunov (xi_k - min F), step_sq and descent_slack columns,
+    and the other Trace fields named in ``extra``.  A row at k = 0 has no
+    previous iterate and stands in for it itself; its s = 0 makes its slack
+    exactly 0.
     The oracle state is refreshed at least every ``epoch`` steps, and when
     ``reads_grad`` holds every step gets grad: the full step needs all of
     it.  The full formulas are the stochastic ones at m = 1.
     """
 
     variant = "full"
-    extra = stashed = ()
+    extra = ()
     epoch = 1
     reads_grad = True
     step_sq0 = 0.0
@@ -299,9 +293,6 @@ class _FullOrder:
         x_next = _prox_full(self.problem, v, gamma)
         d = x_next - x
         return x_next, float(d.dot(d))
-
-    def stash(self):
-        return ()
 
     def entries(self, a):
         F, s, beta, gamma, Fp, sp, bp, gp = (a[name] for name in _ROW[1:])
@@ -364,7 +355,6 @@ class _StochasticOrder(_FullOrder):
     time."""
 
     variant = "stochastic"
-    extra = stashed = ("chosen_blocks", "step_sq_running_min")
     reads_grad = False
 
     def __init__(self, problem: CompositeProblem, schedule: ParamSchedule, seed: int):
@@ -380,8 +370,6 @@ class _StochasticOrder(_FullOrder):
             self.constant = True
         self.rng = SplitMix64(seed)
         self.draws = []  # drawn blocks not yet used, the next one last
-        self.chosen = -1  # the block whose move led to the current iterate
-        self.run_min = math.inf
         self.meta = {"seed": seed, "fixed_gamma": self.fixed}
 
     def params(self, k: int):
@@ -392,16 +380,10 @@ class _StochasticOrder(_FullOrder):
     def step(self, x, x_prev, k, beta, gamma, oracle, grad):
         if not self.draws:
             self.draws = self.rng.randint_below_batch(self.m, _DRAWS)[::-1]
-        self.chosen = self.draws.pop()
         x_next = x.copy()
-        _block_move(self, x_next, x_prev, self.chosen, gamma, beta, oracle, k, grad)
+        _block_move(self, x_next, x_prev, self.draws.pop(), gamma, beta, oracle, k, grad)
         d = x_next - x
-        s = float(d.dot(d))
-        self.run_min = min(self.run_min, s)
-        return x_next, s
-
-    def stash(self):
-        return self.chosen, self.run_min
+        return x_next, float(d.dot(d))
 
 
 def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
@@ -419,7 +401,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     always_read = order.reads_grad or stop_tol > 0.0
     # bound once: the lookups are a measurable share of a recorded block step
     read, refresh, value, add = oracle.read, oracle.refresh, oracle.value, rec.add
-    params, step, stash, epoch = order.params, order.step, order.stash, order.epoch
+    params, step, epoch = order.params, order.step, order.epoch
     x_prev, x = x0.copy(), x0.copy()
     s = order.step_sq0
     prev = None  # (F, s, beta, gamma) of the previous iterate
@@ -438,8 +420,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
             F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
         if not math.isfinite(F_val) or F_val > F_cap:
             raise DivergenceError(
-                f"objective blew up at iteration {k}: F={F_val!r} from F0={F0!r}",
-                k=k, value=F_val)
+                f"objective blew up at iteration {k}: F={F_val!r} from F0={F0!r}", k=k)
 
         if need_grad:
             _check_grad(grad, k)
@@ -447,7 +428,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         stopping = stop_tol > 0.0 and _residual_sq(problem, x, grad) <= stop_sq
         cur = (F_val, s, beta, gamma)
         if want_entry or stopping:
-            add(x, grad, k, *cur, *(prev or cur), *stash())
+            add(x, grad, k, *cur, *(prev or cur))
         if stopping or k == max_iters:
             break
 

@@ -914,6 +914,10 @@ def test_fixed_gamma_without_nu_is_exit_2_before_any_output(tmp_path, capsys):
 _LASSO_M4 = {"kind": "lasso", "n": 12, "rows": 30, "reg_lambda": 0.2, "m": 4, "seed": 3}
 _QUAD_M4 = {"kind": "quadratic", "n": 12, "conditioning": 6.0, "m": 4, "seed": 2}
 _SWEEP_BASE_C = lasso_cfg(schedule={"c": "0.9", "beta": 0.5}, sweep={"beta": [0.3, 0.6]})
+# a grid replaces these keys at every point, but the base value is still read
+_SWEEP_GRID_C = lasso_cfg(schedule={"c": "x", "beta": 0.5},
+                          sweep={"c": [0.5, 0.9], "beta": [0.3]})
+_SWEEP_GRID_BETA = lasso_cfg(schedule={"c": 0.9, "beta": "x"}, sweep={"beta": [0.3, 0.6]})
 
 
 def _fit_cfg(**fit):
@@ -924,6 +928,8 @@ def _fit_cfg(**fit):
 # its error names; each config has that one fault
 @pytest.mark.parametrize("command, doc, path", [
     ("run", lasso_cfg(bogus=1), "config.bogus"),
+    ("run", lasso_cfg(version=True), "version"),
+    ("run", lasso_cfg(version=1.0), "version"),
     ("run", lasso_cfg(run={}), "run.max_iters"),
     ("run", lasso_cfg(run={"max_iters": "300"}), "run.max_iters"),
     ("run", lasso_cfg(algorithm="bogus"), "config.algorithm"),
@@ -940,6 +946,8 @@ def _fit_cfg(**fit):
     ("run", quad_stochastic_cfg(instance=_QUAD_M4, schedule={"c": 0.8, "fixed_gamma": 1e300}),
      "schedule.fixed_gamma"),
     ("sweep", _SWEEP_BASE_C, "schedule.c"),
+    ("sweep", _SWEEP_GRID_C, "schedule.c"),
+    ("sweep", _SWEEP_GRID_BETA, "schedule.beta"),
     ("rates", _fit_cfg(model="bogus"), "fit.model"),
     ("rates", _fit_cfg(burn_in=-0.1), "fit.burn_in"),
     ("rates", _fit_cfg(floor=-1.0), "fit.floor"),
@@ -947,11 +955,11 @@ def _fit_cfg(**fit):
     ("rates", {"version": 1, "fit": {}}, "fit.csv"),
     ("ode", {"version": 1, "ode": {"n": 4, "alpha": 1.0, "theta": 2.0, "h": 0.001,
                                    "t_end": 0.01, "x0": 1.0}}, "ode.x0"),
-], ids=["unknown-key", "missing-key", "wrong-type", "algorithm", "rate-column", "rate-model",
-        "rate-burn-in", "rate-k-hi", "floor-scale", "reference-tol", "reference-max-iters",
-        "x0-mode", "fixed-gamma-on-a-lasso", "fixed-gamma-past-the-beta-ceiling",
-        "sweep-base-c", "fit-model", "fit-burn-in", "fit-floor", "fit-column", "fit-csv",
-        "ode-unknown-key"])
+], ids=["unknown-key", "version-bool", "version-float", "missing-key", "wrong-type",
+        "algorithm", "rate-column", "rate-model", "rate-burn-in", "rate-k-hi", "floor-scale",
+        "reference-tol", "reference-max-iters", "x0-mode", "fixed-gamma-on-a-lasso",
+        "fixed-gamma-past-the-beta-ceiling", "sweep-base-c", "sweep-grid-c", "sweep-grid-beta",
+        "fit-model", "fit-burn-in", "fit-floor", "fit-column", "fit-csv", "ode-unknown-key"])
 def test_each_decode_rule_is_exit_2_naming_its_path_before_any_build(tmp_path, monkeypatch,
                                                                      capsys, command, doc,
                                                                      path):

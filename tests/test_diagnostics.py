@@ -347,7 +347,7 @@ def test_linear_ratio_audit_needs_a_full_run_with_f_star_above_the_floor():
 def test_value_floor():
     assert diagnostics.value_floor(0.0) == pytest.approx(1e-14)
     assert diagnostics.value_floor(-9.0) == pytest.approx(1e-13)
-    assert diagnostics.value_floor(9.0, scale=1e-10) == pytest.approx(1e-9)
+    assert diagnostics.value_floor(9.0) == pytest.approx(1e-13)
 
 
 def test_select_window():

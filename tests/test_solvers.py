@@ -82,7 +82,6 @@ def test_stochastic_step_hand_values():
                                 variant="stochastic", m=2, fixed_gamma=0.25)
     tr, x1, x2 = first_two_iterates(run_stochastic, hand_quadratic(nu=0.5), sched, seed=1)
     assert tr.betas[0] == 1.0 / 64.0
-    assert tr.chosen_blocks.tolist() == [-1, 1, 1]
     assert np.array_equal(x1, [1.0, 0.0])
     assert np.array_equal(x2, [1.0, -0.265625])
 
@@ -224,8 +223,6 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     assert np.array_equal(tr.final_state.x_curr, x)
     assert np.array_equal(tr.final_state.x_prev, x_prev)
     assert np.array_equal(tr.F, [F[k] for k in tr.ks])
-    if variant == "stochastic":
-        assert np.array_equal(tr.chosen_blocks[1:], [blocks[k - 1] for k in tr.ks[1:]])
 
 
 class PoisonedModel(iprox.SmoothModel):
@@ -417,7 +414,8 @@ def test_stochastic_same_seed_is_identical():
     b = run_stochastic(p, sched, x0, RunConfig(max_iters=100, seed=5))
     c = run_stochastic(p, sched, x0, RunConfig(max_iters=100, seed=6))
     assert np.array_equal(a.F, b.F)
-    assert np.array_equal(a.chosen_blocks, b.chosen_blocks)
+    assert np.array_equal(a.final_state.x_curr, b.final_state.x_curr)
+    assert np.array_equal(a.final_state.x_prev, b.final_state.x_prev)
     assert not np.array_equal(a.F, c.F)
 
 
@@ -427,25 +425,16 @@ def test_stochastic_untouched_blocks_carry_over():
                                 variant="stochastic", m=4)
     tr = run_stochastic(p, sched, x0, RunConfig(max_iters=60, seed=2,
                                                 keep_iterates=True))
+    # the seed fixes the blocks: step j moves the j-th draw of SplitMix64(seed)
+    moved = SplitMix64(2).randint_below_batch(4, 60)
     xs = tr.iterates
+    assert len(xs) == 61
     for j in range(1, len(xs)):
-        i = tr.chosen_blocks[j]
-        assert i >= 0
         for b, ix in enumerate(p.block_selectors):
-            if b != i:
+            if b != moved[j - 1]:
                 assert np.array_equal(xs[j][ix], xs[j - 1][ix])
     # with 60 draws of 4 blocks, every block should have been visited
-    assert set(tr.chosen_blocks[1:].tolist()) == {0, 1, 2, 3}
-
-
-def test_stochastic_running_min_tracks_step_sq():
-    p, x0 = lasso_problem(seed=15, n=8, m=2)
-    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
-                                variant="stochastic", m=2)
-    tr = run_stochastic(p, sched, x0, RunConfig(max_iters=50, seed=1))
-    assert tr.step_sq_running_min[0] == np.inf
-    inc = np.minimum.accumulate(tr.step_sq[1:])
-    assert np.allclose(tr.step_sq_running_min[1:], inc, rtol=0, atol=0)
+    assert set(moved) == {0, 1, 2, 3}
 
 
 def test_fixed_gamma_regime_needs_nu():
@@ -540,8 +529,7 @@ def test_dist_sq_column_records_distance_to_solution_set(variant):
                    RunConfig(max_iters=30, record_every=4, keep_iterates=True))
     assert plain.dist_sq is None and len(plain.iterates) == len(want)
     for name in ("ks", "F", "lyapunov", "step_sq", "residual_sq", "descent_slack",
-                 "betas", "gammas", "block_step_sq", "chosen_blocks",
-                 "step_sq_running_min"):
+                 "betas", "gammas", "block_step_sq"):
         a, b = getattr(plain, name), getattr(lean, name)
         assert (a is None and b is None) or np.array_equal(a, b), name
 
@@ -557,7 +545,7 @@ def test_packed_columns_have_the_trace_dtypes_and_shapes():
     sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9,
                                 variant="stochastic", m=3)
     tr = run_stochastic(p, sched, x0, RunConfig(max_iters=7, seed=2))
-    assert tr.chosen_blocks.dtype == np.int64 and tr.chosen_blocks[0] == -1
+    assert tr.ks.dtype == np.int64 and tr.step_sq.shape == (8,)
     assert tr.gammas.shape == (8,)
     tr.F[0] = 0.0  # the columns are writable arrays
 
@@ -599,7 +587,7 @@ def per_entry_run(p, sched, x0, cfg, variant):
     oracle, rng, g = ImageOracle(p), SplitMix64(cfg.seed), 1.0 / L
     x_prev, x = x0.copy(), x0.copy()
     s = np.zeros(m) if variant == "cyclic" else 0.0
-    prev, chosen, run_min, F0 = None, -1, math.inf, None
+    prev, chosen, F0 = None, None, None
     rows, k = [], 0
     while True:
         beta = beta_at(sched, k)
@@ -615,7 +603,7 @@ def per_entry_run(p, sched, x0, cfg, variant):
             F0, cap = F, 1e10 * max(1.0, abs(F))
         if not math.isfinite(F) or F > cap:
             raise DivergenceError(
-                f"objective blew up at iteration {k}: F={F!r} from F0={F0!r}", k=k, value=F)
+                f"objective blew up at iteration {k}: F={F!r} from F0={F0!r}", k=k)
         rsq = grad = None
         if want or cfg.stop_tol > 0:
             grad = oracle.read(x)[1]
@@ -643,8 +631,6 @@ def per_entry_run(p, sched, x0, cfg, variant):
                     row["descent_slack"] = ((Fp + bp / (2.0 * r * gp) * sp)
                                             - (F + beta / (2.0 * r * gamma) * s)
                                             - ((1.0 - bp / r) / gp - L / 2.0) * s)
-            if variant == "stochastic":
-                row.update(chosen_blocks=chosen, step_sq_running_min=run_min)
             if p.solution_set is not None:
                 row["dist_sq"] = row_dist_sq(p.solution_set, x)
             rows.append(row)
@@ -659,7 +645,6 @@ def per_entry_run(p, sched, x0, cfg, variant):
             s = np.array([float(d[sel].dot(d[sel])) for sel in p.block_selectors])
         else:
             s = float(d.dot(d))
-            run_min = min(run_min, s)
         x_prev, x, k = x, x_next, k + 1
     return {name: np.array([row[name] for row in rows]) for name in rows[0]}
 
