@@ -18,8 +18,8 @@ instance synthesis seeds are part of the config).
 Config files are versioned JSON ({"version": 1, ...}); unknown keys are
 rejected with the offending field path.  Exit codes: 0 success; 2 config
 error, and nothing was written (a sweep decodes every point first); 3
-divergence or runtime failure (a failed allocation included), after which
-traces may be on disk.
+divergence or runtime failure (a failed allocation or write included),
+after which traces may be on disk.
 
 Example run config:
 
@@ -50,6 +50,7 @@ import math
 import os
 import sys
 import traceback
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -74,6 +75,10 @@ _MAX_FLOAT_INT = int(np.finfo(float).max)
 # default of KeyError makes the key required, and the type object takes any
 # value, which the section's own rules check where it is read.
 _VERSION = {"version": (object, KeyError)}  # load_config checks it is 1
+# the instance section is InstanceSpec's fields, each with its type and default
+_INSTANCE = {f.name: (typing.get_type_hints(library.InstanceSpec)[f.name],
+                      KeyError if f.default is dataclasses.MISSING else f.default)
+             for f in dataclasses.fields(library.InstanceSpec)}
 _RUN = {**_VERSION, "instance": (dict, KeyError), "algorithm": (str, KeyError),
         "schedule": (dict, KeyError), "run": (dict, KeyError), "seeds": (list, None),
         "audits": (list, []), "rate": (dict, {}), "reference": (dict, {}), "x0": (dict, {}),
@@ -83,7 +88,7 @@ _SCHEDULE = {"c": (float, 0.9), "beta": (float, 0.0), "theta": (float, None),
 _RUN_SECTION = {"max_iters": (int, KeyError), "record_every": (int, 1),
                 "stop_tol": (float, 0.0)}
 _RATE = {"model": (str, "sublinear_power"), "column": (str, "lyapunov"),
-         "k_lo": (int, None), "k_hi": (int, None), "burn_in": (float, 0.1)}
+         "k_lo": (int, None), "k_hi": (int, None)}
 _REFERENCE = {"tol": (float, 1e-12), "max_iters": (int, 10 ** 6), "cache_dir": (str, None)}
 _X0 = {"mode": (str, "zeros"), "scale": (float, 1.0)}
 _SWEEP = dict.fromkeys(("c", "beta", "theta"), (object, None))
@@ -257,19 +262,15 @@ def _validate_audits(audits: list, algorithm: str, spec) -> list:
 
 
 def _validate_fit(section: dict, path: str, schema: dict) -> dict:
-    """A rate fit's keys, with its k window and burn-in (run's rate, rates' fit)."""
+    """A rate fit's keys, with its k window (run's rate, rates' fit)."""
     fit = _read(section, path, schema)
     for key in ("k_lo", "k_hi"):
         if fit[key] is not None and fit[key] < 0:
             raise ConfigError(f"{path}.{key}", f"{key} must be >= 0")
     if fit["k_lo"] is not None and fit["k_hi"] is not None and fit["k_lo"] > fit["k_hi"]:
         raise ConfigError(f"{path}.k_lo", "the window k_lo..k_hi is empty: k_lo > k_hi")
-    if fit["k_lo"] is not None and "burn_in" not in section:
-        fit["burn_in"] = 0.0  # a window that starts at k_lo has no burn-in by default
-    for key, check in (("model", diagnostics.check_rate_model),
-                       ("burn_in", diagnostics.check_burn_in)):
-        with _section(f"{path}.{key}"):
-            check(fit[key])
+    with _section(f"{path}.model"):
+        diagnostics.check_rate_model(fit["model"])
     return fit
 
 
@@ -298,7 +299,7 @@ def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
     if "sweep" in cfg:
         raise ConfigError("sweep", "grid section requires the sweep subcommand")
     with _section("instance"):
-        spec = library.spec_from_dict(top["instance"])
+        spec = library.InstanceSpec(**_read(top["instance"], "instance", _INSTANCE))
     algorithm = top["algorithm"]
     if algorithm not in ALGORITHMS:
         raise ConfigError("config.algorithm", f"must be one of {tuple(ALGORITHMS)}")
@@ -344,7 +345,7 @@ def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
 def _reference_solution(problem, spec, ref_cfg):
     """Load or solve the reference; returns (key, reference, whether it was
     loaded from the cache)."""
-    key = reference.spec_cache_key(library.spec_to_dict(spec), ref_cfg["tol"])
+    key = reference.spec_cache_key(dataclasses.asdict(spec), ref_cfg["tol"])
     ref = reference.load_cached(ref_cfg["cache_dir"], key, dim=spec.n)
     if ref is not None and ref.converged:
         return key, ref, True
@@ -354,10 +355,14 @@ def _reference_solution(problem, spec, ref_cfg):
 
 
 def _fit(ks, values, fit: dict, floor: float) -> dict:
-    """Fit fit["model"] over the window of (k, value) pairs above floor."""
+    """Fit fit["model"] over the window of (k, value) pairs above floor; a
+    window without k_lo starts at a tenth of its last k (the rates are asymptotic)."""
     with _on_trace(f"rate fit on column {fit['column']!r}"):
         ks_w, vals_w = diagnostics.select_window(ks, values, fit["k_lo"], fit["k_hi"], floor)
-        est = diagnostics.fit_rate(ks_w, vals_w, fit["model"], burn_in_frac=fit["burn_in"])
+        if fit["k_lo"] is None and len(ks_w):
+            keep = ks_w >= 0.1 * ks_w[-1]
+            ks_w, vals_w = ks_w[keep], vals_w[keep]
+        est = diagnostics.fit_rate(ks_w, vals_w, fit["model"])
     return {"model": est.model, "value": est.exponent_or_ratio,
             "fit_residual": est.fit_residual,
             "window": [est.window[0], est.window[1]], "points": est.points}
@@ -449,7 +454,7 @@ def _sweep_point(plan: _Plan) -> str:
     try:
         _execute_run(plan)
         return "ok"
-    except (ContractViolation, DivergenceError, RunFailure, MemoryError) as exc:
+    except (ContractViolation, DivergenceError, RunFailure, MemoryError, OSError) as exc:
         return f"error: {type(exc).__name__}: {exc}"
     except Exception as exc:  # unforeseen: log it, but finish the other points
         traceback.print_exc()
@@ -594,6 +599,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"run diverged: {exc}", file=sys.stderr)
         return 3
-    except (RunFailure, MemoryError) as exc:  # an allocation no machine can hold
+    # MemoryError: an allocation no machine can hold; OSError: an output it cannot write
+    except (RunFailure, MemoryError, OSError) as exc:
         print(f"run failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

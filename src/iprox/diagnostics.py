@@ -242,34 +242,25 @@ def check_rate_model(model: str) -> None:
         raise ContractViolation("model must be sublinear_power or geometric")
 
 
-def check_burn_in(frac: float) -> None:
-    """A burn-in fraction lies in [0, 1)."""
-    if not 0 <= frac < 1:  # NaN included
-        raise ContractViolation("burn_in must lie in [0, 1)")
-
-
-def fit_rate(ks, values, model: str, burn_in_frac: float = 0.0) -> RateEstimate:
-    """Least-squares decay fit in log space.
+def fit_rate(ks, values, model: str) -> RateEstimate:
+    """Least-squares decay fit in log space over every given point.
 
     sublinear_power: slope of log(value) vs log(k), reported as p with
     value ~ C*k^-p.  geometric: slope of log(value) vs k, reported as
-    omega = exp(slope).  A burn-in fraction drops iterations below
-    burn_in_frac*max(k) before fitting (the guarantees are asymptotic).
+    omega = exp(slope).
     """
     check_rate_model(model)
     ks = np.asarray(ks, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(ks) != len(values):
         raise ContractViolation("ks and values must have equal length")
-    check_burn_in(burn_in_frac)
-    if burn_in_frac > 0 and len(ks):
-        keep = ks >= burn_in_frac * ks[-1]
-        ks, values = ks[keep], values[keep]
     if len(ks) < 10:
         raise ContractViolation("rate fit needs at least 10 points")
     if np.any(values <= 0):
         raise ContractViolation(
             "rate fit needs positive values; truncate at the rounding floor first")
+    if not np.all(np.isfinite(values)):  # NaN passes the check above
+        raise ContractViolation("rate fit needs finite values")
     if np.any(np.diff(ks) <= 0):
         raise ContractViolation("ks must be strictly increasing")
     logv = np.log(values)

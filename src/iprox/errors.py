@@ -18,8 +18,7 @@ class RunFailure(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid experiment config; ``path`` names the offending field."""
+    """Invalid experiment config; the message starts with the offending field's path."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
-        self.path = path

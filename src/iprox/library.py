@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,20 +121,6 @@ class InstanceSpec:
     def nu(self):
         """nu = lam_min/2, lam_min = 2/conditioning, of a quadratic kind; None for data."""
         return None if self.kind in _DATA_KINDS else 2.0 / self.conditioning / 2.0
-
-
-def spec_to_dict(spec: InstanceSpec) -> dict:
-    return asdict(spec)
-
-
-def spec_from_dict(d: dict) -> InstanceSpec:
-    allowed = {"kind", "n", "rows", "reg_lambda", "m", "seed", "conditioning"}
-    unknown = set(d) - allowed
-    if unknown:
-        raise ContractViolation(f"unknown InstanceSpec fields {sorted(unknown)}")
-    if not {"kind", "n"} <= set(d):
-        raise ContractViolation("an InstanceSpec needs kind and n")
-    return InstanceSpec(**d)
 
 
 def _blocks(n: int, m: int):

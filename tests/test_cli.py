@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import glob
 import io
 import json
@@ -261,7 +262,8 @@ def test_readme_config_tables_are_the_cli_schemas():
         elif line.startswith("| `"):
             key, kind, default = [cell.strip() for cell in line.strip("|").split("|")]
             tables[heading][key.strip("`")] = (kind, default)
-    schemas = {"`run` config, top level": cli._RUN, "`schedule`": cli._SCHEDULE,
+    schemas = {"`run` config, top level": cli._RUN, "`instance`": cli._INSTANCE,
+               "`schedule`": cli._SCHEDULE,
                "`run`": cli._RUN_SECTION, "`rate`": cli._RATE, "`reference`": cli._REFERENCE,
                "`x0`": cli._X0, "`sweep`": cli._SWEEP, "`ode` config, top level": cli._ODE_CONFIG,
                "`ode`": cli._ODE, "`rates` config, top level": cli._RATES_CONFIG,
@@ -437,19 +439,33 @@ def test_rates_refit_from_csv(tmp_path):
 
 
 def test_rate_fit_points_are_the_points_fitted(tmp_path):
-    # without k_lo the burn-in of 0.1 drops k < 4 from the window 0..40
-    # before the fit, and a rates burn-in of 0.5 drops k < 20
+    # without k_lo the window 0..40 starts at a tenth of its last k, 4, and a
+    # refit from k_lo 20 starts there
     doc = lasso_cfg(audits=["rates"], rate={"model": "geometric", "k_hi": 40})
     out = tmp_path / "run"
     assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
     fit = json.loads((out / "summary.json").read_text())["rates"][0]
     assert (fit["window"], fit["points"]) == ([4, 40], 37)
     refit = {"version": 1, "fit": {"csv": str(out / "trace.csv"), "model": "geometric",
-                                   "k_hi": 40, "burn_in": 0.5}}
+                                   "k_lo": 20, "k_hi": 40}}
     assert main(["rates", "--config", write_cfg(tmp_path, refit, "f.json"),
                  "--out", str(tmp_path / "fit")]) == 0
     fit = json.loads((tmp_path / "fit" / "rates.json").read_text())["fit"]
     assert (fit["window"], fit["points"]) == ([20, 40], 21)
+
+
+def test_rates_refit_of_an_infinite_value_is_exit_3_writing_nothing(tmp_path, capsys):
+    # select_window drops a NaN, but an inf reached the fit, which wrote
+    # NaN for the rate and its residual and exited 0
+    csv = tmp_path / "trace.csv"
+    csv.write_text(HEADER + "\n" + "".join(
+        f"{k},{'inf' if k == 20 else repr(1 / (k + 1))},1,1,1,1\n" for k in range(40)))
+    fit = {"version": 1, "fit": {"csv": str(csv), "column": "F", "model": "sublinear_power",
+                                 "k_lo": 1}}
+    assert main(["rates", "--config", write_cfg(tmp_path, fit, "f.json"),
+                 "--out", str(tmp_path / "fit")]) == 3
+    assert capsys.readouterr().err.startswith("run failed: rate fit on column 'F': ")
+    assert not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize("row",["1,abc,1,1,1,1", "1.5,1,1,1,1,1"])
@@ -629,7 +645,7 @@ def test_cached_reference_of_wrong_length_is_resolved(tmp_path):
     doc = lasso_cfg(audits=["squared_lyapunov"],
                     reference={"cache_dir": str(tmp_path / "cache")})
     spec = iprox.InstanceSpec(**doc["instance"])
-    key = reference.spec_cache_key(iprox.library.spec_to_dict(spec), 1e-12)
+    key = reference.spec_cache_key(dataclasses.asdict(spec), 1e-12)
     bogus = reference.ReferenceSolution(x_star=np.zeros(spec.n + 1), f_star=-1.0,
                                         residual=0.0, iterations_used=1,
                                         converged=True)
@@ -657,7 +673,7 @@ def test_a_run_below_the_reference_min_f_is_exit_3_before_any_output(tmp_path, c
 def test_a_cached_reference_above_min_f_is_exit_3_before_any_output(tmp_path, capsys):
     doc = lasso_cfg(reference={"cache_dir": str(tmp_path / "cache")})
     spec = iprox.InstanceSpec(**doc["instance"])
-    key = reference.spec_cache_key(iprox.library.spec_to_dict(spec), 1e-12)
+    key = reference.spec_cache_key(dataclasses.asdict(spec), 1e-12)
     x0 = np.zeros(spec.n)  # the run's start point, so the run goes below its F
     bogus = reference.ReferenceSolution(
         x_star=x0, f_star=objective(iprox.make_instance(spec), x0), residual=0.0,
@@ -707,12 +723,35 @@ def test_a_sweep_point_out_of_memory_is_recorded_without_a_traceback(tmp_path, c
     assert runs["c0.8"]["status"] == "error: MemoryError: Unable to allocate 7.28 TiB for an array"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "ode", "rates", "cache"])
+def test_a_failed_write_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch, command):
+    # a regular file where --out, or the reference cache_dir, must be a
+    # directory: the write raised FileExistsError, a traceback and exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    (tmp_path / "trace.csv").write_text(_fuzz_csv())
+    monkeypatch.chdir(tmp_path)
+    doc, out = {
+        "run": (lasso_cfg(), taken),
+        "sweep": (lasso_cfg(sweep={"beta": [0.3, 0.6]}), taken),
+        "ode": ({"version": 1, "ode": {"n": 4, "alpha": 1.0, "theta": 2.0, "h": 0.001,
+                                       "t_end": 0.01}}, taken),
+        "rates": (_FUZZ_BASES["rates"][1], taken),
+        "cache": (lasso_cfg(reference={"cache_dir": str(taken)}), tmp_path / "out"),
+    }[command]
+    argv = ["--config", write_cfg(tmp_path, doc), "--out", str(out)]
+    assert main(["run" if command == "cache" else command] + argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
 def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):
     real = cli._execute_run
 
     def flaky(plan):
         if plan.cfg["schedule"]["beta"] == 0.6:
-            raise OSError("disk full")
+            raise TypeError("unsupported operand")
         return real(plan)
 
     monkeypatch.setattr(cli, "_execute_run", flaky)
@@ -723,7 +762,7 @@ def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):
     assert main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
     runs = json.loads((out / "sweep_summary.json").read_text())["runs"]
     assert runs["c0.9_beta0.3"]["status"] == "ok"
-    assert runs["c0.9_beta0.6"]["status"] == "error: OSError: disk full"
+    assert runs["c0.9_beta0.6"]["status"] == "error: TypeError: unsupported operand"
 
 
 def test_squared_lyapunov_run_keeps_no_iterates(tmp_path, monkeypatch):
@@ -882,7 +921,7 @@ def test_instance_bools_for_numbers_are_exit_2_before_any_output(tmp_path, capsy
     cfg = write_cfg(tmp_path, lasso_cfg(instance={**instance, **field}))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert "config error: instance: " in capsys.readouterr().err
+    assert f"config error: instance.{next(iter(field))}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -928,6 +967,9 @@ def _fit_cfg(**fit):
 # its error names; each config has that one fault
 @pytest.mark.parametrize("command, doc, path", [
     ("run", lasso_cfg(bogus=1), "config.bogus"),
+    ("run", lasso_cfg(instance={**lasso_cfg()["instance"], "surprise": 1}),
+     "instance.surprise"),
+    ("run", lasso_cfg(instance={"kind": "lasso", "rows": 40}), "instance.n"),
     ("run", lasso_cfg(version=True), "version"),
     ("run", lasso_cfg(version=1.0), "version"),
     ("run", lasso_cfg(run={}), "run.max_iters"),
@@ -955,11 +997,12 @@ def _fit_cfg(**fit):
     ("rates", {"version": 1, "fit": {}}, "fit.csv"),
     ("ode", {"version": 1, "ode": {"n": 4, "alpha": 1.0, "theta": 2.0, "h": 0.001,
                                    "t_end": 0.01, "x0": 1.0}}, "ode.x0"),
-], ids=["unknown-key", "version-bool", "version-float", "missing-key", "wrong-type",
-        "algorithm", "rate-column", "rate-model", "rate-burn-in", "rate-k-hi", "floor-scale",
-        "reference-tol", "reference-max-iters", "x0-mode", "fixed-gamma-on-a-lasso",
-        "fixed-gamma-past-the-beta-ceiling", "sweep-base-c", "sweep-grid-c", "sweep-grid-beta",
-        "fit-model", "fit-burn-in", "fit-floor", "fit-column", "fit-csv", "ode-unknown-key"])
+], ids=["unknown-key", "instance-unknown-key", "instance-missing-n", "version-bool",
+        "version-float", "missing-key", "wrong-type", "algorithm", "rate-column", "rate-model",
+        "rate-burn-in", "rate-k-hi", "floor-scale", "reference-tol", "reference-max-iters",
+        "x0-mode", "fixed-gamma-on-a-lasso", "fixed-gamma-past-the-beta-ceiling", "sweep-base-c",
+        "sweep-grid-c", "sweep-grid-beta", "fit-model", "fit-burn-in", "fit-floor", "fit-column",
+        "fit-csv", "ode-unknown-key"])
 def test_each_decode_rule_is_exit_2_naming_its_path_before_any_build(tmp_path, monkeypatch,
                                                                      capsys, command, doc,
                                                                      path):
@@ -1057,7 +1100,7 @@ _FUZZ_BASES["ode"] = ("ode", {
                           "h": 0.001, "t_end": 0.01, "x0_scale": 1.0, "v0_scale": 1.0}})
 _FUZZ_BASES["rates"] = ("rates", {
     "version": 1, "fit": {"csv": "trace.csv", "column": "lyapunov", "model": "geometric",
-                          "k_lo": 0, "k_hi": 20, "floor": 0.0, "burn_in": 0.0}})
+                          "k_lo": 0, "k_hi": 20, "floor": 0.0}})
 
 
 def _leaves(doc, path=()):

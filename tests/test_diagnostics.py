@@ -377,13 +377,6 @@ def test_fit_rate_exact_geometric():
     assert est.fit_residual < 1e-10
 
 
-def test_fit_rate_burn_in_drops_head():
-    ks = np.arange(1, 101)
-    vals = 1.0 / ks
-    est = diagnostics.fit_rate(ks, vals, "sublinear_power", burn_in_frac=0.5)
-    assert est.window[0] >= 50
-
-
 def test_fit_rate_validation():
     ks = np.arange(1, 8)
     with pytest.raises(ContractViolation):
@@ -397,9 +390,9 @@ def test_fit_rate_validation():
         diagnostics.fit_rate(np.zeros(29, dtype=int), np.ones(29), "sublinear_power")
     with pytest.raises(ContractViolation, match="equal length"):
         diagnostics.fit_rate(ks, np.ones(28), "geometric")
-    for frac in (-0.1, 1.0, float("nan")):  # NaN fitted with no burn-in
-        with pytest.raises(ContractViolation, match=r"burn_in must lie in \[0, 1\)"):
-            diagnostics.fit_rate(ks, 1.0 / ks, "geometric", burn_in_frac=frac)
+    for bad in (float("inf"), float("nan")):  # either made a NaN rate
+        with pytest.raises(ContractViolation, match="finite values"):
+            diagnostics.fit_rate(ks, np.where(ks == 20, bad, 1.0 / ks), "geometric")
     with pytest.raises(ContractViolation, match="k >= 1"):
         diagnostics.fit_rate(np.arange(0, 29), np.ones(29), "sublinear_power")
 

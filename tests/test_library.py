@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from iprox import library, reference
 from iprox.errors import ContractViolation
-from iprox.library import InstanceSpec, make_instance, spec_from_dict, spec_to_dict, start_point
+from iprox.library import InstanceSpec, make_instance, start_point
 from iprox.problems import grad_f, objective
 
 
@@ -320,16 +321,6 @@ def test_spec_validation():
         InstanceSpec(kind="quadratic", n=10, conditioning=4.0, seed=2 ** 64)
 
 
-def test_spec_dict_round_trip():
-    spec = InstanceSpec(kind="quadratic_l1", n=12, conditioning=7.0,
-                        reg_lambda=0.4, m=3, seed=99)
-    d = spec_to_dict(spec)
-    assert d["kind"] == "quadratic_l1" and d["seed"] == 99
-    assert spec_from_dict(d) == spec
-    with pytest.raises(ContractViolation):
-        spec_from_dict({**d, "surprise": 1})
-
-
 @pytest.mark.parametrize("kind, field", [
     ("lasso", {"reg_lambda": True}), ("lasso", {"reg_lambda": "0.1"}),
     ("lasso", {"conditioning": False}), ("quadratic", {"conditioning": "4"}),
@@ -353,7 +344,7 @@ def test_spec_sizes_and_seed_take_numpy_integers_as_ints():
 
 
 def test_a_numpy_integer_spec_has_the_plain_specs_cache_key():
-    key = lambda spec: reference.spec_cache_key(spec_to_dict(spec), 1e-12)  # noqa: E731
+    key = lambda spec: reference.spec_cache_key(dataclasses.asdict(spec), 1e-12)  # noqa: E731
     spec = InstanceSpec(kind="quadratic", n=np.int16(8), conditioning=4.0, m=np.int8(2),
                         seed=np.int64(3))
     assert key(spec) == key(InstanceSpec(kind="quadratic", n=8, conditioning=4.0, m=2, seed=3))
@@ -371,12 +362,6 @@ def test_the_spec_gives_the_instances_nu(kind, extra):
         spec = InstanceSpec(kind=kind, n=6, m=2, seed=1, conditioning=conditioning, **extra)
         assert make_instance(spec).nu == spec.nu
         assert spec.nu is None if data else spec.nu == 2.0 / conditioning / 2.0
-
-
-def test_spec_from_dict_without_kind_or_n_is_a_contract_violation():
-    for d in ({"n": 4}, {"kind": "quadratic", "conditioning": 4.0}):
-        with pytest.raises(ContractViolation, match="needs kind and n"):
-            spec_from_dict(d)
 
 
 def test_start_point_modes():
