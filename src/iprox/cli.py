@@ -474,8 +474,9 @@ def _pool_size(workers: int, jobs: int) -> int:
 
 
 def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
-    """Decode every grid point, then run them: a point's config error is the
-    sweep's, before anything runs or is written."""
+    """Decode every grid point, make the output root, then run the points: a
+    point's config error is the sweep's, before anything is written, and an
+    unwritable root fails the sweep before any point runs."""
     if "sweep" not in cfg:
         raise ConfigError("sweep", "sweep subcommand needs a sweep section")
     section = cfg["sweep"]
@@ -510,6 +511,7 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
         except ConfigError as exc:
             raise ConfigError(f"sweep point {name}", str(exc))
 
+    os.makedirs(out_dir, exist_ok=True)
     workers = _pool_size(workers, len(plans))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -518,7 +520,6 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
         statuses = [_sweep_point(plan) for plan in plans.values()]
     results = {name: {"dir": plan.out_dir, "status": status}
                for (name, plan), status in zip(plans.items(), statuses)}
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep_summary.json"), {"runs": results})
     return 0 if all(v["status"] == "ok" for v in results.values()) else 3
 

@@ -106,17 +106,8 @@ class SmoothModel:
         y = self.labels
         return -(At.T @ (y * _sigmoid(-(y * u)))) / len(y)
 
-    def image_value(self, x: Vector):
-        """(u, f(x)) from one image u of x; the quadratic loss takes x - center once."""
-        if self.loss != "quadratic":
-            u = self.image(x)
-            return u, self.value_at(x, u)
-        d = x if self.center is None else x - self.center
-        u = self.A @ d
-        return u, 0.5 * float(d.dot(u))
-
     def value(self, x: Vector) -> float:
-        return self.image_value(x)[1]
+        return self.value_at(x, self.image(x))
 
     def grad(self, x: Vector) -> Vector:
         return self.grad_at(x, self.image(x))
@@ -344,23 +335,24 @@ def _residual_sq(problem: CompositeProblem, x: Vector, grad: Vector):
 
 class ImageOracle:
     """Per-run oracle state: keeps the image u of the current iterate under
-    the problem's SmoothModel.
+    the problem's SmoothModel, and no gradient.
 
-    read(x) starts a new image at x, whose shape the caller has checked, and
-    gives (f(x), grad f(x)) from it: the one way to read grad f whole.
-    refresh(x) starts a new image at x and reads nothing; value(x) then
-    reads f of that x; block_grad(i, x) computes block i of grad f(x) from
-    the image (the state keeps no gradient); move(i, d) tells the state
-    that block i of x moved by d.  The caller passes the x the state
-    currently describes.
+    Four primitives read and move it, each with one cost rule, counted in
+    matvec-equivalents (a product with all of A counts 1, one with a
+    block's columns |block|/n):
 
-    A block gradient or a move reads only the block's columns of A
-    through the problem's block selectors, so as views when the block is a
-    contiguous range.  A move is applied when the image is next read, so
-    one followed by a refresh or a read costs nothing.  Work is counted in
-    matvec-equivalents: a product with all of A
-    counts 1, one with a block's columns |block|/n; a value from the
-    image is free.
+      refresh(x)     starts a new image at x: n columns.
+      value(x)       f(x) from the image: free.
+      grad(x, i)     grad f(x) from the image, whole (i None) or block i's:
+                     n or |block i| columns, and none for the quadratic
+                     loss, whose image is the gradient.
+      move(i, d)     block i of x moved by d: |block i| columns, paid when
+                     the image is next read, so nothing when a refresh
+                     comes first.
+
+    The caller passes the x the state currently describes, of a shape it
+    has checked.  Block columns are read through the problem's block
+    selectors, so as views when a block is a contiguous range.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -393,17 +385,11 @@ class ImageOracle:
     def value(self, x: Vector) -> float:
         return self.model.value_at(x, self._image())
 
-    def read(self, x: Vector):
-        """A new image of x, then (f(x), grad f(x)) from it."""
-        self.u, value = self.model.image_value(x)
-        self.pending = None
-        self.columns += self.dim if self.grad_is_image else 2 * self.dim
-        return value, self.model.grad_at(x, self.u)
-
-    def block_grad(self, i: int, x: Vector) -> Vector:
+    def grad(self, x: Vector, i: Optional[int] = None) -> Vector:
+        u = self._image()
         if not self.grad_is_image:
-            self.columns += self.sizes[i]
-        return self.model.grad_at(x, self._image(), self.cols[i])
+            self.columns += self.dim if i is None else self.sizes[i]
+        return self.model.grad_at(x, u, None if i is None else self.cols[i])
 
     def move(self, i: int, d: Vector) -> None:
         self._image()

@@ -44,14 +44,18 @@ audit stepsize 1/L throughout: S_gamma(x) vanishes exactly at minimizers of
 F for any gamma > 0, so the choice only rescales the stopping rule.
 
 The smooth part is read through a per-run oracle state, an
-:class:`iprox.problems.ImageOracle` over the problem's SmoothModel.  Every
-full step, entry and step under stop_tol reads f and grad f of x from one
-new image of x.  A block order's other steps read f off an image that the
-loop refreshes at every epoch start (each cyclic epoch, every m stochastic
-steps) and that block moves keep up to date; the refresh bounds its
-rounding drift, and with m = 1 every step refreshes.  A gradient the loop
-read serves the step's first block move.  meta["matvec_equiv"] holds the
-work the run's oracle state counted.
+:class:`iprox.problems.ImageOracle` over the problem's SmoothModel, by its
+four primitives refresh, value, grad and move.  The loop has one rule: it
+refreshes the image at every epoch start (each full or cyclic step, every
+m stochastic steps) and wherever it reads a whole gradient (every full
+step, entry and step under stop_tol), then takes f from the image, and
+the whole gradient too where it needs it.  Between refreshes block moves
+keep the image up to date; the refresh bounds its rounding drift, and
+with m = 1 every step refreshes.  So a stochastic run's iterates depend,
+at rounding level, on which steps are entries; full and cyclic runs do
+not.  A gradient the loop read serves the step's first block move, and
+each later block's is read from the image.  meta["matvec_equiv"] holds
+the work the run's oracle state counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -221,7 +225,7 @@ def _block_move(order, x, x_prev, i, gamma, beta, oracle, k, grad):
     sel = order.sels[i]
     x_i = x[sel]
     if grad is None:
-        grad_i = oracle.block_grad(i, x)
+        grad_i = oracle.grad(x, i)
         _check_grad(grad_i, k)
     else:
         grad_i = grad[sel]
@@ -400,7 +404,7 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
     stop_sq = stop_tol * stop_tol
     always_read = order.reads_grad or stop_tol > 0.0
     # bound once: the lookups are a measurable share of a recorded block step
-    read, refresh, value, add = oracle.read, oracle.refresh, oracle.value, rec.add
+    refresh, value, gradient, add = oracle.refresh, oracle.value, oracle.grad, rec.add
     params, step, epoch = order.params, order.step, order.epoch
     x_prev, x = x0.copy(), x0.copy()
     s = order.step_sq0
@@ -412,10 +416,10 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         beta, gamma = const or params(k)
         want_entry = (k % record_every == 0) or (k == max_iters)
         need_grad = want_entry or always_read
-        if not need_grad and k % epoch == 0:
+        if need_grad or k % epoch == 0:
             refresh(x)
-        F_val, grad = read(x) if need_grad else (value(x), None)
-        F_val += _g_value(problem, x)
+        F_val = value(x) + _g_value(problem, x)
+        grad = gradient(x) if need_grad else None
         if F0 is None:
             F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
         if not math.isfinite(F_val) or F_val > F_cap:

@@ -9,18 +9,21 @@ from iprox.problems import ImageOracle
 class FreshOracle(ImageOracle):
     """An ImageOracle that computes every value and gradient afresh from x.
 
-    A block gradient is block i of the gradient of a read at x, as a
-    closure grad f(x) gives it, so block moves never leave rounding in the
-    image.  Runs with this state patched into the solvers are the
-    exact-gradient reference that runs over a kept image must agree with.
+    Each value and gradient, a block's included, is read from a new image
+    of x, and a block gradient is block i of the whole one, as a closure
+    grad f(x) gives it, so block moves never leave rounding in the image.
+    Runs with this state patched into the solvers are the exact-gradient
+    reference that runs over a kept image must agree with.
     """
 
     def value(self, x):
         self.refresh(x)
         return super().value(x)
 
-    def block_grad(self, i, x):
-        return self.read(x)[1][self.cols[i]]
+    def grad(self, x, i=None):
+        self.refresh(x)
+        grad = super().grad(x)
+        return grad if i is None else grad[self.cols[i]]
 
 
 @pytest.fixture

@@ -746,6 +746,24 @@ def test_a_failed_write_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch, c
     assert taken.read_text() == ""
 
 
+def test_a_sweep_onto_an_unwritable_root_is_exit_3_before_any_point_runs(tmp_path, capsys):
+    # the root was made after every point had run: a two-point sweep built
+    # two instances and made two runs, then exited 3 without its statuses
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    doc = lasso_cfg(sweep={"beta": [0.3, 0.6]})
+    del doc["schedule"]["beta"]
+    with mock.patch.object(library, "make_instance", wraps=library.make_instance) as make, \
+            mock.patch.object(iprox.solvers, "run_inertial",
+                              wraps=iprox.solvers.run_inertial) as runner:
+        code = main(["sweep", "--config", write_cfg(tmp_path, doc), "--out", str(taken)])
+    assert code == 3
+    assert (make.call_count, runner.call_count) == (0, 0)
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
 def test_sweep_records_unexpected_errors_and_finishes(tmp_path, monkeypatch):
     real = cli._execute_run
 

@@ -170,12 +170,12 @@ def test_non_contiguous_blocks_use_index_columns(fresh_reads):
     x = rng.standard_normal(6)
     oracle.refresh(x)
     ix = p.block_selectors[1]
-    assert np.allclose(oracle.block_grad(1, x), model.grad(x)[ix], rtol=1e-13)
+    assert np.allclose(oracle.grad(x, 1), model.grad(x)[ix], rtol=1e-13)
     d = rng.standard_normal(3)
     oracle.move(1, d)
     x[ix] += d
     assert oracle.value(x) == pytest.approx(model.value(x), rel=1e-13)
-    assert np.allclose(oracle.block_grad(0, x), model.grad(x)[p.block_selectors[0]],
+    assert np.allclose(oracle.grad(x, 0), model.grad(x)[p.block_selectors[0]],
                        rtol=1e-12)
     x0 = rng.standard_normal(6)
     a = run(p, x0, "cyclic", 30)
@@ -258,10 +258,10 @@ def test_a_closure_f_is_rejected_and_another_models_f_is_read():
 
 
 @pytest.mark.parametrize("kind", sorted(KIND_SPECS) + ["quadratic-without-center"])
-def test_a_read_is_a_refresh_a_gradient_and_a_value(kind):
-    # read(x) is the one way to read grad f whole: bit for bit the model's
-    # f(x) and grad f(x), from one new image that costs n columns, and n
-    # more for the transposed product unless the loss is quadratic
+def test_each_primitive_reads_the_model_at_its_own_cost(kind):
+    # refresh(x) costs n columns, value(x) none, grad(x, i) n or block i's
+    # (none for the quadratic loss, whose image is the gradient), and
+    # move(i, d) block i's, paid at the next read and dropped by a refresh
     if kind == "quadratic-without-center":
         q, _ = instance("quadratic", 3)
         model = SmoothModel("quadratic", q.smooth_model.A)
@@ -269,27 +269,36 @@ def test_a_read_is_a_refresh_a_gradient_and_a_value(kind):
         assert p.smooth_model.center is None
     else:
         p, _ = instance(kind, 3)
-    model, n = p.smooth_model, p.dim
+    model, n, sels = p.smooth_model, p.dim, p.block_selectors
+    per_grad = 0 if model.loss == "quadratic" else 1  # columns per gradient entry
     rng = np.random.default_rng(4)
     x = rng.standard_normal(n)
     state = ImageOracle(p)
+
+    def cost(call, *args):
+        before = state.columns
+        out = call(*args)
+        return out, state.columns - before
+
     state.refresh(np.zeros(n))
-    state.move(0, rng.standard_normal(len(p.blocks[0])))  # a pending move is dropped
-    value, grad = state.read(x)
-    assert value == model.value(x)
-    assert np.array_equal(grad, model.grad(x)) and np.array_equal(state.u, model.image(x))
-    per_read = n if model.loss == "quadratic" else 2 * n
-    assert state.columns == n + per_read
-    # the state keeps no gradient: a block gradient after the read comes
-    # from the image, at the block's columns unless the loss is quadratic,
-    # and a move and a value cost the block's columns
+    state.move(0, rng.standard_normal(len(p.blocks[0])))
+    assert cost(state.refresh, x)[1] == n  # the pending move is dropped unpaid
+    assert np.array_equal(state.u, model.image(x))
+    assert cost(state.value, x) == (model.value(x), 0)
+    grad, paid = cost(state.grad, x)
+    assert np.array_equal(grad, model.grad(x)) and paid == per_grad * n
+    assert not np.shares_memory(grad, state.u)
+    for i, sel in enumerate(sels):
+        grad_i, paid = cost(state.grad, x, i)
+        assert np.allclose(grad_i, grad[sel], rtol=1e-13, atol=1e-13)
+        assert paid == per_grad * len(p.blocks[i])
     d = np.full(len(p.blocks[1]), 0.25)
-    per_block = 0 if model.loss == "quadratic" else len(d)
-    assert np.allclose(state.block_grad(1, x), grad[p.block_selectors[1]],
-                       rtol=1e-13, atol=1e-13)
-    assert state.columns == n + per_read + per_block
-    state.move(1, d)
-    x[p.block_selectors[1]] += d
-    assert state.value(x) == pytest.approx(model.value(x), rel=1e-12)
-    assert state.columns == n + per_read + per_block + len(d)
-    assert not hasattr(state, "grad")
+    assert cost(state.move, 1, d)[1] == 0
+    x[sels[1]] += d
+    value, paid = cost(state.value, x)
+    assert value == pytest.approx(model.value(x), rel=1e-12) and paid == len(d)
+    assert cost(state.value, x)[1] == 0  # a move is paid once
+    assert np.allclose(cost(state.grad, x)[0], model.grad(x), rtol=1e-12, atol=1e-13)
+    assert state.matvec_equiv == state.columns / n
+    # the state keeps the image and no gradient
+    assert [name for name, val in vars(state).items() if isinstance(val, np.ndarray)] == ["u"]

@@ -109,7 +109,7 @@ def test_block_grad_is_slice_of_full():
     state = ImageOracle(p)
     state.refresh(x)
     for i, ix in enumerate(p.block_selectors):
-        assert np.array_equal(state.block_grad(i, x), full[ix])
+        assert np.array_equal(state.grad(x, i), full[ix])
 
 
 def test_block_grad_m1_degeneracy():
@@ -117,7 +117,7 @@ def test_block_grad_m1_degeneracy():
     x = np.array([0.5, -0.25])
     state = ImageOracle(p)
     state.refresh(x)
-    assert np.array_equal(state.block_grad(0, x), grad_f(p, x))
+    assert np.array_equal(state.grad(x, 0), grad_f(p, x))
 
 
 def test_prox_full_zero_identity():

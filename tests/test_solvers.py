@@ -149,8 +149,8 @@ def fold_id(case):
 def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None, grad=None):
     """x^{k+1} by the order's update rule, coded apart from the solvers.
 
-    Gradients come from the oracle state (read, block_grad, and each
-    block move told to it by move), or from grad_f without one.  grad,
+    Gradients come from the oracle state (grad, whole or a block's, with
+    each block move told to it by move), or from grad_f without one.  grad,
     when given, is grad f(x) as the caller read it at x, and serves the
     first block move, as the run loop hands its read to the step.  The
     full step is prox_full(x - gamma*grad f(x) + beta*(x - x_prev)).  The
@@ -161,7 +161,7 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None, grad=
     """
     if variant == "full":
         if grad is None:
-            grad = grad_f(p, x) if oracle is None else oracle.read(x)[1]
+            grad = grad_f(p, x) if oracle is None else oracle.grad(x)
         return prox_full(p, x - gamma * grad + beta * (x - x_prev), gamma)
     x = x.copy()
     for i in (range(p.n_blocks) if variant == "cyclic" else (block,)):
@@ -169,7 +169,7 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None, grad=
         if grad is not None:
             g_i, grad = grad[ix], None  # x moves with this block
         else:
-            g_i = grad_f(p, x)[ix] if oracle is None else oracle.block_grad(i, x)
+            g_i = grad_f(p, x)[ix] if oracle is None else oracle.grad(x, i)
         gam = gamma[i] if variant == "cyclic" else gamma
         x_i = prox_apply(p.prox_kind, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
         if oracle is not None:
@@ -184,9 +184,10 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
                                  fresh_reads):
     # a run equals, bit for bit, a fold of reference_step.  Without an
     # oracle state it reads grad_f; with one, the state takes a new image at
-    # the documented cadence: a read of f and grad f at every recorded entry
-    # and every full step, whose gradient the step takes, and a refresh at
-    # every other epoch start (every cyclic step, every m stochastic steps)
+    # the documented cadence, at every recorded entry and every epoch start
+    # (every full or cyclic step, every m stochastic steps), and reads the
+    # whole gradient from it at an entry and at every full step, whose
+    # gradient the step takes
     beta_rule = FOLD_RULES[rule]
     p, x0 = fold_problem(problem)
     if problem != "library":
@@ -204,10 +205,10 @@ def test_run_matches_manual_fold(variant, problem, record_every, rule, with_orac
     F, blocks = {0: objective(p, x)}, []
     for k in range(iters):
         grad = None
-        if with_oracle and k % record_every == 0:
-            grad = oracle.read(x)[1]
-        elif with_oracle and k % epoch == 0:
+        if with_oracle and (k % record_every == 0 or k % epoch == 0):
             oracle.refresh(x)
+        if with_oracle and k % record_every == 0:
+            grad = oracle.grad(x)
         beta = beta_at(sched, k)
         if variant == "full":
             gamma = 2.0 * (1.0 - beta) * c / p.lipschitz_L
@@ -606,7 +607,7 @@ def per_entry_run(p, sched, x0, cfg, variant):
                 f"objective blew up at iteration {k}: F={F!r} from F0={F0!r}", k=k)
         rsq = grad = None
         if want or cfg.stop_tol > 0:
-            grad = oracle.read(x)[1]
+            grad = oracle.grad(x)
             v = x - prox_full(p, x - g * grad, g)
             rsq = float(v.dot(v))
         stop = cfg.stop_tol > 0 and rsq <= cfg.stop_tol ** 2
