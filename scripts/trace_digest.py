@@ -29,12 +29,31 @@ checkouts to compare them:
     PYTHONPATH=../other/src python3 scripts/trace_digest.py > before.txt
     diff before.txt after.txt
 
-It takes a few seconds.
+It takes a few seconds.  To see how far two checkouts differ, dump each
+one's values and compare the dumps:
+
+    PYTHONPATH=../other/src python3 scripts/trace_digest.py --dump before
+    PYTHONPATH=src python3 scripts/trace_digest.py --dump after
+    python3 scripts/trace_digest.py --compare before after --tol 1e-12
+
+--dump DIR prints the hashes as usual and also writes DIR/runs.json: for
+each run its Trace arrays, final state, retained iterates and meta, and
+for each CLI output file its parsed CSV columns or JSON.  --compare A B
+prints one line per run (or CLI file) and column: the largest difference
+of that column between the dumps, scaled by its largest magnitude and
+then as is, inf where a run, a column or a shape is on one side only or a
+string differs.
+A column is a Trace array, a meta key such as meta.L, a CSV column or a
+JSON leaf path such as audits.descent.max_violation.  For a run it also
+prints the work difference, B's meta["matvec_equiv"] minus A's.  It exits
+1 if any scaled difference exceeds --tol (default 0).
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -86,6 +105,71 @@ def digest(trace) -> str:
         else:  # meta, and the optional fields a run left as None
             h.update(repr(val).encode())
     return h.hexdigest()
+
+
+def trace_tree(trace) -> dict:
+    """A run's Trace as a JSON-ready dict, for --dump."""
+    tree = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
+    state = tree.pop("final_state")
+    tree["final_state"] = {"x_curr": state.x_curr, "x_prev": state.x_prev, "k": state.k}
+    return json.loads(json.dumps(tree, default=lambda a: a.tolist()))
+
+
+def output_tree(name, data: bytes):
+    """A CLI output file's parsed content: CSV columns, or the JSON."""
+    text = data.decode()
+    if not name.endswith(".csv"):
+        return json.loads(text)
+    header, *rows = text.split()
+    return dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+
+
+def columns(tree, key="") -> dict:
+    """Flatten a dumped tree into {dotted key: float array, or str}."""
+    if isinstance(tree, dict):
+        return {col: v for name, sub in tree.items()
+                for col, v in columns(sub, f"{key}.{name}" if key else name).items()}
+    if tree is None or isinstance(tree, str):
+        return {key: str(tree)}
+    try:
+        return {key: np.asarray(tree, dtype=float)}
+    except (TypeError, ValueError):  # a list of dicts, strings or ragged lists
+        return columns(dict(enumerate(tree)), key)
+
+
+def difference(a, b) -> tuple:
+    """Largest |a - b|, over the largest finite magnitude of a and b and as is."""
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return (0.0, 0.0) if isinstance(a, str) and a == b else (math.inf, math.inf)
+    if a.shape != b.shape:
+        return math.inf, math.inf
+    differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+    if not differ.any():
+        return 0.0, 0.0
+    if not (np.isfinite(a[differ]).all() and np.isfinite(b[differ]).all()):
+        return math.inf, math.inf
+    both = np.abs(np.concatenate([a.ravel(), b.ravel()]))
+    absolute = float(np.max(np.abs(a - b)[differ]))
+    return absolute / np.max(both[np.isfinite(both)]), absolute
+
+
+def compare(dir_a, dir_b, tol: float) -> int:
+    """Print each run's and column's scaled difference; 1 if any exceeds tol."""
+    dumps = []
+    for d in (dir_a, dir_b):
+        with open(os.path.join(d, "runs.json")) as fh:
+            dumps.append(json.load(fh))
+    worst = 0.0
+    for name in dict.fromkeys(list(dumps[0]) + list(dumps[1])):
+        ca, cb = (columns(dump.get(name, {})) for dump in dumps)
+        for col in dict.fromkeys(list(ca) + list(cb)):
+            scaled, absolute = difference(ca.get(col), cb.get(col))
+            worst = max(worst, scaled)
+            print(name, col, f"{scaled:.3g}", f"{absolute:.3g}")
+        work = [c.get("meta.matvec_equiv") for c in (ca, cb)]
+        if all(isinstance(w, np.ndarray) for w in work):
+            print(name, "work", f"{float(work[1] - work[0]):g}")
+    return 1 if worst > tol else 0
 
 
 def scattered_model():
@@ -208,8 +292,9 @@ def cli_invocations(root):
         "t_end": 3.0, "x0_scale": 1.0, "v0_scale": 1.0}}, []
 
 
-def cli_digests():
-    """Yield (name/file, hash) for every file the CLI invocations write."""
+def cli_outputs():
+    """Yield (name/file, bytes with the root masked) for every file the CLI
+    invocations write."""
     with tempfile.TemporaryDirectory() as root:
         for name, command, cfg, extra in cli_invocations(root):
             cfg_path = os.path.join(root, name + ".json")
@@ -226,15 +311,35 @@ def cli_digests():
                     data = fh.read()
                 for path in {root, os.path.realpath(root)}:
                     data = data.replace(path.encode(), b"<root>")
-                yield f"{name}/{rel}", hashlib.sha256(data).hexdigest()
+                yield f"{name}/{rel}", data
 
 
-def main():
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash, dump or compare the digest's runs.")
+    parser.add_argument("--dump", metavar="DIR", help="also write DIR/runs.json")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two dump directories instead of running")
+    parser.add_argument("--tol", type=float, default=0.0,
+                        help="largest scaled difference --compare accepts")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.tol)
+    dump = {}
     for name, p, sched, x0, cfg, order in runs():
-        print(name, digest(RUNNERS[order](p, sched, x0, cfg)))
-    for name, h in cli_digests():
-        print(name, h)
+        trace = RUNNERS[order](p, sched, x0, cfg)
+        print(name, digest(trace))
+        if args.dump:
+            dump[name] = trace_tree(trace)
+    for name, data in cli_outputs():
+        print(name, hashlib.sha256(data).hexdigest())
+        if args.dump:
+            dump[name] = output_tree(name, data)
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+        with open(os.path.join(args.dump, "runs.json"), "w") as fh:
+            json.dump(dump, fh)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

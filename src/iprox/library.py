@@ -26,12 +26,14 @@ is the norm of the block row ||H[ix, :]|| of the Hessian H (Q or P'P),
 which bounds the diagonal block's ||H_ii||.  Data matrices get
 L = sigma_max(A)^2 (over 4*rows for logistic) and each per-block
 L_i = sigma_max(A_i)^2, the diagonal block's value, from Lanczos on the Gram operator
-v -> A'(Av): no stored basis, the top Ritz value of the tridiagonal found
-by Sturm-count bisection.  It stops when that value stalls to 1e-14
-relative between two evaluations, one of them at the step count equal to
-the column count, or when the next off-diagonal vanishes.  It matches a
-dense SVD to a few 1e-15 relative, in O(sqrt(1/gap)) products where power
-iteration needs O(1/gap).  Each constant is inflated by 1e-8
+v -> A'(Av), or on the formed |b_i| x |b_i| Gram A_i'A_i of a block no
+wider than A is tall: no stored basis, the top Ritz value of the
+tridiagonal found by Sturm-count bisection at step 8 and every 4 steps
+after it.  It stops when that value stalls to 1e-14 relative between two
+evaluations, one of them at the step count equal to the column count, or
+when the next off-diagonal vanishes.  It matches a dense SVD to a few
+1e-15 relative, in O(sqrt(1/gap)) products where power iteration needs
+O(1/gap).  Each constant is inflated by 1e-8
 so the stored value is an upper bound, and per-block constants are
 clamped to L.
 Identical specs produce byte-identical data (numpy PCG64 stream).
@@ -128,13 +130,14 @@ def _blocks(n: int, m: int):
     return tuple(tuple(range(i * size, (i + 1) * size)) for i in range(m))
 
 
-def _gram_top_eig(A: np.ndarray, rng) -> tuple:
+def _gram_top_eig(A: np.ndarray, rng, gram: bool = False) -> tuple:
     """Largest eigenvalue of A'A and the Lanczos steps it took.
 
-    Three-term Lanczos on v -> A'(Av) from one random start, keeping only
-    the current and previous basis vectors.  The top eigenvalue of the
-    k x k tridiagonal T_k (the top Ritz value) is found by Sturm-count
-    bisection at steps 8, 12, 18, ... and at k = n, the column count and
+    Three-term Lanczos on v -> A'(Av), or on v -> Gv with the formed Gram
+    G = A'A when gram is set, from one random start, keeping only the
+    current and previous basis vectors.  The top eigenvalue of the k x k
+    tridiagonal T_k (the top Ritz value) is found by Sturm-count bisection
+    at step 8, every 4 steps after it, and at k = n, the column count and
     order of A'A; it only rises with k, and the run stops once it moves by
     at most _LANCZOS_TOL relative from the previous evaluation, or when
     the next off-diagonal vanishes.  Without reorthogonalization the basis
@@ -144,16 +147,20 @@ def _gram_top_eig(A: np.ndarray, rng) -> tuple:
     _LANCZOS_CAP falls back to a dense SVD.
     """
     rows, n = A.shape
+    G = A.T @ A if gram else None
     v = rng.standard_normal(n)
     v /= math.sqrt(float(v @ v))
     v_prev = np.zeros(n)
     w = np.empty(n)
     u = np.empty(rows)
     alphas, beta_sq = [], [0.0]
-    theta, beta, scale, check = 0.0, 0.0, 0.0, 8
+    theta, beta, scale = 0.0, 0.0, 0.0
     for k in range(1, _LANCZOS_CAP + 1):
-        np.matmul(A, v, out=u)
-        np.matmul(A.T, u, out=w)
+        if G is None:
+            np.matmul(A, v, out=u)
+            np.matmul(A.T, u, out=w)
+        else:
+            np.matmul(G, v, out=w)
         alpha = float(v @ w)
         w -= alpha * v
         w -= beta * v_prev
@@ -161,13 +168,11 @@ def _gram_top_eig(A: np.ndarray, rng) -> tuple:
         scale = max(scale, alpha)
         beta = math.sqrt(float(w @ w))
         collapsed = beta <= _LANCZOS_TOL * scale
-        if collapsed or k == check or k == n:
+        if collapsed or (k >= 8 and k % 4 == 0) or k == n:
             top = _tridiag_top(alphas, beta_sq, theta)
             if collapsed or top - theta <= _LANCZOS_TOL * top:
                 return top, k
             theta = top
-            if k == check:
-                check += check // 2
         beta_sq.append(beta * beta)
         # rotate buffers: v_{k+1} = w / beta, and v_k becomes v_prev
         v_prev, v, w = v, w, v_prev
@@ -214,13 +219,16 @@ def _gram_constants(A: np.ndarray, blocks, rng, denom: float) -> tuple:
     """L = sigma_max(A)^2/denom and per-block L_i = sigma_max(A_i)^2/denom.
 
     Each is inflated by _L_INFLATE so it bounds the true value, and each
-    L_i is clamped to L.  Blocks are contiguous column ranges, read as views.
+    L_i is clamped to L.  Blocks are contiguous column ranges, read as views;
+    a block no wider than A is tall gets its |b_i| x |b_i| Gram formed, but
+    L keeps the operator: an n x n Gram would add 8n^2 bytes to peak memory.
     """
     L = _gram_top_eig(A, rng)[0] / denom * _L_INFLATE
     if len(blocks) == 1:
         return L, (L,)
     return L, tuple(
-        min(_gram_top_eig(A[:, blk[0]:blk[-1] + 1], rng)[0] / denom * _L_INFLATE, L)
+        min(_gram_top_eig(A[:, blk[0]:blk[-1] + 1], rng, len(blk) <= A.shape[0])[0]
+            / denom * _L_INFLATE, L)
         for blk in blocks)
 
 

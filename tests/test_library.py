@@ -204,18 +204,44 @@ def test_lanczos_resolves_a_near_degenerate_top_pair():
     assert steps <= 200
 
 
+def test_lanczos_stops_one_evaluation_after_its_value_has_converged(monkeypatch):
+    # evaluations come at step 8 and every 4 steps after it, so the run
+    # stops at the second evaluation at or after the first step whose
+    # value is within 1e-14 of the dense-SVD value; the value of every
+    # step is rebuilt from the tridiagonal of the last evaluation
+    evaluate, last = library._tridiag_top, {}
+
+    def spy(alphas, beta_sq, lo):
+        last["T"] = list(alphas), list(beta_sq)
+        return evaluate(alphas, beta_sq, lo)
+
+    monkeypatch.setattr(library, "_tridiag_top", spy)
+    for seed in range(4):
+        A = np.random.default_rng(seed).standard_normal((400, 200))
+        true = _sq_norm(A)
+        lam, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)))
+        alphas, beta_sq = last["T"]
+        first = next(j for j in range(1, steps + 1)
+                     if abs(evaluate(alphas[:j], beta_sq[:j], 0.0) - true) <= 1e-14 * true)
+        assert steps <= max(8, -(-first // 4) * 4) + 4
+        assert lam == pytest.approx(true, rel=1e-14)
+
+
 def test_lanczos_checks_a_stall_at_the_column_count_of_a_narrow_block():
-    # 2000 x 20 blocks: beta stays well above rounding after 20 steps, and
-    # 20 is no check step (8, 12, 18, 27), so a run ends at 20 only through
-    # the evaluation at the column count, and only once the value has
-    # stalled since step 18; otherwise it goes on to 27
-    steps = []
-    for seed in range(10):
-        A = np.random.default_rng(seed).standard_normal((2000, 20))
-        lam, k = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)))
-        assert lam == pytest.approx(_sq_norm(A), rel=1e-14)
-        steps.append(k)
-    assert set(steps) <= {20, 27} and steps.count(20) >= 8
+    # 2000 x 22 blocks: beta stays well above rounding after 22 steps, and
+    # 22 is no check step (8, 12, ..., 20, 24), so a run ends at 22 only
+    # through the evaluation at the column count, and only once the value
+    # has stalled since step 20; otherwise it goes on to 24.  The same
+    # holds on the block's formed Gram.
+    for gram in (False, True):
+        steps = []
+        for seed in range(10):
+            A = np.random.default_rng(seed).standard_normal((2000, 22))
+            lam, k = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(seed)),
+                                           gram)
+            assert lam == pytest.approx(_sq_norm(A), rel=1e-14)
+            steps.append(k)
+        assert set(steps) <= {22, 24} and steps.count(22) >= 8
 
 
 class _FixedStart:
@@ -275,9 +301,9 @@ def test_data_instances_make_no_lapack_call(monkeypatch):
 
 
 def test_lanczos_keeps_no_krylov_basis():
-    # rank 50: the top Ritz value takes ~50+ steps, whose basis alone
-    # would hold 50 * 2000 doubles (800 kB)
-    A = np.random.default_rng(3).standard_normal((50, 2000))
+    # rank 100: the top Ritz value takes 40+ steps, whose basis alone
+    # would hold 40 * 2000 doubles (640 kB)
+    A = np.random.default_rng(3).standard_normal((100, 2000))
     tracemalloc.start()
     try:
         _, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(1)))
@@ -285,7 +311,33 @@ def test_lanczos_keeps_no_krylov_basis():
     finally:
         tracemalloc.stop()
     assert steps >= 40
-    assert peak < 8 * 8 * (50 + 2000)
+    assert peak < 8 * 8 * (100 + 2000)
+
+
+def test_block_constants_form_no_gram_of_the_whole_matrix():
+    # the blocks' Grams are 50 x 50; an n x n one would take 8 n^2 bytes
+    A = np.random.default_rng(4).standard_normal((600, 200))
+    tracemalloc.start()
+    try:
+        L, L_blocks = library._gram_constants(A, library._blocks(200, 4),
+                                              np.random.Generator(np.random.PCG64(2)), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 200 * 200
+    assert _sq_norm(A) <= L <= _sq_norm(A) * (1.0 + 2e-8)
+
+
+def test_blocks_wider_than_the_matrix_is_tall_keep_the_operator():
+    # 10 rows and blocks of 30 columns: each block's Gram would be singular
+    # and larger than the block, so its L_i comes from v -> A_i'(A_i v)
+    A = np.random.default_rng(6).standard_normal((10, 90))
+    blocks = library._blocks(90, 3)
+    _, L_blocks = library._gram_constants(A, blocks, np.random.Generator(np.random.PCG64(3)),
+                                          1.0)
+    for blk, L_i in zip(blocks, L_blocks):
+        true_i = _sq_norm(A[:, list(blk)])
+        assert true_i <= L_i <= true_i * (1.0 + 2e-8)
 
 
 
