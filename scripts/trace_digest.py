@@ -6,8 +6,9 @@ The grid covers the five library kinds x the three orders x m in {1, 4} x
 record_every in {1, 3} at n = 24, plus runs with early stopping, retained
 iterates, diminishing inertia, the stochastic fixed-gamma regime, two
 non-separable proxes applied block by block (group l2, and a box with
-bounds of one block's shape), also under early stopping, and a lasso
-whose blocks are not contiguous.
+bounds of one block's shape), also under early stopping, a lasso
+whose blocks are not contiguous, and a 2100 x 64 lasso whose gradients
+and constants take SmoothModel.image_grad's pass over several row blocks.
 Every run of the quadratic and noncoercive_quadratic kinds, whose argmin F
 is known, records dist^2.  Runs record their entries in blocks of 256 rows
 at n = 24, so 600-iteration runs of each order at record_every 1 (on the
@@ -255,6 +256,11 @@ def runs():
            start_point(spec, "gaussian", 1.0),
            RunConfig(max_iters=5 * LONG, record_every=3, seed=7, stop_tol=1e-10),
            "stochastic")
+    # 2100 x 64 doubles are above one row block of SmoothModel.image_grad
+    spec = InstanceSpec(kind="lasso", n=64, rows=2100, reg_lambda=0.2, m=4, seed=3)
+    sched = ParamSchedule(beta_rule=ConstantBeta(0.4), c=0.8, variant="full")
+    yield ("lasso-n64-rows2100-m4-full", make_instance(spec), sched,
+           start_point(spec, "gaussian", 1.0), RunConfig(max_iters=ITERS, seed=7), "full")
 
 
 def experiment(algorithm, instance, schedule, audits, rate, **extra):

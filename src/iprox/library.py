@@ -133,7 +133,8 @@ def _blocks(n: int, m: int):
 def _gram_top_eig(A: np.ndarray, rng, gram: bool = False) -> tuple:
     """Largest eigenvalue of A'A and the Lanczos steps it took.
 
-    Three-term Lanczos on v -> A'(Av), or on v -> Gv with the formed Gram
+    Three-term Lanczos on v -> A'(Av), the offset-free squares gradient
+    (one pass over A above 1 MiB), or on v -> Gv with the formed Gram
     G = A'A when gram is set, from one random start, keeping only the
     current and previous basis vectors.  The top eigenvalue of the k x k
     tridiagonal T_k (the top Ritz value) is found by Sturm-count bisection
@@ -146,21 +147,15 @@ def _gram_top_eig(A: np.ndarray, rng, gram: bool = False) -> tuple:
     therefore accepted only when it has stalled like any other.  Hitting
     _LANCZOS_CAP falls back to a dense SVD.
     """
-    rows, n = A.shape
-    G = A.T @ A if gram else None
+    n = A.shape[1]
+    product = (A.T @ A).__matmul__ if gram else SmoothModel("squares", A).grad
     v = rng.standard_normal(n)
     v /= math.sqrt(float(v @ v))
     v_prev = np.zeros(n)
-    w = np.empty(n)
-    u = np.empty(rows)
     alphas, beta_sq = [], [0.0]
     theta, beta, scale = 0.0, 0.0, 0.0
     for k in range(1, _LANCZOS_CAP + 1):
-        if G is None:
-            np.matmul(A, v, out=u)
-            np.matmul(A.T, u, out=w)
-        else:
-            np.matmul(G, v, out=w)
+        w = product(v)
         alpha = float(v @ w)
         w -= alpha * v
         w -= beta * v_prev
@@ -174,9 +169,8 @@ def _gram_top_eig(A: np.ndarray, rng, gram: bool = False) -> tuple:
                 return top, k
             theta = top
         beta_sq.append(beta * beta)
-        # rotate buffers: v_{k+1} = w / beta, and v_k becomes v_prev
-        v_prev, v, w = v, w, v_prev
-        v /= beta
+        # v_{k+1} = w / beta, and v_k becomes v_prev
+        v_prev, v = v, w / beta
     return float(np.linalg.svd(A, compute_uv=False)[0] ** 2), _LANCZOS_CAP
 
 

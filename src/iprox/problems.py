@@ -31,6 +31,7 @@ from .prox import ProxKind, _apply_kind, prox_value
 
 Vector = np.ndarray
 LOSSES = ("squares", "logistic", "quadratic")
+_PASS_BYTES = 2 ** 20  # a row block of SmoothModel.image_grad: 1 MiB, inside L2
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +57,7 @@ class SmoothModel:
     offset: Optional[Vector] = None
     labels: Optional[Vector] = None
     center: Optional[Vector] = None
+    pass_rows: int = field(init=False, repr=False)  # per block of image_grad, or 0
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -76,6 +78,10 @@ class SmoothModel:
                 raise ContractViolation(f"{name} must have shape ({length},)")
         if self.loss == "quadratic" and not np.array_equal(self.A, self.A.T):
             raise ContractViolation("a quadratic model needs a symmetric A")
+        # blocks of 16k rows start where gemv's row groups do: u keeps its bits
+        blocked = self.loss != "quadratic" and 8 * rows * n > _PASS_BYTES
+        object.__setattr__(self, "pass_rows", max(16, _PASS_BYTES // (128 * n) * 16)
+                           if blocked else 0)
 
     @property
     def dim(self) -> int:
@@ -106,11 +112,30 @@ class SmoothModel:
         y = self.labels
         return -(At.T @ (y * _sigmoid(-(y * u)))) / len(y)
 
+    def image_grad(self, x: Vector):
+        """(u, grad f(x)).  With pass_rows, one pass over A: each row block
+        gives its rows of u and, from cache, its share sum_r l_r'(u_r) a_r of
+        the gradient, which differs from grad_at's only in the order of its
+        sums.  Else (the quadratic loss too) image(x), then grad_at."""
+        b = self.pass_rows
+        if not b:
+            u = self.image(x)
+            return u, self.grad_at(x, u)
+        A, y = self.A, self.labels
+        u, g = np.empty(len(A)), np.zeros(self.dim)
+        for lo in range(0, len(A), b):
+            r = slice(lo, lo + b)
+            np.matmul(A[r], x, out=u[r])
+            if self.offset is not None:
+                u[r] -= self.offset[r]
+            g += A[r].T @ (u[r] if y is None else y[r] * _sigmoid(-(y[r] * u[r])))
+        return u, g if y is None else -g / len(y)
+
     def value(self, x: Vector) -> float:
         return self.value_at(x, self.image(x))
 
     def grad(self, x: Vector) -> Vector:
-        return self.grad_at(x, self.image(x))
+        return self.image_grad(x)[1]
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -287,8 +312,10 @@ def objective(problem: CompositeProblem, x: Vector) -> float:
 
 def _g_value(problem: CompositeProblem, x: Vector) -> float:
     # g(x) at a checked x: sum_i kind(x_i), in one call on the whole vector
-    # for a coordinate-separable kind
+    # for a coordinate-separable kind; the zero kind's 0.0 without a call
     kind = problem.prox_kind
+    if kind.tag == "zero":
+        return 0.0
     if kind.separable:
         return prox_value(kind, x)
     return sum(prox_value(kind, x[sel]) for sel in problem.block_selectors)
@@ -341,18 +368,20 @@ class ImageOracle:
     matvec-equivalents (a product with all of A counts 1, one with a
     block's columns |block|/n):
 
-      refresh(x)     starts a new image at x: n columns.
+      refresh(x)     records x, whose image the next read builds: n columns.
       value(x)       f(x) from the image: free.
       grad(x, i)     grad f(x) from the image, whole (i None) or block i's:
                      n or |block i| columns, and none for the quadratic
-                     loss, whose image is the gradient.
+                     loss, whose image is the gradient.  A whole one read
+                     after a refresh comes with the image from image_grad.
       move(i, d)     block i of x moved by d: |block i| columns, paid when
                      the image is next read, so nothing when a refresh
                      comes first.
 
     The caller passes the x the state currently describes, of a shape it
-    has checked.  Block columns are read through the problem's block
-    selectors, so as views when a block is a contiguous range.
+    has checked, and keeps a refreshed x unchanged until the next read.
+    Block columns are read through the problem's block selectors, as views
+    when a block is a contiguous range.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -361,7 +390,8 @@ class ImageOracle:
         self.sizes = tuple(len(blk) for blk in problem.blocks)
         self.cols = problem.block_selectors
         self.grad_is_image = self.model.loss == "quadratic"
-        self.u = None
+        self.x = self.u = None  # a refreshed x not imaged yet, and the image
+        self.shift = None  # a centered quadratic's x - center, until a move
         self.pending = None  # (block, step) of a move not yet applied to u
         self.columns = 0  # columns of A touched; matvec_equiv = columns / n
 
@@ -370,12 +400,20 @@ class ImageOracle:
         return self.columns / self.dim
 
     def refresh(self, x: Vector) -> None:
-        self.u = self.model.image(x)
-        self.pending = None
+        self.x = x
+        self.u = self.shift = self.pending = None
         self.columns += self.dim
 
     def _image(self) -> Vector:
-        if self.pending is not None:
+        if self.u is None:
+            center = self.model.center
+            if center is None:
+                self.u = self.model.image(self.x)
+            else:  # the model's quadratic image, its shift kept for value
+                self.shift = self.x - center
+                self.u = self.model.A @ self.shift
+            self.x = None
+        elif self.pending is not None:
             i, d = self.pending
             self.pending = None
             self.u += self.model.A[:, self.cols[i]] @ d
@@ -383,16 +421,23 @@ class ImageOracle:
         return self.u
 
     def value(self, x: Vector) -> float:
-        return self.model.value_at(x, self._image())
+        u = self._image()
+        if self.shift is None:
+            return self.model.value_at(x, u)
+        return 0.5 * float(self.shift.dot(u))
 
     def grad(self, x: Vector, i: Optional[int] = None) -> Vector:
-        u = self._image()
         if not self.grad_is_image:
             self.columns += self.dim if i is None else self.sizes[i]
-        return self.model.grad_at(x, u, None if i is None else self.cols[i])
+            if i is None and self.u is None:  # the image comes with it
+                self.u, grad = self.model.image_grad(x)
+                self.x = None
+                return grad
+        return self.model.grad_at(x, self._image(), None if i is None else self.cols[i])
 
     def move(self, i: int, d: Vector) -> None:
         self._image()
+        self.shift = None
         self.pending = (i, d)
 
 

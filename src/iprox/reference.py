@@ -8,17 +8,18 @@ hash of the instance spec and tolerance, with atomic replacement so
 concurrent sweep workers can share one cache directory.
 
 Each iteration refreshes the oracle state, an
-:class:`iprox.problems.ImageOracle`, at the new iterate and takes f and
-grad f from its image; grad f serves the stopping residual and the next
-step, and f gives min F at the returned iterate, the best one kept when
-the budget runs out.  The step's gradient at the extrapolated point
-y = x + c (x - x_prev) is that gradient when c = 0, and g + c (g - g_prev)
-when the SmoothModel's gradient is affine (the squares and quadratic
-losses): 2 products with A per lasso iteration, 1 for the quadratic
-kinds, 2 for the noncoercive kind (image and Gram product).  The logistic
-loss takes a second refresh and gradient, and no f, at y when c > 0.  g
-is read as the runs read it, through the problem's prox_kind, and the
-stopping residual is the runs' own.
+:class:`iprox.problems.ImageOracle`, at the new iterate and takes grad f,
+with the image in one pass over A, then f; grad f serves the stopping
+residual and the next step, and f gives min F at the returned iterate,
+the best one kept when the budget runs out.  The step's gradient at the
+extrapolated point y = x + c (x - x_prev) is that gradient when c = 0,
+and g + c (g - g_prev) when the SmoothModel's gradient is affine (the
+squares and quadratic losses): 2 products with A counted per lasso
+iteration, 1 for the quadratic kinds, 2 for the noncoercive kind (image
+and Gram product).  The logistic loss takes a second refresh and
+gradient, and no f, at y when c > 0.  g is read as the runs read it,
+through the problem's prox_kind, and the stopping residual is the runs'
+own.
 ``ReferenceSolution.matvec_equiv`` is the oracle state's count.
 :func:`with_reference` attaches f_star and, for a unique minimizer, the
 solution set SolutionSet(x*) to the problem.
@@ -82,7 +83,7 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
 
     x = np.zeros(problem.dim) if x0 is None else _check_dim(problem, x0).copy()
     state.refresh(x)
-    f, g = state.value(x), state.grad(x)
+    g, f = state.grad(x), state.value(x)
     g_prev = None
     y = x.copy()
     c = 0.0  # y = x + c (x - x_prev)
@@ -100,7 +101,7 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
             g_y = state.grad(y)
         x_new = _prox_full(problem, y - gam * g_y, gam)
         state.refresh(x_new)
-        f, g_new = state.value(x_new), state.grad(x_new)
+        g_new, f = state.grad(x_new), state.value(x_new)
         # restart when the momentum direction opposes the latest progress
         if float((y - x_new) @ (x_new - x)) > 0.0:
             t, c = 1.0, 0.0

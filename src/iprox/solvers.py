@@ -48,14 +48,14 @@ The smooth part is read through a per-run oracle state, an
 four primitives refresh, value, grad and move.  The loop has one rule: it
 refreshes the image at every epoch start (each full or cyclic step, every
 m stochastic steps) and wherever it reads a whole gradient (every full
-step, entry and step under stop_tol), then takes f from the image, and
-the whole gradient too where it needs it.  Between refreshes block moves
-keep the image up to date; the refresh bounds its rounding drift, and
-with m = 1 every step refreshes.  So a stochastic run's iterates depend,
-at rounding level, on which steps are entries; full and cyclic runs do
-not.  A gradient the loop read serves the step's first block move, and
-each later block's is read from the image.  meta["matvec_equiv"] holds
-the work the run's oracle state counted.
+step, entry and step under stop_tol), then takes the whole gradient, with
+the image in one pass over A, where it needs it, and f.  Between
+refreshes block moves keep the image up to date; the refresh bounds its
+rounding drift, and with m = 1 every step refreshes.  So a stochastic
+run's iterates depend, at rounding level, on which steps are entries;
+full and cyclic runs do not.  A gradient the loop read serves the step's
+first block move, and each later block's is read from the image.
+meta["matvec_equiv"] holds the work the run's oracle state counted.
 
 A single run is strictly sequential; concurrent runs are safe because all
 inputs are immutable and per-run state is private.
@@ -418,8 +418,8 @@ def _run(problem: CompositeProblem, x0, cfg: RunConfig, order) -> Trace:
         need_grad = want_entry or always_read
         if need_grad or k % epoch == 0:
             refresh(x)
-        F_val = value(x) + _g_value(problem, x)
         grad = gradient(x) if need_grad else None
+        F_val = value(x) + _g_value(problem, x)
         if F0 is None:
             F0, F_cap = F_val, DIVERGENCE_FACTOR * max(1.0, abs(F_val))
         if not math.isfinite(F_val) or F_val > F_cap:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from iprox import library, reference
 from iprox.errors import ContractViolation
 from iprox.library import InstanceSpec, make_instance, start_point
-from iprox.problems import grad_f, objective
+from iprox.problems import SmoothModel, grad_f, objective
 
 
 def project(problem, x):
@@ -312,6 +312,17 @@ def test_lanczos_keeps_no_krylov_basis():
         tracemalloc.stop()
     assert steps >= 40
     assert peak < 8 * 8 * (100 + 2000)
+
+
+def test_lanczos_reads_a_matrix_above_one_block_in_one_pass(monkeypatch):
+    # 2100 x 64 doubles take two row blocks in SmoothModel.image_grad, once a step
+    passes, image_grad = [], SmoothModel.image_grad
+    monkeypatch.setattr(SmoothModel, "image_grad",
+                        lambda model, x: passes.append(model.pass_rows) or image_grad(model, x))
+    A = np.random.default_rng(7).standard_normal((2100, 64))
+    lam, steps = library._gram_top_eig(A, np.random.Generator(np.random.PCG64(7)))
+    assert passes == [2048] * steps
+    assert lam == pytest.approx(_sq_norm(A), rel=1e-14)
 
 
 def test_block_constants_form_no_gram_of_the_whole_matrix():

@@ -283,8 +283,8 @@ def test_each_primitive_reads_the_model_at_its_own_cost(kind):
     state.refresh(np.zeros(n))
     state.move(0, rng.standard_normal(len(p.blocks[0])))
     assert cost(state.refresh, x)[1] == n  # the pending move is dropped unpaid
-    assert np.array_equal(state.u, model.image(x))
     assert cost(state.value, x) == (model.value(x), 0)
+    assert np.array_equal(state.u, model.image(x))  # built by the read
     grad, paid = cost(state.grad, x)
     assert np.array_equal(grad, model.grad(x)) and paid == per_grad * n
     assert not np.shares_memory(grad, state.u)
@@ -302,3 +302,59 @@ def test_each_primitive_reads_the_model_at_its_own_cost(kind):
     assert state.matvec_equiv == state.columns / n
     # the state keeps the image and no gradient
     assert [name for name, val in vars(state).items() if isinstance(val, np.ndarray)] == ["u"]
+
+
+PASS_CASES = {"squares-offset": ("squares", True), "squares": ("squares", False),
+              "logistic": ("logistic", False)}
+
+
+def pass_model(case, rows, n=64):
+    loss, offset = PASS_CASES[case]
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((rows, n))
+    if loss == "logistic":
+        return SmoothModel(loss, A, labels=np.where(rng.standard_normal(rows) >= 0, 1.0, -1.0))
+    return SmoothModel(loss, A, offset=rng.standard_normal(rows) if offset else None)
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+@pytest.mark.parametrize("n, rows, block", [(64, 2100, 2048), (100, 2700, 1296)])
+def test_one_pass_over_a_gives_the_image_and_the_gradient(case, n, rows, block):
+    # above 1 MiB of doubles: 2048-row blocks and a ragged 52 at n = 64, and
+    # at n = 100 1 MiB's 1310 rows rounded down to a multiple of 16
+    model = pass_model(case, rows, n)
+    assert model.pass_rows == block
+    x = np.random.default_rng(7).standard_normal(n)
+    u, grad = model.image_grad(x)
+    assert np.array_equal(u, model.image(x))
+    plain = model.grad_at(x, u)
+    assert np.max(np.abs(grad - plain)) <= 1e-14 * np.max(np.abs(plain))
+    # a whole gradient read right after a refresh is that pass, at the
+    # columns of a refresh and a gradient
+    p = CompositeProblem(blocks=(tuple(range(n)),), smooth_value=model.value,
+                         smooth_grad=model.grad, lipschitz_L=1.0, block_lipschitz=(1.0,),
+                         prox=iprox.ProxKind.zero())
+    state = ImageOracle(p)
+    state.refresh(x)
+    assert np.array_equal(state.grad(x), model.grad(x))
+    assert np.array_equal(state.u, u) and state.columns == 2 * n
+    # 131,072 doubles fit in one block: the image, then the gradient from it
+    small = pass_model(case, 131072 // n, n)
+    assert small.pass_rows == 0 and pass_model(case, 131072 // n + 1, n).pass_rows == block
+    u, grad = small.image_grad(x)
+    assert np.array_equal(u, small.image(x)) and np.array_equal(grad, small.grad_at(x, u))
+
+
+def test_runs_and_the_reference_read_a_whole_gradient_in_one_pass(monkeypatch):
+    # each reads grad f right after a refresh, before f, so the image comes
+    # with it: one pass over a 2100 x 64 A per whole gradient
+    spec = InstanceSpec(kind="lasso", n=64, rows=2100, reg_lambda=0.2, seed=3)
+    p, x0 = make_instance(spec), start_point(spec, "gaussian", 1.0)
+    passes, image_grad = [], SmoothModel.image_grad
+    monkeypatch.setattr(SmoothModel, "image_grad",
+                        lambda model, x: passes.append(model.pass_rows) or image_grad(model, x))
+    trace = run(p, x0, "full", 5)
+    assert passes == [2048] * 6 and trace.meta["matvec_equiv"] == 12
+    passes.clear()
+    ref = solve_reference(p, max_iters=3)
+    assert passes == [2048] * 4 and ref.matvec_equiv == 8

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import iprox
-from iprox import problems
+from iprox import problems, solvers
 from iprox.errors import ContractViolation
 from iprox.library import InstanceSpec, make_instance
 from iprox.problems import (
@@ -298,6 +298,31 @@ def test_a_separable_kind_takes_one_g_call_per_iteration(monkeypatch):
                                 variant="stochastic", m=4)
     iprox.run_stochastic(p, sched, np.ones(12), iprox.RunConfig(max_iters=10, record_every=3))
     assert calls == [12] * 11
+
+
+def test_the_zero_kind_takes_no_g_call(monkeypatch):
+    # g = 0 adds 0.0 to F without a prox_value call, and F + 0.0 keeps F's
+    # bits: the F column is the one a call per entry gives
+    calls = []
+    real = problems.prox_value
+
+    def counted(kind, v):
+        calls.append(len(v))
+        return real(kind, v)
+
+    monkeypatch.setattr(problems, "prox_value", counted)
+    p = make_instance(InstanceSpec(kind="quadratic", n=12, conditioning=10.0, m=4, seed=1))
+    assert p.prox_kind.tag == "zero"
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.4), c=0.8,
+                                variant="stochastic", m=4)
+    cfg = iprox.RunConfig(max_iters=10, record_every=3)
+    trace = iprox.run_stochastic(p, sched, np.ones(12), cfg)
+    assert calls == []
+    monkeypatch.setattr(solvers, "_g_value",
+                        lambda problem, x: problems.prox_value(problem.prox_kind, x))
+    called = iprox.run_stochastic(p, sched, np.ones(12), cfg)
+    assert calls == [12] * 11
+    assert trace.F.tobytes() == called.F.tobytes()
 
 
 def test_fd_check_quadratic_tight():

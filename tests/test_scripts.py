@@ -31,7 +31,7 @@ def run_script(script, tmp_path, *args, code=0):
 def test_trace_digest_prints_one_hash_per_run(tmp_path):
     lines = [line.split() for line in run_script("trace_digest.py", tmp_path).splitlines()]
     names = [name for name, _ in lines]
-    assert len(names) == len(set(names)) == 163
+    assert len(names) == len(set(names)) == 164
     cli_files = [name for name in names if name.startswith("cli-")]
     assert len(cli_files) == 24
     assert {"cli-stochastic/trace_seed2.csv", "cli-stochastic/trace_mean.csv",
@@ -45,10 +45,10 @@ def test_trace_digest_prints_one_hash_per_run(tmp_path):
 
 
 def test_trace_digest_compares_dumps_per_run_and_column(tmp_path):
-    assert len(run_script("trace_digest.py", tmp_path, "--dump", "a").splitlines()) == 163
+    assert len(run_script("trace_digest.py", tmp_path, "--dump", "a").splitlines()) == 164
     lines = [line.split() for line in
              run_script("trace_digest.py", tmp_path, "--compare", "a", "a").splitlines()]
-    assert len({name for name, *_ in lines}) == 163
+    assert len({name for name, *_ in lines}) == 164
     assert {col for _, col, *_ in lines} >= {"F", "gammas", "meta.L", "work",
                                              "final_state.x_curr", "audits.descent.max_violation"}
     assert all(float(v) == 0.0 for _, _, *values in lines for v in values)
