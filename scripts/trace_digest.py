@@ -43,7 +43,9 @@ for each CLI output file its parsed CSV columns or JSON.  --compare A B
 prints one line per run (or CLI file) and column: the largest difference
 of that column between the dumps, scaled by its largest magnitude and
 then as is, inf where a run, a column or a shape is on one side only or a
-string differs.
+string differs.  A summary.json audit scalar is scaled by the trace
+quantity it is the rounding residue of where that is larger: F for
+descent, the lyapunov column for lyapunov and xi_0^2 for squared_lyapunov.
 A column is a Trace array, a meta key such as meta.L, a CSV column or a
 JSON leaf path such as audits.descent.max_violation.  For a run it also
 prints the work difference, B's meta["matvec_equiv"] minus A's.  It exits
@@ -138,8 +140,9 @@ def columns(tree, key="") -> dict:
         return columns(dict(enumerate(tree)), key)
 
 
-def difference(a, b) -> tuple:
-    """Largest |a - b|, over the largest finite magnitude of a and b and as is."""
+def difference(a, b, scale=0.0) -> tuple:
+    """Largest |a - b|, over the largest finite magnitude of a, b and scale,
+    and as is."""
     if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
         return (0.0, 0.0) if isinstance(a, str) and a == b else (math.inf, math.inf)
     if a.shape != b.shape:
@@ -151,7 +154,32 @@ def difference(a, b) -> tuple:
         return math.inf, math.inf
     both = np.abs(np.concatenate([a.ravel(), b.ravel()]))
     absolute = float(np.max(np.abs(a - b)[differ]))
-    return absolute / np.max(both[np.isfinite(both)]), absolute
+    return absolute / max(np.max(both[np.isfinite(both)]), scale), absolute
+
+
+# A summary audit scalar is the rounding residue of a trace quantity, and a
+# move of an ulp of that quantity moves it by O(1) of its own size: F for the
+# descent audit, the lyapunov column for the lyapunov audit, and xi_0^2 for
+# the squared-Lyapunov audit, read from the run's trace.csv (the seed mean
+# of a stochastic run).
+RESIDUE_OF = {"descent": lambda t: t["F"], "lyapunov": lambda t: t["lyapunov"],
+              "squared_lyapunov": lambda t: t["lyapunov"][:1] ** 2}
+
+
+def residue_scale(dumps, name, col) -> float:
+    """The largest finite magnitude of the trace quantity that column col of
+    CLI file name is the residue of, over both dumps; 0 for other columns."""
+    audit = col.split(".")[1] if col.startswith("audits.") else None
+    if not name.endswith("/summary.json") or audit not in RESIDUE_OF:
+        return 0.0
+    run = name[:-len("summary.json")]
+    scale = 0.0
+    for dump in dumps:
+        trace = columns(dump.get(run + "trace_mean.csv", dump.get(run + "trace.csv", {})))
+        if trace:
+            values = np.abs(RESIDUE_OF[audit](trace))
+            scale = np.max(values[np.isfinite(values)], initial=scale)
+    return float(scale)
 
 
 def compare(dir_a, dir_b, tol: float) -> int:
@@ -164,7 +192,8 @@ def compare(dir_a, dir_b, tol: float) -> int:
     for name in dict.fromkeys(list(dumps[0]) + list(dumps[1])):
         ca, cb = (columns(dump.get(name, {})) for dump in dumps)
         for col in dict.fromkeys(list(ca) + list(cb)):
-            scaled, absolute = difference(ca.get(col), cb.get(col))
+            scaled, absolute = difference(ca.get(col), cb.get(col),
+                                          residue_scale(dumps, name, col))
             worst = max(worst, scaled)
             print(name, col, f"{scaled:.3g}", f"{absolute:.3g}")
         work = [c.get("meta.matvec_equiv") for c in (ca, cb)]

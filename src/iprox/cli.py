@@ -44,6 +44,7 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -51,7 +52,6 @@ import os
 import sys
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -214,26 +214,21 @@ def _rate_fit(ran: _Ran) -> dict:
                    diagnostics.value_floor(ran.f_star)), "column": column}
 
 
-def _per_order(orders, key, call) -> dict:
-    return {order: (key, call) for order in orders}
-
-
 # the audits in the order they run; each is summary["audits"][name][key],
 # but the rate fit is appended to summary["rates"]
 AUDITS = {
     "descent": _Audit(False, False, True, {
-        **_per_order(("full", "cyclic"), "max_violation",
-                     lambda ran: diagnostics.descent_audit(ran.traces[0])),
+        **dict.fromkeys(("full", "cyclic"), (
+            "max_violation", lambda ran: diagnostics.descent_audit(ran.traces[0]))),
         "stochastic": ("min_seed_mean_slack",
                        lambda ran: diagnostics.expectation_descent_audit(ran.traces))}),
-    "squared_lyapunov": _Audit(True, True, True, _per_order(
-        ("full", "cyclic"), "max_violation",
-        lambda ran: diagnostics.squared_lyapunov_audit(ran.traces[0]))),
+    "squared_lyapunov": _Audit(True, True, True, dict.fromkeys(("full", "cyclic"), (
+        "max_violation", lambda ran: diagnostics.squared_lyapunov_audit(ran.traces[0])))),
     "lyapunov": _Audit(False, False, True, {
         order: (key, lambda ran: diagnostics.max_lyapunov_increase(ran.cols["lyapunov"]))
         for order, key in (("full", "max_increase"), ("cyclic", "max_increase"),
                            ("stochastic", "max_increase_of_mean"))}),
-    "rates": _Audit(True, False, False, _per_order(VARIANTS, "rates", _rate_fit)),
+    "rates": _Audit(True, False, False, dict.fromkeys(VARIANTS, ("rates", _rate_fit))),
 }
 
 
@@ -344,11 +339,19 @@ def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
 
 def _reference_solution(problem, spec, ref_cfg):
     """Load or solve the reference; returns (key, reference, whether it was
-    loaded from the cache)."""
+    loaded from the cache).  A hit is used only when, recomputed at its x*
+    through the problem in one gradient pass, F(x*) is within
+    1e-12 (1 + |F(x*)|) of its f_star (the solve's own reads give it bit for
+    bit) and ||S_{1/L}(x*)|| is at most tol; else the entry is deleted and
+    the reference solved again."""
     key = reference.spec_cache_key(dataclasses.asdict(spec), ref_cfg["tol"])
     ref = reference.load_cached(ref_cfg["cache_dir"], key, dim=spec.n)
     if ref is not None and ref.converged:
-        return key, ref, True
+        with np.errstate(all="ignore"):  # a non-finite F or residual fails the check
+            f, r = reference.value_and_residual(problem, ref.x_star)
+            if abs(f - ref.f_star) <= 1e-12 * (1.0 + abs(f)) and r <= ref_cfg["tol"]:
+                return key, ref, True
+        reference.drop_cached(ref_cfg["cache_dir"], key)
     ref = reference.solve_reference(problem, tol=ref_cfg["tol"],
                                     max_iters=ref_cfg["max_iters"])
     return key, ref, False
@@ -513,7 +516,8 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int, seed_offset: int) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     workers = _pool_size(workers, len(plans))
-    if workers > 1:
+    if workers > 1:  # only a parallel sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             statuses = list(pool.map(_sweep_point, plans.values()))
     else:
@@ -568,7 +572,8 @@ def cmd_rates(cfg: dict, out_dir: str) -> int:
 
 # --------------------------------------------------------------------- main
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)  # built once per process: parsing leaves it as it was
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="iprox", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -580,7 +585,11 @@ def main(argv=None) -> int:
             p.add_argument("--workers", type=int, default=1)
         if name in ("run", "sweep"):
             p.add_argument("--seed-offset", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -34,7 +34,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from .problems import (CompositeProblem, ImageOracle, SolutionSet, _check_dim, _
                        _prox_full, _residual_sq)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ReferenceSolution:
     """x*, min F and how they were reached.
 
@@ -121,6 +120,14 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     return solution(best_x, best_f, best_r, it, False)
 
 
+def value_and_residual(problem: CompositeProblem, x) -> tuple:
+    """F(x) and ||S_{1/L}(x)|| as the solve reads them: one whole gradient, f with it."""
+    state = ImageOracle(problem)
+    state.refresh(x)
+    g = state.grad(x)
+    return state.value(x) + _g_value(problem, x), math.sqrt(_residual_sq(problem, x, g))
+
+
 def check_tol(tol: float) -> None:
     """A reference tolerance is > 0."""
     if not tol > 0:  # NaN included
@@ -166,13 +173,14 @@ def spec_cache_key(spec_dict: dict, tol: float) -> str:
 def load_cached(cache_dir, key: str, dim=None):
     """Return the cached ReferenceSolution or None (missing/corrupt).
 
-    With dim given, an entry whose x_star has another length is corrupt.
+    An entry that is not a JSON object is corrupt, and with dim given, so
+    is one whose x_star has another length.
     """
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "r") as fh:
             doc = json.load(fh)
-        if doc.get("problem_key") != key:
+        if not isinstance(doc, dict) or doc.get("problem_key") != key:
             return None
         x_star = np.asarray(doc["x_star"], dtype=float)
         if x_star.ndim != 1 or (dim is not None and x_star.shape[0] != dim):

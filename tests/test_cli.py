@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import glob
@@ -320,7 +321,16 @@ def test_sweep_grid(tmp_path):
         assert (out / name / "trace.csv").exists()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+    pools, init = [], ProcessPoolExecutor.__init__
+
+    def counted(self, max_workers=None, **kwargs):
+        pools.append(max_workers)
+        init(self, max_workers, **kwargs)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counted)
     doc = lasso_cfg()
     doc["run"]["max_iters"] = 150
     doc["audits"] = []
@@ -329,8 +339,10 @@ def test_sweep_parallel_matches_serial(tmp_path):
     cfg = write_cfg(tmp_path, doc)
     ser, par = tmp_path / "ser", tmp_path / "par"
     assert main(["sweep", "--config", cfg, "--out", str(ser)]) == 0
+    assert pools == []  # a serial sweep makes no pool
     assert main(["sweep", "--config", cfg, "--out", str(par),
                  "--workers", "2"]) == 0
+    assert pools == [2]
     for name in ("c0.9_beta0.2", "c0.9_beta0.5"):
         assert (ser / name / "trace.csv").read_bytes() == \
                (par / name / "trace.csv").read_bytes()
@@ -557,6 +569,68 @@ def test_sweep_rejects_duplicate_or_non_numeric_values(tmp_path, grid):
     assert not out.exists()
 
 
+def _ode_argv(tmp_path, out):
+    doc = {"version": 1, "ode": {"n": 4, "alpha": 1.0, "theta": 2.0, "h": 0.001,
+                                 "t_end": 0.01}}
+    return ["ode", "--config", write_cfg(tmp_path, doc), "--out", str(tmp_path / out)]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(_ode_argv(tmp_path, "a")) == 0
+    assert main(_ode_argv(tmp_path, "b")) == 0
+    # one parser for the command line, and one for each subcommand with it
+    assert built == ["iprox"] + [f"iprox {name}" for name in ("run", "sweep", "ode", "rates")]
+
+
+def test_an_argparse_error_leaves_the_next_call_unchanged(tmp_path, capsys):
+    argv = _ode_argv(tmp_path, "a")
+    before = vars(cli._parser().parse_args(argv))
+    assert main(argv) == 0
+    for bad in (argv[:-2], ["sweep"] + argv[1:] + ["--workers", "two"], ["fit"] + argv[1:],
+                argv + ["--seed-offset", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert vars(cli._parser().parse_args(argv)) == before
+    assert main(_ode_argv(tmp_path, "b")) == 0
+    for name in ("ode_trace.csv", "ode_summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_the_cli_a_run_and_a_serial_sweep_load_no_multiprocessing(tmp_path):
+    # in a fresh interpreter; the parallel sweep test makes its pool
+    doc = lasso_cfg(sweep={"beta": [0.3, 0.6]}, audits=[])
+    del doc["schedule"]["beta"]
+    run = dict(doc, schedule={"c": 0.9, "beta": 0.5})
+    del run["sweep"]
+    code = (
+        "import sys\n"
+        "from iprox import cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('multiprocessing'))\n"
+        "print(loaded())\n"
+        f"assert cli.main(['run', '--config', {write_cfg(tmp_path, run, 'r.json')!r}, "
+        f"'--out', {str(tmp_path / 'r')!r}]) == 0\n"
+        f"assert cli.main(['sweep', '--config', {write_cfg(tmp_path, doc, 's.json')!r}, "
+        f"'--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "print(loaded())\n")
+    src = os.path.dirname(os.path.dirname(iprox.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_sweep_pool_never_exceeds_jobs_or_cpus(monkeypatch):
     from iprox import cli
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -671,9 +745,11 @@ def test_a_run_below_the_reference_min_f_is_exit_3_before_any_output(tmp_path, c
 
 
 def test_a_cached_reference_above_min_f_is_exit_3_before_any_output(tmp_path, capsys):
-    doc = lasso_cfg(reference={"cache_dir": str(tmp_path / "cache")})
+    # a hit passes its check here, since its point is within the loose tol
+    # of 1e300; at a tight tol the check would have solved it again
+    doc = lasso_cfg(reference={"tol": 1e300, "cache_dir": str(tmp_path / "cache")})
     spec = iprox.InstanceSpec(**doc["instance"])
-    key = reference.spec_cache_key(dataclasses.asdict(spec), 1e-12)
+    key = reference.spec_cache_key(dataclasses.asdict(spec), 1e300)
     x0 = np.zeros(spec.n)  # the run's start point, so the run goes below its F
     bogus = reference.ReferenceSolution(
         x_star=x0, f_star=objective(iprox.make_instance(spec), x0), residual=0.0,
@@ -685,11 +761,69 @@ def test_a_cached_reference_above_min_f_is_exit_3_before_any_output(tmp_path, ca
     err = capsys.readouterr().err
     assert "below reference min F" in err and "deleted the cached reference" in err
     assert not out.exists()
-    # the stale entry is gone, so the next run solves the reference again
+    # the stale entry is gone, so the next run solves the reference again,
+    # and at this tol its one-step answer is above min F too
     assert not (tmp_path / "cache" / (key + ".json")).exists()
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["reference"]["converged"] and summary["reference"]["f_star"] < bogus.f_star
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "below reference min F" in err and "lower reference.tol" in err
+    assert not out.exists() and not (tmp_path / "cache" / (key + ".json")).exists()
+
+
+def _cold_and_cached(tmp_path):
+    """A lasso run config with its cache, the cold run's outputs and the
+    path of the entry that run stored."""
+    doc = lasso_cfg(reference={"cache_dir": str(tmp_path / "cache")})
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "cold")]) == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    return cfg, _outputs(tmp_path / "cold"), entry
+
+
+def _outputs(out):
+    # each file's bytes, with the out_dir line of summary.json masked
+    return {p.name: p.read_bytes().replace(str(out).encode(), b"<out>")
+            for p in sorted(out.iterdir()) if p.is_file()}
+
+
+def test_a_valid_cache_hit_solves_nothing_and_writes_the_cold_runs_bytes(tmp_path,
+                                                                         monkeypatch):
+    cfg, cold, entry = _cold_and_cached(tmp_path)
+    stored = entry.read_bytes()
+    monkeypatch.setattr(reference, "solve_reference", None)  # a call would raise
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "hit")]) == 0
+    assert _outputs(tmp_path / "hit") == cold
+    assert entry.read_bytes() == stored
+
+
+def _off_by_1e_9(doc):
+    # f_star off by a relative 1e-9: beyond the check's 1e-12
+    return dict(doc, f_star=doc["f_star"] * (1.0 + 1e-9))
+
+
+def _move_x(doc):
+    # x* moved, with f_star its F: the value matches, the residual is above tol
+    x = np.asarray(doc["x_star"])
+    x[0] += 1e-3
+    spec = iprox.InstanceSpec(**lasso_cfg()["instance"])
+    return dict(doc, x_star=x.tolist(), f_star=objective(iprox.make_instance(spec), x))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: [1, 2], lambda doc: None, lambda doc: dict(doc, f_star=-1e300),
+    lambda doc: dict(doc, f_star=float("nan")), _off_by_1e_9, _move_x,
+    lambda doc: dict(doc, x_star=[float("inf")] * len(doc["x_star"]))],
+    ids=["array", "null", "f-star-far-below", "f-star-nan", "f-star-off-by-1e-9",
+         "x-star-moved", "x-star-inf"])
+def test_a_cache_entry_its_point_does_not_bear_out_is_solved_again(tmp_path, edit):
+    # an entry not a JSON object raised AttributeError, exit 1; an f_star of
+    # -1e300 exited 0 with it in summary.json, and NaN exited 3 at the CSV
+    cfg, cold, entry = _cold_and_cached(tmp_path)
+    stored = entry.read_bytes()
+    entry.write_text(json.dumps(edit(json.loads(stored))))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+    assert _outputs(tmp_path / "again") == cold
+    assert entry.read_bytes() == stored  # the fresh solve, stored again
 
 
 @pytest.mark.parametrize("command, target", [("run", (iprox.library, "make_instance")),

@@ -136,6 +136,9 @@ def test_cache_rejects_corrupt_and_mismatched_entries(tmp_path):
     path = tmp_path / (key + ".json")
     path.write_text("{ not json")
     assert reference.load_cached(tmp_path, key) is None
+    for not_an_object in ("[1, 2]", "null", '"x_star"'):  # doc.get raised on these
+        path.write_text(not_an_object)
+        assert reference.load_cached(tmp_path, key) is None
     other = reference.spec_cache_key({"kind": "other"}, 1e-12)
     reference.store_cached(tmp_path, key, ref)
     # file stored under a different name than its embedded key
@@ -150,6 +153,20 @@ def test_cache_rejects_x_star_of_wrong_length(tmp_path):
     reference.store_cached(tmp_path, key, ref)
     assert reference.load_cached(tmp_path, key, dim=10) is not None
     assert reference.load_cached(tmp_path, key, dim=11) is None
+
+
+@pytest.mark.parametrize("spec", [
+    dict(kind="lasso", n=50, rows=200, reg_lambda=0.1, m=1, seed=0),
+    dict(kind="logistic_l1", n=40, rows=120, reg_lambda=0.05, m=4, seed=1),
+    dict(kind="lasso", n=64, rows=2100, reg_lambda=0.1, m=4, seed=1)],  # rows in 2 passes
+    ids=["lasso", "logistic_l1", "lasso-two-row-blocks"])
+def test_a_stored_solution_reads_back_its_value_and_residual_bit_for_bit(tmp_path, spec):
+    # so a cache hit's check recomputes f_star exactly on the machine that wrote it
+    p = library.make_instance(iprox.InstanceSpec(**spec))
+    ref = reference.solve_reference(p)
+    reference.store_cached(tmp_path, "key", ref)
+    back = reference.load_cached(tmp_path, "key")
+    assert reference.value_and_residual(p, back.x_star) == (ref.f_star, ref.residual)
 
 
 def test_cache_key_carries_a_format_version():

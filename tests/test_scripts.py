@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import iprox
 
@@ -65,6 +66,28 @@ def test_trace_digest_compares_dumps_per_run_and_column(tmp_path):
     moved = [(name, col) for name, col, *values in lines if any(float(v) for v in values)]
     assert moved == [("lasso-m4-cyclic-every1", "F")]
     run_script("trace_digest.py", tmp_path, "--compare", "a", "b", "--tol", "1e-15")
+    # an audit scalar near +-2e-16 is rounding residue of its trace quantity,
+    # and is scaled by it: a move of 1.1e-16 read 0.33 of its own size
+    audits = dump["cli-inertial/summary.json"]["audits"]
+    for audit, key in (("descent", "max_violation"), ("lyapunov", "max_increase"),
+                       ("squared_lyapunov", "max_violation")):
+        audits[audit][key] += 1.1e-16
+    (tmp_path / "c").mkdir()
+    with open(tmp_path / "c" / "runs.json", "w") as fh:
+        json.dump(dump, fh)
+    lines = [line.split() for line in run_script(
+        "trace_digest.py", tmp_path, "--compare", "a", "c", "--tol", "1e-12").splitlines()]
+    moved = {col: tuple(map(float, values)) for name, col, *values in lines
+             if name == "cli-inertial/summary.json" and float(values[-1])}
+    assert set(moved) == {"audits.descent.max_violation", "audits.lyapunov.max_increase",
+                          "audits.squared_lyapunov.max_violation"}
+    assert all(0 < scaled < 1e-15 and absolute == pytest.approx(1.1e-16, rel=0.5)
+               for scaled, absolute in moved.values())
+    # a move beyond the trace's rounding is still one
+    audits["descent"]["max_violation"] += 1e-9
+    with open(tmp_path / "c" / "runs.json", "w") as fh:
+        json.dump(dump, fh)
+    run_script("trace_digest.py", tmp_path, "--compare", "a", "c", "--tol", "1e-12", code=1)
 
 
 def test_unreached_lists_the_statements_no_test_runs(tmp_path):
