@@ -339,22 +339,13 @@ def _decode_run(cfg: dict, out_dir: str, seed_offset: int) -> _Plan:
 
 def _reference_solution(problem, spec, ref_cfg):
     """Load or solve the reference; returns (key, reference, whether it was
-    loaded from the cache).  A hit is used only when, recomputed at its x*
-    through the problem in one gradient pass, F(x*) is within
-    1e-12 (1 + |F(x*)|) of its f_star (the solve's own reads give it bit for
-    bit) and ||S_{1/L}(x*)|| is at most tol; else the entry is deleted and
-    the reference solved again."""
+    loaded from the cache)."""
     key = reference.spec_cache_key(dataclasses.asdict(spec), ref_cfg["tol"])
-    ref = reference.load_cached(ref_cfg["cache_dir"], key, dim=spec.n)
-    if ref is not None and ref.converged:
-        with np.errstate(all="ignore"):  # a non-finite F or residual fails the check
-            f, r = reference.value_and_residual(problem, ref.x_star)
-            if abs(f - ref.f_star) <= 1e-12 * (1.0 + abs(f)) and r <= ref_cfg["tol"]:
-                return key, ref, True
-        reference.drop_cached(ref_cfg["cache_dir"], key)
-    ref = reference.solve_reference(problem, tol=ref_cfg["tol"],
-                                    max_iters=ref_cfg["max_iters"])
-    return key, ref, False
+    ref = reference.load_cached(ref_cfg["cache_dir"], key, problem, ref_cfg["tol"])
+    if ref is not None:
+        return key, ref, True
+    return key, reference.solve_reference(problem, tol=ref_cfg["tol"],
+                                          max_iters=ref_cfg["max_iters"]), False
 
 
 def _fit(ks, values, fit: dict, floor: float) -> dict:

@@ -247,39 +247,35 @@ def make_instance(spec: InstanceSpec) -> CompositeProblem:
     blocks = _blocks(spec.n, spec.m)
     n = spec.n
 
-    if spec.kind in ("quadratic", "quadratic_l1"):
-        lam_min = 2.0 / spec.conditioning
-        eigs = _spread_eigs(n, lam_min)
-        G = rng.standard_normal((n, n))
-        U, _ = np.linalg.qr(G)
-        Q = (U * eigs) @ U.T
-        Q = 0.5 * (Q + Q.T)
-        z = rng.standard_normal(n)
-        L = 1.0
-        L_blocks = (L,) if spec.m == 1 else _block_operator_norms(Q, blocks, L)
-        model = SmoothModel("quadratic", Q, center=z)
-
-        if spec.kind == "quadratic":
-            return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
-                            f_star=0.0, nu=spec.nu, solution_set=SolutionSet(z))
-        return _problem(model, blocks, L, L_blocks, spec.reg_lambda, nu=spec.nu)
-
-    if spec.kind == "noncoercive_quadratic":
-        r = spec.rows
+    if spec.kind in ("quadratic", "quadratic_l1", "noncoercive_quadratic"):
+        # eigenvalues in [2 / conditioning, 1] on a random rotation, so L = 1;
+        # the noncoercive kind keeps rows of them, and null(P) is argmin F
+        coercive = spec.kind != "noncoercive_quadratic"
+        r = n if coercive else spec.rows
         lam_min = 2.0 / spec.conditioning
         eigs = _spread_eigs(r, lam_min)
         G = rng.standard_normal((n, n))
         U, _ = np.linalg.qr(G)
-        Ur = U[:, :r]
-        P = np.sqrt(eigs)[:, None] * Ur.T  # r x n, rank r
-        H = P.T @ P
+        if coercive:
+            H = (U * eigs) @ U.T
+        else:
+            Ur = U[:, :r]
+            P = np.sqrt(eigs)[:, None] * Ur.T  # r x n, rank r
+            H = P.T @ P
         H = 0.5 * (H + H.T)
         L = 1.0
         L_blocks = (L,) if spec.m == 1 else _block_operator_norms(H, blocks, L)
-        # argmin F = null(P) = null(Ur')
-        return _problem(SmoothModel("squares", P), blocks, L, L_blocks, 0.0,
-                        f_star=0.0, nu=spec.nu,
-                        solution_set=SolutionSet(np.zeros(n), normal=Ur))
+
+        if not coercive:
+            return _problem(SmoothModel("squares", P), blocks, L, L_blocks, 0.0,
+                            f_star=0.0, nu=spec.nu,
+                            solution_set=SolutionSet(np.zeros(n), normal=Ur))
+        z = rng.standard_normal(n)
+        model = SmoothModel("quadratic", H, center=z)
+        if spec.kind == "quadratic":
+            return _problem(model, blocks, L, L_blocks, spec.reg_lambda,
+                            f_star=0.0, nu=spec.nu, solution_set=SolutionSet(z))
+        return _problem(model, blocks, L, L_blocks, spec.reg_lambda, nu=spec.nu)
 
     # lasso and logistic_l1: A, a planted 10%-sparse x_true, then the kind's noise
     p = spec.rows

@@ -1,6 +1,7 @@
 """The nonsmooth terms g_i as data: a :class:`ProxKind` (zero, l1, box or
-group l2) with its closed-form prox, :func:`prox_apply`, and its value,
-:func:`prox_value`."""
+group l2) with its closed-form prox, ``_apply_kind``, and its value,
+:func:`prox_value`.  The checked prox of a problem is
+:func:`iprox.problems.prox_full`."""
 
 from __future__ import annotations
 
@@ -78,18 +79,11 @@ class ProxKind:
         return cls(tag="group_l2", lam=lam)
 
 
-def prox_apply(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
-    """Evaluate prox_{gamma*g}(v) for the tagged g."""
-    if not gamma > 0:  # NaN included
-        raise ContractViolation("prox stepsize must be > 0")
-    return _apply_kind(kind, np.asarray(v, dtype=float), gamma)
-
-
 def _apply_kind(kind: ProxKind, v: np.ndarray, gamma: float) -> np.ndarray:
-    """prox_apply for a caller that has already checked its input: v a
-    float vector, or a stack of them that the kind acts on along the last
-    axis, and gamma > 0.  The kind checked itself when it was built, so
-    nothing is validated again."""
+    """prox_{gamma*g}(v) for the tagged g, for a caller that has already
+    checked its input: v a float vector, or a stack of them that the kind
+    acts on along the last axis, and gamma > 0.  The kind checked itself
+    when it was built, so nothing is validated again."""
     if kind.tag == "zero":
         return v.copy()
     if kind.tag == "l1":

@@ -5,7 +5,9 @@ computes it with an accelerated proximal-gradient method (momentum with
 adaptive restart) at stepsize 1/L, stopping on the prox-gradient residual
 ||S_{1/L}(x)|| <= tol.  Solutions are cached on disk keyed by a content
 hash of the instance spec and tolerance, with atomic replacement so
-concurrent sweep workers can share one cache directory.
+concurrent sweep workers can share one cache directory.  An entry keeps
+x* and the iteration count alone: :func:`load_cached` reads F and the
+residual again at x*, and uses the entry only when that residual meets tol.
 
 Each iteration refreshes the oracle state, an
 :class:`iprox.problems.ImageOracle`, at the new iterate and takes grad f,
@@ -120,7 +122,7 @@ def solve_reference(problem: CompositeProblem, tol: float = 1e-12,
     return solution(best_x, best_f, best_r, it, False)
 
 
-def value_and_residual(problem: CompositeProblem, x) -> tuple:
+def _value_and_residual(problem: CompositeProblem, x) -> tuple:
     """F(x) and ||S_{1/L}(x)|| as the solve reads them: one whole gradient, f with it."""
     state = ImageOracle(problem)
     state.refresh(x)
@@ -161,6 +163,7 @@ def with_reference(problem: CompositeProblem, ref: ReferenceSolution,
 # Bump when the instance data or the cached solution format changes, so
 # entries written by older code are never reused.
 CACHE_FORMAT = 2
+_LAYOUT = {"problem_key", "x_star", "iterations_used"}  # the keys of a cache entry
 
 
 def spec_cache_key(spec_dict: dict, tol: float) -> str:
@@ -170,30 +173,34 @@ def spec_cache_key(spec_dict: dict, tol: float) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def load_cached(cache_dir, key: str, dim=None):
-    """Return the cached ReferenceSolution or None (missing/corrupt).
+def load_cached(cache_dir, key: str, problem: CompositeProblem, tol: float):
+    """Return the cached ReferenceSolution of problem, converged, or None.
 
-    An entry that is not a JSON object is corrupt, and with dim given, so
-    is one whose x_star has another length.
+    An entry holds the keys of _LAYOUT alone, its own key among them, and an
+    x_star of the problem's length, at which the residual, recomputed with
+    the solve's own reads, is at most tol; f_star and the residual are those
+    reads, so they are the solve's bit for bit.  Any other entry is deleted.
     """
-    path = os.path.join(cache_dir, key + ".json")
     try:
-        with open(path, "r") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("problem_key") != key:
-            return None
-        x_star = np.asarray(doc["x_star"], dtype=float)
-        if x_star.ndim != 1 or (dim is not None and x_star.shape[0] != dim):
-            return None
-        return ReferenceSolution(
-            x_star=x_star,
-            f_star=float(doc["f_star"]),
-            residual=float(doc["residual"]),
-            iterations_used=int(doc["iterations_used"]),
-            converged=bool(doc["converged"]),
-        )
-    except (OSError, ValueError, KeyError, TypeError):
+        with open(os.path.join(cache_dir, key + ".json"), "r") as fh:
+            text = fh.read()
+    except OSError:  # no entry, or none this process can read
         return None
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.keys() != _LAYOUT or doc["problem_key"] != key:
+            raise ValueError
+        x_star = _check_dim(problem, doc["x_star"])
+        iterations_used = int(doc["iterations_used"])
+        with np.errstate(all="ignore"):  # a non-finite residual fails the check
+            f_star, residual = _value_and_residual(problem, x_star)
+        if not residual <= tol:
+            raise ValueError
+    except (ValueError, TypeError, OverflowError, ContractViolation):
+        drop_cached(cache_dir, key)
+        return None
+    return ReferenceSolution(x_star=x_star, f_star=f_star, residual=residual,
+                             iterations_used=iterations_used, converged=True)
 
 
 def drop_cached(cache_dir, key: str) -> None:
@@ -209,10 +216,7 @@ def store_cached(cache_dir, key: str, ref: ReferenceSolution) -> None:
     doc = {
         "problem_key": key,
         "x_star": [float(v) for v in ref.x_star],
-        "f_star": float(ref.f_star),
-        "residual": float(ref.residual),
         "iterations_used": int(ref.iterations_used),
-        "converged": bool(ref.converged),
     }
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:

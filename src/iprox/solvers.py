@@ -117,6 +117,7 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ContractViolation(f"{name} must be an integer")
+            setattr(self, name, int(value))  # the same run for a numpy int
         if not 1 <= self.max_iters <= np.iinfo(np.intp).max:
             raise ContractViolation("max_iters must be >= 1 and no larger than numpy's index type")
         if self.record_every < 1:

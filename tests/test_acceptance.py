@@ -21,9 +21,11 @@ from iprox import diagnostics as dx
 from iprox import library, ode, reference
 from iprox.cli import main as cli_main
 from iprox.library import InstanceSpec, make_instance, start_point
-from iprox.problems import CompositeProblem, check_gradient_fd, grad_f
-from iprox.prox import ProxKind, prox_apply
+from iprox.problems import CompositeProblem, grad_f
+from iprox.prox import ProxKind, _apply_kind
 from iprox.schedules import gamma0_root, linear_stochastic_beta
+
+from gradient_check import check_gradient_fd
 
 
 def fit_above_floor(ks, xi, k_lo, k_hi, floor, model):
@@ -228,21 +230,21 @@ def test_criterion_08_oracle_equivalences():
     zgrid = np.linspace(-8.0, 8.0, 400_001)
     for v, tau in ((1.7, 0.6), (-3.2, 1.1), (0.3, 0.5), (2.0, 2.5)):
         best = zgrid[np.argmin(0.5 * (zgrid - v) ** 2 + tau * np.abs(zgrid))]
-        got = prox_apply(ProxKind.l1(tau), np.array([v]), 1.0)[0]
+        got = _apply_kind(ProxKind.l1(tau), np.array([v]), 1.0)[0]
         assert abs(got - best) <= 1e-4
     lo, hi = np.array([-1.0]), np.array([2.0])
     for v in (-3.0, 0.4, 5.0):
         feas = zgrid[(zgrid >= lo[0]) & (zgrid <= hi[0])]
         best = feas[np.argmin(0.5 * (feas - v) ** 2)]
-        got = prox_apply(ProxKind.box(lo, hi), np.array([v]), 1.0)[0]
+        got = _apply_kind(ProxKind.box(lo, hi), np.array([v]), 1.0)[0]
         assert abs(got - best) <= 1e-4
     v2 = np.array([3.0, -4.0])  # norm 5; optimal point is radial
     rgrid = np.linspace(0.0, 5.0, 400_001)
     for tau in (1.0, 2.5):
         r_best = rgrid[np.argmin(0.5 * (rgrid - 5.0) ** 2 + tau * rgrid)]
-        got = prox_apply(ProxKind.group_l2(tau), v2, 1.0)
+        got = _apply_kind(ProxKind.group_l2(tau), v2, 1.0)
         assert np.max(np.abs(got - (v2 / 5.0) * r_best)) <= 1e-4
-    assert np.array_equal(prox_apply(ProxKind.zero(), v2, 1.0), v2)
+    assert np.array_equal(_apply_kind(ProxKind.zero(), v2, 1.0), v2)
 
     # gradients of every library family against central differences
     specs = [

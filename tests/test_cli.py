@@ -797,16 +797,17 @@ def test_a_valid_cache_hit_solves_nothing_and_writes_the_cold_runs_bytes(tmp_pat
 
 
 def _off_by_1e_9(doc):
-    # f_star off by a relative 1e-9: beyond the check's 1e-12
-    return dict(doc, f_star=doc["f_star"] * (1.0 + 1e-9))
+    # an f_star key, as an older entry had, at F(x*) off by a relative 1e-9
+    spec = iprox.InstanceSpec(**lasso_cfg()["instance"])
+    f = objective(iprox.make_instance(spec), np.asarray(doc["x_star"]))
+    return dict(doc, f_star=f * (1.0 + 1e-9))
 
 
 def _move_x(doc):
-    # x* moved, with f_star its F: the value matches, the residual is above tol
+    # x* moved: its residual is above tol
     x = np.asarray(doc["x_star"])
     x[0] += 1e-3
-    spec = iprox.InstanceSpec(**lasso_cfg()["instance"])
-    return dict(doc, x_star=x.tolist(), f_star=objective(iprox.make_instance(spec), x))
+    return dict(doc, x_star=x.tolist())
 
 
 @pytest.mark.parametrize("edit", [
@@ -816,14 +817,71 @@ def _move_x(doc):
     ids=["array", "null", "f-star-far-below", "f-star-nan", "f-star-off-by-1e-9",
          "x-star-moved", "x-star-inf"])
 def test_a_cache_entry_its_point_does_not_bear_out_is_solved_again(tmp_path, edit):
-    # an entry not a JSON object raised AttributeError, exit 1; an f_star of
-    # -1e300 exited 0 with it in summary.json, and NaN exited 3 at the CSV
+    # an entry not a JSON object raised AttributeError, exit 1; an f_star
+    # key is outside the layout, and its value is never read
     cfg, cold, entry = _cold_and_cached(tmp_path)
     stored = entry.read_bytes()
     entry.write_text(json.dumps(edit(json.loads(stored))))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
     assert _outputs(tmp_path / "again") == cold
     assert entry.read_bytes() == stored  # the fresh solve, stored again
+
+
+def test_an_older_six_key_entry_is_solved_again_and_stored_as_three(tmp_path, monkeypatch):
+    # an older entry stored f_star, residual and converged too, and a hit
+    # compared F(x*) with that f_star; an entry is read under its exact keys
+    cfg, cold, entry = _cold_and_cached(tmp_path)
+    stored = entry.read_bytes()
+    assert json.loads(stored).keys() == {"problem_key", "x_star", "iterations_used"}
+    ref = json.loads(cold["summary.json"])["reference"]
+    entry.write_text(json.dumps(dict(json.loads(stored), f_star=ref["f_star"],
+                                     residual=ref["residual"], converged=True)))
+    solves, solve = [], reference.solve_reference
+    monkeypatch.setattr(reference, "solve_reference",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+    assert solves == [1]
+    assert _outputs(tmp_path / "again") == cold
+    assert entry.read_bytes() == stored
+
+
+def test_a_run_1e_8_below_a_cached_reference_is_exit_3(tmp_path, capsys):
+    # a cached x* whose F is 1e-8 (1 + |F0|) above min F, under a tol its
+    # residual meets: the run ends below it by more than 1e-9 (1 + |F0|)
+    doc = lasso_cfg(reference={"tol": 1e-3, "cache_dir": str(tmp_path / "cache")})
+    spec = iprox.InstanceSpec(**doc["instance"])
+    p = iprox.make_instance(spec)
+    ref = reference.solve_reference(p)
+    scale = 1.0 + abs(objective(p, np.zeros(spec.n)))
+    # F is quadratic along a coordinate of the support near x*
+    x, j = ref.x_star.copy(), int(np.argmax(np.abs(ref.x_star)))
+    x[j] += 1e-3
+    x[j] = ref.x_star[j] + 1e-3 * np.sqrt(1e-8 * scale / (objective(p, x) - ref.f_star))
+    assert 0.9e-8 < (objective(p, x) - ref.f_star) / scale < 1.1e-8
+    key = reference.spec_cache_key(dataclasses.asdict(spec), 1e-3)
+    reference.store_cached(str(tmp_path / "cache"), key, dataclasses.replace(ref, x_star=x))
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "below reference min F" in err and "deleted the cached reference" in err
+    assert not out.exists() and not (tmp_path / "cache" / (key + ".json")).exists()
+
+
+def test_a_rate_fit_keeps_the_points_above_1e_14_of_min_f(tmp_path):
+    # the quadratic's lyapunov column passes through (1e-14, 1e-13] on its
+    # way to 0 = min F, so the points a fit keeps pin the floor
+    doc = {"version": 1, "algorithm": "inertial", "audits": ["rates"],
+           "instance": {"kind": "quadratic", "n": 12, "conditioning": 6.0, "seed": 2},
+           "schedule": {"c": 0.8, "beta": 0.4}, "run": {"max_iters": 200},
+           "rate": {"model": "geometric", "k_lo": 1, "k_hi": 100}}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_cfg(tmp_path, doc), "--out", str(out)]) == 0
+    cols = traceio.read_csv(str(out / "trace.csv"))
+    k, v = cols["k"], cols["lyapunov"]
+    window = (k >= 1) & (k <= 100)
+    assert np.count_nonzero(window & (v > 1e-14) & (v <= 1e-13)) == 2
+    (fit,) = json.loads((out / "summary.json").read_text())["rates"]
+    assert fit["points"] == np.count_nonzero(window & (v > 1e-14)) == 36
 
 
 @pytest.mark.parametrize("command, target", [("run", (iprox.library, "make_instance")),

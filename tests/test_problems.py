@@ -14,12 +14,13 @@ from iprox.problems import (
     ImageOracle,
     SmoothModel,
     SolutionSet,
-    check_gradient_fd,
     grad_f,
     objective,
     prox_full,
 )
-from iprox.prox import ProxKind, prox_apply
+from iprox.prox import ProxKind, _apply_kind
+
+from gradient_check import check_gradient_fd
 
 
 def model_problem(model, blocks, prox):
@@ -151,7 +152,7 @@ def test_prox_full_blockwise():
     full = prox_full(p, v, 0.5)
     stitched = np.empty(8)
     for i, ix in enumerate(p.block_selectors):
-        stitched[ix] = prox_apply(p.prox_kind, v[ix], 0.5)
+        stitched[ix] = _apply_kind(p.prox_kind, v[ix], 0.5)
     assert np.array_equal(full, stitched)
 
 
@@ -178,7 +179,7 @@ def test_whole_vector_prox_full_equals_the_block_loop(kind, m):
     v[:4] = [gamma * 0.3, -gamma * 0.3, 0.0, -0.0]
     want = np.empty(24)
     for i, ix in enumerate(p.block_selectors):
-        want[ix] = prox_apply(kind, v[ix], gamma)
+        want[ix] = _apply_kind(kind, v[ix], gamma)
     assert prox_full(p, v, gamma).tobytes() == want.tobytes()
     assert prox_full(p, v, gamma) is not v
 
@@ -249,7 +250,7 @@ def test_prox_kind_is_dropped_with_the_oracles_built_from_it():
 def test_prox_must_be_a_prox_kind():
     p = l1_quadratic()
     kind = ProxKind.l1(1.0)
-    for prox in ("l1", lambda i, v, gamma: prox_apply(kind, v, gamma)):
+    for prox in ("l1", lambda i, v, gamma: _apply_kind(kind, v, gamma)):
         with pytest.raises(ContractViolation, match="prox must be a ProxKind"):
             dataclasses.replace(p, prox=prox)
 
@@ -382,7 +383,7 @@ def test_prox_nonexpansive_on_library_blocks():
     rng = np.random.Generator(np.random.PCG64(12))
     for _ in range(50):
         u, v = rng.standard_normal(4), rng.standard_normal(4)
-        du = prox_apply(p.prox_kind, u, 0.8) - prox_apply(p.prox_kind, v, 0.8)
+        du = _apply_kind(p.prox_kind, u, 0.8) - _apply_kind(p.prox_kind, v, 0.8)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-12
 
 
@@ -505,13 +506,11 @@ def test_every_prox_entry_point_rejects_bad_input(prox):
     for gamma in (0.0, -1.0, math.nan):
         with pytest.raises(ContractViolation):
             prox_full(p, v, gamma)
-        with pytest.raises(ContractViolation):
-            prox_apply(kind, v, gamma)
     with pytest.raises(ContractViolation):
         prox_full(p, v[:3], 1.0)
     with pytest.raises(ContractViolation):
         prox_full(p, v.reshape(2, 2), 1.0)
     # checked once, applied unchecked: the same bits as the checked kind
-    want = np.concatenate([prox_apply(kind, v[ix], 0.7) for ix in p.block_selectors])
+    want = np.concatenate([_apply_kind(kind, v[ix], 0.7) for ix in p.block_selectors])
     assert np.array_equal(prox_full(p, v, 0.7), want)
 

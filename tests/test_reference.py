@@ -118,9 +118,13 @@ def test_cache_round_trip(tmp_path):
     p, _, _ = quadratic_with_linear_term()
     ref = reference.solve_reference(p, tol=1e-12)
     key = reference.spec_cache_key({"kind": "adhoc", "seed": 77}, 1e-12)
-    assert reference.load_cached(tmp_path, key) is None
+    assert reference.load_cached(tmp_path, key, p, 1e-12) is None
     reference.store_cached(tmp_path, key, ref)
-    back = reference.load_cached(tmp_path, key)
+    # an entry is x* and the iteration count; the rest is read again at x*
+    doc = json.loads((tmp_path / (key + ".json")).read_text())
+    assert doc == {"problem_key": key, "x_star": ref.x_star.tolist(),
+                   "iterations_used": ref.iterations_used}
+    back = reference.load_cached(tmp_path, key, p, 1e-12)
     assert back is not None
     assert np.array_equal(back.x_star, ref.x_star)
     assert back.f_star == ref.f_star
@@ -134,16 +138,26 @@ def test_cache_rejects_corrupt_and_mismatched_entries(tmp_path):
     key = reference.spec_cache_key({"kind": "adhoc"}, 1e-12)
     reference.store_cached(tmp_path, key, ref)
     path = tmp_path / (key + ".json")
-    path.write_text("{ not json")
-    assert reference.load_cached(tmp_path, key) is None
-    for not_an_object in ("[1, 2]", "null", '"x_star"'):  # doc.get raised on these
-        path.write_text(not_an_object)
-        assert reference.load_cached(tmp_path, key) is None
+    stored = json.loads(path.read_text())
+    # not JSON, not an object (doc.get raised on these), or not the layout:
+    # each is deleted
+    for text in ("{ not json", "[1, 2]", "null", '"x_star"',
+                 json.dumps(dict(stored, f_star=ref.f_star)),
+                 json.dumps({k: v for k, v in stored.items() if k != "iterations_used"}),
+                 json.dumps(dict(stored, iterations_used="many"))):
+        path.write_text(text)
+        assert reference.load_cached(tmp_path, key, p, 1e-12) is None
+        assert not path.exists()
     other = reference.spec_cache_key({"kind": "other"}, 1e-12)
     reference.store_cached(tmp_path, key, ref)
     # file stored under a different name than its embedded key
     (tmp_path / (other + ".json")).write_text(path.read_text())
-    assert reference.load_cached(tmp_path, other) is None
+    assert reference.load_cached(tmp_path, other, p, 1e-12) is None
+    assert not (tmp_path / (other + ".json")).exists()
+    # a cache_dir with no entry, or one that is not a directory, is a miss
+    assert reference.load_cached(tmp_path / "none", key, p, 1e-12) is None
+    assert reference.load_cached(path, key, p, 1e-12) is None
+    assert path.exists()
 
 
 def test_cache_rejects_x_star_of_wrong_length(tmp_path):
@@ -151,8 +165,14 @@ def test_cache_rejects_x_star_of_wrong_length(tmp_path):
     ref = reference.solve_reference(p, tol=1e-12)
     key = reference.spec_cache_key({"kind": "adhoc"}, 1e-12)
     reference.store_cached(tmp_path, key, ref)
-    assert reference.load_cached(tmp_path, key, dim=10) is not None
-    assert reference.load_cached(tmp_path, key, dim=11) is None
+    assert reference.load_cached(tmp_path, key, p, 1e-12) is not None
+    path = tmp_path / (key + ".json")
+    for x_star in (ref.x_star[:-1].tolist(), [ref.x_star.tolist()], [],
+                   ref.x_star.tolist() + [0.0]):
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), x_star=x_star)))
+        assert reference.load_cached(tmp_path, key, p, 1e-12) is None
+        assert not path.exists()
+        reference.store_cached(tmp_path, key, ref)
 
 
 @pytest.mark.parametrize("spec", [
@@ -161,12 +181,13 @@ def test_cache_rejects_x_star_of_wrong_length(tmp_path):
     dict(kind="lasso", n=64, rows=2100, reg_lambda=0.1, m=4, seed=1)],  # rows in 2 passes
     ids=["lasso", "logistic_l1", "lasso-two-row-blocks"])
 def test_a_stored_solution_reads_back_its_value_and_residual_bit_for_bit(tmp_path, spec):
-    # so a cache hit's check recomputes f_star exactly on the machine that wrote it
+    # a cache hit reads F and the residual again at x*, and on the machine
+    # that wrote the entry gets the solve's own values
     p = library.make_instance(iprox.InstanceSpec(**spec))
     ref = reference.solve_reference(p)
     reference.store_cached(tmp_path, "key", ref)
-    back = reference.load_cached(tmp_path, "key")
-    assert reference.value_and_residual(p, back.x_star) == (ref.f_star, ref.residual)
+    back = reference.load_cached(tmp_path, "key", p, 1e-12)
+    assert (back.f_star, back.residual) == (ref.f_star, ref.residual)
 
 
 def test_cache_key_carries_a_format_version():
@@ -314,4 +335,18 @@ def test_matvec_equiv_of_an_unconverged_solve_and_a_cache_hit(tmp_path):
     key = reference.spec_cache_key({"kind": "adhoc"}, 1e-14)
     reference.store_cached(tmp_path, key, ref)
     assert "matvec_equiv" not in json.loads((tmp_path / (key + ".json")).read_text())
-    assert reference.load_cached(tmp_path, key).matvec_equiv == 0.0
+    # read back under a tol its residual meets
+    assert reference.load_cached(tmp_path, key, p, ref.residual).matvec_equiv == 0.0
+
+
+def test_a_cache_entry_is_used_exactly_when_its_residual_meets_tol(tmp_path):
+    p, x0 = library_problem("logistic_l1")
+    ref = reference.solve_reference(p, tol=1e-14, max_iters=6, x0=x0)
+    path = tmp_path / "key.json"
+    reference.store_cached(tmp_path, "key", ref)
+    back = reference.load_cached(tmp_path, "key", p, ref.residual)
+    assert back.converged and back.residual == ref.residual and back.f_star == ref.f_star
+    assert back.iterations_used == 6
+    # one ulp tighter, the entry is deleted
+    assert reference.load_cached(tmp_path, "key", p, np.nextafter(ref.residual, 0.0)) is None
+    assert not path.exists()

@@ -15,7 +15,7 @@ from iprox.problems import (
     objective,
     prox_full,
 )
-from iprox.prox import prox_apply
+from iprox.prox import _apply_kind
 from iprox.rng import SplitMix64
 from iprox import solvers
 from iprox.schedules import beta_at, delta_coeff, stepsize
@@ -171,7 +171,7 @@ def reference_step(p, variant, x, x_prev, beta, gamma, oracle, block=None, grad=
         else:
             g_i = grad_f(p, x)[ix] if oracle is None else oracle.grad(x, i)
         gam = gamma[i] if variant == "cyclic" else gamma
-        x_i = prox_apply(p.prox_kind, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
+        x_i = _apply_kind(p.prox_kind, x[ix] - gam * g_i + beta * (x[ix] - x_prev[ix]), gam)
         if oracle is not None:
             oracle.move(i, x_i - x[ix])
         x[ix] = x_i
@@ -507,6 +507,19 @@ def test_a_run_config_takes_numpy_numbers():
     cfg = RunConfig(max_iters=np.int64(10), record_every=np.int32(2), seed=np.uint64(2 ** 64 - 1),
                     stop_tol=np.float64(1e-6), keep_iterates=True)
     assert cfg.max_iters == 10 and cfg.seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2 ** 63 + 5)], ids=["int64", "uint64"])
+def test_a_numpy_seed_gives_the_python_int_run(seed):
+    # RunConfig took a numpy seed, and the run then refused it in SplitMix64
+    p, x0 = lasso_problem(seed=13, n=12, m=3)
+    sched = iprox.ParamSchedule(beta_rule=iprox.ConstantBeta(0.5), c=0.9,
+                                variant="stochastic", m=3)
+    a = run_stochastic(p, sched, x0, RunConfig(max_iters=50, seed=seed))
+    b = run_stochastic(p, sched, x0, RunConfig(max_iters=50, seed=int(seed)))
+    assert a.F.tobytes() == b.F.tobytes()
+    assert np.array_equal(a.final_state.x_curr, b.final_state.x_curr)
+    assert repr(a.meta) == repr(b.meta)
 
 
 @pytest.mark.parametrize("variant", ["full", "cyclic", "stochastic"])
